@@ -1,7 +1,7 @@
 // Micro-benchmarks for the compiled execution tiers: lowered and bytecode
 // interpretation vs legacy tree-walking of the same specifications, the
-// one-time compilation cost each tier pays at Simulator construction, and
-// the cold-vs-warm price of the persistent on-disk bytecode cache.
+// and the one-time compilation cost each tier pays at Simulator
+// construction.
 //
 // All three interpreters drive the same frame machine and produce
 // bit-identical SimResults (tests/test_lowering.cpp proves it); this harness
@@ -10,16 +10,12 @@
 // execution rows construct one simulator up front and reset()+run() per
 // iteration — the shape a warm sweep fleet runs in — so they price execution
 // alone, while the BM_Construct_* rows price each tier's one-time
-// validation/compile cost and the Disk rows price the persistent cache.
+// validation/compile cost.
 #include <benchmark/benchmark.h>
-
-#include <filesystem>
 
 #include "bench_json.h"
 #include "obs/bus_trace.h"
 #include "refine/refiner.h"
-#include "sim/disk_cache.h"
-#include "sim/program_cache.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 #include "workloads/medical.h"
@@ -237,54 +233,6 @@ void BM_Construct_Legacy_RefinedMedical(benchmark::State& state) {
   state.SetLabel(to_string(model));
 }
 BENCHMARK(BM_Construct_Legacy_RefinedMedical)->DenseRange(0, 3);
-
-// Persistent-cache price, cold vs warm: a cold construction compiles the
-// bytecode and publishes the image to disk; a warm one (fresh in-memory L1,
-// populated on-disk L2 — a new process reusing the fleet cache) deserializes
-// the image instead of compiling. The delta is what the second process of a
-// sweep fleet saves per program.
-void construct_with_disk(benchmark::State& state, const Specification& spec,
-                         bool warm) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "specsyn-bench-cache";
-  SimConfig cfg;
-  cfg.exec_tier = ExecTier::Bytecode;
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  DiskProgramCache disk(dir.string());
-  if (warm) {  // populate the image once, outside the timed loop
-    ProgramCache seed_cache;
-    seed_cache.set_disk(&disk);
-    Simulator sim(spec, cfg, &seed_cache);
-  }
-  for (auto _ : state) {
-    if (!warm) {
-      state.PauseTiming();
-      fs::remove_all(dir, ec);
-      state.ResumeTiming();
-    }
-    ProgramCache programs;  // empty L1 every iteration: forces the L2 path
-    programs.set_disk(&disk);
-    Simulator sim(spec, cfg, &programs);
-    benchmark::DoNotOptimize(sim);
-  }
-  fs::remove_all(dir, ec);
-}
-
-void BM_Construct_Bytecode_DiskCold(benchmark::State& state) {
-  const auto model = static_cast<ImplModel>(state.range(0));
-  construct_with_disk(state, refined_medical(model), false);
-  state.SetLabel(to_string(model));
-}
-BENCHMARK(BM_Construct_Bytecode_DiskCold)->DenseRange(0, 3);
-
-void BM_Construct_Bytecode_DiskWarm(benchmark::State& state) {
-  const auto model = static_cast<ImplModel>(state.range(0));
-  construct_with_disk(state, refined_medical(model), true);
-  state.SetLabel(to_string(model));
-}
-BENCHMARK(BM_Construct_Bytecode_DiskWarm)->DenseRange(0, 3);
 
 }  // namespace
 }  // namespace specsyn

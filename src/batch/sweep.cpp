@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -33,14 +34,28 @@ void appendf(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
+SimConfig sim_config(const SweepOptions& opts) {
+  SimConfig sc;
+  sc.exec_tier = opts.exec_tier;
+  if (opts.max_cycles != 0) sc.max_cycles = opts.max_cycles;
+  sc.clock_hz = opts.clock_hz;
+  return sc;
+}
+
+/// The original spec's run under the sweep's SimConfig, made once per sweep
+/// and shared read-only by every point's equivalence check.
+struct OriginalRun {
+  SimResult result;
+  std::optional<std::string> error;  ///< what simulating the original threw
+};
+
 /// Refine + verify + price + simulate one matrix point. Everything this
-/// reads is shared const; everything it writes lives in the returned row or
-/// in worker-owned state (ctx.programs) — the determinism contract of
-/// ThreadPool jobs.
+/// reads is shared const and everything it writes lives in the returned
+/// row — the determinism contract of ThreadPool jobs.
 SweepRow eval_point(const Specification& spec, const Partition& part,
                     const AccessGraph& graph, const ProfileResult& prof,
-                    const SweepOptions& opts, const SweepPoint& point,
-                    size_t index, WorkerContext& ctx) {
+                    const SweepOptions& opts, const OriginalRun& original,
+                    const SweepPoint& point, size_t index) {
   SweepRow row;
   row.point = point;
   row.matrix_index = index;
@@ -64,12 +79,8 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
     row.sa_errors = rep.count(Severity::Error);
     row.sa_warnings = rep.count(Severity::Warning);
 
-    SimConfig sc;
-    sc.exec_tier = opts.exec_tier;
-    if (opts.max_cycles != 0) sc.max_cycles = opts.max_cycles;
-    sc.clock_hz = opts.clock_hz;
-
-    Simulator sim(r.refined, sc, ctx.programs);
+    const SimConfig sc = sim_config(opts);
+    Simulator sim(r.refined, sc);
     std::unique_ptr<BusTracer> tracer;
     if (sc.exec_tier != ExecTier::Tree) {  // slot tracing needs a compiled tier
       tracer = std::make_unique<BusTracer>(r.refined);
@@ -98,22 +109,24 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
     }
 
     if (opts.verify) {
-      EquivalenceOptions eo;
-      eo.config = sc;
       // Byte-serial transfers split wide writes into beats, so observable
       // write traces legitimately differ (same policy as `refine --verify`
       // and the fuzz oracles).
-      eo.compare_write_traces =
+      const bool compare_write_traces =
           point.config.protocol == ProtocolStyle::FullHandshake;
-      eo.programs = ctx.programs;  // the refined spec re-lowers as a hit
       row.verified = true;
-      row.equivalent = check_equivalence(spec, r.refined, eo).equivalent;
+      if (original.error) throw SpecError(*original.error);
+      // The measured run doubles as the refined side: observers never
+      // change a SimResult, and both runs used the same SimConfig.
+      row.equivalent = compare_results(spec, original.result, res,
+                                       compare_write_traces)
+                           .equivalent;
 
       if (opts.explore_schedules > 0) {
         analysis::schedules::ExploreOptions xo;
         xo.max_schedules = opts.explore_schedules;
         xo.config = sc;
-        xo.compare_write_traces = eo.compare_write_traces;
+        xo.compare_write_traces = compare_write_traces;
         const analysis::schedules::InclusionResult inc =
             analysis::schedules::check_inclusion(spec, r.refined, xo);
         row.sched_checked = true;
@@ -180,9 +193,18 @@ SweepReport run_sweep(const Specification& spec, const Partition& part,
                       const SweepOptions& opts, ThreadPool& pool) {
   SweepReport report;
   report.verify = opts.verify;
+  OriginalRun original;
+  if (opts.verify) {
+    try {
+      original.result = Simulator(spec, sim_config(opts)).run();
+    } catch (const SpecError& e) {
+      original.error = e.what();  // lands in every verified row
+    }
+  }
   report.rows = run_batch<SweepRow>(
-      pool, matrix.size(), [&](size_t job, WorkerContext& ctx) {
-        return eval_point(spec, part, graph, prof, opts, matrix[job], job, ctx);
+      pool, matrix.size(), [&](size_t job, WorkerContext&) {
+        return eval_point(spec, part, graph, prof, opts, original, matrix[job],
+                          job);
       });
   // Rank best-first. Every key is deterministic per-row data and the matrix
   // index breaks all remaining ties, so the order (and hence table()/json())

@@ -4,8 +4,10 @@
 // This is the paper's Section 5 experiment as a reusable engine: every
 // configuration is refined, statically verified, priced (estimate/cost),
 // simulated with a BusTracer, and optionally checked for functional
-// equivalence — each point an independent job on the pool, each worker with
-// its own ProgramCache. The ranked table/JSON is bit-identical for any
+// equivalence — each point an independent job on the pool. The original
+// spec is simulated once per sweep and each refined spec once per point:
+// the measured run is also the refined side of the equivalence check. The
+// ranked table/JSON is bit-identical for any
 // worker count: jobs write only their own row, and ranking is a pure sort
 // over deterministic per-row data (matrix index breaks all ties).
 //
@@ -43,8 +45,10 @@ struct SweepOptions {
   double clock_hz = 100e6;
   uint64_t max_cycles = 0;  ///< 0 => SimConfig default
   ExecTier exec_tier = default_exec_tier();
-  /// Also simulate the *original* spec per point and compare observable
-  /// behaviour (sim/equivalence). Roughly doubles the per-point work.
+  /// Also compare each point's observable behaviour with the original spec's
+  /// (sim/equivalence). The original is simulated once, before the batch,
+  /// and each point reuses its measured run, so the per-point cost is one
+  /// comparison; an original that fails to simulate fails every row.
   bool verify = false;
   /// With `verify`, additionally run the partition-consistency check over up
   /// to this many explored schedules per side (analysis/schedules): every

@@ -33,24 +33,6 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::set_disk_cache(DiskProgramCache* disk) {
-  for (auto& w : workers_) w->programs.set_disk(disk);
-}
-
-ProgramCache::Stats ThreadPool::cache_stats() const {
-  ProgramCache::Stats sum;
-  for (const auto& w : workers_) {
-    const ProgramCache::Stats s = w->programs.stats();
-    sum.hits += s.hits;
-    sum.misses += s.misses;
-    sum.evictions += s.evictions;
-    sum.disk_hits += s.disk_hits;
-    sum.disk_misses += s.disk_misses;
-    sum.disk_stores += s.disk_stores;
-  }
-  return sum;
-}
-
 size_t ThreadPool::default_workers() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

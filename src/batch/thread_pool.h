@@ -46,8 +46,9 @@ namespace specsyn::batch {
 struct WorkerContext {
   /// Dense worker index, 0 .. workers()-1 (0 for inline execution).
   size_t worker = 0;
-  /// The worker's own lowered-program cache; never shared between workers,
-  /// so sweep/oracle jobs get re-lowering for free without lock traffic.
+  /// The worker's own compiled-program cache; never shared between workers,
+  /// so a job that re-simulates the same spec (schedule exploration waves)
+  /// skips the recompile without lock traffic.
   ProgramCache* programs = nullptr;
 };
 
@@ -63,14 +64,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] size_t workers() const { return workers_.size(); }
-
-  /// Attaches a shared on-disk L2 cache beneath every worker's ProgramCache
-  /// (bytecode tier only; nullptr detaches). The pointer must outlive the
-  /// pool. Call between batches, never while one is running.
-  void set_disk_cache(DiskProgramCache* disk);
-
-  /// Aggregated ProgramCache statistics across all workers (L1 + disk L2).
-  [[nodiscard]] ProgramCache::Stats cache_stats() const;
 
   /// Runs fn(job_index, worker_context) for every job in [0, jobs) and
   /// blocks until all complete. Not reentrant. If jobs throw, the exception

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <ostream>
 #include <sstream>
 
@@ -11,8 +10,6 @@
 #include "fuzz/generator.h"
 #include "fuzz/reducer.h"
 #include "printer/printer.h"
-#include "sim/disk_cache.h"
-#include "sim/program_cache.h"
 #include "support/json.h"
 #include "telemetry/telemetry.h"
 
@@ -58,8 +55,7 @@ struct SeedOutcome {
   size_t reduced_from = 0;
 };
 
-SeedOutcome eval_seed(const FuzzOptions& opts, size_t index,
-                      ProgramCache* programs, bool parallel_equivalence) {
+SeedOutcome eval_seed(const FuzzOptions& opts, size_t index) {
   SeedOutcome o;
   o.seed = opts.start_seed + index;
   telemetry::Span tm_seed("fuzz.seed", telemetry::Stability::Stable,
@@ -80,8 +76,6 @@ SeedOutcome eval_seed(const FuzzOptions& opts, size_t index,
   OracleOptions oopts;
   oopts.max_cycles = opts.max_cycles;
   oopts.inject = opts.inject;
-  oopts.programs = programs;
-  oopts.parallel_equivalence = parallel_equivalence;
   oopts.exec_tier = opts.exec_tier;
   oopts.explore_schedules = opts.explore_schedules;
 
@@ -141,32 +135,20 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& log) {
     std::filesystem::create_directories(opts.dump_dir);
   }
 
-  // Phase 1: sweep the seeds. Each seed is an independent job; a serial
-  // sweep instead overlaps the two simulations inside the equivalence
-  // oracle, so one thread is never left idle on a multi-core box.
+  // Phase 1: sweep the seeds. Each seed is an independent job.
   std::vector<SeedOutcome> outcomes;
   const size_t jobs =
       opts.jobs == 0 ? batch::ThreadPool::default_workers() : opts.jobs;
-  std::unique_ptr<DiskProgramCache> disk;
-  if (!opts.cache_dir.empty()) {
-    disk = std::make_unique<DiskProgramCache>(opts.cache_dir);
-  }
   if (jobs <= 1) {
-    ProgramCache programs;
-    programs.set_disk(disk.get());
     outcomes.reserve(opts.seeds);
     for (size_t i = 0; i < opts.seeds; ++i) {
-      outcomes.push_back(
-          eval_seed(opts, i, &programs, /*parallel_equivalence=*/true));
+      outcomes.push_back(eval_seed(opts, i));
     }
   } else {
     batch::ThreadPool pool(jobs);
-    pool.set_disk_cache(disk.get());
     outcomes = batch::run_batch<SeedOutcome>(
-        pool, opts.seeds, [&](size_t job, batch::WorkerContext& ctx) {
-          return eval_seed(opts, job, ctx.programs,
-                           /*parallel_equivalence=*/false);
-        });
+        pool, opts.seeds,
+        [&](size_t job, batch::WorkerContext&) { return eval_seed(opts, job); });
   }
 
   // Phase 2: merge in seed order — every file write and log line happens

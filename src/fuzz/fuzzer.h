@@ -35,11 +35,10 @@ struct FuzzOptions {
   /// Planted refiner bug, for proving the oracles and reducer are live.
   InjectedBug inject = InjectedBug::None;
   uint64_t max_cycles = 5'000'000;
-  /// Execution tier for the equivalence oracle's simulations (`--exec-tier`;
-  /// interp-diff always cross-checks every tier). Unset = process default.
+  /// Execution tier whose runs the equivalence oracle compares
+  /// (`--exec-tier`; interp-diff always cross-checks every tier). Unset =
+  /// process default.
   std::optional<ExecTier> exec_tier;
-  /// On-disk L2 program cache directory (`--cache-dir`); empty = no L2.
-  std::string cache_dir;
   /// Schedules per side for the schedule-inclusion oracle
   /// (`--explore-schedules[=N]`; 0 disables).
   size_t explore_schedules = 4;
@@ -48,8 +47,6 @@ struct FuzzOptions {
   /// per-seed work (including reduction) runs concurrently, while file
   /// writes and the log stream are emitted in a serial seed-order merge
   /// phase — so the report and the log are byte-identical for any value.
-  /// A serial sweep instead parallelizes inside each seed's equivalence
-  /// check (OracleOptions::parallel_equivalence).
   size_t jobs = 1;
 };
 

@@ -112,23 +112,42 @@ std::string diff_sim_results(const SimResult& a, const SimResult& b) {
   return os.str();
 }
 
-void check_interp_diff(const Specification& spec, const std::string& oracle,
-                       OracleOutcome& out, uint64_t max_cycles,
-                       ProgramCache* programs) {
-  SimConfig lowered;
-  lowered.exec_tier = ExecTier::Lowered;
-  lowered.max_cycles = max_cycles;
-  SimConfig legacy = lowered;
-  legacy.exec_tier = ExecTier::Tree;
-  SimConfig bytecode = lowered;
-  bytecode.exec_tier = ExecTier::Bytecode;
-  const SimResult a = Simulator(spec, lowered, programs).run();
-  const SimResult b = Simulator(spec, legacy).run();
-  const SimResult c = Simulator(spec, bytecode, programs).run();
-  const std::string diff = diff_sim_results(a, b);
+/// One spec's run on every execution tier, under the same SimConfig.
+struct TierResults {
+  SimResult tree;
+  SimResult lowered;
+  SimResult bytecode;
+
+  [[nodiscard]] const SimResult& at(ExecTier tier) const {
+    switch (tier) {
+      case ExecTier::Tree: return tree;
+      case ExecTier::Lowered: return lowered;
+      case ExecTier::Bytecode: return bytecode;
+    }
+    return bytecode;
+  }
+};
+
+/// Runs `spec` on all three tiers and reports any disagreement. The runs are
+/// returned so the equivalence oracle can compare them without simulating
+/// again.
+TierResults check_interp_diff(const Specification& spec,
+                              const std::string& oracle, OracleOutcome& out,
+                              uint64_t max_cycles) {
+  SimConfig cfg;
+  cfg.max_cycles = max_cycles;
+  TierResults r;
+  cfg.exec_tier = ExecTier::Lowered;
+  r.lowered = Simulator(spec, cfg).run();
+  cfg.exec_tier = ExecTier::Tree;
+  r.tree = Simulator(spec, cfg).run();
+  cfg.exec_tier = ExecTier::Bytecode;
+  r.bytecode = Simulator(spec, cfg).run();
+  const std::string diff = diff_sim_results(r.lowered, r.tree);
   if (!diff.empty()) add_issue(out, oracle, "lowered vs tree: " + diff);
-  const std::string bdiff = diff_sim_results(c, a);
+  const std::string bdiff = diff_sim_results(r.bytecode, r.lowered);
   if (!bdiff.empty()) add_issue(out, oracle, "bytecode vs lowered: " + bdiff);
+  return r;
 }
 
 // -- oracle 3/8: static verifier silence -------------------------------------
@@ -228,7 +247,8 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   check_roundtrip(spec, "roundtrip", out);
   tally("roundtrip", before);
   before = out.issues.size();
-  check_interp_diff(spec, "interp-diff", out, opts.max_cycles, opts.programs);
+  const TierResults original_runs =
+      check_interp_diff(spec, "interp-diff", out, opts.max_cycles);
   tally("interp-diff", before);
   before = out.issues.size();
   check_analysis(spec, "analysis-original", out);
@@ -268,18 +288,17 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   check_roundtrip(refined, "roundtrip-refined", out);
   tally("roundtrip-refined", before);
   before = out.issues.size();
-  check_interp_diff(refined, "interp-diff-refined", out, opts.max_cycles,
-                    opts.programs);
+  const TierResults refined_runs = check_interp_diff(
+      refined, "interp-diff-refined", out, opts.max_cycles);
   tally("interp-diff-refined", before);
 
-  EquivalenceOptions eo;
-  eo.config.max_cycles = opts.max_cycles;
-  if (opts.exec_tier) eo.config.exec_tier = *opts.exec_tier;
-  eo.compare_write_traces = cfg.protocol == ProtocolStyle::FullHandshake;
-  eo.parallel = opts.parallel_equivalence;
-  eo.programs = opts.programs;
+  // interp-diff already ran both specs on every tier under the equivalence
+  // oracle's SimConfig; compare the configured tier's runs.
+  const ExecTier tier = opts.exec_tier.value_or(default_exec_tier());
   before = out.issues.size();
-  const EquivalenceReport rep = check_equivalence(spec, refined, eo);
+  const EquivalenceReport rep = compare_results(
+      spec, original_runs.at(tier), refined_runs.at(tier),
+      cfg.protocol == ProtocolStyle::FullHandshake);
   if (!rep.equivalent) add_issue(out, "equivalence", rep.summary());
   tally("equivalence", before);
 

@@ -13,7 +13,8 @@
 //   interp-diff-refined  both interpreters agree on the refined spec
 //   equivalence        refined behaviorally equivalent to the original
 //                      (sim/equivalence: final values + observable write
-//                      traces, main control flow completed)
+//                      traces, main control flow completed), compared on
+//                      the interp-diff runs of the configured tier
 //   analysis-refined   zero SA-coded findings on a freshly refined spec —
 //                      any finding is a bug in the refiner or the verifier
 //   schedule-inclusion partition consistency over explored schedules
@@ -35,7 +36,6 @@
 #include "spec/specification.h"
 
 namespace specsyn {
-class ProgramCache;
 enum class ExecTier : uint8_t;
 }
 
@@ -94,17 +94,9 @@ struct OracleOptions {
   /// Simulation bound for every run the oracles perform.
   uint64_t max_cycles = 5'000'000;
   InjectedBug inject = InjectedBug::None;
-  /// Optional lowered-program cache consulted by every lowered simulation
-  /// the oracles run (interp-diff runs each spec lowered once, equivalence
-  /// again — the cache collapses the repeated compiles). Typically the batch
-  /// worker's own cache.
-  ProgramCache* programs = nullptr;
-  /// Run the two equivalence simulations concurrently. Only sensible when
-  /// the seed sweep itself is serial (`fuzz --jobs 1`); a parallel sweep
-  /// already saturates the pool.
-  bool parallel_equivalence = false;
-  /// Execution tier for the equivalence oracle's simulations (interp-diff
-  /// always runs every tier regardless). Unset = the process default tier.
+  /// Execution tier whose runs the equivalence oracle compares. interp-diff
+  /// runs both specs on every tier anyway, so equivalence simulates nothing
+  /// itself. Unset = the process default tier.
   std::optional<ExecTier> exec_tier;
   /// Schedules per side for the schedule-inclusion oracle (0 disables it).
   /// Clean specs collapse to the baseline schedule (no racing pairs means

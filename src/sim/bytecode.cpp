@@ -1,9 +1,7 @@
-// Bytecode compiler (Program -> linear threaded code) and the serializer /
-// validating deserializer behind the on-disk program cache.
+// Bytecode compiler (Program -> linear threaded code).
 #include "sim/bytecode.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <utility>
 
@@ -29,12 +27,6 @@ const char* bop_name(BOp op) {
 }
 
 namespace {
-
-constexpr uint32_t kMagic = 0x43425353;  // "SSBC" little-endian
-constexpr uint32_t kVersion = 3;  // v3: WaitSigExpr fused condition waits
-constexpr uint8_t kMaxUnOp = static_cast<uint8_t>(UnOp::Neg);
-constexpr uint8_t kMaxBinOp = static_cast<uint8_t>(BinOp::LogicalOr);
-constexpr uint8_t kMaxLOpKind = static_cast<uint8_t>(LOp::Kind::Binary);
 
 /// Comparison ops admissible as WaitSigExpr leaves (0/1 result, so bitwise
 /// and logical combiners agree on them).
@@ -531,539 +523,6 @@ std::shared_ptr<const BytecodeProgram> BytecodeProgram::compile(
   const std::unique_ptr<const Program> prog =
       Program::compile(spec, vars, signals);
   return BytecodeCompiler(*prog).run();
-}
-
-// ---------------------------------------------------------------------------
-// serialization
-
-namespace {
-
-void put_u8(std::string& out, uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-void put_u32(std::string& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
-}
-void put_u64(std::string& out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<uint32_t>(s.size()));
-  out.append(s);
-}
-
-/// Bounds-checked cursor; every getter degrades to "not ok" instead of
-/// reading past the image, so a truncated file fails cleanly.
-struct Reader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  bool have(size_t n) {
-    if (static_cast<size_t>(end - p) < n) ok = false;
-    return ok;
-  }
-  uint8_t get_u8() {
-    if (!have(1)) return 0;
-    return static_cast<uint8_t>(*p++);
-  }
-  uint32_t get_u32() {
-    if (!have(4)) return 0;
-    uint32_t v;
-    std::memcpy(&v, p, 4);
-    p += 4;
-    return v;
-  }
-  uint64_t get_u64() {
-    if (!have(8)) return 0;
-    uint64_t v;
-    std::memcpy(&v, p, 8);
-    p += 8;
-    return v;
-  }
-  std::string get_str() {
-    const uint32_t n = get_u32();
-    if (!have(n)) return {};
-    std::string s(p, n);
-    p += n;
-    return s;
-  }
-  /// Element counts are bounded by the bytes remaining (each element writes
-  /// at least `min_elem_bytes`), so a corrupt count cannot balloon a
-  /// pre-reserve allocation.
-  uint32_t get_count(size_t min_elem_bytes) {
-    const uint32_t n = get_u32();
-    if (min_elem_bytes > 0 &&
-        static_cast<size_t>(end - p) / min_elem_bytes < n) {
-      ok = false;
-      return 0;
-    }
-    return n;
-  }
-};
-
-void collect_preorder(const Behavior& b, std::vector<const Behavior*>& out) {
-  out.push_back(&b);
-  for (const BehaviorPtr& c : b.children) collect_preorder(*c, out);
-}
-
-}  // namespace
-
-std::string BytecodeProgram::serialize() const {
-  std::string out;
-  out.reserve(64 + code_.size() * 24);
-  put_u32(out, kMagic);
-  put_u32(out, kVersion);
-  put_u32(out, reg_count_);
-  put_u32(out, max_spill_stack_);
-  put_u32(out, max_proc_locals_);
-
-  put_u32(out, static_cast<uint32_t>(code_.size()));
-  for (const BInstr& i : code_) {
-    put_u8(out, static_cast<uint8_t>(i.op));
-    put_u8(out, i.a);
-    put_u8(out, i.b);
-    put_u8(out, i.c);
-    put_u32(out, i.slot);
-    put_u32(out, i.aux);
-    put_u64(out, i.imm);
-  }
-  put_u32(out, static_cast<uint32_t>(spill_ops_.size()));
-  for (const LOp& o : spill_ops_) {
-    put_u8(out, static_cast<uint8_t>(o.kind));
-    put_u8(out, o.op);
-    put_u32(out, o.slot);
-    put_u64(out, o.lit);
-  }
-  put_u32(out, static_cast<uint32_t>(procs_.size()));
-  for (const BProc& pr : procs_) {
-    put_u32(out, pr.code_begin);
-    put_u32(out, static_cast<uint32_t>(pr.local_types.size()));
-    for (const Type& t : pr.local_types) put_u32(out, t.width);
-  }
-  put_u32(out, static_cast<uint32_t>(call_sites_.size()));
-  for (const BCallSite& cs : call_sites_) {
-    put_u32(out, cs.proc);
-    put_u32(out, static_cast<uint32_t>(cs.in_params.size()));
-    for (uint32_t pslot : cs.in_params) put_u32(out, pslot);
-    put_u32(out, static_cast<uint32_t>(cs.out_binds.size()));
-    for (const auto& [param, tgt] : cs.out_binds) {
-      put_u32(out, param);
-      put_u8(out, tgt.scope);
-      put_u32(out, tgt.slot);
-    }
-  }
-  put_u32(out, static_cast<uint32_t>(wait_sites_.size()));
-  for (const BWaitSite& ws : wait_sites_) {
-    put_u32(out, static_cast<uint32_t>(ws.signals.size()));
-    for (uint32_t s : ws.signals) put_u32(out, s);
-    put_str(out, ws.cond_str);
-  }
-  put_u32(out, static_cast<uint32_t>(wait_ops_.size()));
-  for (const BWaitOp& w : wait_ops_) {
-    put_u8(out, static_cast<uint8_t>(w.kind));
-    put_u8(out, w.op);
-    put_u32(out, w.slot);
-    put_u64(out, w.imm);
-  }
-  put_u32(out, static_cast<uint32_t>(behaviors_.size()));
-  for (const BBehavior& b : behaviors_) {
-    put_u8(out, static_cast<uint8_t>(b.kind));
-    put_u32(out, b.body);
-    put_u32(out, static_cast<uint32_t>(b.children.size()));
-    for (uint32_t c : b.children) put_u32(out, c);
-    put_u32(out, static_cast<uint32_t>(b.child_trans.size()));
-    for (const auto& arcs : b.child_trans) {
-      put_u32(out, static_cast<uint32_t>(arcs.size()));
-      for (const BBehavior::BTrans& t : arcs) {
-        put_u8(out, t.has_guard ? 1 : 0);
-        put_u32(out, t.guard);
-        put_u32(out, t.next);
-      }
-    }
-  }
-  for (const std::string& n : names_) put_str(out, n);
-  return out;
-}
-
-namespace {
-
-/// Validates the register and operand fields of one instruction against the
-/// table sizes. Unit-local checks (local slots, call-site context) happen in
-/// the per-unit scan below.
-bool instr_valid(const BInstr& i, uint32_t code_size, uint32_t reg_count,
-                 size_t vars, size_t sigs, size_t spill_ops, size_t sites,
-                 size_t calls, uint32_t max_locals, uint32_t spill_stack,
-                 size_t wait_ops) {
-  if (static_cast<uint8_t>(i.op) >= kBOpCount) return false;
-  switch (i.op) {
-    case BOp::LoadLit:
-      return i.a < reg_count;
-    case BOp::LoadVar:
-      return i.a < reg_count && i.slot < vars;
-    case BOp::LoadSig:
-      return i.a < reg_count && i.slot < sigs;
-    case BOp::LoadLoc:
-      return i.a < reg_count && i.slot < max_locals;
-    case BOp::UnApply:
-      return i.a < reg_count && i.b < reg_count && i.aux <= kMaxUnOp;
-    case BOp::BinApply:
-      return i.a < reg_count && i.b < reg_count && i.c < reg_count &&
-             i.aux <= kMaxBinOp;
-    case BOp::EvalSpill:
-      return i.a < reg_count && i.slot <= spill_ops &&
-             i.aux <= spill_ops - i.slot && spill_stack > 0;
-    case BOp::ArgStage:
-      return i.b < reg_count && i.slot < max_locals;
-    case BOp::GuardEnd:
-      return i.b < reg_count;
-    case BOp::BinApplyImm:
-      return i.a < reg_count && i.b < reg_count && i.aux <= kMaxBinOp;
-    case BOp::SigBinImm:
-      return i.a < reg_count && i.slot < sigs && i.aux <= kMaxBinOp;
-    case BOp::SigBinImmBin:
-      return i.a < reg_count && i.b < reg_count && i.slot < sigs &&
-             (i.aux & 0xff) <= kMaxBinOp && (i.aux >> 8) <= kMaxBinOp;
-    case BOp::StVar:
-      return i.b < reg_count && i.slot < vars;
-    case BOp::StLoc:
-      return i.b < reg_count && i.slot < max_locals;
-    case BOp::StSig:
-      return i.b < reg_count && i.slot < sigs;
-    case BOp::AssignImmVar:
-      return i.slot < vars;
-    case BOp::AssignImmLoc:
-      return i.slot < max_locals;
-    case BOp::AssignLoad: {
-      const uint8_t kind = i.a & 3;
-      if (kind > kSrcLoc) return false;
-      if ((i.a & kTargetLocalBit) != 0 ? i.slot >= max_locals : i.slot >= vars)
-        return false;
-      if (kind == kSrcVar && i.aux >= vars) return false;
-      if (kind == kSrcSig && i.aux >= sigs) return false;
-      if (kind == kSrcLoc && i.aux >= max_locals) return false;
-      return true;
-    }
-    case BOp::SigImm:
-      return i.slot < sigs;
-    case BOp::SigLoad: {
-      if (i.slot >= sigs) return false;
-      if (i.a == kSrcVar) return i.aux < vars;
-      if (i.a == kSrcSig) return i.aux < sigs;
-      if (i.a == kSrcLoc) return i.aux < max_locals;
-      return false;
-    }
-    case BOp::Jump:
-      return i.aux < code_size;
-    case BOp::BrFalse:
-    case BOp::BrTrue:
-      return i.b < reg_count && i.aux < code_size;
-    case BOp::SigBrFalse:
-    case BOp::SigBrTrue:
-      return i.slot < sigs && i.c <= kMaxBinOp && i.aux < code_size;
-    case BOp::WaitTrue:
-      return i.b < reg_count && i.slot < sites;
-    case BOp::WaitSigEq:
-    case BOp::WaitSigNz:
-      return i.slot < sigs && i.aux < sites;
-    case BOp::WaitSigExpr:
-      return i.b >= 1 && i.slot <= wait_ops && i.b <= wait_ops - i.slot &&
-             i.aux < sites;
-    case BOp::DelayStep:
-      return i.imm >= 1;
-    case BOp::Call:
-      return i.slot < calls;
-    case BOp::EndUnit:
-    case BOp::NopStmt:
-      return true;
-  }
-  return false;
-}
-
-/// Validates one EvalSpill range: stack discipline within `spill_stack`,
-/// bounded slots, net depth exactly one value.
-bool spill_range_valid(const std::vector<LOp>& pool, uint32_t first,
-                       uint32_t count, size_t vars, size_t sigs,
-                       uint32_t local_count, uint32_t spill_stack) {
-  uint32_t depth = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    const LOp& o = pool[first + i];
-    switch (o.kind) {
-      case LOp::Kind::PushLit:
-        if (++depth > spill_stack) return false;
-        break;
-      case LOp::Kind::PushVar:
-        if (o.slot >= vars || ++depth > spill_stack) return false;
-        break;
-      case LOp::Kind::PushSignal:
-        if (o.slot >= sigs || ++depth > spill_stack) return false;
-        break;
-      case LOp::Kind::PushLocal:
-        if (o.slot >= local_count || ++depth > spill_stack) return false;
-        break;
-      case LOp::Kind::Unary:
-        if (depth < 1 || o.op > kMaxUnOp) return false;
-        break;
-      case LOp::Kind::Binary:
-        if (depth < 2 || o.op > kMaxBinOp) return false;
-        --depth;
-        break;
-    }
-  }
-  return depth == 1;
-}
-
-/// Validates one WaitSigExpr postfix range: stack discipline and net depth
-/// exactly one value (entry fields are checked as the pool deserializes).
-bool wait_range_valid(const std::vector<BWaitOp>& pool, uint32_t first,
-                      uint32_t count) {
-  uint32_t depth = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    if (pool[first + i].kind == BWaitOp::Kind::Cmp) {
-      ++depth;
-    } else {
-      if (depth < 2) return false;
-      --depth;
-    }
-  }
-  return depth == 1;
-}
-
-}  // namespace
-
-std::shared_ptr<const BytecodeProgram> BytecodeProgram::deserialize(
-    std::string_view image, const Specification& spec, size_t var_count,
-    size_t signal_count) {
-  Reader r{image.data(), image.data() + image.size()};
-  if (r.get_u32() != kMagic || r.get_u32() != kVersion) return nullptr;
-
-  auto out = std::shared_ptr<BytecodeProgram>(new BytecodeProgram());
-  out->reg_count_ = r.get_u32();
-  out->max_spill_stack_ = r.get_u32();
-  out->max_proc_locals_ = r.get_u32();
-  if (!r.ok || out->reg_count_ < 1 || out->reg_count_ > kMaxRegs) {
-    return nullptr;
-  }
-
-  const uint32_t ninstr = r.get_count(20);
-  out->code_.reserve(ninstr);
-  for (uint32_t i = 0; r.ok && i < ninstr; ++i) {
-    BInstr ins;
-    ins.op = static_cast<BOp>(r.get_u8());
-    ins.a = r.get_u8();
-    ins.b = r.get_u8();
-    ins.c = r.get_u8();
-    ins.slot = r.get_u32();
-    ins.aux = r.get_u32();
-    ins.imm = r.get_u64();
-    out->code_.push_back(ins);
-  }
-  const uint32_t nspill = r.get_count(14);
-  out->spill_ops_.reserve(nspill);
-  for (uint32_t i = 0; r.ok && i < nspill; ++i) {
-    LOp o;
-    const uint8_t kind = r.get_u8();
-    if (kind > kMaxLOpKind) return nullptr;
-    o.kind = static_cast<LOp::Kind>(kind);
-    o.op = r.get_u8();
-    o.slot = r.get_u32();
-    o.lit = r.get_u64();
-    out->spill_ops_.push_back(o);
-  }
-  const uint32_t nprocs = r.get_count(8);
-  out->procs_.reserve(nprocs);
-  for (uint32_t i = 0; r.ok && i < nprocs; ++i) {
-    BProc pr;
-    pr.code_begin = r.get_u32();
-    const uint32_t nlocals = r.get_count(4);
-    for (uint32_t j = 0; r.ok && j < nlocals; ++j) {
-      const Type t = Type::of_width(r.get_u32());
-      if (!t.valid()) return nullptr;
-      pr.local_types.push_back(t);
-    }
-    if (pr.local_types.size() > out->max_proc_locals_) return nullptr;
-    out->procs_.push_back(std::move(pr));
-  }
-  const uint32_t ncalls = r.get_count(12);
-  out->call_sites_.reserve(ncalls);
-  for (uint32_t i = 0; r.ok && i < ncalls; ++i) {
-    BCallSite cs;
-    cs.proc = r.get_u32();
-    if (cs.proc >= nprocs) return nullptr;
-    const uint32_t nloc =
-        static_cast<uint32_t>(out->procs_[cs.proc].local_types.size());
-    const uint32_t nin = r.get_count(4);
-    for (uint32_t j = 0; r.ok && j < nin; ++j) {
-      const uint32_t p = r.get_u32();
-      if (p >= nloc) return nullptr;
-      cs.in_params.push_back(p);
-    }
-    const uint32_t nout = r.get_count(9);
-    for (uint32_t j = 0; r.ok && j < nout; ++j) {
-      const uint32_t p = r.get_u32();
-      BTarget tgt;
-      tgt.scope = r.get_u8();
-      tgt.slot = r.get_u32();
-      if (p >= nloc || tgt.scope > 1) return nullptr;
-      if (tgt.scope == 0 && tgt.slot >= var_count) return nullptr;
-      cs.out_binds.emplace_back(p, tgt);
-    }
-    out->call_sites_.push_back(std::move(cs));
-  }
-  const uint32_t nsites = r.get_count(8);
-  out->wait_sites_.reserve(nsites);
-  for (uint32_t i = 0; r.ok && i < nsites; ++i) {
-    BWaitSite ws;
-    const uint32_t nsig = r.get_count(4);
-    for (uint32_t j = 0; r.ok && j < nsig; ++j) {
-      const uint32_t s = r.get_u32();
-      if (s >= signal_count) return nullptr;
-      ws.signals.push_back(s);
-    }
-    ws.cond_str = r.get_str();
-    out->wait_sites_.push_back(std::move(ws));
-  }
-  const uint32_t nwops = r.get_count(12);
-  out->wait_ops_.reserve(nwops);
-  for (uint32_t i = 0; r.ok && i < nwops; ++i) {
-    BWaitOp w;
-    const uint8_t kind = r.get_u8();
-    if (kind > static_cast<uint8_t>(BWaitOp::Kind::Comb)) return nullptr;
-    w.kind = static_cast<BWaitOp::Kind>(kind);
-    w.op = r.get_u8();
-    w.slot = r.get_u32();
-    w.imm = r.get_u64();
-    if (w.kind == BWaitOp::Kind::Cmp
-            ? (w.slot >= signal_count || !is_wait_cmp(static_cast<BinOp>(w.op)))
-            : !is_wait_comb(static_cast<BinOp>(w.op))) {
-      return nullptr;
-    }
-    out->wait_ops_.push_back(w);
-  }
-  const uint32_t nbeh = r.get_count(17);
-  out->behaviors_.reserve(nbeh);
-  for (uint32_t i = 0; r.ok && i < nbeh; ++i) {
-    BBehavior b;
-    b.id = i;
-    const uint8_t kind = r.get_u8();
-    if (kind > static_cast<uint8_t>(BehaviorKind::Concurrent)) return nullptr;
-    b.kind = static_cast<BehaviorKind>(kind);
-    b.body = r.get_u32();
-    const uint32_t nchild = r.get_count(4);
-    for (uint32_t j = 0; r.ok && j < nchild; ++j) {
-      const uint32_t c = r.get_u32();
-      // Pre-order ids: children follow their parent, which also rules out
-      // cycles in the deserialized tree.
-      if (c <= i || c >= nbeh) return nullptr;
-      b.children.push_back(c);
-    }
-    const uint32_t narcs = r.get_count(4);
-    if (narcs > nchild) return nullptr;
-    b.child_trans.resize(narcs);
-    for (uint32_t j = 0; r.ok && j < narcs; ++j) {
-      const uint32_t ntrans = r.get_count(9);
-      for (uint32_t k = 0; r.ok && k < ntrans; ++k) {
-        BBehavior::BTrans t;
-        t.has_guard = r.get_u8() != 0;
-        t.guard = r.get_u32();
-        t.next = r.get_u32();
-        if (t.has_guard && t.guard >= ninstr) return nullptr;
-        if (t.next != BBehavior::kComplete && t.next >= nchild) return nullptr;
-        b.child_trans[j].push_back(t);
-      }
-    }
-    if (b.kind == BehaviorKind::Leaf) {
-      if (b.body >= ninstr || !b.children.empty()) return nullptr;
-    }
-    out->behaviors_.push_back(std::move(b));
-  }
-  out->names_.reserve(nbeh);
-  for (uint32_t i = 0; r.ok && i < nbeh; ++i) {
-    out->names_.push_back(r.get_str());
-  }
-  if (!r.ok || nbeh == 0 || r.p != r.end) return nullptr;
-
-  // Per-instruction operand validation.
-  for (const BInstr& ins : out->code_) {
-    if (!instr_valid(ins, ninstr, out->reg_count_, var_count, signal_count,
-                     out->spill_ops_.size(), out->wait_sites_.size(),
-                     out->call_sites_.size(), out->max_proc_locals_,
-                     out->max_spill_stack_, out->wait_ops_.size())) {
-      return nullptr;
-    }
-  }
-
-  // Unit scan: local-slot references are only meaningful inside a procedure
-  // body and must stay inside that procedure's activation record; the same
-  // scan pins down spill-pool local references and out-binds to caller
-  // locals. A unit runs from its entry to the first EndUnit.
-  std::vector<uint32_t> local_ctx(ninstr, 0);  // local count available at pc
-  for (const BProc& pr : out->procs_) {
-    if (pr.code_begin >= ninstr) return nullptr;
-    const uint32_t nloc = static_cast<uint32_t>(pr.local_types.size());
-    for (uint32_t pc = pr.code_begin; pc < ninstr; ++pc) {
-      local_ctx[pc] = nloc;
-      if (out->code_[pc].op == BOp::EndUnit) break;
-    }
-  }
-  for (uint32_t pc = 0; pc < ninstr; ++pc) {
-    const BInstr& ins = out->code_[pc];
-    const uint32_t nloc = local_ctx[pc];
-    const bool uses_local =
-        ins.op == BOp::LoadLoc || ins.op == BOp::StLoc ||
-        ins.op == BOp::AssignImmLoc ||
-        (ins.op == BOp::AssignLoad &&
-         (((ins.a & kTargetLocalBit) != 0) || (ins.a & 3) == kSrcLoc)) ||
-        (ins.op == BOp::SigLoad && ins.a == kSrcLoc);
-    if (uses_local) {
-      const bool tgt_local =
-          ins.op == BOp::LoadLoc || ins.op == BOp::StLoc ||
-          ins.op == BOp::AssignImmLoc ||
-          (ins.op == BOp::AssignLoad && (ins.a & kTargetLocalBit) != 0);
-      const bool src_local =
-          (ins.op == BOp::AssignLoad && (ins.a & 3) == kSrcLoc) ||
-          (ins.op == BOp::SigLoad && ins.a == kSrcLoc);
-      if (tgt_local && ins.slot >= nloc) return nullptr;
-      if (src_local && ins.aux >= nloc) return nullptr;
-      if ((ins.op == BOp::LoadLoc || ins.op == BOp::StLoc ||
-           ins.op == BOp::AssignImmLoc) &&
-          ins.slot >= nloc) {
-        return nullptr;
-      }
-    }
-    if (ins.op == BOp::EvalSpill &&
-        !spill_range_valid(out->spill_ops_, ins.slot, ins.aux, var_count,
-                           signal_count, nloc, out->max_spill_stack_)) {
-      return nullptr;
-    }
-    if (ins.op == BOp::WaitSigExpr &&
-        !wait_range_valid(out->wait_ops_, ins.slot, ins.b)) {
-      return nullptr;
-    }
-    if (ins.op == BOp::Call) {
-      for (const auto& [param, tgt] : out->call_sites_[ins.slot].out_binds) {
-        if (tgt.scope == 1 && tgt.slot >= nloc) return nullptr;
-      }
-    }
-  }
-
-  // Rebind behavior sources against the live spec; the walk order is the
-  // id-assignment order, cross-checked by name so a hash collision (or a
-  // stale cache keyed to different content) is rejected, not misexecuted.
-  if (!spec.top) return nullptr;
-  std::vector<const Behavior*> order;
-  collect_preorder(*spec.top, order);
-  if (order.size() != out->behaviors_.size()) return nullptr;
-  for (uint32_t i = 0; i < out->behaviors_.size(); ++i) {
-    if (order[i]->name != out->names_[i]) return nullptr;
-    if (order[i]->kind != out->behaviors_[i].kind) return nullptr;
-    out->behaviors_[i].src = order[i];
-  }
-  return out;
 }
 
 }  // namespace specsyn

@@ -24,14 +24,7 @@
 // scheduling step) and *statement terminals* (end the step and re-enqueue the
 // process). interp_bytecode.cpp dispatches them with computed goto on GNU
 // compilers and a portable switch behind SPECSYN_BYTECODE_SWITCH_DISPATCH.
-//
-// A BytecodeProgram is self-contained and serializable: behavior structure,
-// names, wait-condition strings (blocked-process diagnostics) and procedure
-// layouts all travel in the image, so the on-disk program cache
-// (sim/disk_cache.h) can hand a deserialized program to a process that never
-// ran the lowering pipeline. Only the `const Behavior*` back-pointers (used
-// for name-keyed observer attribution) are rebound against the live spec
-// after loading, by the same pre-order walk that assigned behavior ids.
+// This is the default tier (default_exec_tier()).
 #pragma once
 
 #include <cstdint>
@@ -96,7 +89,7 @@ enum class BOp : uint8_t {
   NopStmt,       // the `nop` statement
 };
 
-/// Number of BOp values (bounds-checks deserialized code).
+/// Number of BOp values.
 inline constexpr uint8_t kBOpCount = static_cast<uint8_t>(BOp::NopStmt) + 1;
 
 /// Mnemonic for an opcode ("LoadLit", ...); "?" for out-of-range values.
@@ -168,7 +161,7 @@ struct BWaitOp {
 struct BBehavior {
   static constexpr uint32_t kComplete = UINT32_MAX;
 
-  const Behavior* src = nullptr;  // rebound after deserialization
+  const Behavior* src = nullptr;
   uint32_t id = 0;
   BehaviorKind kind = BehaviorKind::Leaf;
   uint32_t body = 0;                  // Leaf: entry pc
@@ -189,20 +182,6 @@ class BytecodeProgram {
   static std::shared_ptr<const BytecodeProgram> compile(
       const Specification& spec, const VarTable& vars,
       const SignalTable& signals);
-
-  /// Self-contained image for the on-disk cache. Deterministic: two compiles
-  /// of content-identical specs serialize to identical bytes.
-  [[nodiscard]] std::string serialize() const;
-
-  /// Rebuilds a program from `serialize()` output. Every array bound, slot
-  /// index, register index and jump target is validated against the image
-  /// and the given table sizes; `spec` must be content-identical to the
-  /// compiled spec (behavior src pointers are rebound by pre-order walk and
-  /// cross-checked by name). Returns nullptr on any inconsistency — the
-  /// caller recompiles.
-  static std::shared_ptr<const BytecodeProgram> deserialize(
-      std::string_view image, const Specification& spec, size_t var_count,
-      size_t signal_count);
 
   [[nodiscard]] const std::vector<BInstr>& code() const { return code_; }
   [[nodiscard]] const std::vector<LOp>& spill_ops() const { return spill_ops_; }

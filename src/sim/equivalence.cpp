@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "sim/program_cache.h"
 #include "telemetry/telemetry.h"
@@ -34,7 +35,8 @@ EquivalenceReport check_equivalence(const Specification& original,
                                     const Specification& refined,
                                     const EquivalenceOptions& opts) {
   telemetry::Span tm_span("equivalence", telemetry::Stability::Stable);
-  EquivalenceReport report;
+  SimResult original_result;
+  SimResult refined_result;
 
   const auto run_one = [&opts](const Specification& s) {
     Simulator sim(s, opts.config, opts.programs);
@@ -47,13 +49,13 @@ EquivalenceReport check_equivalence(const Specification& original,
     std::exception_ptr original_err;
     std::thread t([&] {
       try {
-        report.original_result = run_one(original);
+        original_result = run_one(original);
       } catch (...) {
         original_err = std::current_exception();
       }
     });
     try {
-      report.refined_result = run_one(refined);
+      refined_result = run_one(refined);
     } catch (...) {
       t.join();
       throw;
@@ -61,13 +63,21 @@ EquivalenceReport check_equivalence(const Specification& original,
     t.join();
     if (original_err) std::rethrow_exception(original_err);
   } else {
-    report.original_result = run_one(original);
-    report.refined_result = run_one(refined);
+    original_result = run_one(original);
+    refined_result = run_one(refined);
   }
 
-  const SimResult& a = report.original_result;
-  const SimResult& b = report.refined_result;
+  EquivalenceReport report = compare_results(
+      original, original_result, refined_result, opts.compare_write_traces);
+  report.original_result = std::move(original_result);
+  report.refined_result = std::move(refined_result);
+  return report;
+}
 
+EquivalenceReport compare_results(const Specification& original,
+                                  const SimResult& a, const SimResult& b,
+                                  bool compare_write_traces) {
+  EquivalenceReport report;
   if (a.status != SimResult::Status::Quiescent) {
     report.mismatches.push_back("original simulation did not quiesce");
   }
@@ -107,7 +117,7 @@ EquivalenceReport check_equivalence(const Specification& original,
   }
 
   // (2) Observable write traces, per variable.
-  if (opts.compare_write_traces) {
+  if (compare_write_traces) {
     auto ta = per_var(a.observable_writes);
     auto tb = per_var(b.observable_writes);
     for (const auto& [var, seq_a] : ta) {

@@ -28,12 +28,10 @@ struct EquivalenceOptions {
   /// Run the two simulations concurrently (the original on a spawned thread,
   /// the refined on the caller's). Results are merged in a fixed order, so
   /// the report is identical to a serial run. Worth it when both specs are
-  /// expensive to simulate; the per-seed fuzz oracles enable it whenever the
-  /// seed sweep itself is serial.
+  /// expensive to simulate; `refine --verify` enables it.
   bool parallel = false;
-  /// Optional lowered-program cache; both simulations consult it. Safe to
-  /// share across threads (internally locked), but the intended deployment
-  /// is one cache per batch worker.
+  /// Optional compiled-program cache; both simulations consult it. Safe to
+  /// share across threads (internally locked).
   ProgramCache* programs = nullptr;
 };
 
@@ -52,5 +50,13 @@ struct EquivalenceReport {
 [[nodiscard]] EquivalenceReport check_equivalence(
     const Specification& original, const Specification& refined,
     const EquivalenceOptions& opts = {});
+
+/// The comparison half of check_equivalence, for callers that already hold
+/// both runs (the sweep reuses its measured run, the fuzz oracles their
+/// interp-diff runs). Both results must come from the same SimConfig.
+/// Fills `equivalent` and `mismatches`; the two result fields stay empty.
+[[nodiscard]] EquivalenceReport compare_results(
+    const Specification& original, const SimResult& original_result,
+    const SimResult& refined_result, bool compare_write_traces);
 
 }  // namespace specsyn

@@ -571,7 +571,7 @@ specsyn_bc_dispatch:
     const BInstr& i = code[pc];
     const BWaitOp* wop = bprog_->wait_ops().data() + i.slot;
     // Postfix eval over compare leaves and And/Or combiners; depth <= count
-    // (<= 255) by the deserialize-time stack-discipline check.
+    // (<= 255, the compiler only fuses programs that fit the 8-bit count).
     uint64_t st[256];
     uint32_t sp = 0;
     for (uint8_t k = 0; k < i.b; ++k) {

@@ -4,7 +4,6 @@
 
 #include "printer/printer.h"
 #include "sim/bytecode.h"
-#include "sim/disk_cache.h"
 #include "sim/program.h"
 #include "telemetry/telemetry.h"
 
@@ -34,15 +33,9 @@ std::string make_key(const Specification& spec, const SimConfig& cfg) {
 ProgramCache::ProgramCache(size_t capacity)
     : capacity_(capacity > 0 ? capacity : 1) {}
 
-void ProgramCache::set_disk(DiskProgramCache* disk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  disk_ = disk;
-}
-
 std::shared_ptr<const CachedProgram> ProgramCache::get(
     const Specification& spec, const SimConfig& cfg) {
   std::string key = make_key(spec, cfg);
-  DiskProgramCache* disk = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
@@ -52,13 +45,12 @@ std::shared_ptr<const CachedProgram> ProgramCache::get(
       SPECSYN_TM_COUNT("cache.l1.hit", telemetry::Stability::Sched, 1);
       return it->second->cached;
     }
-    disk = disk_;
   }
 
-  // Miss: compile (or load) outside the lock — that is the expensive part;
-  // a concurrent miss on the same key just compiles twice and one entry
-  // wins. The entry owns a clone of the spec so cached plans never point
-  // into a caller's (possibly shorter-lived) Specification.
+  // Miss: compile outside the lock — that is the expensive part; a
+  // concurrent miss on the same key just compiles twice and one entry wins.
+  // The entry owns a clone of the spec so cached plans never point into a
+  // caller's (possibly shorter-lived) Specification.
   auto cached = std::make_shared<CachedProgram>();
   auto clone = std::make_shared<Specification>(spec.clone());
   VarTable vars;
@@ -68,30 +60,9 @@ std::shared_ptr<const CachedProgram> ProgramCache::get(
     signals.add(s->name, s->type, s->init);
   }
 
-  bool disk_hit = false;
-  bool disk_stored = false;
   if (cfg.exec_tier == ExecTier::Bytecode) {
-    if (disk != nullptr) {
-      const std::string image = disk->load(key);
-      if (!image.empty()) {
-        cached->bytecode = BytecodeProgram::deserialize(
-            image, *clone, vars.size(), signals.size());
-        disk_hit = cached->bytecode != nullptr;
-        // Checksum-valid image that still fails structural validation
-        // (e.g. an incompatible serialization from a different build).
-        if (!disk_hit)
-          SPECSYN_TM_COUNT("cache.l2.deserialize_fallback",
-                           telemetry::Stability::Sched, 1);
-      }
-    }
-    if (!cached->bytecode) {
-      telemetry::Span span("bytecode_compile", telemetry::Stability::Sched);
-      cached->bytecode = BytecodeProgram::compile(*clone, vars, signals);
-      if (disk != nullptr) {
-        disk->store(key, cached->bytecode->serialize());
-        disk_stored = true;
-      }
-    }
+    telemetry::Span span("bytecode_compile", telemetry::Stability::Sched);
+    cached->bytecode = BytecodeProgram::compile(*clone, vars, signals);
   } else {
     telemetry::Span span("lower", telemetry::Stability::Sched);
     cached->program = Program::compile(*clone, vars, signals);
@@ -99,14 +70,6 @@ std::shared_ptr<const CachedProgram> ProgramCache::get(
   cached->source = std::move(clone);
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (cfg.exec_tier == ExecTier::Bytecode && disk != nullptr) {
-    if (disk_hit) {
-      ++stats_.disk_hits;
-    } else {
-      ++stats_.disk_misses;
-    }
-    if (disk_stored) ++stats_.disk_stores;
-  }
   auto it = index_.find(key);
   if (it != index_.end()) {  // racing thread inserted first; reuse its entry
     lru_.splice(lru_.begin(), lru_, it->second);

@@ -1,12 +1,14 @@
-// Content-keyed LRU cache of lowered execution plans (sim/program.h).
+// Content-keyed LRU cache of compiled execution plans (sim/program.h,
+// sim/bytecode.h).
 //
-// Batch sweeps and the differential-fuzz oracles simulate the same refined
-// specification several times (lowered-vs-legacy diff, then equivalence, then
-// a measured run), and each Simulator re-lowers the spec from scratch. The
-// cache removes the repeated compile: entries are keyed by the *canonical
-// printed form* of the specification plus the SimConfig fields, so two
-// Specification objects with identical content share one Program, and any
-// SimConfig change misses (and thereby invalidates) cleanly.
+// Entries are keyed by the *canonical printed form* of the specification
+// plus the SimConfig fields, so two Specification objects with identical
+// content share one plan, and any SimConfig change misses (and thereby
+// invalidates) cleanly. Printing the key costs about as much as compiling a
+// refined spec, so sweeps and the fuzz oracles do not consult the cache:
+// they simulate each spec once per point or seed and reuse the result. The
+// remaining in-tree user is schedule exploration on a pool
+// (`check --explore-schedules --jobs N`), through the workers' caches.
 //
 // A Program holds `src` back-pointers into the Specification it was compiled
 // from, so a cached Program cannot point into the caller's spec (which may
@@ -34,7 +36,6 @@
 namespace specsyn {
 
 class BytecodeProgram;
-class DiskProgramCache;
 
 /// A compiled execution plan together with the spec clone it points into.
 /// Exactly one of `program` (lowered tier) / `bytecode` (bytecode tier) is
@@ -58,20 +59,10 @@ class ProgramCache {
   [[nodiscard]] std::shared_ptr<const CachedProgram> get(
       const Specification& spec, const SimConfig& cfg);
 
-  /// Attaches a shared on-disk L2 (sim/disk_cache.h); not owned, may be
-  /// null, must outlive the cache. Bytecode-tier misses then try the disk
-  /// image before compiling, and publish freshly compiled programs back.
-  /// (The lowered tier never touches the disk: a Program holds src pointers
-  /// into its spec clone and is not serializable.)
-  void set_disk(DiskProgramCache* disk);
-
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
-    uint64_t disk_hits = 0;    // misses served by a deserialized disk image
-    uint64_t disk_misses = 0;  // misses that fell through to a compile
-    uint64_t disk_stores = 0;  // compiled programs published to disk
   };
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] size_t size() const;
@@ -86,7 +77,6 @@ class ProgramCache {
 
   mutable std::mutex mu_;
   size_t capacity_;
-  DiskProgramCache* disk_ = nullptr;  // shared L2, borrowed
   /// Most-recently-used first; index_ points into this list.
   std::list<Entry> lru_;
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;

@@ -66,7 +66,7 @@ const char* sched_policy_name(SchedPolicy p) {
 
 ExecTier default_exec_tier() {
   static const ExecTier tier = [] {
-    ExecTier t = ExecTier::Lowered;
+    ExecTier t = ExecTier::Bytecode;
     // NOLINTNEXTLINE(concurrency-mt-unsafe): read once under static init.
     if (const char* env = std::getenv("SPECSYN_EXEC_TIER")) {
       if (*env != '\0' && !parse_exec_tier(env, &t)) {

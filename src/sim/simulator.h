@@ -51,7 +51,7 @@ bool parse_exec_tier(const std::string& name, ExecTier* out);
 /// Spelling of a tier, inverse of parse_exec_tier.
 const char* exec_tier_name(ExecTier tier);
 
-/// The default SimConfig::exec_tier: ExecTier::Lowered, overridable by the
+/// The default SimConfig::exec_tier: ExecTier::Bytecode, overridable by the
 /// SPECSYN_EXEC_TIER environment variable (read once per process). The env
 /// var moves the *default* only — code that assigns exec_tier explicitly is
 /// unaffected, which lets CI force a tier across a whole test binary without
@@ -92,7 +92,7 @@ struct SimConfig {
   double clock_hz = 100e6;
   /// Which interpreter runs the spec. Results are bit-identical across all
   /// tiers; the tree tier is kept as the semantic reference (reachable via
-  /// `specsyn --exec-tier tree`). Defaults to Lowered unless the
+  /// `specsyn --exec-tier tree`). Defaults to Bytecode unless the
   /// SPECSYN_EXEC_TIER environment variable overrides it.
   ExecTier exec_tier = default_exec_tier();
   /// Ready-set tie-break policy. Any value other than Fifo (and any run with

@@ -1,7 +1,8 @@
 // Batch engine tests: thread-pool correctness (ordering, stealing contexts,
-// exception discipline), the lowered-program cache, Simulator reuse via
-// reset(), parallel equivalence, and the engine-level determinism contract
-// (sweep and fuzz output identical for any worker count).
+// exception discipline), the compiled-program cache, Simulator reuse via
+// reset(), parallel equivalence, the sweep's run reuse under --verify, and
+// the engine-level determinism contract (sweep and fuzz output identical for
+// any worker count).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -14,11 +15,13 @@
 #include "estimate/profile.h"
 #include "fuzz/fuzzer.h"
 #include "graph/access_graph.h"
+#include "obs/bus_trace.h"
 #include "partition/partition.h"
 #include "refine/refiner.h"
 #include "sim/equivalence.h"
 #include "sim/program_cache.h"
 #include "test_util.h"
+#include "workloads/medical.h"
 
 namespace specsyn::batch {
 namespace {
@@ -268,6 +271,97 @@ TEST(Sweep, JsonIdenticalForAnyWorkerCount) {
     if (r.point.config.inline_protocols) {
       EXPECT_EQ(r.sa_errors, 0u) << r.point.label();
     }
+  }
+}
+
+void expect_same_result(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.root_completed, b.root_completed);
+  ASSERT_EQ(a.blocked.size(), b.blocked.size());
+  for (size_t i = 0; i < a.blocked.size(); ++i) {
+    EXPECT_EQ(a.blocked[i].process_id, b.blocked[i].process_id);
+    EXPECT_EQ(a.blocked[i].behavior, b.blocked[i].behavior);
+    EXPECT_EQ(a.blocked[i].waiting_on, b.blocked[i].waiting_on);
+  }
+  EXPECT_EQ(a.final_vars, b.final_vars);
+  EXPECT_EQ(a.observable_writes, b.observable_writes);
+  EXPECT_EQ(a.behavior_completions, b.behavior_completions);
+  EXPECT_EQ(a.sched_decisions, b.sched_decisions);
+}
+
+// A verified sweep simulates the original once and reuses each point's
+// measured (BusTracer-observed) run as the refined side of the equivalence
+// check. Both shortcuts must leave every verdict as a direct
+// check_equivalence gives it, and observing a run must not change it.
+TEST(Sweep, VerifyReusesRunsWithoutChangingVerdicts) {
+  const Specification spec = make_medical_system();
+  const AccessGraph graph = build_access_graph(spec);
+  const ProfileResult prof = profile_spec(spec);
+  ThreadPool pool(2);
+  for (int design : {1, 3}) {
+    const PartitionerResult d = make_medical_design(spec, graph, design);
+    for (ExecTier tier : {ExecTier::Bytecode, ExecTier::Lowered}) {
+      SweepOptions opts;
+      opts.verify = true;
+      opts.exec_tier = tier;
+      const SweepReport rep =
+          run_sweep(spec, d.partition, graph, prof, full_matrix(), opts, pool);
+      ASSERT_EQ(rep.rows.size(), 32u);
+      for (const SweepRow& row : rep.rows) {
+        SCOPED_TRACE("design " + std::to_string(design) + " " +
+                     exec_tier_name(tier) + " " + row.point.label());
+        ASSERT_TRUE(row.refine_ok) << row.error;
+        const RefineResult r = refine(d.partition, graph, row.point.config);
+        SimConfig sc;
+        sc.exec_tier = tier;
+        EquivalenceOptions eo;
+        eo.config = sc;
+        eo.compare_write_traces =
+            row.point.config.protocol == ProtocolStyle::FullHandshake;
+        EXPECT_EQ(row.equivalent,
+                  check_equivalence(spec, r.refined, eo).equivalent);
+
+        Simulator observed(r.refined, sc);
+        BusTracer tracer(r.refined);
+        observed.add_slot_observer(&tracer);
+        const SimResult measured = observed.run();
+        EXPECT_EQ(row.cycles, measured.end_time);
+        expect_same_result(measured, Simulator(r.refined, sc).run());
+      }
+    }
+  }
+}
+
+TEST(Sweep, OriginalThatFailsToSimulateFailsEveryRow) {
+  const Specification spec = testing::medical_like_spec();
+  AccessGraph graph = build_access_graph(spec);
+  Partition part(spec, Allocation::proc_plus_asic());
+  part.auto_assign_vars(graph);
+  const ProfileResult prof = profile_spec(spec);
+  // Refinement still works from `part`, but the original handed to the
+  // sweep has no top behavior, so the Simulator rejects it.
+  Specification broken;
+  broken.name = "broken";
+  std::string expected;
+  try {
+    Simulator sim(broken);
+  } catch (const SpecError& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+
+  SweepOptions opts;
+  opts.verify = true;
+  ThreadPool pool(2);
+  SweepReport rep;
+  ASSERT_NO_THROW(
+      rep = run_sweep(broken, part, graph, prof, full_matrix(), opts, pool));
+  ASSERT_EQ(rep.rows.size(), 32u);
+  for (const SweepRow& row : rep.rows) {
+    EXPECT_FALSE(row.refine_ok) << row.point.label();
+    EXPECT_EQ(row.error, expected) << row.point.label();
   }
 }
 

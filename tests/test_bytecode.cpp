@@ -1,15 +1,9 @@
-// Unit tests for the bytecode execution tier (sim/bytecode.h) and the
-// persistent on-disk program cache (sim/disk_cache.h): superinstruction
-// fusion, the register-allocation spill path, image serialization
-// round-trips, corruption tolerance, and the L1/L2 cache flow a fleet of
-// worker processes relies on.
+// Unit tests for the bytecode execution tier (sim/bytecode.h):
+// superinstruction fusion, the register-allocation spill path, and the
+// per-tier entries of the in-memory program cache.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-
 #include "sim/bytecode.h"
-#include "sim/disk_cache.h"
 #include "sim/program_cache.h"
 #include "sim/simulator.h"
 #include "spec/builder.h"
@@ -18,8 +12,6 @@
 
 namespace specsyn {
 namespace {
-
-namespace fs = std::filesystem;
 
 std::shared_ptr<const BytecodeProgram> compile_spec(const Specification& spec) {
   validate_or_throw(spec);
@@ -229,181 +221,6 @@ TEST(BytecodeCompile, ShallowExpressionsStayInRegisters) {
   EXPECT_TRUE(has_op(*prog, BOp::BinApplyImm));
   EXPECT_FALSE(has_op(*prog, BOp::EvalSpill));
   EXPECT_EQ(prog->max_spill_stack(), 0u);
-}
-
-TEST(BytecodeImage, SerializeRoundTripIsExact) {
-  const Specification spec = make_medical_system();
-  auto prog = compile_spec(spec);
-  ASSERT_NE(prog, nullptr);
-  const std::string image = prog->serialize();
-  ASSERT_FALSE(image.empty());
-
-  // Deterministic: recompiling identical content serializes identically.
-  EXPECT_EQ(compile_spec(spec)->serialize(), image);
-
-  auto loaded = BytecodeProgram::deserialize(
-      image, spec, spec.all_vars().size(), spec.all_signals().size());
-  ASSERT_NE(loaded, nullptr);
-  // Complete: the loaded program re-serializes to the same bytes.
-  EXPECT_EQ(loaded->serialize(), image);
-  EXPECT_EQ(loaded->behavior_count(), prog->behavior_count());
-  EXPECT_EQ(loaded->behavior_names(), prog->behavior_names());
-  EXPECT_EQ(loaded->reg_count(), prog->reg_count());
-}
-
-TEST(BytecodeImage, TruncatedImagesAreRejected) {
-  const Specification spec = make_medical_system();
-  const std::string image = compile_spec(spec)->serialize();
-  const size_t n = image.size();
-  for (size_t len : {size_t{0}, size_t{1}, size_t{7}, n / 4, n / 2, n - 1}) {
-    SCOPED_TRACE("prefix length " + std::to_string(len));
-    EXPECT_EQ(BytecodeProgram::deserialize(
-                  std::string_view(image).substr(0, len), spec,
-                  spec.all_vars().size(), spec.all_signals().size()),
-              nullptr);
-  }
-  // Trailing garbage is also an inconsistency, not silently ignored.
-  EXPECT_EQ(BytecodeProgram::deserialize(image + "x", spec,
-                                         spec.all_vars().size(),
-                                         spec.all_signals().size()),
-            nullptr);
-}
-
-TEST(BytecodeImage, MismatchedSpecIsRejected) {
-  const Specification spec = make_medical_system();
-  const std::string image = compile_spec(spec)->serialize();
-  const Specification other = testing::abc_spec(2);
-  EXPECT_EQ(BytecodeProgram::deserialize(image, other,
-                                         other.all_vars().size(),
-                                         other.all_signals().size()),
-            nullptr);
-}
-
-class DiskCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("specsyn_disk_cache_" +
-            std::to_string(::testing::UnitTest::GetInstance()
-                               ->current_test_info()
-                               ->line()));
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
-  /// Flips one byte near the end of every cache file (payload region, so
-  /// the stored checksum no longer matches).
-  void corrupt_all_files() const {
-    for (const auto& entry : fs::directory_iterator(dir_)) {
-      std::fstream f(entry.path(),
-                     std::ios::in | std::ios::out | std::ios::binary);
-      ASSERT_TRUE(f.is_open());
-      f.seekg(0, std::ios::end);
-      const auto size = static_cast<std::streamoff>(f.tellg());
-      ASSERT_GT(size, 0);
-      f.seekg(size - 1);
-      char c = 0;
-      f.read(&c, 1);
-      c = static_cast<char>(c ^ 0x5a);
-      f.seekp(size - 1);
-      f.write(&c, 1);
-    }
-  }
-
-  void truncate_all_files() const {
-    for (const auto& entry : fs::directory_iterator(dir_)) {
-      std::error_code ec;
-      fs::resize_file(entry.path(), fs::file_size(entry.path()) / 2, ec);
-      ASSERT_FALSE(ec);
-    }
-  }
-
-  fs::path dir_;
-};
-
-TEST_F(DiskCacheTest, StoreLoadRoundTrip) {
-  DiskProgramCache disk(dir_.string());
-  const std::string key = "some cache key\x01with binary bits";
-  const std::string payload = "payload bytes \0 included";
-  EXPECT_EQ(disk.load(key), "");  // cold
-  disk.store(key, payload);
-  EXPECT_EQ(disk.load(key), payload);
-  EXPECT_EQ(disk.load("different key"), "");
-  const DiskProgramCache::Stats s = disk.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.stores, 1u);
-}
-
-TEST_F(DiskCacheTest, CorruptedFileIsAMiss) {
-  DiskProgramCache disk(dir_.string());
-  disk.store("key", "a payload long enough to corrupt meaningfully");
-  corrupt_all_files();
-  EXPECT_EQ(disk.load("key"), "");
-}
-
-TEST_F(DiskCacheTest, TruncatedFileIsAMiss) {
-  DiskProgramCache disk(dir_.string());
-  disk.store("key", "a payload long enough to truncate meaningfully");
-  truncate_all_files();
-  EXPECT_EQ(disk.load("key"), "");
-}
-
-TEST_F(DiskCacheTest, SecondProcessLoadsInsteadOfCompiling) {
-  const Specification spec = make_medical_system();
-  SimConfig cfg;
-  cfg.exec_tier = ExecTier::Bytecode;
-  DiskProgramCache disk(dir_.string());
-
-  // "Process 1": cold disk — compiles and publishes the image.
-  ProgramCache first;
-  first.set_disk(&disk);
-  const SimResult r1 = Simulator(spec, cfg, &first).run();
-  ProgramCache::Stats s1 = first.stats();
-  EXPECT_EQ(s1.disk_hits, 0u);
-  EXPECT_EQ(s1.disk_misses, 1u);
-  EXPECT_EQ(s1.disk_stores, 1u);
-
-  // "Process 2": fresh L1, same disk — must load, not recompile.
-  ProgramCache second;
-  second.set_disk(&disk);
-  const SimResult r2 = Simulator(spec, cfg, &second).run();
-  ProgramCache::Stats s2 = second.stats();
-  EXPECT_EQ(s2.disk_hits, 1u);
-  EXPECT_EQ(s2.disk_misses, 0u);
-  EXPECT_EQ(s2.disk_stores, 0u);
-  expect_same_result(r2, r1);
-}
-
-TEST_F(DiskCacheTest, CorruptedImageFallsBackToCompile) {
-  const Specification spec = make_medical_system();
-  SimConfig cfg;
-  cfg.exec_tier = ExecTier::Bytecode;
-  DiskProgramCache disk(dir_.string());
-  ProgramCache first;
-  first.set_disk(&disk);
-  const SimResult r1 = Simulator(spec, cfg, &first).run();
-  corrupt_all_files();
-
-  ProgramCache second;
-  second.set_disk(&disk);
-  const SimResult r2 = Simulator(spec, cfg, &second).run();
-  ProgramCache::Stats s2 = second.stats();
-  EXPECT_EQ(s2.disk_hits, 0u);  // corruption degraded to a clean miss
-  EXPECT_EQ(s2.disk_misses, 1u);
-  EXPECT_EQ(s2.disk_stores, 1u);  // and the repaired image was re-published
-  expect_same_result(r2, r1);
-
-  // The re-published image is valid again for a third process.
-  ProgramCache third;
-  third.set_disk(&disk);
-  const SimResult r3 = Simulator(spec, cfg, &third).run();
-  EXPECT_EQ(third.stats().disk_hits, 1u);
-  expect_same_result(r3, r1);
 }
 
 TEST(ProgramCacheTiers, TiersGetSeparateEntries) {

@@ -128,7 +128,6 @@ TEST_P(RefineProperty, EquivalenceHolds) {
 
 TEST_P(RefineProperty, RefinedSpecRoundTripsThroughParser) {
   const PropertyCase& pc = GetParam();
-  if (pc.protocol != ProtocolStyle::FullHandshake) GTEST_SKIP();
   SyntheticOptions opts;
   opts.seed = pc.seed;
   Specification spec = make_synthetic_spec(opts);
@@ -142,6 +141,7 @@ TEST_P(RefineProperty, RefinedSpecRoundTripsThroughParser) {
   part.auto_assign_vars(graph);
   RefineConfig cfg;
   cfg.model = pc.model;
+  cfg.protocol = pc.protocol;
   RefineResult r = refine(part, graph, cfg);
 
   const std::string text = print(r.refined);

@@ -5,24 +5,17 @@
 // SetUp and fully disables + clears it in TearDown — tests must stay clean
 // under any gtest execution order.
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "batch/thread_pool.h"
-#include "sim/disk_cache.h"
-#include "sim/program_cache.h"
-#include "sim/simulator.h"
 #include "support/json.h"
 #include "telemetry/telemetry.h"
-#include "workloads/medical.h"
 
 namespace specsyn {
 namespace {
 
-namespace fs = std::filesystem;
 namespace tm = specsyn::telemetry;
 
 uint64_t counter_value(const tm::Snapshot& snap, const std::string& name) {
@@ -176,84 +169,6 @@ TEST_F(TelemetryTest, StatsJsonIsSchemaShapedAndTableRenders) {
   const std::string trace = tm::trace_to_chrome_json(snap);
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"t.phase\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// DiskProgramCache counters: cold miss -> warm hit -> corruption fallback
-
-class TelemetryDiskCacheTest : public TelemetryTest {
- protected:
-  void SetUp() override {
-    TelemetryTest::SetUp();
-    dir_ = fs::temp_directory_path() / "specsyn_tm_cache_test";
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-    TelemetryTest::TearDown();
-  }
-
-  void truncate_all_files() const {
-    for (const auto& entry : fs::directory_iterator(dir_)) {
-      std::error_code ec;
-      fs::resize_file(entry.path(), fs::file_size(entry.path()) / 2, ec);
-      ASSERT_FALSE(ec);
-    }
-  }
-
-  fs::path dir_;
-};
-
-TEST_F(TelemetryDiskCacheTest, L2CountersAcrossColdWarmAndTruncated) {
-  const Specification spec = make_medical_system();
-  SimConfig cfg;
-  cfg.exec_tier = ExecTier::Bytecode;
-  DiskProgramCache disk(dir_.string());
-
-  // Cold: L1 and L2 both miss, the image is compiled and published.
-  {
-    ProgramCache l1;
-    l1.set_disk(&disk);
-    Simulator(spec, cfg, &l1).run();
-  }
-  tm::Snapshot snap = tm::snapshot();
-  EXPECT_EQ(counter_value(snap, "cache.l2.hit"), 0u);
-  EXPECT_EQ(counter_value(snap, "cache.l2.miss"), 1u);
-  EXPECT_EQ(counter_value(snap, "cache.l2.corrupt"), 0u);
-  EXPECT_EQ(counter_value(snap, "cache.l2.store"), 1u);
-  EXPECT_EQ(counter_value(snap, "cache.l1.miss"), 1u);
-  EXPECT_GE(snap.histograms.at("cache.l2.write_ns").count, 1u);
-
-  // Warm: a fresh L1 loads the published image instead of compiling.
-  tm::reset();
-  {
-    ProgramCache l1;
-    l1.set_disk(&disk);
-    Simulator(spec, cfg, &l1).run();
-  }
-  snap = tm::snapshot();
-  EXPECT_EQ(counter_value(snap, "cache.l2.hit"), 1u);
-  EXPECT_EQ(counter_value(snap, "cache.l2.miss"), 0u);
-  EXPECT_EQ(counter_value(snap, "cache.l2.store"), 0u);
-  EXPECT_GE(snap.histograms.at("cache.l2.read_ns").count, 1u);
-
-  // Truncated image: validation fails, the miss is flagged corrupt, the
-  // run falls back to a compile and re-publishes a good image.
-  tm::reset();
-  truncate_all_files();
-  {
-    ProgramCache l1;
-    l1.set_disk(&disk);
-    Simulator(spec, cfg, &l1).run();
-  }
-  snap = tm::snapshot();
-  EXPECT_EQ(counter_value(snap, "cache.l2.hit"), 0u);
-  EXPECT_EQ(counter_value(snap, "cache.l2.miss"), 1u);
-  EXPECT_EQ(counter_value(snap, "cache.l2.corrupt"), 1u);
-  EXPECT_EQ(counter_value(snap, "cache.l2.store"), 1u);
-  EXPECT_EQ(disk.stats().corrupt, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,12 +23,10 @@
 //   --clock-hz HZ          nominal clock for cycle->time conversion (100e6)
 //   --vcd FILE             dump a VCD waveform of every signal
 //   --exec-tier T          execution tier: tree | lowered | bytecode
-//                          (default lowered, or $SPECSYN_EXEC_TIER;
+//                          (default bytecode, or $SPECSYN_EXEC_TIER;
 //                          slot-indexed tracing requires a compiled tier;
 //                          --no-lowering is a deprecated alias for
 //                          --exec-tier tree)
-//   --cache-dir DIR        persistent on-disk bytecode cache shared across
-//                          processes (bytecode tier only)
 //   --sched-policy P       ready-set tie-break policy: fifo | random | replay
 //   --sched-seed N         seed for --sched-policy random
 //   --replay-witness W     replay a schedule witness ("picks:1,0,2" or
@@ -57,8 +55,7 @@
 //   --verify               also check functional equivalence per point
 //   --explore-schedules[=N] partition-consistency check per point
 //   --json                 emit the ranked rows as JSON instead of the table
-//   --max-cycles N ; --clock-hz HZ ; --exec-tier T ; --cache-dir DIR ;
-//   -o FILE
+//   --max-cycles N ; --clock-hz HZ ; --exec-tier T ; -o FILE
 //
 // fuzz options:
 //   --seeds N              number of seeds to run (default 100)
@@ -73,7 +70,7 @@
 //   --inject-bug done|data plant a known refiner bug (oracle self-test)
 //   --max-cycles N         per-simulation bound (default 5000000)
 //   --explore-schedules[=N] schedule-inclusion oracle depth (default 4)
-//   --exec-tier T ; --cache-dir DIR   as for simulate (equivalence oracle)
+//   --exec-tier T          as for simulate (equivalence oracle)
 //
 // global options (every subcommand):
 //   --stats                print the telemetry summary table on stderr
@@ -107,9 +104,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_export.h"
 #include "refine/refiner.h"
-#include "sim/disk_cache.h"
 #include "sim/equivalence.h"
-#include "sim/program_cache.h"
 #include "sim/sched.h"
 #include "sim/vcd.h"
 #include "telemetry/telemetry.h"
@@ -170,16 +165,11 @@ simulate options:
   --vcd FILE             dump a VCD waveform of every signal
   --exec-tier T          execution tier: tree (legacy tree-walking), lowered
                          (flattened statement plans), or bytecode (threaded
-                         register bytecode). Default lowered, overridable
+                         register bytecode). Default bytecode, overridable
                          via $SPECSYN_EXEC_TIER. Slot-indexed tracing
                          (--trace/--metrics) requires a compiled tier.
                          --no-lowering is a deprecated alias for
                          --exec-tier tree.
-  --cache-dir DIR        persistent on-disk bytecode cache shared across
-                         processes: compiled images are stored under DIR and
-                         reloaded (instead of recompiled) by later runs.
-                         Bytecode tier only; prints hit/miss counters on
-                         stderr after the run.
   --sched-policy P       ready-set tie-break policy when several processes
                          are runnable at the same instant: fifo (default,
                          event order), random (seeded shuffle), replay
@@ -206,7 +196,7 @@ sweep options:
                          points rank last and show RACE in the sched column
   --json                 emit the ranked rows as JSON instead of the table
   partition options as for refine ; --max-cycles N ; --clock-hz HZ ;
-  --exec-tier T ; --cache-dir DIR ; -o FILE
+  --exec-tier T ; -o FILE
 
 fuzz options:
   --seeds N              number of seeds to run (default 100)
@@ -223,8 +213,8 @@ fuzz options:
   --max-cycles N         per-simulation bound (default 5000000)
   --explore-schedules[=N]  schedules per side for the schedule-inclusion
                          oracle (default 4; =0 disables)
-  --exec-tier T ; --cache-dir DIR   as for simulate (used by the
-                         equivalence oracle's simulations)
+  --exec-tier T          as for simulate (selects the tier whose runs
+                         the equivalence oracle compares)
 
 global options (accepted by every subcommand):
   --stats                print the telemetry summary table (counters,
@@ -240,7 +230,6 @@ global options (accepted by every subcommand):
   --exec-tier T          execution tier (tree | lowered | bytecode);
                          --no-lowering is a deprecated alias for
                          --exec-tier tree
-  --cache-dir DIR        persistent on-disk bytecode cache
 
 telemetry never changes the bytes of any primary output: stats go to stderr
 or to the named files only.
@@ -265,7 +254,6 @@ struct GlobalOpts {
   std::string stats_json_file;
   std::string pipeline_trace_file;
   std::optional<ExecTier> exec_tier;  // unset = process default
-  std::string cache_dir;
 
   [[nodiscard]] bool stats_requested() const {
     return stats || !stats_json_file.empty();
@@ -314,12 +302,6 @@ int parse_global_flag(const std::string& f, NextFn&& next, GlobalOpts& g) {
     g.exec_tier = ExecTier::Tree;
     return 1;
   }
-  if (f == "--cache-dir") {
-    const char* v = next();
-    if (!v) return -1;
-    g.cache_dir = v;
-    return 1;
-  }
   return 0;
 }
 
@@ -366,7 +348,6 @@ struct Args {
   bool verify = false;
   bool json = false;
   ExecTier exec_tier = default_exec_tier();
-  std::string cache_dir;
   GlobalOpts global;
   bool metrics = false;
   uint64_t max_cycles = 0;  // 0 => SimConfig default
@@ -554,7 +535,6 @@ int parse_args(int argc, char** argv, Args& a) {
     }
   }
   if (a.global.exec_tier) a.exec_tier = *a.global.exec_tier;
-  a.cache_dir = a.global.cache_dir;
   return 0;
 }
 
@@ -660,20 +640,7 @@ int cmd_simulate(const Args& a, const Specification& spec) {
                  a.replay_witness.c_str());
     return 2;
   }
-  std::unique_ptr<DiskProgramCache> disk;
-  std::unique_ptr<ProgramCache> programs;
-  if (!a.cache_dir.empty()) {
-    if (cfg.exec_tier != ExecTier::Bytecode) {
-      std::fprintf(stderr,
-                   "warning: --cache-dir only persists bytecode-tier "
-                   "programs (running --exec-tier %s)\n",
-                   exec_tier_name(cfg.exec_tier));
-    }
-    disk = std::make_unique<DiskProgramCache>(a.cache_dir);
-    programs = std::make_unique<ProgramCache>();
-    programs->set_disk(disk.get());
-  }
-  Simulator sim(spec, cfg, programs.get());
+  Simulator sim(spec, cfg);
   std::unique_ptr<VcdRecorder> vcd;
   if (!a.vcd_file.empty()) {
     vcd = std::make_unique<VcdRecorder>(spec);
@@ -741,15 +708,6 @@ int cmd_simulate(const Args& a, const Specification& spec) {
                   static_cast<unsigned long long>(w.time), w.var.c_str(),
                   static_cast<unsigned long long>(w.value));
     }
-  }
-  if (programs) {
-    const ProgramCache::Stats s = programs->stats();
-    std::fprintf(stderr,
-                 "cache: %llu disk hit(s), %llu disk miss(es), "
-                 "%llu store(s)\n",
-                 static_cast<unsigned long long>(s.disk_hits),
-                 static_cast<unsigned long long>(s.disk_misses),
-                 static_cast<unsigned long long>(s.disk_stores));
   }
   return 0;
 }
@@ -822,27 +780,13 @@ int cmd_sweep(const Args& a, const Specification& spec) {
   const size_t workers =
       a.jobs == 0 ? batch::ThreadPool::default_workers() : a.jobs;
   batch::ThreadPool pool(workers);
-  std::unique_ptr<DiskProgramCache> disk;
-  if (!a.cache_dir.empty()) {
-    disk = std::make_unique<DiskProgramCache>(a.cache_dir);
-    pool.set_disk_cache(disk.get());
-  }
   const batch::SweepReport rep = batch::run_sweep(
       spec, part, graph, prof, batch::full_matrix(), so, pool);
-  if (disk) {
-    const ProgramCache::Stats s = pool.cache_stats();
-    std::fprintf(stderr,
-                 "cache: %llu disk hit(s), %llu disk miss(es), "
-                 "%llu store(s)\n",
-                 static_cast<unsigned long long>(s.disk_hits),
-                 static_cast<unsigned long long>(s.disk_misses),
-                 static_cast<unsigned long long>(s.disk_stores));
-  }
   return write_output(a, a.json ? rep.json() : rep.table());
 }
 
 // `fuzz` takes no input file, so it parses its own options. Global options
-// (--stats*, --pipeline-trace, --exec-tier, --cache-dir) go through the same
+// (--stats*, --pipeline-trace, --exec-tier) go through the same
 // parse_global_flag as every other subcommand.
 int cmd_fuzz(int argc, char** argv) {
   fuzz::FuzzOptions opts;
@@ -920,7 +864,6 @@ int cmd_fuzz(int argc, char** argv) {
     return 2;
   }
   opts.exec_tier = global.exec_tier;
-  opts.cache_dir = global.cache_dir;
   telemetry::enable(global.stats_requested(), global.trace_requested());
   const fuzz::FuzzReport report = fuzz::run_fuzz(opts, std::cout);
   int rc = report.ok() ? 0 : 1;
