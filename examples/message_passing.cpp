@@ -8,6 +8,8 @@
 // A signal observer prints the bus handshakes as they happen so the
 // generated protocol can be watched end to end.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "graph/access_graph.h"
 #include "printer/printer.h"
@@ -32,22 +34,29 @@ Specification make_spec() {
 }
 
 /// Prints every change of the bus control signals, indented per bus.
-class BusTracer : public SimObserver {
+class HandshakePrinter : public SlotObserver {
  public:
-  void on_signal_change(const std::string& sig, uint64_t t,
-                        uint64_t v) override {
-    // Only the handshake lines; data/addr values shown on start edges.
-    if (sig.find("_start") == std::string::npos &&
-        sig.find("_done") == std::string::npos) {
-      return;
+  void on_bind(const Binding& b) override {
+    // Resolve names once: keep only the handshake lines.
+    handshake_.assign(b.signals->size(), nullptr);
+    for (size_t i = 0; i < b.signals->size(); ++i) {
+      const std::string& sig = b.signals->name_of(i);
+      if (sig.find("_start") != std::string::npos ||
+          sig.find("_done") != std::string::npos) {
+        handshake_[i] = &sig;
+      }
     }
+  }
+  void on_signal_commit(uint32_t slot, uint64_t t, uint64_t v) override {
+    if (handshake_[slot] == nullptr) return;
     if (printed_ > 60) return;  // keep the demo readable
     std::printf("  t=%-5llu %s = %llu\n", static_cast<unsigned long long>(t),
-                sig.c_str(), static_cast<unsigned long long>(v));
+                handshake_[slot]->c_str(), static_cast<unsigned long long>(v));
     ++printed_;
   }
 
  private:
+  std::vector<const std::string*> handshake_;  // by signal slot; null = skip
   int printed_ = 0;
 };
 
@@ -87,8 +96,8 @@ int main() {
   std::printf("\n\nbus handshakes during simulation (first transfers):\n");
 
   Simulator sim(r.refined);
-  BusTracer tracer;
-  sim.add_observer(&tracer);
+  HandshakePrinter tracer;
+  sim.add_slot_observer(&tracer);
   SimResult res = sim.run();
 
   std::printf("\nsimulation %s at t=%llu; out1=%llu (expected 42), y=%llu "

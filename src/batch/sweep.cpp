@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -81,11 +80,8 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
 
     const SimConfig sc = sim_config(opts);
     Simulator sim(r.refined, sc);
-    std::unique_ptr<BusTracer> tracer;
-    if (sc.exec_tier != ExecTier::Tree) {  // slot tracing needs a compiled tier
-      tracer = std::make_unique<BusTracer>(r.refined);
-      sim.add_slot_observer(tracer.get());
-    }
+    BusTracer tracer(r.refined);
+    sim.add_slot_observer(&tracer);
     const SimResult res = sim.run();
     row.cycles = res.end_time;
     // The refined top is a Concurrent composite whose servers (memories,
@@ -97,14 +93,12 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
       row.root_completed =
           it != res.behavior_completions.end() && it->second > 0;
     }
-    if (tracer) {
-      const MetricsReport m = MetricsReport::from(*tracer);
-      for (const MetricsReport::BusRow& b : m.buses) {
-        row.contention_cycles += b.contention_cycles;
-        if (b.utilization_pct > row.peak_util_pct) {
-          row.peak_util_pct = b.utilization_pct;
-          row.busiest_bus = b.name;
-        }
+    const MetricsReport m = MetricsReport::from(tracer);
+    for (const MetricsReport::BusRow& b : m.buses) {
+      row.contention_cycles += b.contention_cycles;
+      if (b.utilization_pct > row.peak_util_pct) {
+        row.peak_util_pct = b.utilization_pct;
+        row.busiest_bus = b.name;
       }
     }
 

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "sim/simulator.h"
 
@@ -35,20 +37,26 @@ struct AccessCounts {
   [[nodiscard]] uint64_t total() const { return reads + writes; }
 };
 
-/// SimObserver that accumulates the profile; attach to any Simulator.
-class ProfileCollector : public SimObserver {
+/// Observer that accumulates the profile; attach to any Simulator. Counts
+/// are kept per (behavior id, variable slot) during the run and keyed by
+/// name when it ends.
+class ProfileCollector : public SlotObserver {
  public:
-  void on_var_read(const std::string& var, const std::string& behavior,
-                   uint64_t time) override;
-  void on_var_write(const std::string& var, const std::string& behavior,
-                    uint64_t time, uint64_t value) override;
-  void on_behavior_start(const std::string& behavior, uint64_t time) override;
-  void on_behavior_end(const std::string& behavior, uint64_t time) override;
+  void on_bind(const Binding& b) override;
+  void on_var_read(uint32_t slot, uint32_t behavior, uint64_t time) override;
+  void on_var_write(uint32_t slot, uint32_t behavior, uint64_t time,
+                    uint64_t value) override;
+  void on_behavior_start(uint32_t behavior, uint64_t process,
+                         uint64_t time) override;
+  void on_behavior_end(uint32_t behavior, uint64_t process,
+                       uint64_t time) override;
+  void on_run_end(uint64_t end_time) override;
 
+  /// Per behavior name; filled when the run ends.
   [[nodiscard]] const std::map<std::string, BehaviorProfile>& behaviors() const {
     return behaviors_;
   }
-  /// (behavior, var) -> counts.
+  /// (behavior, var) -> counts; filled when the run ends.
   [[nodiscard]] const std::map<std::pair<std::string, std::string>,
                                AccessCounts>&
   accesses() const {
@@ -56,6 +64,10 @@ class ProfileCollector : public SimObserver {
   }
 
  private:
+  Binding binding_;  // valid from on_bind through on_run_end
+  std::vector<BehaviorProfile> by_id_;
+  std::unordered_map<uint64_t, AccessCounts> by_channel_;  // id << 32 | slot
+
   std::map<std::string, BehaviorProfile> behaviors_;
   std::map<std::pair<std::string, std::string>, AccessCounts> accesses_;
 };

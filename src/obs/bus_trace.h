@@ -29,7 +29,7 @@
 // bus with traffic shows nonzero contention), grants per master, and a
 // log2-bucketed histogram of handshake latencies (start rise -> done rise).
 //
-//   Simulator sim(refined);            // lowered path (default)
+//   Simulator sim(refined);            // any execution tier
 //   BusTracer tracer(refined);
 //   sim.add_slot_observer(&tracer);
 //   SimResult r = sim.run();
@@ -189,9 +189,7 @@ class BusTracer : public SlotObserver {
   /// Interned behavior id -> name, copied from the Program at bind time so
   /// lookups stay valid after the Simulator is destroyed.
   std::vector<std::string> behavior_names_;
-  Binding binding_;
   uint64_t end_time_ = 0;
-  bool bound_ = false;
 };
 
 }  // namespace specsyn

@@ -26,11 +26,8 @@ TraceExporter::TraceExporter(double clock_hz) : clock_hz_(clock_hz) {
 }
 
 void TraceExporter::on_bind(const Binding& b) {
-  binding_ = b;
-  bound_ = true;
   // Snapshot behavior names: export usually happens after the Simulator
-  // (their owner) has been destroyed. b.prog is null under the bytecode
-  // tier, so never read through it here.
+  // (their owner) has been destroyed.
   behavior_names_ = *b.behavior_names;
 }
 

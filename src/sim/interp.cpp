@@ -25,8 +25,8 @@ uint64_t Simulator::read_name(const std::string& name, Process& p) {
   }
   const size_t vi = vars_.find(name);
   if (vi != SIZE_MAX) {
-    for (SimObserver* o : observers_) {
-      o->on_var_read(name, current_behavior(p), now_);
+    if (!slot_observers_.empty()) {
+      notify_var_read(static_cast<uint32_t>(vi), p);
     }
     return vars_.get(vi);
   }
@@ -51,8 +51,8 @@ void Simulator::write_var(const std::string& name, uint64_t value, Process& p) {
     throw SpecError("simulator: assignment to unresolved name '" + name + "'");
   }
   vars_.set(vi, value);
-  for (SimObserver* o : observers_) {
-    o->on_var_write(name, current_behavior(p), now_, vars_.get(vi));
+  if (!slot_observers_.empty()) {
+    notify_var_write(static_cast<uint32_t>(vi), p);
   }
   if (observable_[vi] != 0) {
     raw_writes_.push_back({static_cast<uint32_t>(vi), vars_.get(vi), now_});
@@ -155,7 +155,12 @@ void Simulator::step(Process& p) {
       if (!f.started) {
         f.started = true;
         p.behavior_stack.push_back(&b);
-        for (SimObserver* o : observers_) o->on_behavior_start(b.name, now_);
+        if (!slot_observers_.empty()) {
+          const uint32_t id = tree_ids_.at(&b);
+          for (SlotObserver* o : slot_observers_) {
+            o->on_behavior_start(id, p.id, now_);
+          }
+        }
         switch (b.kind) {
           case BehaviorKind::Leaf: {
             Frame body;
@@ -189,7 +194,12 @@ void Simulator::step(Process& p) {
         }
       } else {
         // Body / children finished: this behavior completes.
-        for (SimObserver* o : observers_) o->on_behavior_end(b.name, now_);
+        if (!slot_observers_.empty()) {
+          const uint32_t id = tree_ids_.at(&b);
+          for (SlotObserver* o : slot_observers_) {
+            o->on_behavior_end(id, p.id, now_);
+          }
+        }
         ++behavior_completions_[b.name];
         p.behavior_stack.pop_back();
         leave_frame(p);
@@ -280,6 +290,9 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
       const size_t si = signals_.find(s.target);
       if (si == SIZE_MAX) {
         throw SpecError("simulator: '<=' to unknown signal '" + s.target + "'");
+      }
+      if (!slot_observers_.empty()) {
+        notify_signal_schedule(static_cast<uint32_t>(si), v, p);
       }
       schedule_signal(si, v, now_ + cfg_.signal_delay);
       ++f.idx;

@@ -106,12 +106,7 @@ inline bool Simulator::chain_advance() {
 template <bool Obs>
 void Simulator::bwrite_var(uint32_t slot, uint64_t value, Process& p) {
   vars_.set(slot, value);
-  if constexpr (Obs) {
-    for (SimObserver* o : observers_) {
-      o->on_var_write(vars_.name_of(slot), current_behavior(p), now_,
-                      vars_.get(slot));
-    }
-  }
+  if constexpr (Obs) notify_var_write(slot, p);
   if (observable_[slot] != 0) {
     raw_writes_.push_back({slot, vars_.get(slot), now_});
   }
@@ -131,11 +126,7 @@ uint64_t Simulator::beval_spill(const BInstr& ins, Process& p) {
         *sp++ = op->lit;
         break;
       case LOp::Kind::PushVar:
-        if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_var_read(vars_.name_of(op->slot), current_behavior(p), now_);
-          }
-        }
+        if constexpr (Obs) notify_var_read(op->slot, p);
         *sp++ = vars_.get(op->slot);
         break;
       case LOp::Kind::PushSignal:
@@ -171,11 +162,7 @@ uint64_t Simulator::beval_guard(uint32_t pc, Process& p) {
         regs[i.a] = i.imm;
         break;
       case BOp::LoadVar:
-        if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_var_read(vars_.name_of(i.slot), current_behavior(p), now_);
-          }
-        }
+        if constexpr (Obs) notify_var_read(i.slot, p);
         regs[i.a] = vars_.get(i.slot);
         break;
       case BOp::LoadSig:
@@ -318,11 +305,7 @@ specsyn_bc_dispatch:
 
   SPECSYN_BC_OP(LoadVar) {
     const BInstr& i = code[pc];
-    if constexpr (Obs) {
-      for (SimObserver* o : observers_) {
-        o->on_var_read(vars_.name_of(i.slot), current_behavior(p), now_);
-      }
-    }
+    if constexpr (Obs) notify_var_read(i.slot, p);
     regs[i.a] = vars_.get(i.slot);
     ++pc;
   }
@@ -417,15 +400,7 @@ specsyn_bc_dispatch:
   SPECSYN_BC_OP(StSig) {
     const BInstr& i = code[pc];
     const uint64_t v = regs[i.b];
-    if constexpr (Obs) {
-      if (!slot_observers_.empty()) {
-        const uint64_t wrapped = signals_.type_of(i.slot).wrap(v);
-        const uint32_t behavior = innermost_behavior_id(p);
-        for (SlotObserver* o : slot_observers_) {
-          o->on_signal_schedule(i.slot, behavior, now_, wrapped);
-        }
-      }
-    }
+    if constexpr (Obs) notify_signal_schedule(i.slot, v, p);
     schedule_signal(i.slot, v, now_ + cfg_.signal_delay);
     SPECSYN_BC_STEP_END(pc + 1);
   }
@@ -448,11 +423,7 @@ specsyn_bc_dispatch:
     uint64_t v = 0;
     switch (i.a & 3) {
       case kSrcVar:
-        if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_var_read(vars_.name_of(i.aux), current_behavior(p), now_);
-          }
-        }
+        if constexpr (Obs) notify_var_read(i.aux, p);
         v = vars_.get(i.aux);
         break;
       case kSrcSig:
@@ -474,15 +445,7 @@ specsyn_bc_dispatch:
 
   SPECSYN_BC_OP(SigImm) {
     const BInstr& i = code[pc];
-    if constexpr (Obs) {
-      if (!slot_observers_.empty()) {
-        const uint64_t wrapped = signals_.type_of(i.slot).wrap(i.imm);
-        const uint32_t behavior = innermost_behavior_id(p);
-        for (SlotObserver* o : slot_observers_) {
-          o->on_signal_schedule(i.slot, behavior, now_, wrapped);
-        }
-      }
-    }
+    if constexpr (Obs) notify_signal_schedule(i.slot, i.imm, p);
     schedule_signal(i.slot, i.imm, now_ + cfg_.signal_delay);
     SPECSYN_BC_STEP_END(pc + 1);
   }
@@ -492,11 +455,7 @@ specsyn_bc_dispatch:
     uint64_t v = 0;
     switch (i.a) {
       case kSrcVar:
-        if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_var_read(vars_.name_of(i.aux), current_behavior(p), now_);
-          }
-        }
+        if constexpr (Obs) notify_var_read(i.aux, p);
         v = vars_.get(i.aux);
         break;
       case kSrcSig:
@@ -507,15 +466,7 @@ specsyn_bc_dispatch:
         v = call->dlocals[i.aux];
         break;
     }
-    if constexpr (Obs) {
-      if (!slot_observers_.empty()) {
-        const uint64_t wrapped = signals_.type_of(i.slot).wrap(v);
-        const uint32_t behavior = innermost_behavior_id(p);
-        for (SlotObserver* o : slot_observers_) {
-          o->on_signal_schedule(i.slot, behavior, now_, wrapped);
-        }
-      }
-    }
+    if constexpr (Obs) notify_signal_schedule(i.slot, v, p);
     schedule_signal(i.slot, v, now_ + cfg_.signal_delay);
     SPECSYN_BC_STEP_END(pc + 1);
   }
@@ -695,9 +646,6 @@ void Simulator::bstep(Process& p) {
           f.started = true;
           p.behavior_stack.push_back(b.src);
           if constexpr (Obs) {
-            for (SimObserver* o : observers_) {
-              o->on_behavior_start(b.src->name, now_);
-            }
             for (SlotObserver* o : slot_observers_) {
               o->on_behavior_start(b.id, p.id, now_);
             }
@@ -740,9 +688,6 @@ void Simulator::bstep(Process& p) {
         }
         // Body / children finished: this behavior completes.
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_behavior_end(b.src->name, now_);
-          }
           for (SlotObserver* o : slot_observers_) {
             o->on_behavior_end(b.id, p.id, now_);
           }

@@ -1,24 +1,13 @@
 // Lowered statement interpreter: executes one scheduling step of one process
 // against the compiled Program (sim/program.h). Mirrors interp.cpp's frame
 // machine exactly — same frames, same enqueue points, same costs — so both
-// paths produce bit-identical SimResults; only name resolution (pre-lowered
-// slots vs. hash lookups) and observer dispatch (compile-time `Obs` variant
-// vs. per-access loops) differ.
+// paths produce bit-identical SimResults and observer streams; only name
+// resolution (pre-lowered slots vs. hash lookups) and observer selection
+// (compile-time `Obs` variant vs. a per-access emptiness test) differ.
 #include "sim/frames.h"
 #include "sim/value.h"
 
 namespace specsyn {
-
-// Interned id of the innermost active behavior — the attribution carried by
-// slot-observer events. Observed path only; walks the (shallow) frame stack.
-uint32_t Simulator::innermost_behavior_id(const Process& p) {
-  for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
-    if (it->kind != Frame::Kind::Behavior) continue;
-    if (it->lbehavior != nullptr) return it->lbehavior->id;
-    if (it->bbehavior != nullptr) return it->bbehavior->id;  // bytecode tier
-  }
-  return UINT32_MAX;
-}
 
 Simulator::Frame& Simulator::innermost_call(Process& p) {
   for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
@@ -39,11 +28,7 @@ uint64_t Simulator::leval(const LExpr& e, Process& p) {
         *sp++ = op->lit;
         break;
       case LOp::Kind::PushVar:
-        if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_var_read(vars_.name_of(op->slot), current_behavior(p), now_);
-          }
-        }
+        if constexpr (Obs) notify_var_read(op->slot, p);
         *sp++ = vars_.get(op->slot);
         break;
       case LOp::Kind::PushSignal:
@@ -74,12 +59,7 @@ void Simulator::lwrite(const LTarget& t, uint64_t value, Process& p) {
     return;
   }
   vars_.set(t.slot, value);
-  if constexpr (Obs) {
-    for (SimObserver* o : observers_) {
-      o->on_var_write(vars_.name_of(t.slot), current_behavior(p), now_,
-                      vars_.get(t.slot));
-    }
-  }
+  if constexpr (Obs) notify_var_write(t.slot, p);
   if (observable_[t.slot] != 0) {
     raw_writes_.push_back({t.slot, vars_.get(t.slot), now_});
   }
@@ -142,9 +122,6 @@ void Simulator::lstep(Process& p) {
         f.started = true;
         p.behavior_stack.push_back(b.src);
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_behavior_start(b.src->name, now_);
-          }
           for (SlotObserver* o : slot_observers_) {
             o->on_behavior_start(b.id, p.id, now_);
           }
@@ -183,9 +160,6 @@ void Simulator::lstep(Process& p) {
       } else {
         // Body / children finished: this behavior completes.
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_behavior_end(b.src->name, now_);
-          }
           for (SlotObserver* o : slot_observers_) {
             o->on_behavior_end(b.id, p.id, now_);
           }
@@ -273,15 +247,7 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
     }
     case Stmt::Kind::SignalAssign: {
       const uint64_t v = leval<Obs>(s.expr, p);
-      if constexpr (Obs) {
-        if (!slot_observers_.empty()) {
-          const uint64_t wrapped = signals_.type_of(s.signal).wrap(v);
-          const uint32_t behavior = innermost_behavior_id(p);
-          for (SlotObserver* o : slot_observers_) {
-            o->on_signal_schedule(s.signal, behavior, now_, wrapped);
-          }
-        }
-      }
+      if constexpr (Obs) notify_signal_schedule(s.signal, v, p);
       schedule_signal(s.signal, v, now_ + cfg_.signal_delay);
       ++f.idx;
       enqueue(p, now_ + cfg_.stmt_cost);

@@ -180,20 +180,43 @@ void Simulator::reset() {
 #endif
 }
 
-void Simulator::add_observer(SimObserver* obs) { observers_.push_back(obs); }
-
-void Simulator::clear_observers() {
-  observers_.clear();
-  slot_observers_.clear();
-}
+void Simulator::clear_observers() { slot_observers_.clear(); }
 
 void Simulator::add_slot_observer(SlotObserver* obs) {
-  if (!prog_ && !bprog_) {
-    throw SpecError(
-        "add_slot_observer: slot-indexed observation requires a compiled "
-        "execution tier (SimConfig::exec_tier lowered or bytecode)");
-  }
   slot_observers_.push_back(obs);
+}
+
+// Interned id of the innermost active behavior — the attribution carried by
+// observer events. Walks the (shallow) frame stack.
+uint32_t Simulator::innermost_behavior_id(const Process& p) const {
+  for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
+    if (it->kind != Frame::Kind::Behavior) continue;
+    if (it->lbehavior != nullptr) return it->lbehavior->id;
+    if (it->bbehavior != nullptr) return it->bbehavior->id;
+    return tree_ids_.at(it->behavior);
+  }
+  return UINT32_MAX;
+}
+
+void Simulator::notify_var_read(uint32_t slot, const Process& p) {
+  const uint32_t behavior = innermost_behavior_id(p);
+  for (SlotObserver* o : slot_observers_) o->on_var_read(slot, behavior, now_);
+}
+
+void Simulator::notify_var_write(uint32_t slot, const Process& p) {
+  const uint32_t behavior = innermost_behavior_id(p);
+  for (SlotObserver* o : slot_observers_) {
+    o->on_var_write(slot, behavior, now_, vars_.get(slot));
+  }
+}
+
+void Simulator::notify_signal_schedule(uint32_t slot, uint64_t value,
+                                       const Process& p) {
+  const uint64_t wrapped = signals_.type_of(slot).wrap(value);
+  const uint32_t behavior = innermost_behavior_id(p);
+  for (SlotObserver* o : slot_observers_) {
+    o->on_signal_schedule(slot, behavior, now_, wrapped);
+  }
 }
 
 void Simulator::build_tables() {
@@ -276,9 +299,6 @@ void Simulator::wake_sensitive(size_t signal_idx, uint64_t time) {
 void Simulator::commit_signal(size_t signal, uint64_t value, bool observed) {
   if (!signals_.commit(signal, value)) return;
   if (observed) {
-    for (SimObserver* o : observers_) {
-      o->on_signal_change(signals_.name_of(signal), now_, signals_.get(signal));
-    }
     for (SlotObserver* o : slot_observers_) {
       o->on_signal_commit(static_cast<uint32_t>(signal), now_,
                           signals_.get(signal));
@@ -349,7 +369,8 @@ SimResult Simulator::run() {
   telemetry::Span tm_span("simulate", telemetry::Stability::Stable);
 
   SimResult result;
-  if (!slot_observers_.empty()) {
+  const bool observed = !slot_observers_.empty();
+  if (observed) {
     // Materialize the id-indexed behavior names once; valid for the run.
     bound_names_.clear();
     if (prog_) {
@@ -359,9 +380,14 @@ SimResult Simulator::run() {
       }
     } else if (bprog_) {
       bound_names_ = bprog_->behavior_names();
+    } else {
+      tree_ids_.clear();
+      for (const Behavior* b : spec_.all_behaviors()) {
+        tree_ids_.emplace(b, static_cast<uint32_t>(bound_names_.size()));
+        bound_names_.push_back(b->name);
+      }
     }
-    const SlotObserver::Binding binding{&vars_, &signals_, prog_.get(),
-                                        &bound_names_, &cfg_};
+    const SlotObserver::Binding binding{&vars_, &signals_, &bound_names_};
     for (SlotObserver* o : slot_observers_) o->on_bind(binding);
   }
   if (spec_.top) {
@@ -372,7 +398,6 @@ SimResult Simulator::run() {
 
   // Pick the stepping variant once — tier, and (for the compiled tiers)
   // observed vs unobserved — so the steady state never re-tests either.
-  const bool observed = !observers_.empty() || !slot_observers_.empty();
   void (Simulator::*step_fn)(Process&) =
       prog_    ? (observed ? &Simulator::lstep<true> : &Simulator::lstep<false>)
       : bprog_ ? (observed ? &Simulator::bstep<true> : &Simulator::bstep<false>)

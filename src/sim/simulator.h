@@ -29,6 +29,7 @@
 #include <memory>
 #include <queue>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/signal_table.h"
@@ -112,74 +113,54 @@ struct SimConfig {
   bool record_schedule = false;
 };
 
-/// Observation callbacks. All strings are the spec-unique object names.
-/// `behavior` is the innermost active behavior of the acting process
-/// (transition-guard evaluation reports the composite itself).
-class SimObserver {
- public:
-  virtual ~SimObserver() = default;
-  virtual void on_var_read(const std::string& var, const std::string& behavior,
-                           uint64_t time) {
-    (void)var; (void)behavior; (void)time;
-  }
-  virtual void on_var_write(const std::string& var, const std::string& behavior,
-                            uint64_t time, uint64_t value) {
-    (void)var; (void)behavior; (void)time; (void)value;
-  }
-  virtual void on_behavior_start(const std::string& behavior, uint64_t time) {
-    (void)behavior; (void)time;
-  }
-  virtual void on_behavior_end(const std::string& behavior, uint64_t time) {
-    (void)behavior; (void)time;
-  }
-  virtual void on_signal_change(const std::string& signal, uint64_t time,
-                                uint64_t value) {
-    (void)signal; (void)time; (void)value;
-  }
-};
-
-class Program;
-
-/// Slot-indexed observation callbacks, the fast seam under `src/obs/`.
+/// Observation callbacks — the simulator's one observer seam, fired by all
+/// three execution tiers with identical streams.
 ///
-/// Unlike SimObserver (whose callbacks speak spec-unique *names* and fire
-/// from both interpreters), a SlotObserver receives dense slot indices and
-/// interned behavior ids and resolves them against the simulator's tables
-/// exactly once, in on_bind — names are materialized only when a report or
-/// trace is exported. Slot callbacks are fired by the lowered and bytecode
-/// interpreters (and the kernel's signal-commit loop), so attaching one
-/// requires a slot-indexed tier; add_slot_observer throws under
-/// ExecTier::Tree. Attaching any observer of either kind selects the observed
-/// stepping variant for the whole run — an unobserved run still contains no
-/// observer dispatch at all.
+/// Callbacks carry dense slot indices and interned behavior ids rather than
+/// names; an observer resolves them against the simulator's tables exactly
+/// once, in on_bind, and materializes names only when it exports a report or
+/// trace. `behavior` is the interned id of the innermost active behavior of
+/// the acting process (transition-guard evaluation reports the composite
+/// itself). Attaching any observer selects the observed stepping variant for
+/// the whole run; an unobserved run contains no observer dispatch at all.
 class SlotObserver {
  public:
   virtual ~SlotObserver() = default;
 
   /// Slot/id authorities, valid for the whole run. `behavior_names` is never
-  /// null and is indexed by interned behavior id; `prog` is the lowered plan
-  /// when one exists and null under the bytecode tier.
+  /// null and is indexed by interned behavior id (pre-order over the spec's
+  /// behavior tree, identical on every tier).
   struct Binding {
     const VarTable* vars = nullptr;
     const SignalTable* signals = nullptr;
-    const Program* prog = nullptr;
     const std::vector<std::string>* behavior_names = nullptr;
-    const SimConfig* cfg = nullptr;
   };
 
   /// Called once at the start of run(), before any event fires.
   virtual void on_bind(const Binding& b) { (void)b; }
 
-  /// A signal update committed by the kernel and *visibly changed* (same
-  /// edge discipline as SimObserver::on_signal_change). `value` is wrapped.
+  /// A read of spec variable `slot` (VarTable index). Procedure locals and
+  /// signals are not reported.
+  virtual void on_var_read(uint32_t slot, uint32_t behavior, uint64_t time) {
+    (void)slot; (void)behavior; (void)time;
+  }
+
+  /// A write to spec variable `slot`; `value` is the stored (wrapped) value.
+  virtual void on_var_write(uint32_t slot, uint32_t behavior, uint64_t time,
+                            uint64_t value) {
+    (void)slot; (void)behavior; (void)time; (void)value;
+  }
+
+  /// A signal update committed by the kernel that *visibly changed* the
+  /// signal (an update to the current value fires nothing). `value` is
+  /// wrapped.
   virtual void on_signal_commit(uint32_t slot, uint64_t time, uint64_t value) {
     (void)slot; (void)time; (void)value;
   }
 
   /// A `<=` signal assignment executed by a process — fires at schedule
   /// time (the commit lands `signal_delay` later and may be absorbed by an
-  /// equal value). `behavior` is the interned id of the innermost active
-  /// behavior; this is what attributes a bus handshake to its master.
+  /// equal value). This is what attributes a bus handshake to its master.
   virtual void on_signal_schedule(uint32_t slot, uint32_t behavior,
                                   uint64_t time, uint64_t value) {
     (void)slot; (void)behavior; (void)time; (void)value;
@@ -287,14 +268,11 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator();
 
-  /// Observers are borrowed; they must outlive run().
-  void add_observer(SimObserver* obs);
-
-  /// Slot-indexed observers (src/obs/). Requires a slot-indexed tier —
-  /// throws SpecError when the simulator was built with ExecTier::Tree.
+  /// Attaches an observer (any tier). Observers are borrowed; they must
+  /// outlive run().
   void add_slot_observer(SlotObserver* obs);
 
-  /// Detaches every registered observer (both kinds). Pooled simulators that
+  /// Detaches every registered observer. Pooled simulators that
   /// reset() between runs use this to attach a fresh per-run observer
   /// without accumulating dangling pointers to destroyed ones.
   void clear_observers();
@@ -352,7 +330,14 @@ class Simulator {
   void lenter_behavior(const LBehavior& b, Process& p);
   void lblock_on(Process& p, const LStmt& s);
   Frame& innermost_call(Process& p);
-  static uint32_t innermost_behavior_id(const Process& p);
+
+  // observer dispatch shared by the three tiers (simulator.cpp); called only
+  // when an observer is attached
+  uint32_t innermost_behavior_id(const Process& p) const;
+  void notify_var_read(uint32_t slot, const Process& p);
+  void notify_var_write(uint32_t slot, const Process& p);
+  void notify_signal_schedule(uint32_t slot, uint64_t value,
+                              const Process& p);
 
   // bytecode interpreter (interp_bytecode.cpp): runs the flat BytecodeProgram
   // with the same frame machine (only Behavior/Seq/Conc/Call/Code frames).
@@ -382,7 +367,6 @@ class Simulator {
 
   const Specification& spec_;
   SimConfig cfg_;
-  std::vector<SimObserver*> observers_;
   std::vector<SlotObserver*> slot_observers_;
 
   VarTable vars_;
@@ -408,9 +392,12 @@ class Simulator {
   const BInstr* bcode_ = nullptr;     // cached bprog_->code().data()
   std::vector<uint64_t> regs_;        // register file (kMaxRegs slots)
   std::vector<uint64_t> staging_;     // pending call in-args, by param slot
-  /// Behavior names indexed by interned id, materialized once for the
-  /// SlotObserver binding (valid for every slot-indexed tier).
+  /// Behavior names indexed by interned id, materialized once per observed
+  /// run for the SlotObserver binding.
   std::vector<std::string> bound_names_;
+  /// Tree tier's Behavior* -> interned id (pre-order over spec_.top, the
+  /// numbering the compiled tiers intern), filled once per observed run.
+  std::unordered_map<const Behavior*, uint32_t> tree_ids_;
 
   std::vector<std::unique_ptr<Process>> processes_;
 

@@ -74,31 +74,40 @@ void VcdRecorder::emit_time(uint64_t time) {
   }
 }
 
-void VcdRecorder::record(const std::string& name, uint64_t time,
-                         uint64_t value) {
-  auto it = wires_.find(name);
-  if (it == wires_.end()) return;
-  Wire& w = it->second;
-  if (w.has_value && w.last == value) return;
-  w.last = value;
-  w.has_value = true;
+void VcdRecorder::on_bind(const Binding& b) {
+  const auto resolve = [&](const auto& table, std::vector<Wire*>& out) {
+    out.assign(table.size(), nullptr);
+    for (size_t i = 0; i < table.size(); ++i) {
+      auto it = wires_.find(table.name_of(i));
+      if (it != wires_.end()) out[i] = &it->second;
+    }
+  };
+  resolve(*b.signals, signal_wires_);
+  resolve(*b.vars, var_wires_);
+}
+
+void VcdRecorder::record(Wire* w, uint64_t time, uint64_t value) {
+  if (w == nullptr) return;
+  if (w->has_value && w->last == value) return;
+  w->last = value;
+  w->has_value = true;
   emit_time(time);
-  if (w.width == 1) {
-    body_ << (value & 1) << w.id << "\n";
+  if (w->width == 1) {
+    body_ << (value & 1) << w->id << "\n";
   } else {
-    body_ << "b" << to_binary(value, w.width) << " " << w.id << "\n";
+    body_ << "b" << to_binary(value, w->width) << " " << w->id << "\n";
   }
   ++changes_;
 }
 
-void VcdRecorder::on_signal_change(const std::string& signal, uint64_t time,
+void VcdRecorder::on_signal_commit(uint32_t slot, uint64_t time,
                                    uint64_t value) {
-  record(signal, time, value);
+  record(signal_wires_[slot], time, value);
 }
 
-void VcdRecorder::on_var_write(const std::string& var, const std::string&,
-                               uint64_t time, uint64_t value) {
-  if (opts_.include_observables) record(var, time, value);
+void VcdRecorder::on_var_write(uint32_t slot, uint32_t, uint64_t time,
+                               uint64_t value) {
+  record(var_wires_[slot], time, value);
 }
 
 std::string VcdRecorder::str() const { return header_.str() + body_.str(); }

@@ -6,6 +6,7 @@
 // identical profiles — on every workload the repo can produce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -22,11 +23,11 @@ namespace specsyn {
 namespace {
 
 SimResult simulate(const Specification& spec, ExecTier tier,
-                   SimObserver* obs = nullptr) {
+                   SlotObserver* obs = nullptr) {
   SimConfig cfg;
   cfg.exec_tier = tier;
   Simulator sim(spec, cfg);
-  if (obs != nullptr) sim.add_observer(obs);
+  if (obs != nullptr) sim.add_slot_observer(obs);
   return sim.run();
 }
 
@@ -117,51 +118,91 @@ TEST(LoweringDifferential, ExampleSpecFiles) {
   }
 }
 
-// Records every observer callback as a printable line so whole streams can
-// be compared; proves the compiled observer fast paths fire the same events
-// at the same times in the same order.
-class RecordingObserver : public SimObserver {
+// Records every observer callback as a printable line, with slots and ids
+// resolved to names through the Binding, so whole streams can be compared
+// across tiers; proves every tier fires the same events at the same times in
+// the same order.
+class RecordingObserver : public SlotObserver {
  public:
-  void on_var_read(const std::string& var, const std::string& behavior,
-                   uint64_t time) override {
-    add("read", var, behavior, time, 0);
+  void on_bind(const Binding& b) override {
+    binding_ = b;
+    add("bind", std::to_string(b.vars->size()),
+        std::to_string(b.signals->size()), 0, b.behavior_names->size());
   }
-  void on_var_write(const std::string& var, const std::string& behavior,
-                    uint64_t time, uint64_t value) override {
-    add("write", var, behavior, time, value);
+  void on_var_read(uint32_t slot, uint32_t behavior, uint64_t time) override {
+    add("read", var(slot), name(behavior), time, 0);
   }
-  void on_behavior_start(const std::string& behavior, uint64_t time) override {
-    add("start", behavior, "", time, 0);
+  void on_var_write(uint32_t slot, uint32_t behavior, uint64_t time,
+                    uint64_t value) override {
+    add("write", var(slot), name(behavior), time, value);
   }
-  void on_behavior_end(const std::string& behavior, uint64_t time) override {
-    add("end", behavior, "", time, 0);
-  }
-  void on_signal_change(const std::string& signal, uint64_t time,
+  void on_signal_commit(uint32_t slot, uint64_t time,
                         uint64_t value) override {
-    add("signal", signal, "", time, value);
+    add("commit", signal(slot), "", time, value);
+  }
+  void on_signal_schedule(uint32_t slot, uint32_t behavior, uint64_t time,
+                          uint64_t value) override {
+    add("schedule", signal(slot), name(behavior), time, value);
+  }
+  void on_behavior_start(uint32_t behavior, uint64_t process,
+                         uint64_t time) override {
+    add("start", name(behavior), std::to_string(process), time, 0);
+  }
+  void on_behavior_end(uint32_t behavior, uint64_t process,
+                       uint64_t time) override {
+    add("end", name(behavior), std::to_string(process), time, 0);
+  }
+  void on_run_end(uint64_t end_time) override {
+    add("run_end", "", "", end_time, 0);
   }
 
   std::vector<std::string> events;
 
  private:
+  [[nodiscard]] const std::string& var(uint32_t slot) const {
+    return binding_.vars->name_of(slot);
+  }
+  [[nodiscard]] const std::string& signal(uint32_t slot) const {
+    return binding_.signals->name_of(slot);
+  }
+  [[nodiscard]] const std::string& name(uint32_t behavior) const {
+    return binding_.behavior_names->at(behavior);
+  }
   void add(const char* kind, const std::string& a, const std::string& b,
            uint64_t time, uint64_t value) {
     events.push_back(std::string(kind) + " " + a + " " + b + " @" +
                      std::to_string(time) + " = " + std::to_string(value));
   }
+
+  Binding binding_;
 };
 
-TEST(LoweringDifferential, ObserverStreamsIdentical) {
-  const Specification spec = make_medical_system();
+bool has_event(const std::vector<std::string>& events, const char* kind) {
+  const std::string prefix = std::string(kind) + " ";
+  return std::any_of(events.begin(), events.end(), [&](const std::string& e) {
+    return e.rfind(prefix, 0) == 0;
+  });
+}
+
+// Compares the three tiers' streams and returns the reference (tree) one.
+std::vector<std::string> expect_identical_streams(const Specification& spec) {
   RecordingObserver lowered;
   RecordingObserver bytecode;
   RecordingObserver legacy;
   simulate(spec, ExecTier::Lowered, &lowered);
   simulate(spec, ExecTier::Bytecode, &bytecode);
   simulate(spec, ExecTier::Tree, &legacy);
-  ASSERT_FALSE(lowered.events.empty());
   EXPECT_EQ(lowered.events, legacy.events);
   EXPECT_EQ(bytecode.events, legacy.events);
+  return legacy.events;
+}
+
+TEST(LoweringDifferential, ObserverStreamsIdentical) {
+  const std::vector<std::string> events =
+      expect_identical_streams(make_medical_system());
+  for (const char* kind : {"bind", "read", "write", "start", "end", "run_end"}) {
+    EXPECT_TRUE(has_event(events, kind)) << kind;
+  }
 }
 
 TEST(LoweringDifferential, ObserverStreamsIdenticalRefined) {
@@ -171,15 +212,12 @@ TEST(LoweringDifferential, ObserverStreamsIdenticalRefined) {
   RefineConfig cfg;
   cfg.model = ImplModel::Model2;
   RefineResult r = refine(d.partition, graph, cfg);
-  RecordingObserver lowered;
-  RecordingObserver bytecode;
-  RecordingObserver legacy;
-  simulate(r.refined, ExecTier::Lowered, &lowered);
-  simulate(r.refined, ExecTier::Bytecode, &bytecode);
-  simulate(r.refined, ExecTier::Tree, &legacy);
-  ASSERT_FALSE(lowered.events.empty());
-  EXPECT_EQ(lowered.events, legacy.events);
-  EXPECT_EQ(bytecode.events, legacy.events);
+  const std::vector<std::string> events = expect_identical_streams(r.refined);
+  // The refined model adds the signal traffic: every callback kind fires.
+  for (const char* kind : {"bind", "read", "write", "commit", "schedule",
+                           "start", "end", "run_end"}) {
+    EXPECT_TRUE(has_event(events, kind)) << kind;
+  }
 }
 
 TEST(LoweringDifferential, ProfilesIdentical) {

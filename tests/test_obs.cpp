@@ -173,15 +173,6 @@ TEST(BusTracer, DoesNotPerturbSimulation) {
   EXPECT_EQ(run.result.final_vars, expect.final_vars);
 }
 
-TEST(BusTracer, RequiresLowering) {
-  const Specification m1 = refined_medical(ImplModel::Model1);
-  BusTracer t(m1);
-  SimConfig cfg;
-  cfg.exec_tier = ExecTier::Tree;
-  Simulator sim(m1, cfg);
-  EXPECT_THROW(sim.add_slot_observer(&t), SpecError);
-}
-
 TEST(Metrics, ReportMatchesTracer) {
   TracedRun run(refined_medical(ImplModel::Model1));
   const MetricsReport m = MetricsReport::from(run.tracer);
@@ -200,11 +191,10 @@ TEST(Metrics, ReportMatchesTracer) {
   }
 }
 
-// The observed bytecode path: a tracer attached under the bytecode tier must
+// The observed paths: a tracer attached under the bytecode or tree tier must
 // see the identical commit/schedule stream as the lowered tier (same slots,
 // same interned behavior ids), so metrics and exported traces match
-// byte-for-byte. Also guards the Binding contract — b.prog is null under
-// bytecode and observers must not read through it (this once segfaulted).
+// byte-for-byte.
 TEST(BusTracer, BytecodeTierMatchesLowered) {
   const Specification m1 = refined_medical(ImplModel::Model1);
   auto run_tier = [&](ExecTier tier) {
@@ -222,8 +212,11 @@ TEST(BusTracer, BytecodeTierMatchesLowered) {
   };
   const auto lowered = run_tier(ExecTier::Lowered);
   const auto bytecode = run_tier(ExecTier::Bytecode);
+  const auto tree = run_tier(ExecTier::Tree);
   EXPECT_EQ(lowered.first, bytecode.first);
   EXPECT_EQ(lowered.second, bytecode.second);
+  EXPECT_EQ(tree.first, bytecode.first);
+  EXPECT_EQ(tree.second, bytecode.second);
 }
 
 TEST(Metrics, TableAndJsonRender) {

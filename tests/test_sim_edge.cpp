@@ -72,22 +72,25 @@ TEST(SimEdge, RedundantSignalCommitDoesNotWake) {
   // already missed it stays blocked when 1 is re-committed... but here we
   // verify the subtler contract: committing an unchanged value produces no
   // signal-change notification.
-  struct Counter : SimObserver {
+  struct Counter : SlotObserver {
     int changes = 0;
-    void on_signal_change(const std::string&, uint64_t, uint64_t) override {
-      ++changes;
-    }
+    void on_signal_commit(uint32_t, uint64_t, uint64_t) override { ++changes; }
   };
   Specification s;
   s.name = "R";
   s.signals = {signal("sg")};
   s.top = leaf("T", block(set("sg", 1), delay(2), set("sg", 1), delay(2),
                           set("sg", 0)));
-  Counter c;
-  Simulator sim(s);
-  sim.add_observer(&c);
-  (void)sim.run();
-  EXPECT_EQ(c.changes, 2);  // 0->1, 1->0; the redundant set is silent
+  for (ExecTier tier : {ExecTier::Tree, ExecTier::Lowered, ExecTier::Bytecode}) {
+    SCOPED_TRACE(exec_tier_name(tier));
+    SimConfig cfg;
+    cfg.exec_tier = tier;
+    Counter c;
+    Simulator sim(s, cfg);
+    sim.add_slot_observer(&c);
+    (void)sim.run();
+    EXPECT_EQ(c.changes, 2);  // 0->1, 1->0; the redundant set is silent
+  }
 }
 
 TEST(SimEdge, MultipleWaitersAllWake) {

@@ -113,6 +113,34 @@ TEST(StaticProfile, MedicalMatchesChannelCountExactly) {
   }
 }
 
+// The dynamic profile is tier-independent: the tree tier attributes every
+// access to the same (behavior, variable) channel as the bytecode tier.
+TEST(StaticProfile, DynamicProfileTreeMatchesBytecode) {
+  const Specification spec = make_medical_system();
+  SimConfig tree_cfg;
+  tree_cfg.exec_tier = ExecTier::Tree;
+  SimConfig bytecode_cfg;
+  bytecode_cfg.exec_tier = ExecTier::Bytecode;
+  const ProfileResult tree = profile_spec(spec, tree_cfg);
+  const ProfileResult bytecode = profile_spec(spec, bytecode_cfg);
+  ASSERT_GT(bytecode.channel_count(), 0u);
+  ASSERT_EQ(tree.behaviors.size(), bytecode.behaviors.size());
+  for (const auto& [name, prof] : bytecode.behaviors) {
+    const auto it = tree.behaviors.find(name);
+    ASSERT_NE(it, tree.behaviors.end()) << name;
+    EXPECT_EQ(it->second.activations, prof.activations) << name;
+    EXPECT_EQ(it->second.first_start, prof.first_start) << name;
+    EXPECT_EQ(it->second.last_end, prof.last_end) << name;
+  }
+  ASSERT_EQ(tree.accesses.size(), bytecode.accesses.size());
+  for (const auto& [key, counts] : bytecode.accesses) {
+    const auto it = tree.accesses.find(key);
+    ASSERT_NE(it, tree.accesses.end()) << key.first << " -> " << key.second;
+    EXPECT_EQ(it->second.reads, counts.reads);
+    EXPECT_EQ(it->second.writes, counts.writes);
+  }
+}
+
 TEST(StaticProfile, PlugsIntoBusRates) {
   Specification spec = testing::medical_like_spec();
   AccessGraph g = build_access_graph(spec);

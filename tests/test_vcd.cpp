@@ -6,9 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "refine/refiner.h"
 #include "sim/simulator.h"
 #include "sim/vcd.h"
 #include "spec/builder.h"
+#include "workloads/medical.h"
 
 namespace specsyn {
 namespace {
@@ -35,7 +37,7 @@ struct Recorded {
   explicit Recorded(const Specification& spec, VcdOptions opts = {})
       : rec(spec, std::move(opts)) {
     Simulator sim(spec, SimConfig{});
-    sim.add_observer(&rec);
+    sim.add_slot_observer(&rec);
     sim.run();
   }
 };
@@ -110,6 +112,32 @@ TEST(Vcd, ChangeCountMatchesRecordedEdges) {
     ++rising_go;
   }
   EXPECT_EQ(rising_go, 1u);
+}
+
+// Every tier feeds the recorder the same commits and observable writes, so
+// the dump of a refined model (bus handshakes plus observables) is
+// byte-identical between the tree and bytecode tiers.
+TEST(Vcd, TreeTierMatchesBytecode) {
+  const Specification spec = make_medical_system();
+  const AccessGraph graph = build_access_graph(spec);
+  auto d = make_medical_design(spec, graph, 1);
+  RefineConfig cfg;
+  cfg.model = ImplModel::Model1;
+  const Specification refined = refine(d.partition, graph, cfg).refined;
+  auto dump = [&](ExecTier tier) {
+    SimConfig sc;
+    sc.exec_tier = tier;
+    VcdRecorder rec(refined);
+    Simulator sim(refined, sc);
+    sim.add_slot_observer(&rec);
+    sim.run();
+    return std::pair(rec.str(), rec.change_count());
+  };
+  const auto bytecode = dump(ExecTier::Bytecode);
+  const auto tree = dump(ExecTier::Tree);
+  EXPECT_GT(bytecode.second, 100u);
+  EXPECT_EQ(tree.second, bytecode.second);
+  EXPECT_EQ(tree.first, bytecode.first);
 }
 
 }  // namespace

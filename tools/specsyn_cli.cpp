@@ -23,10 +23,7 @@
 //   --clock-hz HZ          nominal clock for cycle->time conversion (100e6)
 //   --vcd FILE             dump a VCD waveform of every signal
 //   --exec-tier T          execution tier: tree | lowered | bytecode
-//                          (default bytecode, or $SPECSYN_EXEC_TIER;
-//                          slot-indexed tracing requires a compiled tier;
-//                          --no-lowering is a deprecated alias for
-//                          --exec-tier tree)
+//                          (default bytecode, or $SPECSYN_EXEC_TIER)
 //   --sched-policy P       ready-set tie-break policy: fifo | random | replay
 //   --sched-seed N         seed for --sched-policy random
 //   --replay-witness W     replay a schedule witness ("picks:1,0,2" or
@@ -166,10 +163,8 @@ simulate options:
   --exec-tier T          execution tier: tree (legacy tree-walking), lowered
                          (flattened statement plans), or bytecode (threaded
                          register bytecode). Default bytecode, overridable
-                         via $SPECSYN_EXEC_TIER. Slot-indexed tracing
-                         (--trace/--metrics) requires a compiled tier.
-                         --no-lowering is a deprecated alias for
-                         --exec-tier tree.
+                         via $SPECSYN_EXEC_TIER. Every output (--vcd,
+                         --trace, --metrics) is identical on all tiers.
   --sched-policy P       ready-set tie-break policy when several processes
                          are runnable at the same instant: fifo (default,
                          event order), random (seeded shuffle), replay
@@ -227,9 +222,7 @@ global options (accepted by every subcommand):
                          tool's own pipeline phases (parse, refine, price,
                          check, lower, simulate, equivalence ...) with one
                          lane per worker thread
-  --exec-tier T          execution tier (tree | lowered | bytecode);
-                         --no-lowering is a deprecated alias for
-                         --exec-tier tree
+  --exec-tier T          execution tier (tree | lowered | bytecode)
 
 telemetry never changes the bytes of any primary output: stats go to stderr
 or to the named files only.
@@ -293,13 +286,6 @@ int parse_global_flag(const std::string& f, NextFn&& next, GlobalOpts& g) {
       return -1;
     }
     g.exec_tier = tier;
-    return 1;
-  }
-  if (f == "--no-lowering") {
-    std::fprintf(stderr,
-                 "warning: --no-lowering is deprecated; use --exec-tier "
-                 "tree\n");
-    g.exec_tier = ExecTier::Tree;
     return 1;
   }
   return 0;
@@ -644,7 +630,7 @@ int cmd_simulate(const Args& a, const Specification& spec) {
   std::unique_ptr<VcdRecorder> vcd;
   if (!a.vcd_file.empty()) {
     vcd = std::make_unique<VcdRecorder>(spec);
-    sim.add_observer(vcd.get());
+    sim.add_slot_observer(vcd.get());
   }
   std::unique_ptr<BusTracer> tracer;
   std::unique_ptr<TraceExporter> exporter;
