@@ -9,6 +9,11 @@
 //
 // Every variant must remain functionally equivalent to the original spec —
 // checked inline; any mismatch fails the binary.
+//
+// E8 (simulation cost of the implementation models) follows: simulated
+// cycles and steps of the original spec and of Model1-4 for Designs 1-3
+// under the default RefineConfig, with two shape checks.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -88,5 +93,45 @@ int main() {
               "      concurrency); component-granular matches the paper.\n"
               "  A3: the wrapper scheme costs a few lines and cycles per\n"
               "      invocation — why the paper prefers 4(b) for leaves.\n");
+
+  // ---- E8: simulation cost of the implementation models ---------------------
+  Table cost;
+  cost.header = {"design", "model", "sim cycles", "steps"};
+  Simulator orig_sim(spec);
+  const SimResult orig = orig_sim.run();
+  cost.rows.push_back({"-", "original", std::to_string(orig.end_time),
+                       std::to_string(orig.steps)});
+  bool all_slower = true;
+  bool m3_fewest_m4_most = true;
+  for (int design = 1; design <= 3; ++design) {
+    auto dd = make_medical_design(spec, graph, design);
+    std::vector<uint64_t> cycles;
+    for (ImplModel m : all_models()) {
+      RefineConfig cfg;
+      cfg.model = m;
+      RefineResult r = refine(dd.partition, graph, cfg);
+      Simulator sim(r.refined);
+      const SimResult res = sim.run();
+      cycles.push_back(res.end_time);
+      all_slower = all_slower && res.end_time > orig.end_time;
+      cost.rows.push_back({std::to_string(design), to_string(m),
+                           std::to_string(res.end_time),
+                           std::to_string(res.steps)});
+    }
+    m3_fewest_m4_most =
+        m3_fewest_m4_most &&
+        *std::min_element(cycles.begin(), cycles.end()) == cycles[2] &&
+        *std::max_element(cycles.begin(), cycles.end()) == cycles[3];
+  }
+  cost.print("E8 simulation cost of the implementation models (medical)");
+
+  std::printf("\nShape checks:\n");
+  auto check = [&](bool ok, const char* what) {
+    std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
+    if (!ok) ++failures;
+  };
+  check(all_slower, "every refined model takes more cycles than the original");
+  check(m3_fewest_m4_most,
+        "Model3 takes the fewest cycles and Model4 the most, in every design");
   return failures == 0 ? 0 : 1;
 }

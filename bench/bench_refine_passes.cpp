@@ -138,6 +138,7 @@ int main() {
     Table t;
     t.header = {"design", "model", "moved", "sites", "arb", "iface",
                 "equivalent"};
+    int mismatches = 0;
     for (int design = 1; design <= 3; ++design) {
       auto d = make_medical_design(spec, graph, design);
       for (ImplModel m : all_models()) {
@@ -151,9 +152,11 @@ int main() {
                           std::to_string(r.stats.arbiters),
                           std::to_string(r.stats.interfaces),
                           rep.equivalent ? "yes" : "NO"});
+        if (!rep.equivalent) ++mismatches;
       }
     }
     t.print("medical system: refinement statistics and equivalence");
+    if (mismatches != 0) return 1;
   }
   return 0;
 }

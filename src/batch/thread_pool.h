@@ -1,6 +1,6 @@
 // Work-stealing thread pool for batch execution of independent
 // refine -> lower -> simulate -> check jobs (the engine behind
-// `specsyn fuzz --jobs`, `specsyn sweep`, and bench_batch).
+// `specsyn fuzz --jobs` and `specsyn sweep`).
 //
 // Shape:
 //   * a fixed worker count, chosen at construction (threads are started once

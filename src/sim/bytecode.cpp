@@ -10,22 +10,6 @@
 
 namespace specsyn {
 
-const char* bop_name(BOp op) {
-  static const char* const kNames[] = {
-      "LoadLit",      "LoadVar",      "LoadSig",      "LoadLoc",
-      "UnApply",      "BinApply",     "EvalSpill",    "ArgStage",
-      "GuardEnd",     "BinApplyImm",  "SigBinImm",    "SigBinImmBin",
-      "StVar",        "StLoc",        "StSig",        "AssignImmVar",
-      "AssignImmLoc", "AssignLoad",   "SigImm",       "SigLoad",
-      "Jump",         "BrFalse",      "BrTrue",       "SigBrFalse",
-      "SigBrTrue",    "WaitTrue",     "WaitSigEq",    "WaitSigNz",
-      "WaitSigExpr",  "DelayStep",    "Call",         "EndUnit",
-      "NopStmt"};
-  static_assert(sizeof(kNames) / sizeof(kNames[0]) == kBOpCount);
-  const uint8_t v = static_cast<uint8_t>(op);
-  return v < kBOpCount ? kNames[v] : "?";
-}
-
 namespace {
 
 /// Comparison ops admissible as WaitSigExpr leaves (0/1 result, so bitwise

@@ -92,10 +92,6 @@ enum class BOp : uint8_t {
 /// Number of BOp values.
 inline constexpr uint8_t kBOpCount = static_cast<uint8_t>(BOp::NopStmt) + 1;
 
-/// Mnemonic for an opcode ("LoadLit", ...); "?" for out-of-range values.
-/// Used by the SPECSYN_OPCODE_STATS telemetry histograms.
-const char* bop_name(BOp op);
-
 /// Register-file size. Expressions whose postfix evaluation depth exceeds
 /// this are compiled to EvalSpill instead of register micro-ops.
 inline constexpr uint32_t kMaxRegs = 64;

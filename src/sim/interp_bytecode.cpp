@@ -243,27 +243,6 @@ bool Simulator::bexec(Process& p) {
     return false;                                                   \
   } while (0)
 
-// Opcode/opcode-pair profiling (SPECSYN_OPCODE_STATS builds only): runs on
-// every dispatch, so it is compile-time gated rather than enabled()-checked —
-// a branch per micro-op would cost the exact overhead the telemetry layer
-// promises not to add. Counts land in Simulator arrays and are flushed to the
-// registry at the end of run().
-#ifdef SPECSYN_OPCODE_STATS
-  static_assert(kBOpCount <= 64, "op_counts_ arrays are sized for 64 opcodes");
-#define SPECSYN_BC_OPSTAT()                                               \
-  do {                                                                    \
-    const uint8_t opstat_cur_ = static_cast<uint8_t>(code[pc].op);        \
-    ++op_counts_[opstat_cur_];                                            \
-    if (op_prev_ != kOpStatNone)                                          \
-      ++op_pair_counts_[static_cast<size_t>(op_prev_) * 64u + opstat_cur_]; \
-    op_prev_ = opstat_cur_;                                               \
-  } while (0)
-#else
-#define SPECSYN_BC_OPSTAT() \
-  do {                      \
-  } while (0)
-#endif
-
 #ifdef SPECSYN_BC_CGOTO
   // Label table indexed by BOp value; must mirror the enum order exactly.
   static const void* const kLabels[] = {
@@ -278,11 +257,7 @@ bool Simulator::bexec(Process& p) {
       &&op_DelayStep,     &&op_Call,      &&op_EndUnit,  &&op_NopStmt};
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kBOpCount);
 #define SPECSYN_BC_OP(name) op_##name:
-#define SPECSYN_BC_NEXT()                             \
-  do {                                                \
-    SPECSYN_BC_OPSTAT();                              \
-    goto* kLabels[static_cast<uint8_t>(code[pc].op)]; \
-  } while (0)
+#define SPECSYN_BC_NEXT() goto* kLabels[static_cast<uint8_t>(code[pc].op)]
   SPECSYN_BC_NEXT();
 #else
 // A label, not a loop: SPECSYN_BC_NEXT must redispatch from inside the
@@ -291,7 +266,6 @@ bool Simulator::bexec(Process& p) {
 #define SPECSYN_BC_OP(name) case BOp::name:
 #define SPECSYN_BC_NEXT() goto specsyn_bc_dispatch
 specsyn_bc_dispatch:
-  SPECSYN_BC_OPSTAT();
   switch (code[pc].op) {
 #endif
 
@@ -590,7 +564,6 @@ specsyn_bc_dispatch:
 #endif
 #undef SPECSYN_BC_OP
 #undef SPECSYN_BC_NEXT
-#undef SPECSYN_BC_OPSTAT
 #undef SPECSYN_BC_STEP_END
 }
 

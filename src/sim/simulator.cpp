@@ -173,11 +173,6 @@ void Simulator::reset() {
   steps_ = 0;
   ran_ = false;
   root_ = nullptr;
-#ifdef SPECSYN_OPCODE_STATS
-  op_counts_.fill(0);
-  op_pair_counts_.fill(0);
-  op_prev_ = kOpStatNone;
-#endif
 }
 
 void Simulator::clear_observers() { slot_observers_.clear(); }
@@ -523,34 +518,7 @@ SimResult Simulator::run() {
     telemetry::count("sim.runs", telemetry::Stability::Stable, 1);
     telemetry::count("sim.steps", telemetry::Stability::Stable, steps_);
     telemetry::count("sim.cycles", telemetry::Stability::Stable, now_);
-#ifdef SPECSYN_OPCODE_STATS
-    static_assert(kBOpCount <= 64);
-    for (uint8_t i = 0; i < kBOpCount; ++i) {
-      if (op_counts_[i] != 0) {
-        telemetry::count(std::string("bc.op.") + bop_name(BOp{i}),
-                         telemetry::Stability::Stable, op_counts_[i]);
-      }
-    }
-    for (uint16_t p = 0; p < kBOpCount; ++p) {
-      for (uint16_t c = 0; c < kBOpCount; ++c) {
-        const uint64_t n = op_pair_counts_[p * 64u + c];
-        if (n != 0) {
-          telemetry::count(std::string("bc.pair.") +
-                               bop_name(BOp{static_cast<uint8_t>(p)}) + ">" +
-                               bop_name(BOp{static_cast<uint8_t>(c)}),
-                           telemetry::Stability::Stable, n);
-        }
-      }
-    }
-#endif
   }
-#ifdef SPECSYN_OPCODE_STATS
-  // Cleared unconditionally so pooled construct-once/reset() reuse starts
-  // every run from zero whether or not the last run flushed.
-  op_counts_.fill(0);
-  op_pair_counts_.fill(0);
-  op_prev_ = kOpStatNone;
-#endif
   return result;
 }
 

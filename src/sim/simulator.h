@@ -23,7 +23,6 @@
 // the input).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -472,19 +471,6 @@ class Simulator {
   uint64_t now_ = 0;
   uint64_t steps_ = 0;
   bool ran_ = false;
-
-#ifdef SPECSYN_OPCODE_STATS
-  // Bytecode opcode / opcode-pair execution counts (the profile that picked
-  // the current superinstructions and will drive future re-fusion). Behind a
-  // compile-time flag because the VM pays for the counting on every dispatch
-  // once it's compiled in. Sized 64 rather than kBOpCount so simulator.h
-  // doesn't need bytecode.h; interp_bytecode.cpp static_asserts the fit.
-  // Flushed into the telemetry registry (and cleared) at the end of run().
-  std::array<uint64_t, 64> op_counts_{};
-  std::array<uint64_t, 64 * 64> op_pair_counts_{};
-  uint8_t op_prev_ = kOpStatNone;
-  static constexpr uint8_t kOpStatNone = 255;
-#endif
 
   // blocked-on-wait bookkeeping, indexed by signal slot
   std::vector<std::vector<Process*>> waiters_;

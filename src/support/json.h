@@ -1,10 +1,5 @@
-// The one JSON emission layer for the whole tool.
-//
-// Three ad-hoc writers grew up around the exporters (obs/json_util.h's
-// escaper, bench/bench_json.h's quote-only escape_into, and per-file copies
-// in batch/sweep.cpp, fuzz/fuzzer.cpp and analysis/verifier.cpp); they
-// agreed on almost everything and disagreed on control-character handling.
-// This header replaces all of them:
+// The one JSON emission layer for the whole tool, so every exporter escapes
+// strings (control characters included) the same way:
 //
 //   * json_escape — the canonical string escaper (quotes, backslash,
 //     \n \t \r, and \u00xx for every other control byte),

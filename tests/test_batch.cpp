@@ -109,12 +109,15 @@ TEST(ThreadPool, ZeroJobsIsANoop) {
 }
 
 // -- program cache -----------------------------------------------------------
+// Only compiled tiers use the cache, so these tests pin the bytecode tier
+// instead of inheriting the SPECSYN_EXEC_TIER default.
 
 TEST(ProgramCache, ContentIdenticalSpecsShareOneProgram) {
   const Specification spec = testing::abc_spec(2);
   const Specification copy = spec.clone();
   ProgramCache cache;
   SimConfig cfg;
+  cfg.exec_tier = ExecTier::Bytecode;
   Simulator s1(spec, cfg, &cache);
   Simulator s2(copy, cfg, &cache);  // distinct object, same content
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -133,6 +136,7 @@ TEST(ProgramCache, SimConfigChangeMisses) {
   const Specification spec = testing::abc_spec(2);
   ProgramCache cache;
   SimConfig cfg;
+  cfg.exec_tier = ExecTier::Bytecode;
   { Simulator s(spec, cfg, &cache); }
   SimConfig slower = cfg;
   slower.stmt_cost = 3;  // cost model is baked into the compiled plan
@@ -145,6 +149,7 @@ TEST(ProgramCache, SimConfigChangeMisses) {
 TEST(ProgramCache, LruEvictionAtCapacity) {
   ProgramCache cache(/*capacity=*/2);
   SimConfig cfg;
+  cfg.exec_tier = ExecTier::Bytecode;
   const Specification s1 = testing::abc_spec(0);
   const Specification s2 = testing::abc_spec(2);
   const Specification s3 = testing::abc_spec(5);
@@ -164,6 +169,7 @@ TEST(ProgramCache, LruEvictionAtCapacity) {
 TEST(ProgramCache, CachedProgramOutlivesEvictionWhileSimulatorUsesIt) {
   ProgramCache cache(/*capacity=*/1);
   SimConfig cfg;
+  cfg.exec_tier = ExecTier::Bytecode;
   const Specification s1 = testing::abc_spec(2);
   const Specification s2 = testing::abc_spec(5);
   Simulator sim(s1, cfg, &cache);        // holds the cached program alive
@@ -214,6 +220,7 @@ TEST(ParallelEquivalence, MatchesSerialReport) {
   const RefineResult refined = refine(part, graph, rc);
 
   EquivalenceOptions serial;
+  serial.config.exec_tier = ExecTier::Bytecode;  // the cache needs a program
   EquivalenceOptions parallel = serial;
   parallel.parallel = true;
   ProgramCache cache;
