@@ -8,7 +8,7 @@
 #include "analysis/context.h"
 #include "analysis/verifier.h"
 #include "batch/thread_pool.h"
-#include "sim/program_cache.h"
+#include "sim/plan.h"
 #include "sim/sched.h"
 #include "telemetry/telemetry.h"
 
@@ -55,13 +55,13 @@ struct RunResult {
   Outcome outcome;
 };
 
-RunResult run_one(const Specification& spec, SimConfig cfg,
-                  std::vector<uint32_t> picks, ProgramCache* programs,
+RunResult run_one(const std::shared_ptr<const SimPlan>& plan, SimConfig cfg,
+                  std::vector<uint32_t> picks,
                   const std::string& root_behavior) {
   cfg.sched_policy = SchedPolicy::Replay;
   cfg.sched_picks = std::move(picks);
   cfg.record_schedule = true;
-  Simulator sim(spec, cfg, programs);
+  Simulator sim(plan, std::move(cfg));
   SimResult r = sim.run();
   RunResult out;
   out.taken.reserve(r.sched_decisions.size());
@@ -176,7 +176,8 @@ std::string Outcome::digest() const {
   return out;
 }
 
-ExploreResult explore(const Specification& spec, const Context& ctx,
+ExploreResult explore(const Context& ctx,
+                      const std::shared_ptr<const SimPlan>& plan,
                       const ExploreOptions& opts) {
   telemetry::Span span("explore", telemetry::Stability::Stable);
   const auto races = racing_pairs(ctx);
@@ -225,8 +226,7 @@ ExploreResult explore(const Specification& spec, const Context& ctx,
 
   // Baseline: canonical schedule (empty pick trace).
   seen.insert(prefix_key({}));
-  RunResult baseline =
-      run_one(spec, opts.config, {}, nullptr, opts.root_behavior);
+  RunResult baseline = run_one(plan, opts.config, {}, opts.root_behavior);
   expand(baseline, 0);  // before the moves below — expand slices run.taken
   result.schedules.push_back(
       {std::move(baseline.taken), std::move(baseline.outcome), false});
@@ -249,15 +249,14 @@ ExploreResult explore(const Specification& spec, const Context& ctx,
     std::vector<RunResult> runs;
     if (opts.pool != nullptr && wave > 1) {
       runs = batch::run_batch<RunResult>(
-          *opts.pool, wave, [&](size_t job, batch::WorkerContext& wctx) {
-            return run_one(spec, opts.config, prefixes[job], wctx.programs,
+          *opts.pool, wave, [&](size_t job, batch::WorkerContext&) {
+            return run_one(plan, opts.config, prefixes[job],
                            opts.root_behavior);
           });
     } else {
       runs.reserve(wave);
       for (const auto& prefix : prefixes) {
-        runs.push_back(
-            run_one(spec, opts.config, prefix, nullptr, opts.root_behavior));
+        runs.push_back(run_one(plan, opts.config, prefix, opts.root_behavior));
       }
     }
     for (size_t i = 0; i < runs.size(); ++i) {
@@ -292,18 +291,25 @@ ExploreResult explore(const Specification& spec, const Context& ctx,
   return result;
 }
 
-InclusionResult check_inclusion(const Specification& original,
-                                const Specification& refined,
-                                const ExploreOptions& opts) {
-  const Context octx(original);
-  const Context rctx(refined);
+ExploreResult explore(const Specification& spec, const Context& ctx,
+                      const ExploreOptions& opts) {
+  return explore(ctx, SimPlan::build(spec, opts.config.exec_tier), opts);
+}
+
+InclusionResult check_inclusion(
+    const Context& original_ctx,
+    const std::shared_ptr<const SimPlan>& original_plan,
+    const Context& refined_ctx,
+    const std::shared_ptr<const SimPlan>& refined_plan,
+    const ExploreOptions& opts) {
+  const Specification& original = original_ctx.spec();
   // The refined top is a Concurrent composite whose server behaviors never
   // complete; liveness there means the original top behavior finished
   // inside it (outcome_of's fallback, as in sim/equivalence).
   ExploreOptions ropts = opts;
   if (original.top != nullptr) ropts.root_behavior = original.top->name;
-  ExploreResult orig = explore(original, octx, opts);
-  ExploreResult refd = explore(refined, rctx, ropts);
+  ExploreResult orig = explore(original_ctx, original_plan, opts);
+  ExploreResult refd = explore(refined_ctx, refined_plan, ropts);
 
   InclusionResult result;
   result.original_explored = orig.explored;
@@ -346,19 +352,27 @@ InclusionResult check_inclusion(const Specification& original,
   return result;
 }
 
+InclusionResult check_inclusion(const Specification& original,
+                                const Specification& refined,
+                                const ExploreOptions& opts) {
+  const ExecTier tier = opts.config.exec_tier;
+  return check_inclusion(Context(original), SimPlan::build(original, tier),
+                         Context(refined), SimPlan::build(refined, tier),
+                         opts);
+}
+
 }  // namespace specsyn::analysis::schedules
 
 namespace specsyn::analysis {
 
-void check_schedules(const Specification& spec, Report& report,
+void check_schedules(const Context& ctx, Report& report,
                      const ScheduleCheckOptions& opts) {
-  const Context ctx(spec);
   schedules::ExploreOptions eopts;
   eopts.max_schedules = opts.max_schedules;
   eopts.config = opts.config;
   eopts.pool = opts.pool;
   const schedules::ExploreResult explored =
-      schedules::explore(spec, ctx, eopts);
+      schedules::explore(ctx.spec(), ctx, eopts);
 
   report.schedules.ran = true;
   report.schedules.explored = explored.explored;
@@ -381,6 +395,11 @@ void check_schedules(const Specification& spec, Report& report,
               " explored schedules diverge)";
   f.witness = explored.witness;
   report.findings.push_back(std::move(f));
+}
+
+void check_schedules(const Specification& spec, Report& report,
+                     const ScheduleCheckOptions& opts) {
+  check_schedules(Context(spec), report, opts);
 }
 
 }  // namespace specsyn::analysis

@@ -27,12 +27,17 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "sim/simulator.h"
 #include "spec/specification.h"
+
+namespace specsyn {
+class SimPlan;
+}  // namespace specsyn
 
 namespace specsyn::batch {
 class ThreadPool;
@@ -122,9 +127,15 @@ struct ExploreResult {
   [[nodiscard]] bool diverged() const { return divergent != 0; }
 };
 
-/// Explores up to max_schedules interleavings of `spec`. `ctx` supplies the
-/// static concurrency relation driving the pruning rule; it must have been
-/// built from the same specification.
+/// Explores up to max_schedules interleavings of ctx.spec(). `ctx` supplies
+/// the static concurrency relation driving the pruning rule; every schedule
+/// (pooled waves included) runs from `plan` (sim/plan.h), which must have
+/// been built from the same specification for opts.config.exec_tier.
+ExploreResult explore(const Context& ctx,
+                      const std::shared_ptr<const SimPlan>& plan,
+                      const ExploreOptions& opts);
+/// explore() from a plan of `spec` built here; `ctx` must have been built
+/// from `spec`.
 ExploreResult explore(const Specification& spec, const Context& ctx,
                       const ExploreOptions& opts);
 
@@ -145,6 +156,15 @@ struct InclusionResult {
   uint64_t refined_explored = 0;
 };
 
+/// Each side brings its Context and a plan built from the same spec for
+/// opts.config.exec_tier; nothing is validated, walked or compiled here.
+InclusionResult check_inclusion(
+    const Context& original_ctx,
+    const std::shared_ptr<const SimPlan>& original_plan,
+    const Context& refined_ctx,
+    const std::shared_ptr<const SimPlan>& refined_plan,
+    const ExploreOptions& opts);
+/// check_inclusion() with each side's Context and plan built here.
 InclusionResult check_inclusion(const Specification& original,
                                 const Specification& refined,
                                 const ExploreOptions& opts);

@@ -648,10 +648,11 @@ std::string Report::json(const std::string& spec_name) const {
   return out;
 }
 
-Report analyze(const Specification& spec) {
+Report analyze(const Context& ctx) {
   telemetry::Span span("check", telemetry::Stability::Stable);
-  const Context ctx(spec);
   return Checker(ctx).run();
 }
+
+Report analyze(const Specification& spec) { return analyze(Context(spec)); }
 
 }  // namespace specsyn::analysis

@@ -47,6 +47,8 @@ class ThreadPool;
 
 namespace specsyn::analysis {
 
+class Context;
+
 struct Finding {
   std::string code;             ///< "SA001"...
   Severity severity = Severity::Error;
@@ -87,8 +89,12 @@ struct Report {
   [[nodiscard]] std::string json(const std::string& spec_name) const;
 };
 
-/// Runs every checker. `spec` must pass validate(); call on refiner output
-/// (original unrefined specifications simply have nothing to check).
+/// Runs every checker over a prebuilt Context (analysis/context.h), so a
+/// caller that also explores schedules walks the spec once. The spec must
+/// pass validate(); call on refiner output (original unrefined
+/// specifications simply have nothing to check).
+[[nodiscard]] Report analyze(const Context& ctx);
+/// analyze() over a Context built here.
 [[nodiscard]] Report analyze(const Specification& spec);
 
 /// Options for the dynamic schedule-exploration pass
@@ -107,7 +113,12 @@ struct ScheduleCheckOptions {
 /// Bounded schedule exploration (src/analysis/schedules) appended to a
 /// static `report`: fills report.schedules, emits SA021 when two explored
 /// schedules disagree on the observable outcome, and attaches the replay
-/// witness to the SA021 and every SA020 finding already present.
+/// witness to the SA021 and every SA020 finding already present. `ctx`
+/// drives the pruning rule; every explored schedule (pooled waves included)
+/// runs from one plan of ctx.spec() built for opts.config.exec_tier.
+void check_schedules(const Context& ctx, Report& report,
+                     const ScheduleCheckOptions& opts);
+/// check_schedules() over a Context built here.
 void check_schedules(const Specification& spec, Report& report,
                      const ScheduleCheckOptions& opts);
 

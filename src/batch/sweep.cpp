@@ -8,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "analysis/context.h"
 #include "analysis/schedules/explore.h"
 #include "analysis/verifier.h"
 #include "estimate/cost.h"
@@ -16,6 +17,7 @@
 #include "printer/printer.h"
 #include "refine/refiner.h"
 #include "sim/equivalence.h"
+#include "sim/plan.h"
 #include "support/diagnostics.h"
 #include "support/json.h"
 #include "telemetry/telemetry.h"
@@ -42,10 +44,14 @@ SimConfig sim_config(const SweepOptions& opts) {
 }
 
 /// The original spec's run under the sweep's SimConfig, made once per sweep
-/// and shared read-only by every point's equivalence check.
+/// and shared read-only by every point's equivalence check. Under
+/// --explore-schedules the plan and Context it was run from also serve every
+/// point's schedule-inclusion check.
 struct OriginalRun {
   SimResult result;
   std::optional<std::string> error;  ///< what simulating the original threw
+  std::shared_ptr<const SimPlan> plan;
+  std::optional<analysis::Context> ctx;  ///< set only when exploring
 };
 
 /// Refine + verify + price + simulate one matrix point. Everything this
@@ -74,12 +80,18 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
     row.peak_mbps = rates.max_rate();
     row.cost = cost.total;
 
-    const analysis::Report rep = analysis::analyze(r.refined);
+    // One Context and one plan per refined spec: the Context serves the
+    // verifier and schedule-inclusion pruning, the plan the measured run and
+    // every explored schedule.
+    const analysis::Context rctx(r.refined);
+    const analysis::Report rep = analysis::analyze(rctx);
     row.sa_errors = rep.count(Severity::Error);
     row.sa_warnings = rep.count(Severity::Warning);
 
     const SimConfig sc = sim_config(opts);
-    Simulator sim(r.refined, sc);
+    const std::shared_ptr<const SimPlan> plan =
+        SimPlan::build(r.refined, sc.exec_tier);
+    Simulator sim(plan, sc);
     BusTracer tracer(r.refined);
     sim.add_slot_observer(&tracer);
     const SimResult res = sim.run();
@@ -122,7 +134,8 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
         xo.config = sc;
         xo.compare_write_traces = compare_write_traces;
         const analysis::schedules::InclusionResult inc =
-            analysis::schedules::check_inclusion(spec, r.refined, xo);
+            analysis::schedules::check_inclusion(*original.ctx, original.plan,
+                                                 rctx, plan, xo);
         row.sched_checked = true;
         row.sched_consistent = inc.holds;
         row.sched_explored = inc.refined_explored;
@@ -190,7 +203,10 @@ SweepReport run_sweep(const Specification& spec, const Partition& part,
   OriginalRun original;
   if (opts.verify) {
     try {
-      original.result = Simulator(spec, sim_config(opts)).run();
+      const SimConfig sc = sim_config(opts);
+      original.plan = SimPlan::build(spec, sc.exec_tier);
+      original.result = Simulator(original.plan, sc).run();
+      if (opts.explore_schedules > 0) original.ctx.emplace(spec);
     } catch (const SpecError& e) {
       original.error = e.what();  // lands in every verified row
     }

@@ -14,7 +14,8 @@
 //     materializes a million queue nodes,
 //   * per-worker arenas: each worker owns a ProgramCache (and, via the
 //     worker index, any caller-side scratch), so the hot path never shares
-//     mutable state between workers.
+//     mutable state between workers. Immutable state, such as one SimPlan
+//     (sim/plan.h) read by every exploration job, is shared freely.
 //
 // Determinism contract: jobs receive their dense batch index and must write
 // results only into per-index slots (run_batch below does this). Job
@@ -46,9 +47,9 @@ namespace specsyn::batch {
 struct WorkerContext {
   /// Dense worker index, 0 .. workers()-1 (0 for inline execution).
   size_t worker = 0;
-  /// The worker's own compiled-program cache; never shared between workers,
-  /// so a job that re-simulates the same spec (schedule exploration waves)
-  /// skips the recompile without lock traffic.
+  /// The worker's own plan cache; never shared between workers. No library
+  /// code consults it (a job that re-simulates one spec runs from a shared
+  /// SimPlan instead); the benchmark under perfbench/ still does.
   ProgramCache* programs = nullptr;
 };
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "analysis/context.h"
 #include "analysis/verifier.h"
 #include "fuzz/rng.h"
 #include "graph/access_graph.h"
@@ -11,6 +12,7 @@
 #include "refine/refiner.h"
 #include "analysis/schedules/explore.h"
 #include "sim/equivalence.h"
+#include "sim/plan.h"
 #include "spec/builder.h"
 #include "spec/mutate.h"
 #include "telemetry/telemetry.h"
@@ -128,21 +130,21 @@ struct TierResults {
   }
 };
 
-/// Runs `spec` on all three tiers and reports any disagreement. The runs are
-/// returned so the equivalence oracle can compare them without simulating
-/// again.
-TierResults check_interp_diff(const Specification& spec,
+/// Runs the planned spec on all three tiers and reports any disagreement.
+/// The runs are returned so the equivalence oracle can compare them without
+/// simulating again.
+TierResults check_interp_diff(const std::shared_ptr<const SimPlan>& plan,
                               const std::string& oracle, OracleOutcome& out,
                               uint64_t max_cycles) {
   SimConfig cfg;
   cfg.max_cycles = max_cycles;
   TierResults r;
   cfg.exec_tier = ExecTier::Lowered;
-  r.lowered = Simulator(spec, cfg).run();
+  r.lowered = Simulator(plan, cfg).run();
   cfg.exec_tier = ExecTier::Tree;
-  r.tree = Simulator(spec, cfg).run();
+  r.tree = Simulator(plan, cfg).run();
   cfg.exec_tier = ExecTier::Bytecode;
-  r.bytecode = Simulator(spec, cfg).run();
+  r.bytecode = Simulator(plan, cfg).run();
   const std::string diff = diff_sim_results(r.lowered, r.tree);
   if (!diff.empty()) add_issue(out, oracle, "lowered vs tree: " + diff);
   const std::string bdiff = diff_sim_results(r.bytecode, r.lowered);
@@ -151,9 +153,9 @@ TierResults check_interp_diff(const Specification& spec,
 }
 
 // -- oracle 3/8: static verifier silence -------------------------------------
-void check_analysis(const Specification& spec, const std::string& oracle,
+void check_analysis(const analysis::Context& ctx, const std::string& oracle,
                     OracleOutcome& out) {
-  const analysis::Report rep = analysis::analyze(spec);
+  const analysis::Report rep = analysis::analyze(ctx);
   if (rep.clean()) return;
   std::ostringstream os;
   for (const analysis::Finding& f : rep.findings) os << f.str() << "; ";
@@ -235,9 +237,15 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
                      telemetry::Stability::Stable, 1);
   };
 
-  DiagnosticSink diags;
-  if (!validate(spec, diags)) {
-    add_issue(out, "generator", "spec does not validate: " + diags.str());
+  // Each spec is validated, lowered, compiled and walked once: one plan
+  // (every tier) feeds interp-diff and every explored schedule, and one
+  // analysis Context feeds analysis-* and the schedule-inclusion pruning.
+  std::shared_ptr<const SimPlan> plan;
+  try {
+    plan = SimPlan::build(spec);
+  } catch (const SpecError& e) {
+    add_issue(out, "generator",
+              std::string("spec does not validate: ") + e.what());
     tally("generator", 0);
     return out;
   }
@@ -248,10 +256,11 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   tally("roundtrip", before);
   before = out.issues.size();
   const TierResults original_runs =
-      check_interp_diff(spec, "interp-diff", out, opts.max_cycles);
+      check_interp_diff(plan, "interp-diff", out, opts.max_cycles);
   tally("interp-diff", before);
+  const analysis::Context ctx(spec);
   before = out.issues.size();
-  check_analysis(spec, "analysis-original", out);
+  check_analysis(ctx, "analysis-original", out);
   tally("analysis-original", before);
 
   Specification refined;
@@ -276,9 +285,12 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
     return out;
   }
 
-  DiagnosticSink rd;
-  if (!validate(refined, rd)) {
-    add_issue(out, "refiner", "refined spec does not validate: " + rd.str());
+  std::shared_ptr<const SimPlan> refined_plan;
+  try {
+    refined_plan = SimPlan::build(refined);
+  } catch (const SpecError& e) {
+    add_issue(out, "refiner",
+              std::string("refined spec does not validate: ") + e.what());
     tally("refiner", before);
     return out;
   }
@@ -289,7 +301,7 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   tally("roundtrip-refined", before);
   before = out.issues.size();
   const TierResults refined_runs = check_interp_diff(
-      refined, "interp-diff-refined", out, opts.max_cycles);
+      refined_plan, "interp-diff-refined", out, opts.max_cycles);
   tally("interp-diff-refined", before);
 
   // interp-diff already ran both specs on every tier under the equivalence
@@ -302,8 +314,10 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   if (!rep.equivalent) add_issue(out, "equivalence", rep.summary());
   tally("equivalence", before);
 
+  // Built after the refined runs so its maps are not live beside them.
+  const analysis::Context refined_ctx(refined);
   before = out.issues.size();
-  check_analysis(refined, "analysis-refined", out);
+  check_analysis(refined_ctx, "analysis-refined", out);
   tally("analysis-refined", before);
 
   if (opts.explore_schedules > 0) {
@@ -318,11 +332,12 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
       analysis::schedules::ExploreOptions xo;
       xo.max_schedules = opts.explore_schedules;
       xo.config.max_cycles = opts.max_cycles;
-      if (opts.exec_tier) xo.config.exec_tier = *opts.exec_tier;
+      xo.config.exec_tier = tier;
       xo.compare_write_traces =
           cfg.protocol == ProtocolStyle::FullHandshake;
       const analysis::schedules::InclusionResult inc =
-          analysis::schedules::check_inclusion(spec, refined, xo);
+          analysis::schedules::check_inclusion(ctx, plan, refined_ctx,
+                                               refined_plan, xo);
       if (!inc.holds) {
         add_issue(out, "schedule-inclusion", inc.violation);
       }

@@ -502,11 +502,8 @@ class BytecodeCompiler {
 };
 
 std::shared_ptr<const BytecodeProgram> BytecodeProgram::compile(
-    const Specification& spec, const VarTable& vars,
-    const SignalTable& signals) {
-  const std::unique_ptr<const Program> prog =
-      Program::compile(spec, vars, signals);
-  return BytecodeCompiler(*prog).run();
+    const Program& prog) {
+  return BytecodeCompiler(prog).run();
 }
 
 }  // namespace specsyn

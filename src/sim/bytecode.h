@@ -172,12 +172,11 @@ struct BBehavior {
 
 class BytecodeProgram {
  public:
-  /// Compiles via the lowering pass (Program::compile) and flattens the
-  /// result. Requirements match Program::compile: validated spec, tables
-  /// built in declaration order.
-  static std::shared_ptr<const BytecodeProgram> compile(
-      const Specification& spec, const VarTable& vars,
-      const SignalTable& signals);
+  /// Flattens a lowered Program (Program::compile). The result keeps no
+  /// pointer into `prog`, only `src` back-pointers into the spec, so the
+  /// Program may be dropped afterwards; SimPlan (sim/plan.h) compiles both
+  /// compiled tiers from one lowering this way.
+  static std::shared_ptr<const BytecodeProgram> compile(const Program& prog);
 
   [[nodiscard]] const std::vector<BInstr>& code() const { return code_; }
   [[nodiscard]] const std::vector<LOp>& spill_ops() const { return spill_ops_; }

@@ -4,8 +4,8 @@
 // procedure local) through string-keyed hash lookups on every access, and
 // re-derives control decisions (transition-arc matching, child indices) from
 // the source Specification on every step. `Program` removes all of that from
-// the steady state: it is built once per Simulator from a *validated*
-// Specification and pre-resolves
+// the steady state: it is built once per SimPlan (sim/plan.h) from a
+// *validated* Specification and pre-resolves
 //
 //   * every `Expr::NameRef` into a `{scope, slot}` reference — a dense index
 //     into the global VarTable, the SignalTable, or the enclosing procedure's
@@ -140,7 +140,7 @@ struct LBehavior {
 
 /// The compiled plan. Owns all lowered nodes; pointers handed out are stable
 /// for the Program's lifetime. Compilation requires a validated spec and the
-/// Simulator's already-built variable/signal tables (slot authorities).
+/// plan's already-built variable/signal tables (slot authorities).
 class Program {
  public:
   static std::unique_ptr<const Program> compile(const Specification& spec,

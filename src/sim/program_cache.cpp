@@ -3,8 +3,7 @@
 #include <utility>
 
 #include "printer/printer.h"
-#include "sim/bytecode.h"
-#include "sim/program.h"
+#include "sim/plan.h"
 #include "telemetry/telemetry.h"
 
 namespace specsyn {
@@ -33,7 +32,7 @@ std::string make_key(const Specification& spec, const SimConfig& cfg) {
 ProgramCache::ProgramCache(size_t capacity)
     : capacity_(capacity > 0 ? capacity : 1) {}
 
-std::shared_ptr<const CachedProgram> ProgramCache::get(
+std::shared_ptr<const SimPlan> ProgramCache::get(
     const Specification& spec, const SimConfig& cfg) {
   std::string key = make_key(spec, cfg);
   {
@@ -43,31 +42,23 @@ std::shared_ptr<const CachedProgram> ProgramCache::get(
       lru_.splice(lru_.begin(), lru_, it->second);  // bump to MRU
       ++stats_.hits;
       SPECSYN_TM_COUNT("cache.l1.hit", telemetry::Stability::Sched, 1);
-      return it->second->cached;
+      return it->second->plan;
     }
   }
 
-  // Miss: compile outside the lock — that is the expensive part; a
-  // concurrent miss on the same key just compiles twice and one entry wins.
-  // The entry owns a clone of the spec so cached plans never point into a
-  // caller's (possibly shorter-lived) Specification.
-  auto cached = std::make_shared<CachedProgram>();
-  auto clone = std::make_shared<Specification>(spec.clone());
-  VarTable vars;
-  SignalTable signals;
-  for (const VarDecl* v : clone->all_vars()) vars.add(v->name, v->type, v->init);
-  for (const SignalDecl* s : clone->all_signals()) {
-    signals.add(s->name, s->type, s->init);
-  }
-
-  if (cfg.exec_tier == ExecTier::Bytecode) {
-    telemetry::Span span("bytecode_compile", telemetry::Stability::Sched);
-    cached->bytecode = BytecodeProgram::compile(*clone, vars, signals);
-  } else {
-    telemetry::Span span("lower", telemetry::Stability::Sched);
-    cached->program = Program::compile(*clone, vars, signals);
-  }
-  cached->source = std::move(clone);
+  // Miss: build outside the lock — that is the expensive part; a
+  // concurrent miss on the same key just builds twice and one entry wins.
+  // The plan is built over a clone of the spec, and the pointer handed out
+  // shares ownership of both, so cached plans never point into a caller's
+  // (possibly shorter-lived) Specification.
+  struct Owned {
+    Specification spec;
+    std::shared_ptr<const SimPlan> plan;
+  };
+  auto owned = std::make_shared<Owned>();
+  owned->spec = spec.clone();
+  owned->plan = SimPlan::build(owned->spec, cfg.exec_tier);
+  std::shared_ptr<const SimPlan> plan(owned, owned->plan.get());
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
@@ -75,11 +66,11 @@ std::shared_ptr<const CachedProgram> ProgramCache::get(
     lru_.splice(lru_.begin(), lru_, it->second);
     ++stats_.hits;
     SPECSYN_TM_COUNT("cache.l1.hit", telemetry::Stability::Sched, 1);
-    return it->second->cached;
+    return it->second->plan;
   }
   ++stats_.misses;
   SPECSYN_TM_COUNT("cache.l1.miss", telemetry::Stability::Sched, 1);
-  lru_.push_front(Entry{key, cached});
+  lru_.push_front(Entry{key, plan});
   index_.emplace(std::move(key), lru_.begin());
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().key);
@@ -87,7 +78,7 @@ std::shared_ptr<const CachedProgram> ProgramCache::get(
     ++stats_.evictions;
     SPECSYN_TM_COUNT("cache.l1.evict", telemetry::Stability::Sched, 1);
   }
-  return cached;
+  return plan;
 }
 
 ProgramCache::Stats ProgramCache::stats() const {

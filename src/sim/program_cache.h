@@ -1,21 +1,19 @@
-// Content-keyed LRU cache of compiled execution plans (sim/program.h,
-// sim/bytecode.h).
+// Content-keyed LRU cache of one-tier simulation plans (sim/plan.h).
 //
 // Entries are keyed by the *canonical printed form* of the specification
 // plus the SimConfig fields, so two Specification objects with identical
 // content share one plan, and any SimConfig change misses (and thereby
 // invalidates) cleanly. Printing the key costs about as much as compiling a
-// refined spec, so sweeps and the fuzz oracles do not consult the cache:
-// they simulate each spec once per point or seed and reuse the result. The
-// remaining in-tree user is schedule exploration on a pool
-// (`check --explore-schedules --jobs N`), through the workers' caches.
+// refined spec, so nothing in the library consults the cache: callers that
+// simulate one spec several times build one SimPlan and share it. The cache's
+// only remaining caller is the benchmark under perfbench/.
 //
-// A Program holds `src` back-pointers into the Specification it was compiled
-// from, so a cached Program cannot point into the caller's spec (which may
-// die before the cache entry does). Each entry therefore owns a clone of the
-// source spec and compiles against that clone; slot indices still line up
-// with any content-identical spec because the Simulator's VarTable /
-// SignalTable are built in deterministic declaration order.
+// A plan holds `src` back-pointers into the Specification it was built
+// from, so a cached plan cannot point into the caller's spec (which may die
+// before the cache entry does). Each entry therefore owns a clone of the
+// source spec and is built from that clone; slot indices still line up with
+// any content-identical spec because plans lay out their tables in
+// deterministic declaration order.
 //
 // Thread-safety: all public members are safe to call concurrently (one mutex
 // around the index; compilation happens outside the lock, so two threads
@@ -31,32 +29,22 @@
 #include <string>
 #include <unordered_map>
 
+#include "sim/plan.h"
 #include "sim/simulator.h"
 
 namespace specsyn {
-
-class BytecodeProgram;
-
-/// A compiled execution plan together with the spec clone it points into.
-/// Exactly one of `program` (lowered tier) / `bytecode` (bytecode tier) is
-/// set, per the SimConfig the entry was fetched under. Holders keep the
-/// shared_ptr for as long as they use the plan (the Simulator does this
-/// automatically).
-struct CachedProgram {
-  std::shared_ptr<const Specification> source;
-  std::shared_ptr<const Program> program;
-  std::shared_ptr<const BytecodeProgram> bytecode;
-};
 
 class ProgramCache {
  public:
   /// `capacity` bounds the number of retained programs (LRU eviction).
   explicit ProgramCache(size_t capacity = 16);
 
-  /// Returns the compiled plan (per cfg.exec_tier) for a spec with this
-  /// content under `cfg`, compiling on miss. `spec` must be valid
-  /// (validate_or_throw).
-  [[nodiscard]] std::shared_ptr<const CachedProgram> get(
+  /// Returns the plan for cfg.exec_tier alone (SimPlan::build) for a spec
+  /// with this content under `cfg`, building it over an owned clone of
+  /// `spec` on a miss (which validates; SpecError when invalid). Holders keep
+  /// the shared_ptr for as long as they use the plan (the Simulator does this
+  /// automatically).
+  [[nodiscard]] std::shared_ptr<const SimPlan> get(
       const Specification& spec, const SimConfig& cfg);
 
   struct Stats {
@@ -72,7 +60,7 @@ class ProgramCache {
  private:
   struct Entry {
     std::string key;
-    std::shared_ptr<const CachedProgram> cached;
+    std::shared_ptr<const SimPlan> plan;
   };
 
   mutable std::mutex mu_;

@@ -8,6 +8,7 @@
 #include "printer/printer.h"
 #include "sim/bytecode.h"
 #include "sim/frames.h"
+#include "sim/plan.h"
 #include "sim/program.h"
 #include "sim/program_cache.h"
 #include "telemetry/telemetry.h"
@@ -92,32 +93,41 @@ std::priority_queue<Ev, std::vector<Ev>, std::greater<>> make_queue(
       std::greater<>(), std::move(storage));
 }
 
+std::shared_ptr<const SimPlan> plan_for(const Specification& spec,
+                                        const SimConfig& cfg,
+                                        ProgramCache* programs) {
+  if (programs != nullptr && cfg.exec_tier != ExecTier::Tree) {
+    return programs->get(spec, cfg);
+  }
+  return SimPlan::build(spec, cfg.exec_tier);
+}
+
 }  // namespace
 
 Simulator::Simulator(const Specification& spec, SimConfig cfg,
                      ProgramCache* programs)
-    : spec_(spec), cfg_(cfg) {
-  validate_or_throw(spec_);
-  build_tables();
+    : Simulator(plan_for(spec, cfg, programs), cfg) {}
+
+Simulator::Simulator(std::shared_ptr<const SimPlan> plan, SimConfig cfg)
+    : plan_(std::move(plan)),
+      spec_(plan_->spec()),
+      cfg_(std::move(cfg)),
+      vars_(plan_->vars()),
+      signals_(plan_->signals()),
+      observable_(plan_->observable().data()) {
+  if (!plan_->has_tier(cfg_.exec_tier)) {
+    throw SpecError(std::string("simulation plan for '") + spec_.name +
+                    "' was not built for the " +
+                    exec_tier_name(cfg_.exec_tier) + " tier");
+  }
+  waiters_.resize(signals_.size());
   if (cfg_.exec_tier == ExecTier::Lowered) {
-    if (programs != nullptr) {
-      cached_ = programs->get(spec_, cfg_);
-      prog_ = cached_->program;
-    } else {
-      telemetry::Span span("lower", telemetry::Stability::Sched);
-      prog_ = Program::compile(spec_, vars_, signals_);
-    }
+    prog_ = plan_->program();
     ops_base_ = prog_->ops().data();
     eval_stack_.assign(std::max<uint32_t>(1, prog_->max_eval_stack()), 0);
     completions_.assign(prog_->behavior_count(), 0);
   } else if (cfg_.exec_tier == ExecTier::Bytecode) {
-    if (programs != nullptr) {
-      cached_ = programs->get(spec_, cfg_);
-      bprog_ = cached_->bytecode;
-    } else {
-      telemetry::Span span("bytecode_compile", telemetry::Stability::Sched);
-      bprog_ = BytecodeProgram::compile(spec_, vars_, signals_);
-    }
+    bprog_ = plan_->bytecode();
     bcode_ = bprog_->code().data();
     regs_.assign(kMaxRegs, 0);
     staging_.assign(std::max<uint32_t>(1, bprog_->max_proc_locals()), 0);
@@ -212,18 +222,6 @@ void Simulator::notify_signal_schedule(uint32_t slot, uint64_t value,
   for (SlotObserver* o : slot_observers_) {
     o->on_signal_schedule(slot, behavior, now_, wrapped);
   }
-}
-
-void Simulator::build_tables() {
-  for (const VarDecl* v : spec_.all_vars()) {
-    const size_t idx = vars_.add(v->name, v->type, v->init);
-    observable_.resize(vars_.size(), 0);
-    if (v->is_observable) observable_[idx] = 1;
-  }
-  for (const SignalDecl* s : spec_.all_signals()) {
-    signals_.add(s->name, s->type, s->init);
-  }
-  waiters_.resize(signals_.size());
 }
 
 Simulator::Process& Simulator::spawn(const Behavior* b, const LBehavior* lb,

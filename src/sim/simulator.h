@@ -252,14 +252,21 @@ struct BWaitSite;
 struct BTarget;
 
 class ProgramCache;
-struct CachedProgram;
+class SimPlan;
 
 class Simulator {
  public:
-  /// `spec` must outlive the simulator and be valid (validate_or_throw).
-  /// When `programs` is non-null (and a compiled tier is selected), the
-  /// compiled plan is fetched from / inserted into that cache instead of
-  /// compiled fresh — the cache entry is pinned for the simulator's lifetime.
+  /// Runs `plan` (sim/plan.h) on cfg.exec_tier, which must be a tier the
+  /// plan holds (SpecError otherwise). Validates and compiles nothing; the
+  /// plan is pinned for the simulator's lifetime and may be shared with
+  /// other simulators on other threads.
+  explicit Simulator(std::shared_ptr<const SimPlan> plan, SimConfig cfg = {});
+
+  /// Builds a plan for cfg.exec_tier alone, which validates `spec` (SpecError
+  /// when invalid); `spec` must outlive the simulator. When `programs` is
+  /// non-null and a compiled tier is selected, the plan is fetched from /
+  /// inserted into that cache instead (a hit skips validation: the entry's
+  /// content-identical spec was validated when it was built).
   explicit Simulator(const Specification& spec, SimConfig cfg = {},
                      ProgramCache* programs = nullptr);
 
@@ -293,7 +300,6 @@ class Simulator {
   struct Frame;
 
   // kernel (simulator.cpp)
-  void build_tables();
   Process& spawn(const Behavior* b, const LBehavior* lb, const BBehavior* bb,
                  Process* parent);
   void enqueue(Process& p, uint64_t time);
@@ -364,6 +370,9 @@ class Simulator {
 
   const std::string& current_behavior(const Process& p) const;
 
+  /// Validated spec, slot layouts and compiled programs; everything below
+  /// that points into a program or the spec is anchored by this.
+  std::shared_ptr<const SimPlan> plan_;
   const Specification& spec_;
   SimConfig cfg_;
   std::vector<SlotObserver*> slot_observers_;
@@ -371,12 +380,8 @@ class Simulator {
   VarTable vars_;
   SignalTable signals_;
 
-  /// Compiled execution plan (null unless exec_tier == Lowered). Shared:
-  /// either owned solely by this simulator or pinned in a ProgramCache.
-  std::shared_ptr<const Program> prog_;
-  /// Cache entry anchor: keeps the spec clone a cached prog_ points into
-  /// alive for the simulator's lifetime (null when compiled fresh).
-  std::shared_ptr<const CachedProgram> cached_;
+  /// The plan's lowered Program (null unless exec_tier == Lowered).
+  const Program* prog_ = nullptr;
   /// Base of prog_'s pooled postfix ops (cached; LExpr ranges index into it).
   const LOp* ops_base_ = nullptr;
   /// Scratch value stack for leval (lowered; sized to max_eval_stack) and
@@ -387,7 +392,7 @@ class Simulator {
   std::vector<uint64_t> completions_;
 
   /// Bytecode tier state (null/empty under the other tiers).
-  std::shared_ptr<const BytecodeProgram> bprog_;
+  const BytecodeProgram* bprog_ = nullptr;
   const BInstr* bcode_ = nullptr;     // cached bprog_->code().data()
   std::vector<uint64_t> regs_;        // register file (kMaxRegs slots)
   std::vector<uint64_t> staging_;     // pending call in-args, by param slot
@@ -475,8 +480,9 @@ class Simulator {
   // blocked-on-wait bookkeeping, indexed by signal slot
   std::vector<std::vector<Process*>> waiters_;
 
-  // observability flag per variable slot (writes to flagged slots are traced)
-  std::vector<uint8_t> observable_;
+  // observability flag per variable slot (writes to flagged slots are
+  // traced); the plan's table
+  const uint8_t* observable_ = nullptr;
 
   // Committed observable writes, slot-indexed; names are materialized into
   // WriteEvents once at the end of run() instead of copied per write.

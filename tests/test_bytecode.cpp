@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/bytecode.h"
+#include "sim/plan.h"
 #include "sim/program_cache.h"
 #include "sim/simulator.h"
 #include "spec/builder.h"
@@ -14,14 +15,9 @@ namespace specsyn {
 namespace {
 
 std::shared_ptr<const BytecodeProgram> compile_spec(const Specification& spec) {
-  validate_or_throw(spec);
-  VarTable vars;
-  SignalTable signals;
-  for (const VarDecl* v : spec.all_vars()) vars.add(v->name, v->type, v->init);
-  for (const SignalDecl* s : spec.all_signals()) {
-    signals.add(s->name, s->type, s->init);
-  }
-  return BytecodeProgram::compile(spec, vars, signals);
+  const std::shared_ptr<const SimPlan> plan =
+      SimPlan::build(spec, ExecTier::Bytecode);
+  return {plan, plan->bytecode()};
 }
 
 bool has_op(const BytecodeProgram& p, BOp op) {
@@ -236,10 +232,10 @@ TEST(ProgramCacheTiers, TiersGetSeparateEntries) {
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a, b);
-  EXPECT_NE(a->program, nullptr);
-  EXPECT_EQ(a->bytecode, nullptr);
-  EXPECT_EQ(b->program, nullptr);
-  EXPECT_NE(b->bytecode, nullptr);
+  EXPECT_NE(a->program(), nullptr);
+  EXPECT_EQ(a->bytecode(), nullptr);
+  EXPECT_EQ(b->program(), nullptr);
+  EXPECT_NE(b->bytecode(), nullptr);
   EXPECT_EQ(cache.stats().misses, 2u);
 
   auto a2 = cache.get(spec, lowered);

@@ -15,12 +15,15 @@
 #include "refine/refiner.h"
 #include "sim/simulator.h"
 #include "spec/builder.h"
+#include "test_util.h"
 #include "workloads/answering.h"
 #include "workloads/medical.h"
 #include "workloads/synthetic.h"
 
 namespace specsyn {
 namespace {
+
+using testing::RecordingObserver;
 
 SimResult simulate(const Specification& spec, ExecTier tier,
                    SlotObserver* obs = nullptr) {
@@ -117,65 +120,6 @@ TEST(LoweringDifferential, ExampleSpecFiles) {
     expect_identical_results(*spec);
   }
 }
-
-// Records every observer callback as a printable line, with slots and ids
-// resolved to names through the Binding, so whole streams can be compared
-// across tiers; proves every tier fires the same events at the same times in
-// the same order.
-class RecordingObserver : public SlotObserver {
- public:
-  void on_bind(const Binding& b) override {
-    binding_ = b;
-    add("bind", std::to_string(b.vars->size()),
-        std::to_string(b.signals->size()), 0, b.behavior_names->size());
-  }
-  void on_var_read(uint32_t slot, uint32_t behavior, uint64_t time) override {
-    add("read", var(slot), name(behavior), time, 0);
-  }
-  void on_var_write(uint32_t slot, uint32_t behavior, uint64_t time,
-                    uint64_t value) override {
-    add("write", var(slot), name(behavior), time, value);
-  }
-  void on_signal_commit(uint32_t slot, uint64_t time,
-                        uint64_t value) override {
-    add("commit", signal(slot), "", time, value);
-  }
-  void on_signal_schedule(uint32_t slot, uint32_t behavior, uint64_t time,
-                          uint64_t value) override {
-    add("schedule", signal(slot), name(behavior), time, value);
-  }
-  void on_behavior_start(uint32_t behavior, uint64_t process,
-                         uint64_t time) override {
-    add("start", name(behavior), std::to_string(process), time, 0);
-  }
-  void on_behavior_end(uint32_t behavior, uint64_t process,
-                       uint64_t time) override {
-    add("end", name(behavior), std::to_string(process), time, 0);
-  }
-  void on_run_end(uint64_t end_time) override {
-    add("run_end", "", "", end_time, 0);
-  }
-
-  std::vector<std::string> events;
-
- private:
-  [[nodiscard]] const std::string& var(uint32_t slot) const {
-    return binding_.vars->name_of(slot);
-  }
-  [[nodiscard]] const std::string& signal(uint32_t slot) const {
-    return binding_.signals->name_of(slot);
-  }
-  [[nodiscard]] const std::string& name(uint32_t behavior) const {
-    return binding_.behavior_names->at(behavior);
-  }
-  void add(const char* kind, const std::string& a, const std::string& b,
-           uint64_t time, uint64_t value) {
-    events.push_back(std::string(kind) + " " + a + " " + b + " @" +
-                     std::to_string(time) + " = " + std::to_string(value));
-  }
-
-  Binding binding_;
-};
 
 bool has_event(const std::vector<std::string>& events, const char* kind) {
   const std::string prefix = std::string(kind) + " ";

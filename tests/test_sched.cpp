@@ -29,21 +29,10 @@ using analysis::schedules::Outcome;
 using analysis::schedules::outcome_of;
 using namespace specsyn::build;
 using specsyn::testing::parse_or_die;
+using specsyn::testing::racy_spec;
 
 constexpr ExecTier kTiers[] = {ExecTier::Tree, ExecTier::Lowered,
                                ExecTier::Bytecode};
-
-/// Two concurrent writers storing different constants into one shared
-/// observable variable — the canonical schedule-sensitive spec.
-Specification racy_spec() {
-  Specification s;
-  s.name = "Racy";
-  s.vars.push_back(var("winner", Type::u8(), 0, /*observable=*/true));
-  auto a = leaf("WriterA", block(assign("winner", lit(1))));
-  auto b = leaf("WriterB", block(assign("winner", lit(2))));
-  s.top = conc("Race", behaviors(std::move(a), std::move(b)));
-  return s;
-}
 
 /// Two concurrent writers of *different* variables: concurrent but
 /// independent, so no reordering can change the outcome and the explorer

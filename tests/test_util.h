@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "parser/parser.h"
 #include "printer/printer.h"
@@ -80,5 +81,77 @@ inline Specification medical_like_spec() {
                                std::move(l3), std::move(l4), std::move(l5)));
   return s;
 }
+
+/// Two concurrent writers storing different constants into one shared
+/// observable variable — the canonical schedule-sensitive spec.
+inline Specification racy_spec() {
+  using namespace build;
+  Specification s;
+  s.name = "Racy";
+  s.vars.push_back(var("winner", Type::u8(), 0, /*observable=*/true));
+  auto a = leaf("WriterA", block(assign("winner", lit(1))));
+  auto b = leaf("WriterB", block(assign("winner", lit(2))));
+  s.top = conc("Race", behaviors(std::move(a), std::move(b)));
+  return s;
+}
+
+// Records every observer callback as a printable line, with slots and ids
+// resolved to names through the Binding, so whole streams can be compared
+// across tiers; proves every tier fires the same events at the same times in
+// the same order.
+class RecordingObserver : public SlotObserver {
+ public:
+  void on_bind(const Binding& b) override {
+    binding_ = b;
+    add("bind", std::to_string(b.vars->size()),
+        std::to_string(b.signals->size()), 0, b.behavior_names->size());
+  }
+  void on_var_read(uint32_t slot, uint32_t behavior, uint64_t time) override {
+    add("read", var(slot), name(behavior), time, 0);
+  }
+  void on_var_write(uint32_t slot, uint32_t behavior, uint64_t time,
+                    uint64_t value) override {
+    add("write", var(slot), name(behavior), time, value);
+  }
+  void on_signal_commit(uint32_t slot, uint64_t time,
+                        uint64_t value) override {
+    add("commit", signal(slot), "", time, value);
+  }
+  void on_signal_schedule(uint32_t slot, uint32_t behavior, uint64_t time,
+                          uint64_t value) override {
+    add("schedule", signal(slot), name(behavior), time, value);
+  }
+  void on_behavior_start(uint32_t behavior, uint64_t process,
+                         uint64_t time) override {
+    add("start", name(behavior), std::to_string(process), time, 0);
+  }
+  void on_behavior_end(uint32_t behavior, uint64_t process,
+                       uint64_t time) override {
+    add("end", name(behavior), std::to_string(process), time, 0);
+  }
+  void on_run_end(uint64_t end_time) override {
+    add("run_end", "", "", end_time, 0);
+  }
+
+  std::vector<std::string> events;
+
+ private:
+  [[nodiscard]] const std::string& var(uint32_t slot) const {
+    return binding_.vars->name_of(slot);
+  }
+  [[nodiscard]] const std::string& signal(uint32_t slot) const {
+    return binding_.signals->name_of(slot);
+  }
+  [[nodiscard]] const std::string& name(uint32_t behavior) const {
+    return binding_.behavior_names->at(behavior);
+  }
+  void add(const char* kind, const std::string& a, const std::string& b,
+           uint64_t time, uint64_t value) {
+    events.push_back(std::string(kind) + " " + a + " " + b + " @" +
+                     std::to_string(time) + " = " + std::to_string(value));
+  }
+
+  Binding binding_;
+};
 
 }  // namespace specsyn::testing

@@ -84,6 +84,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/context.h"
 #include "analysis/verifier.h"
 #include "batch/sweep.h"
 #include "batch/thread_pool.h"
@@ -565,7 +566,9 @@ Partition build_partition(const Args& a, const Specification& spec,
 }
 
 int cmd_check(const Args& a, const Specification& spec) {
-  analysis::Report rep = analysis::analyze(spec);
+  // One Context serves the static checkers and the exploration's pruning.
+  const analysis::Context ctx(spec);
+  analysis::Report rep = analysis::analyze(ctx);
   if (a.explore_schedules > 0) {
     analysis::ScheduleCheckOptions sopts;
     sopts.max_schedules = a.explore_schedules;
@@ -577,7 +580,7 @@ int cmd_check(const Args& a, const Specification& spec) {
     // same code path and emit the same stable telemetry for any job count.
     batch::ThreadPool pool(workers);
     sopts.pool = &pool;
-    analysis::check_schedules(spec, rep, sopts);
+    analysis::check_schedules(ctx, rep, sopts);
   }
   if (a.json) {
     const int rc = write_output(a, rep.json(spec.name));
