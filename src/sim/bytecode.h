@@ -17,8 +17,8 @@
 //     (WaitSigEq/WaitSigNz for `wait sig == k`, SigImm for `sig <= k`,
 //     AssignImm/AssignLoad for constant and copy assignments) — fusion never
 //     crosses a statement boundary because every statement must still consume
-//     exactly one scheduling step (`SimConfig::stmt_cost` cycles) to stay
-//     bit-identical with the other two tiers.
+//     exactly one scheduling step (one cycle) to stay bit-identical with the
+//     other two tiers.
 //
 // Instructions split into *micro-ops* (expression evaluation; consume no
 // scheduling step) and *statement terminals* (end the step and re-enqueue the

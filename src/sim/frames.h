@@ -1,6 +1,6 @@
-// Internal definitions of the simulator's activation records. Shared by
-// simulator.cpp (kernel) and interp.cpp (statement interpreter); not part of
-// the public API.
+// Internal definitions of the simulator's activation records and its
+// one-cycle scheduling primitives. Shared by simulator.cpp (kernel) and the
+// three statement interpreters; not part of the public API.
 #pragma once
 
 #include <memory>
@@ -78,5 +78,18 @@ struct Simulator::Process {
   Process* parent = nullptr;        // forking process (Conc), or null
   std::vector<const Behavior*> behavior_stack;  // innermost = attribution
 };
+
+// A statement costs one cycle: the process's next step lands in the next
+// instant's bucket.
+inline void Simulator::rearm_step(Process& p) {
+  p.status = Process::Status::Ready;
+  fb_next_->runs.push_back(&p);
+}
+
+// A `<=` becomes visible one cycle later, committed before that instant's
+// steps in issue order.
+inline void Simulator::schedule_signal(size_t idx, uint64_t value) {
+  fb_next_->sigs.push_back({static_cast<uint32_t>(idx), value});
+}
 
 }  // namespace specsyn

@@ -141,7 +141,7 @@ void Simulator::seq_advance(Process& p) {
     f.child = next;
     enter_behavior(*b.children[next], p);
   }
-  enqueue(p, now_ + cfg_.stmt_cost);
+  rearm_step(p);
 }
 
 void Simulator::step(Process& p) {
@@ -167,7 +167,7 @@ void Simulator::step(Process& p) {
             body.kind = Frame::Kind::Block;
             body.stmts = &b.body;
             p.stack.push_back(std::move(body));
-            enqueue(p, now_ + cfg_.stmt_cost);
+            rearm_step(p);
             break;
           }
           case BehaviorKind::Sequential: {
@@ -175,7 +175,7 @@ void Simulator::step(Process& p) {
             seq.kind = Frame::Kind::Seq;
             seq.behavior = &b;
             p.stack.push_back(std::move(seq));
-            enqueue(p, now_ + cfg_.stmt_cost);
+            rearm_step(p);
             break;
           }
           case BehaviorKind::Concurrent: {
@@ -187,7 +187,7 @@ void Simulator::step(Process& p) {
             p.status = Process::Status::Blocked;  // until children join
             for (const auto& c : b.children) {
               Process& cp = spawn(c.get(), nullptr, nullptr, &p);
-              enqueue(cp, now_ + cfg_.stmt_cost);
+              rearm_step(cp);
             }
             break;
           }
@@ -210,7 +210,7 @@ void Simulator::step(Process& p) {
           // transition decision is attributed to the composite.
           seq_advance(p);
         } else {
-          enqueue(p, now_ + cfg_.stmt_cost);
+          rearm_step(p);
         }
       }
       break;
@@ -221,7 +221,7 @@ void Simulator::step(Process& p) {
         f.started = true;
         f.child = 0;
         enter_behavior(*f.behavior->children[0], p);
-        enqueue(p, now_ + cfg_.stmt_cost);
+        rearm_step(p);
       } else {
         // Reached only if a child completed without the Behavior frame
         // dispatching (defensive; normal path goes through seq_advance).
@@ -236,7 +236,7 @@ void Simulator::step(Process& p) {
         throw SpecError("internal: conc frame stepped with children running");
       }
       leave_frame(p);
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
 
@@ -249,13 +249,13 @@ void Simulator::step(Process& p) {
         } else {
           leave_frame(p);
         }
-        enqueue(p, now_ + cfg_.stmt_cost);
+        rearm_step(p);
       } else if (f.owner != nullptr && f.owner->kind == Stmt::Kind::Loop) {
         f.idx = 0;
-        enqueue(p, now_ + cfg_.stmt_cost);
+        rearm_step(p);
       } else {
         leave_frame(p);
-        enqueue(p, now_ + cfg_.stmt_cost);
+        rearm_step(p);
       }
       break;
     }
@@ -267,7 +267,7 @@ void Simulator::step(Process& p) {
       for (const auto& [param, dest] : call.call_state->out_binds) {
         write_var(dest, call.call_state->locals.at(param), p);
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Frame::Kind::Code:
@@ -282,7 +282,7 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
       const uint64_t v = eval(*s.expr, p);
       write_var(s.target, v, p);
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::SignalAssign: {
@@ -294,9 +294,9 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
       if (!slot_observers_.empty()) {
         notify_signal_schedule(static_cast<uint32_t>(si), v, p);
       }
-      schedule_signal(si, v, now_ + cfg_.signal_delay);
+      schedule_signal(si, v);
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::If: {
@@ -309,7 +309,7 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
         body.stmts = &blk;
         p.stack.push_back(std::move(body));
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::While: {
@@ -321,7 +321,7 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
         body.owner = &s;
         p.stack.push_back(std::move(body));
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::Loop: {
@@ -331,13 +331,13 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
       body.stmts = &s.then_block;
       body.owner = &s;
       p.stack.push_back(std::move(body));
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::Wait: {
       if (eval(*s.expr, p) != 0) {
         ++f.idx;
-        enqueue(p, now_ + cfg_.stmt_cost);
+        rearm_step(p);
       } else {
         block_on(p, *s.expr);
       }
@@ -379,7 +379,7 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
       body.kind = Frame::Kind::Block;
       body.stmts = &proc->body;
       p.stack.push_back(std::move(body));
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::Break: {
@@ -393,12 +393,12 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
         p.stack.pop_back();
         if (is_loop) break;
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::Nop: {
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
   }

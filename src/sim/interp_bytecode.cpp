@@ -10,8 +10,8 @@
 // per instruction, which branch predictors specialize per preceding opcode);
 // define SPECSYN_BYTECODE_SWITCH_DISPATCH to force the portable switch loop.
 //
-// This file also owns the bucket-scheduler event loop (run_fast_loop) so the
-// whole hot path — event loop, frame dispatch, VM — is one translation unit
+// This file also owns the event loop every tier runs on (run_loop), so the
+// bytecode hot path — event loop, frame dispatch, VM — is one translation unit
 // and inlines end to end.
 #include <algorithm>
 
@@ -24,18 +24,6 @@
 #endif
 
 namespace specsyn {
-
-// Re-arms p for its next step at now_ + stmt_cost. chain_ok_ (stmt_cost == 1)
-// licenses the direct fb_next_ push — the enqueue(now_ + 1) fast path without
-// the call.
-inline void Simulator::rearm_step(Process& p) {
-  p.status = Process::Status::Ready;
-  if (chain_ok_) {
-    fb_next_->runs.push_back(&p);
-    return;
-  }
-  enqueue(p, now_ + cfg_.stmt_cost);
-}
 
 // O(1) innermost-call access off the index the Call handler maintains; the
 // walking fallback covers (and throws for) a genuinely absent call frame.
@@ -63,7 +51,7 @@ void Simulator::bblock_on(Process& p, const BWaitSite& site) {
 // simulation at now_ + 1: the event loop would advance time by one and
 // immediately re-step the same process. This helper proves that (no entries
 // left in either bucket, nothing at or before now_ + 1 in the overflow
-// heaps), advances now_/steps_ inline, and lets the caller keep executing
+// heap), advances now_/steps_ inline, and lets the caller keep executing
 // without leaving the VM.
 //
 // A pending *signal commit* at now_ + 1 does not break the chain: the loop
@@ -76,14 +64,15 @@ void Simulator::bblock_on(Process& p, const BWaitSite& site) {
 //
 // Any doubt returns false and falls back to the scheduler, including the
 // max_cycles boundaries, where the loop's exact termination bookkeeping must
-// run. Precondition: fast_sched_. chain_ok_ (stmt_cost == 1) guarantees a
-// successful statement re-arms into fb_next_.
+// run, and any run under a schedule policy, whose every ready set must reach
+// the loop's pick (a commit retired here can wake a process that ties with
+// this one). A successful statement always re-arms into fb_next_, one cycle
+// on.
 template <bool Obs>
 inline bool Simulator::chain_advance() {
-  if (!chain_ok_ || fb_run_next_ != fb_cur_->runs.size() ||
-      !fb_cur_->sigs.empty() || !fb_next_->runs.empty() ||
+  if (sched_active_ || fb_run_next_ != fb_cur_->runs.size() ||
+      !fb_next_->runs.empty() ||
       (!run_q_.empty() && run_q_.top().time <= now_ + 1) ||
-      (!sig_q_.empty() && sig_q_.top().time <= now_ + 1) ||
       steps_ >= cfg_.max_cycles || now_ >= cfg_.max_cycles) {
     return false;
   }
@@ -95,7 +84,7 @@ inline bool Simulator::chain_advance() {
     std::swap(fb_cur_, fb_next_);
     fb_run_next_ = 0;  // resynchronize the caller loop's cursor
     for (size_t i = 0; i < fb_cur_->sigs.size(); ++i) {
-      const FastSig ev = fb_cur_->sigs[i];
+      const PendingSig ev = fb_cur_->sigs[i];
       commit_signal(ev.signal, ev.value, Obs);
     }
     fb_cur_->sigs.clear();
@@ -224,22 +213,16 @@ bool Simulator::bexec(Process& p) {
 
 // Successful same-frame statement terminal: commit the next pc, charge the
 // step — chaining straight into the next statement's micro-ops when this
-// process is provably alone (chain_advance), else re-arming into fb_next_
-// (the enqueue(now_ + 1) fast path, licensed by chain_ok_) or the scheduler.
+// process is provably alone (chain_advance), else re-arming into fb_next_.
 #define SPECSYN_BC_STEP_END(npc)                                    \
   do {                                                              \
     const uint32_t npc_ = (npc);                                    \
     f.idx = npc_;                                                   \
-    if (chain_ok_) {                                                \
-      if (chain_advance<Obs>()) {                                   \
-        pc = npc_;                                                  \
-        SPECSYN_BC_NEXT();                                          \
-      }                                                             \
-      p.status = Process::Status::Ready;                            \
-      fb_next_->runs.push_back(&p);                                 \
-      return false;                                                 \
+    if (chain_advance<Obs>()) {                                     \
+      pc = npc_;                                                    \
+      SPECSYN_BC_NEXT();                                            \
     }                                                               \
-    enqueue(p, now_ + cfg_.stmt_cost);                              \
+    rearm_step(p);                                                  \
     return false;                                                   \
   } while (0)
 
@@ -375,7 +358,7 @@ specsyn_bc_dispatch:
     const BInstr& i = code[pc];
     const uint64_t v = regs[i.b];
     if constexpr (Obs) notify_signal_schedule(i.slot, v, p);
-    schedule_signal(i.slot, v, now_ + cfg_.signal_delay);
+    schedule_signal(i.slot, v);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
@@ -420,7 +403,7 @@ specsyn_bc_dispatch:
   SPECSYN_BC_OP(SigImm) {
     const BInstr& i = code[pc];
     if constexpr (Obs) notify_signal_schedule(i.slot, i.imm, p);
-    schedule_signal(i.slot, i.imm, now_ + cfg_.signal_delay);
+    schedule_signal(i.slot, i.imm);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
@@ -441,7 +424,7 @@ specsyn_bc_dispatch:
         break;
     }
     if constexpr (Obs) notify_signal_schedule(i.slot, v, p);
-    schedule_signal(i.slot, v, now_ + cfg_.signal_delay);
+    schedule_signal(i.slot, v);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
@@ -652,7 +635,7 @@ void Simulator::bstep(Process& p) {
               for (uint32_t cid : b.children) {
                 const BBehavior& c = bprog_->behaviors()[cid];
                 Process& cp = spawn(c.src, nullptr, &c, &p);
-                enqueue(cp, now_ + cfg_.stmt_cost);
+                rearm_step(cp);
               }
               return;
             }
@@ -738,25 +721,26 @@ void Simulator::bstep(Process& p) {
 template void Simulator::bstep<false>(Process& p);
 template void Simulator::bstep<true>(Process& p);
 
-// The bucket-scheduler event loop (bytecode tier). Phase structure per
-// instant matches the heap loop exactly: overflow events first (their seqs
-// are strictly older than any bucket entry for the same instant — overflow
-// events for T were scheduled at sim-time <= T-2, next-bucket entries at
-// T-1, same-instant appends at T), signal commits before process steps,
-// FIFO within each class.
+// The event loop, shared by every tier and schedule policy. Phase structure
+// per instant: signal commits first, in issue order (they may append wakes
+// to the instant's runs), then overflow steps due now move to the front of
+// the runs — their seqs are older than any bucket entry's — and the runs
+// drain in order, steps appending any further work at now_ (joins) behind.
 //
 // fb_run_next_ is the cursor into fb_cur_->runs: the index of the first
-// not-yet-stepped entry, advanced here around every bstep call. The VM's
-// statement chain compares it against runs.size() to prove the instant has
-// no further pending step, and resets it when chain_advance rolls the
-// buckets to a commit instant — which is why the drain below loops on the
-// member cursor instead of a local index. A chained step advances now_
-// inside bstep; every loop condition tolerates that (heap tops were checked
-// to lie beyond every chained instant, and bucket appends made by chained
-// statements are relative to the *new* now_, where this loop and the next
-// outer iteration pick them up).
-template <bool Obs>
-void Simulator::run_fast_loop(SimResult& result) {
+// not-yet-stepped entry, advanced here around every step. Under a schedule
+// policy the pick among fb_cur_->runs[fb_run_next_..] rotates to the cursor,
+// which keeps the rest in canonical order. The VM's statement chain compares
+// the cursor against runs.size() to prove the instant has no further pending
+// step, and resets it when chain_advance rolls the buckets to a commit
+// instant — which is why the drain below loops on the member cursor instead
+// of a local index. A chained step advances now_ inside bstep; every loop
+// condition tolerates that (the heap top was checked to lie beyond every
+// chained instant, and bucket appends made by chained statements are
+// relative to the *new* now_, where this loop and the next outer iteration
+// pick them up).
+template <bool Obs, void (Simulator::*Step)(Simulator::Process&)>
+void Simulator::run_loop(SimResult& result) {
   for (;;) {
     uint64_t t = UINT64_MAX;
     if (!fb_cur_->empty()) {
@@ -765,7 +749,6 @@ void Simulator::run_fast_loop(SimResult& result) {
       t = now_ + 1;
     }
     if (!run_q_.empty()) t = std::min(t, run_q_.top().time);
-    if (!sig_q_.empty()) t = std::min(t, sig_q_.top().time);
     if (t == UINT64_MAX) break;  // quiescent
     if (t == now_ + 1) std::swap(fb_cur_, fb_next_);
     // t >= now_ + 2 implies both buckets are empty: no roll needed.
@@ -775,38 +758,32 @@ void Simulator::run_fast_loop(SimResult& result) {
       break;
     }
 
-    while (!sig_q_.empty() && sig_q_.top().time == now_) {
-      const SignalEvent ev = sig_q_.top();
-      sig_q_.pop();
-      commit_signal(ev.signal, ev.value, Obs);
-    }
     // Index loop: commits only ever append *runs* (wakes) to the current
     // bucket, but stay defensive about the sigs vector reallocating.
     for (size_t i = 0; i < fb_cur_->sigs.size(); ++i) {
-      const FastSig ev = fb_cur_->sigs[i];
+      const PendingSig ev = fb_cur_->sigs[i];
       commit_signal(ev.signal, ev.value, Obs);
     }
     fb_cur_->sigs.clear();
 
-    fb_run_next_ = 0;  // bucket drain not started: 0 entries consumed
-    while (!run_q_.empty() && run_q_.top().time == now_) {
-      Process* p = run_q_.top().proc;
+    std::vector<Process*>& runs = fb_cur_->runs;
+    for (size_t i = 0; !run_q_.empty() && run_q_.top().time == now_; ++i) {
+      runs.insert(runs.begin() + static_cast<ptrdiff_t>(i), run_q_.top().proc);
       run_q_.pop();
-      if (p->status != Process::Status::Ready) {
-        throw SpecError("internal: non-ready process in run queue");
-      }
-      bstep<Obs>(*p);
-      ++steps_;
-      if (steps_ > cfg_.max_cycles) break;
     }
-    // Steps may enqueue more work at now_ (joins, zero-delay wakes): it
-    // appends to this same vector and is drained in turn.
+
+    fb_run_next_ = 0;
     while (fb_run_next_ < fb_cur_->runs.size() && steps_ <= cfg_.max_cycles) {
+      if (sched_active_ && fb_cur_->runs.size() - fb_run_next_ > 1) {
+        const uint32_t pick = sched_pick(fb_cur_->runs.size() - fb_run_next_);
+        const auto first = fb_cur_->runs.begin() + fb_run_next_;
+        std::rotate(first, first + pick, first + pick + 1);
+      }
       Process* p = fb_cur_->runs[fb_run_next_++];
       if (p->status != Process::Status::Ready) {
         throw SpecError("internal: non-ready process in run queue");
       }
-      bstep<Obs>(*p);
+      (this->*Step)(*p);
       ++steps_;
     }
     fb_cur_->runs.clear();
@@ -818,7 +795,11 @@ void Simulator::run_fast_loop(SimResult& result) {
   }
 }
 
-template void Simulator::run_fast_loop<false>(SimResult& result);
-template void Simulator::run_fast_loop<true>(SimResult& result);
+template void Simulator::run_loop<false, &Simulator::bstep<false>>(SimResult&);
+template void Simulator::run_loop<true, &Simulator::bstep<true>>(SimResult&);
+template void Simulator::run_loop<false, &Simulator::lstep<false>>(SimResult&);
+template void Simulator::run_loop<true, &Simulator::lstep<true>>(SimResult&);
+template void Simulator::run_loop<false, &Simulator::step>(SimResult&);
+template void Simulator::run_loop<true, &Simulator::step>(SimResult&);
 
 }  // namespace specsyn

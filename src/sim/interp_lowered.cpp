@@ -106,7 +106,7 @@ void Simulator::lseq_advance(Process& p) {
     f.child = next;
     lenter_behavior(*b.children[next], p);
   }
-  enqueue(p, now_ + cfg_.stmt_cost);
+  rearm_step(p);
 }
 
 template <bool Obs>
@@ -132,7 +132,7 @@ void Simulator::lstep(Process& p) {
             body.kind = Frame::Kind::Block;
             body.lstmts = b.body;
             p.stack.push_back(std::move(body));
-            enqueue(p, now_ + cfg_.stmt_cost);
+            rearm_step(p);
             break;
           }
           case BehaviorKind::Sequential: {
@@ -140,7 +140,7 @@ void Simulator::lstep(Process& p) {
             seq.kind = Frame::Kind::Seq;
             seq.lbehavior = &b;
             p.stack.push_back(std::move(seq));
-            enqueue(p, now_ + cfg_.stmt_cost);
+            rearm_step(p);
             break;
           }
           case BehaviorKind::Concurrent: {
@@ -152,7 +152,7 @@ void Simulator::lstep(Process& p) {
             p.status = Process::Status::Blocked;  // until children join
             for (const LBehavior* c : b.children) {
               Process& cp = spawn(c->src, c, nullptr, &p);
-              enqueue(cp, now_ + cfg_.stmt_cost);
+              rearm_step(cp);
             }
             break;
           }
@@ -172,7 +172,7 @@ void Simulator::lstep(Process& p) {
         } else if (p.stack.back().kind == Frame::Kind::Seq) {
           lseq_advance<Obs>(p);
         } else {
-          enqueue(p, now_ + cfg_.stmt_cost);
+          rearm_step(p);
         }
       }
       break;
@@ -183,7 +183,7 @@ void Simulator::lstep(Process& p) {
         f.started = true;
         f.child = 0;
         lenter_behavior(*f.lbehavior->children[0], p);
-        enqueue(p, now_ + cfg_.stmt_cost);
+        rearm_step(p);
       } else {
         lseq_advance<Obs>(p);
       }
@@ -195,7 +195,7 @@ void Simulator::lstep(Process& p) {
         throw SpecError("internal: conc frame stepped with children running");
       }
       leave_frame(p);
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
 
@@ -208,13 +208,13 @@ void Simulator::lstep(Process& p) {
         } else {
           leave_frame(p);
         }
-        enqueue(p, now_ + cfg_.stmt_cost);
+        rearm_step(p);
       } else if (f.lowner != nullptr && f.lowner->kind == Stmt::Kind::Loop) {
         f.idx = 0;
-        enqueue(p, now_ + cfg_.stmt_cost);
+        rearm_step(p);
       } else {
         leave_frame(p);
-        enqueue(p, now_ + cfg_.stmt_cost);
+        rearm_step(p);
       }
       break;
     }
@@ -226,7 +226,7 @@ void Simulator::lstep(Process& p) {
       for (const auto& [param, dest] : call.lcall_site->out_binds) {
         lwrite<Obs>(dest, call.dlocals[param], p);
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Frame::Kind::Code:
@@ -242,15 +242,15 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
       const uint64_t v = leval<Obs>(s.expr, p);
       lwrite<Obs>(s.target, v, p);
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::SignalAssign: {
       const uint64_t v = leval<Obs>(s.expr, p);
       if constexpr (Obs) notify_signal_schedule(s.signal, v, p);
-      schedule_signal(s.signal, v, now_ + cfg_.signal_delay);
+      schedule_signal(s.signal, v);
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::If: {
@@ -263,7 +263,7 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
         body.lstmts = blk;
         p.stack.push_back(std::move(body));
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::While: {
@@ -275,7 +275,7 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
         body.lowner = &s;
         p.stack.push_back(std::move(body));
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::Loop: {
@@ -285,13 +285,13 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
       body.lstmts = s.then_block;
       body.lowner = &s;
       p.stack.push_back(std::move(body));
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::Wait: {
       if (leval<Obs>(s.expr, p) != 0) {
         ++f.idx;
-        enqueue(p, now_ + cfg_.stmt_cost);
+        rearm_step(p);
       } else {
         lblock_on(p, s);
       }
@@ -318,7 +318,7 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
       body.kind = Frame::Kind::Block;
       body.lstmts = s.proc->body;
       p.stack.push_back(std::move(body));
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::Break: {
@@ -332,12 +332,12 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
         p.stack.pop_back();
         if (is_loop) break;
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
     case Stmt::Kind::Nop: {
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      rearm_step(p);
       break;
     }
   }

@@ -10,19 +10,12 @@ namespace specsyn {
 
 namespace {
 
-// The cache key is the canonical printed spec plus every SimConfig field
-// that could influence lowering or execution-plan reuse, plus the execution
-// tier (a lowered Program and a BytecodeProgram must never alias one entry).
-// stmt_cost and signal_delay do not affect compilation today, but folding
-// them in makes "invalidate on SimConfig changes" hold by construction
-// rather than by auditing the compiler.
+// The cache key is the canonical printed spec plus the execution tier (a
+// lowered Program and a BytecodeProgram must never alias one entry) — the
+// only SimConfig field a plan depends on.
 std::string make_key(const Specification& spec, const SimConfig& cfg) {
   std::string key = print(spec);
   key += '\x01';
-  key += std::to_string(cfg.stmt_cost);
-  key += ',';
-  key += std::to_string(cfg.signal_delay);
-  key += ',';
   key += exec_tier_name(cfg.exec_tier);
   return key;
 }

@@ -1,11 +1,11 @@
 // Content-keyed LRU cache of one-tier simulation plans (sim/plan.h).
 //
 // Entries are keyed by the *canonical printed form* of the specification
-// plus the SimConfig fields, so two Specification objects with identical
-// content share one plan, and any SimConfig change misses (and thereby
-// invalidates) cleanly. Printing the key costs about as much as compiling a
-// refined spec, so nothing in the library consults the cache: callers that
-// simulate one spec several times build one SimPlan and share it. The cache's
+// plus the execution tier, so two Specification objects with identical
+// content share one plan per tier. Printing the key costs about as much as
+// compiling a refined spec, so nothing in the library consults the cache:
+// callers that simulate one spec several times build one SimPlan and share
+// it. The cache's
 // only remaining caller is the benchmark under perfbench/.
 //
 // A plan holds `src` back-pointers into the Specification it was built

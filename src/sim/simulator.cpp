@@ -1,5 +1,6 @@
-// Simulator kernel: process/event bookkeeping and the main scheduling loop.
-// The per-statement interpreter lives in interp.cpp.
+// Simulator kernel: process/event bookkeeping, schedule policies and run().
+// The event loop lives in interp_bytecode.cpp; the per-statement interpreters
+// live in interp.cpp, interp_lowered.cpp and interp_bytecode.cpp.
 #include "sim/simulator.h"
 
 #include <algorithm>
@@ -82,17 +83,6 @@ ExecTier default_exec_tier() {
 
 namespace {
 
-// priority_queue exposes no reserve(); seed it with a pre-reserved container
-// so steady-state pushes don't reallocate the heap storage.
-template <typename Ev>
-std::priority_queue<Ev, std::vector<Ev>, std::greater<>> make_queue(
-    size_t capacity) {
-  std::vector<Ev> storage;
-  storage.reserve(capacity);
-  return std::priority_queue<Ev, std::vector<Ev>, std::greater<>>(
-      std::greater<>(), std::move(storage));
-}
-
 std::shared_ptr<const SimPlan> plan_for(const Specification& spec,
                                         const SimConfig& cfg,
                                         ProgramCache* programs) {
@@ -134,58 +124,22 @@ Simulator::Simulator(std::shared_ptr<const SimPlan> plan, SimConfig cfg)
     // The eval stack backs only the EvalSpill fallback in this tier.
     eval_stack_.assign(std::max<uint32_t>(1, bprog_->max_spill_stack()), 0);
     completions_.assign(bprog_->behavior_count(), 0);
-    fast_sched_ = true;
-    chain_ok_ = (cfg_.stmt_cost == 1);
-    for (FastBucket& b : fast_buckets_) {
-      b.runs.reserve(64);
-      b.sigs.reserve(64);
-    }
   }
+  for (Bucket& b : buckets_) {
+    b.runs.reserve(64);
+    b.sigs.reserve(64);
+  }
+  // Permuted or recorded scheduling must see every decision point, so it
+  // turns off the bytecode tier's statement chaining, which steps a process
+  // past instants without a scheduler round-trip.
   sched_active_ =
       cfg_.sched_policy != SchedPolicy::Fifo || cfg_.record_schedule;
-  if (sched_active_) {
-    // Permuted or recorded scheduling must see every decision point, so the
-    // bytecode tier falls back to the generic (time, seq) heap loop: the
-    // fast buckets don't carry seq numbers and statement chaining skips the
-    // scheduler entirely. All three tiers then share identical ready sets.
-    fast_sched_ = false;
-    chain_ok_ = false;
-    sched_rng_ = cfg_.sched_seed;
-  }
-  run_q_ = make_queue<RunEvent>(1024);
-  sig_q_ = make_queue<SignalEvent>(1024);
+  sched_rng_ = cfg_.sched_seed;
   processes_.reserve(64);
   raw_writes_.reserve(256);
 }
 
 Simulator::~Simulator() = default;
-
-void Simulator::reset() {
-  vars_.reset();
-  signals_.reset();
-  processes_.clear();
-  run_q_ = make_queue<RunEvent>(1024);
-  sig_q_ = make_queue<SignalEvent>(1024);
-  for (FastBucket& b : fast_buckets_) b.clear();
-  fb_cur_ = &fast_buckets_[0];
-  fb_next_ = &fast_buckets_[1];
-  fb_run_next_ = 0;
-  for (auto& w : waiters_) w.clear();
-  sched_rng_ = cfg_.sched_seed;
-  sched_pick_cursor_ = 0;
-  ready_.clear();
-  sched_trace_.clear();
-  raw_writes_.clear();
-  behavior_completions_.clear();
-  std::fill(completions_.begin(), completions_.end(), 0);
-  seq_counter_ = 0;
-  now_ = 0;
-  steps_ = 0;
-  ran_ = false;
-  root_ = nullptr;
-}
-
-void Simulator::clear_observers() { slot_observers_.clear(); }
 
 void Simulator::add_slot_observer(SlotObserver* obs) {
   slot_observers_.push_back(obs);
@@ -242,31 +196,13 @@ Simulator::Process& Simulator::spawn(const Behavior* b, const LBehavior* lb,
 
 void Simulator::enqueue(Process& p, uint64_t time) {
   p.status = Process::Status::Ready;
-  if (fast_sched_) {
-    if (time == now_) {
-      fb_cur_->runs.push_back(&p);
-      return;
-    }
-    if (time == now_ + 1) {
-      fb_next_->runs.push_back(&p);
-      return;
-    }
+  if (time == now_) {
+    fb_cur_->runs.push_back(&p);
+  } else if (time == now_ + 1) {
+    fb_next_->runs.push_back(&p);
+  } else {
+    run_q_.push({time, seq_counter_++, &p});
   }
-  run_q_.push({time, seq_counter_++, &p});
-}
-
-void Simulator::schedule_signal(size_t idx, uint64_t value, uint64_t time) {
-  if (fast_sched_) {
-    if (time == now_) {
-      fb_cur_->sigs.push_back({static_cast<uint32_t>(idx), value});
-      return;
-    }
-    if (time == now_ + 1) {
-      fb_next_->sigs.push_back({static_cast<uint32_t>(idx), value});
-      return;
-    }
-  }
-  sig_q_.push({time, seq_counter_++, idx, value});
 }
 
 void Simulator::wake_sensitive(size_t signal_idx, uint64_t time) {
@@ -350,7 +286,9 @@ uint32_t Simulator::sched_pick(size_t k) {
     d.time = now_;
     d.pick = pick;
     d.ready.reserve(k);
-    for (const Process* rp : ready_) d.ready.push_back(current_behavior(*rp));
+    for (size_t i = fb_run_next_; i < fb_cur_->runs.size(); ++i) {
+      d.ready.push_back(current_behavior(*fb_cur_->runs[i]));
+    }
     sched_trace_.push_back(std::move(d));
   }
   return pick;
@@ -391,82 +329,15 @@ SimResult Simulator::run() {
 
   // Pick the stepping variant once — tier, and (for the compiled tiers)
   // observed vs unobserved — so the steady state never re-tests either.
-  void (Simulator::*step_fn)(Process&) =
-      prog_    ? (observed ? &Simulator::lstep<true> : &Simulator::lstep<false>)
-      : bprog_ ? (observed ? &Simulator::bstep<true> : &Simulator::bstep<false>)
-               : &Simulator::step;
-
-  if (fast_sched_) {
-    if (observed) {
-      run_fast_loop<true>(result);
-    } else {
-      run_fast_loop<false>(result);
-    }
+  if (prog_ != nullptr) {
+    observed ? run_loop<true, &Simulator::lstep<true>>(result)
+             : run_loop<false, &Simulator::lstep<false>>(result);
+  } else if (bprog_ != nullptr) {
+    observed ? run_loop<true, &Simulator::bstep<true>>(result)
+             : run_loop<false, &Simulator::bstep<false>>(result);
   } else {
-    while (!run_q_.empty() || !sig_q_.empty()) {
-      uint64_t t = UINT64_MAX;
-      if (!run_q_.empty()) t = run_q_.top().time;
-      if (!sig_q_.empty()) t = std::min(t, sig_q_.top().time);
-      now_ = t;
-      if (now_ > cfg_.max_cycles) {
-        result.status = SimResult::Status::MaxCycles;
-        break;
-      }
-
-      // Commit signal updates scheduled for this instant first, in issue
-      // order, so woken processes see a consistent snapshot when they step.
-      while (!sig_q_.empty() && sig_q_.top().time == now_) {
-        const SignalEvent ev = sig_q_.top();
-        sig_q_.pop();
-        commit_signal(ev.signal, ev.value, observed);
-      }
-
-      // Then run every process step scheduled at exactly t (steps may
-      // enqueue further work at t, which this loop also drains).
-      if (!sched_active_) {
-        while (!run_q_.empty() && run_q_.top().time == now_) {
-          Process* p = run_q_.top().proc;
-          run_q_.pop();
-          if (p->status != Process::Status::Ready) {
-            throw SpecError("internal: non-ready process in run queue");
-          }
-          (this->*step_fn)(*p);
-          ++steps_;
-          if (steps_ > cfg_.max_cycles) break;
-        }
-      } else {
-        // Policy path: materialize the instant's ready set so the pick can
-        // permute it. The heap pops in seq order and work enqueued while
-        // stepping carries higher seq numbers and is appended behind the
-        // survivors, so always picking index 0 reproduces the Fifo order
-        // exactly — the policy only ever reorders genuine ties.
-        while (!run_q_.empty() && run_q_.top().time == now_) {
-          ready_.push_back(run_q_.top().proc);
-          run_q_.pop();
-        }
-        while (!ready_.empty()) {
-          const uint32_t pick =
-              ready_.size() > 1 ? sched_pick(ready_.size()) : 0;
-          Process* p = ready_[pick];
-          ready_.erase(ready_.begin() + pick);
-          if (p->status != Process::Status::Ready) {
-            throw SpecError("internal: non-ready process in run queue");
-          }
-          (this->*step_fn)(*p);
-          ++steps_;
-          if (steps_ > cfg_.max_cycles) break;
-          while (!run_q_.empty() && run_q_.top().time == now_) {
-            ready_.push_back(run_q_.top().proc);
-            run_q_.pop();
-          }
-        }
-        ready_.clear();  // non-empty only after a max-cycles bail
-      }
-      if (steps_ > cfg_.max_cycles) {
-        result.status = SimResult::Status::MaxCycles;
-        break;
-      }
-    }
+    observed ? run_loop<true, &Simulator::step>(result)
+             : run_loop<false, &Simulator::step>(result);
   }
 
   for (SlotObserver* o : slot_observers_) o->on_run_end(now_);

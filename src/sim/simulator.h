@@ -2,18 +2,18 @@
 //
 // Semantics:
 //   * Every process executes one statement per scheduling step; a statement
-//     costs `SimConfig::stmt_cost` cycles (default 1), `delay N` costs N.
-//   * Signal assignments (`<=`) are scheduled and become visible
-//     `signal_delay` cycles later (default 1) — never within the statement
-//     that issued them. Commits at time T precede process steps at T, so
-//     with the default costs the immediately following statement already
-//     observes the new value.
+//     costs one cycle, `delay N` costs max(N, 1).
+//   * Signal assignments (`<=`) are scheduled and become visible one cycle
+//     later — never within the statement that issued them. Commits at time T
+//     precede process steps at T, so the immediately following statement
+//     already observes the new value.
 //   * `wait c` blocks until c evaluates nonzero; blocked processes are
 //     re-evaluated whenever a signal named in c changes value.
 //   * A Sequential composite runs children per its transition arcs; a
 //     Concurrent composite forks one process per child and joins.
-//   * Scheduling is deterministic: (time, process id) ordering; signal
-//     updates at time T commit before any process step at T, in issue order.
+//   * Scheduling is deterministic: (time, seq) ordering, seq being the order
+//     in which steps were scheduled; signal updates at time T commit before
+//     any process step at T, in issue order.
 //
 // The simulator ends when the event queue drains (quiescent — the normal end
 // state of refined specifications, whose memory/arbiter/interface server
@@ -82,10 +82,6 @@ bool parse_sched_policy(const std::string& name, SchedPolicy* out);
 const char* sched_policy_name(SchedPolicy p);
 
 struct SimConfig {
-  /// Cycles consumed by one executed statement.
-  uint64_t stmt_cost = 1;
-  /// Cycles until a scheduled signal assignment becomes visible.
-  uint64_t signal_delay = 1;
   /// Hard stop; a run reaching it reports Status::MaxCycles.
   uint64_t max_cycles = 50'000'000;
   /// Clock frequency used when converting cycles to seconds in reports.
@@ -96,9 +92,9 @@ struct SimConfig {
   /// SPECSYN_EXEC_TIER environment variable overrides it.
   ExecTier exec_tier = default_exec_tier();
   /// Ready-set tie-break policy. Any value other than Fifo (and any run with
-  /// record_schedule set) routes the bytecode tier through the generic
-  /// (time, seq) heap scheduler so decision points land identically on all
-  /// three tiers; the default Fifo policy costs nothing on the hot path.
+  /// record_schedule set) turns off the bytecode tier's statement chaining so
+  /// decision points land identically on all three tiers; the default Fifo
+  /// policy costs one predictable branch per step.
   SchedPolicy sched_policy = SchedPolicy::Fifo;
   /// Seed for SchedPolicy::Random. Equal seeds reproduce the schedule (and
   /// therefore the whole run) bit-for-bit on every tier.
@@ -158,7 +154,7 @@ class SlotObserver {
   }
 
   /// A `<=` signal assignment executed by a process — fires at schedule
-  /// time (the commit lands `signal_delay` later and may be absorbed by an
+  /// time (the commit lands one cycle later and may be absorbed by an
   /// equal value). This is what attributes a bus handshake to its master.
   virtual void on_signal_schedule(uint32_t slot, uint32_t behavior,
                                   uint64_t time, uint64_t value) {
@@ -278,20 +274,9 @@ class Simulator {
   /// outlive run().
   void add_slot_observer(SlotObserver* obs);
 
-  /// Detaches every registered observer. Pooled simulators that
-  /// reset() between runs use this to attach a fresh per-run observer
-  /// without accumulating dangling pointers to destroyed ones.
-  void clear_observers();
-
-  /// Runs to quiescence (or max_cycles). May be called once per run; call
-  /// reset() to run the same spec again on the same simulator.
+  /// Runs to quiescence (or max_cycles). May be called once; to run a spec
+  /// again, construct another simulator from the same plan.
   SimResult run();
-
-  /// Restores the just-constructed state (initial variable/signal values,
-  /// no processes, empty queues) so run() may be called again, reusing the
-  /// compiled Program and table layout. Registered observers stay attached;
-  /// observers that accumulate per-run state are the caller's to refresh.
-  void reset();
 
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
 
@@ -303,15 +288,20 @@ class Simulator {
   Process& spawn(const Behavior* b, const LBehavior* lb, const BBehavior* bb,
                  Process* parent);
   void enqueue(Process& p, uint64_t time);
-  void schedule_signal(size_t idx, uint64_t value, uint64_t time);
+  /// Re-arms p for its next step one cycle from now (frames.h).
+  void rearm_step(Process& p);
+  /// Schedules a signal update to commit one cycle from now (frames.h).
+  void schedule_signal(size_t idx, uint64_t value);
   void wake_sensitive(size_t signal_idx, uint64_t time);
   void finish_process(Process& p, uint64_t time);
   /// Commits one scheduled signal update at now_: observers + waiter wakes.
   void commit_signal(size_t signal, uint64_t value, bool observed);
-  /// run()'s event loop on the bucket scheduler (bytecode tier only). Lives
-  /// in interp_bytecode.cpp so bstep<Obs> inlines into the loop body — the
-  /// whole hot path (event loop, frame dispatch, VM) is one translation unit.
-  template <bool Obs> void run_fast_loop(SimResult& result);
+  /// run()'s event loop, shared by every tier and schedule policy; `Step` is
+  /// the tier's stepping function. Lives in interp_bytecode.cpp so bstep<Obs>
+  /// inlines into the loop body — the bytecode hot path (event loop, frame
+  /// dispatch, VM) is one translation unit.
+  template <bool Obs, void (Simulator::*Step)(Process&)>
+  void run_loop(SimResult& result);
 
   // legacy interpreter (interp.cpp): resolves names at execution time
   void step(Process& p);
@@ -358,9 +348,6 @@ class Simulator {
   /// inline (retiring a pending commit instant if one is due), and returns
   /// true so the VM keeps executing without a scheduler round-trip.
   template <bool Obs> bool chain_advance();
-  /// Re-arms p for its next step at now_ + stmt_cost; under chain_ok_ this is
-  /// a direct fb_next_ push with no enqueue call.
-  void rearm_step(Process& p);
   /// O(1) innermost-call lookup off Process::call_idx (bytecode tier).
   Frame& bcall_frame(Process& p);
   template <bool Obs> void bwrite_var(uint32_t slot, uint64_t value,
@@ -405,6 +392,13 @@ class Simulator {
 
   std::vector<std::unique_ptr<Process>> processes_;
 
+  // Bucket scheduler. Every event lands at now_ (wakes, joins) or now_ + 1
+  // (statements, signal commits) except `delay N` with N >= 2, so those two
+  // instants get plain FIFO vectors and the heap below serves only as the
+  // overflow for multi-cycle delays. Ordering stays the global (time, seq)
+  // order: for any instant T, overflow steps were scheduled at sim time
+  // <= T - 2 and bucket entries at T - 1 or T, so the overflow steps carry
+  // smaller seqs and head the instant's ready list.
   struct RunEvent {
     uint64_t time;
     uint64_t seq;
@@ -413,63 +407,37 @@ class Simulator {
       return time != o.time ? time > o.time : seq > o.seq;
     }
   };
-  struct SignalEvent {
-    uint64_t time;
-    uint64_t seq;
-    size_t signal;
-    uint64_t value;
-    bool operator>(const SignalEvent& o) const {
-      return time != o.time ? time > o.time : seq > o.seq;
-    }
-  };
   std::priority_queue<RunEvent, std::vector<RunEvent>, std::greater<>> run_q_;
-  std::priority_queue<SignalEvent, std::vector<SignalEvent>, std::greater<>>
-      sig_q_;
 
-  // Bytecode-tier fast scheduler: almost every event lands at now_ (wakes,
-  // joins) or now_ + 1 (the default stmt_cost / signal_delay), so those two
-  // instants get plain FIFO vectors and the priority queues above serve only
-  // as far-future overflow (multi-cycle delays, non-default costs). Ordering
-  // stays exact: for any instant T, overflow events were necessarily
-  // scheduled at earlier simulation times than bucket events — smaller seq —
-  // so draining overflow-first preserves the global (time, seq) order.
-  struct FastSig {
+  struct PendingSig {
     uint32_t signal;
     uint64_t value;
   };
-  struct FastBucket {
+  struct Bucket {
     std::vector<Process*> runs;
-    std::vector<FastSig> sigs;
+    std::vector<PendingSig> sigs;
     [[nodiscard]] bool empty() const { return runs.empty() && sigs.empty(); }
-    void clear() {
-      runs.clear();
-      sigs.clear();
-    }
   };
-  bool fast_sched_ = false;  // set iff running the bytecode tier
-  FastBucket fast_buckets_[2];
-  FastBucket* fb_cur_ = &fast_buckets_[0];   // events at now_
-  FastBucket* fb_next_ = &fast_buckets_[1];  // events at now_ + 1
+  Bucket buckets_[2];
+  Bucket* fb_cur_ = &buckets_[0];   // events at now_
+  Bucket* fb_next_ = &buckets_[1];  // events at now_ + 1
   /// Index into fb_cur_->runs of the entry *after* the one being stepped,
-  /// maintained by run_fast_loop around every bstep call. The VM's statement
-  /// chain (interp_bytecode.cpp) reads it to prove the current process is
-  /// the last pending step of the instant.
+  /// maintained by run_loop around every step. fb_cur_->runs[fb_run_next_..]
+  /// is the instant's remaining ready set in canonical order; the VM's
+  /// statement chain (interp_bytecode.cpp) reads it to prove the current
+  /// process is the last pending step of the instant.
   uint32_t fb_run_next_ = 0;
-  /// True iff stmt_cost == 1 under the fast scheduler: every successful
-  /// statement re-arms into fb_next_, which is what lets the VM chain
-  /// statements (and inline the re-arm push) without consulting the config.
-  bool chain_ok_ = false;
 
   // Schedule-policy state. sched_active_ is set iff the run permutes or
-  // records pick order (non-Fifo policy or record_schedule); it forces the
-  // generic heap scheduler so every tier sees the same decision points.
+  // records pick order (non-Fifo policy or record_schedule); it turns off
+  // statement chaining so every tier sees the same decision points.
   bool sched_active_ = false;
   uint64_t sched_rng_ = 0;        // splitmix64 state (Random policy)
   size_t sched_pick_cursor_ = 0;  // next entry of cfg_.sched_picks (Replay)
-  std::vector<Process*> ready_;   // the instant's ready set, canonical order
   std::vector<SchedDecision> sched_trace_;
-  /// Applies the policy to a ready set of size k (>= 2): returns the index
-  /// to step next and, when recording, appends the decision to sched_trace_.
+  /// Applies the policy to the instant's ready set (k >= 2 entries from
+  /// fb_run_next_): returns the index to step next and, when recording,
+  /// appends the decision to sched_trace_.
   uint32_t sched_pick(size_t k);
 
   uint64_t seq_counter_ = 0;

@@ -1,8 +1,7 @@
 // Batch engine tests: thread-pool correctness (ordering, stealing contexts,
-// exception discipline), the compiled-program cache, Simulator reuse via
-// reset(), parallel equivalence, the sweep's run reuse under --verify, and
-// the engine-level determinism contract (sweep and fuzz output identical for
-// any worker count).
+// exception discipline), the compiled-program cache, parallel equivalence,
+// the sweep's run reuse under --verify, and the engine-level determinism
+// contract (sweep and fuzz output identical for any worker count).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -132,20 +131,6 @@ TEST(ProgramCache, ContentIdenticalSpecsShareOneProgram) {
   EXPECT_EQ(a.behavior_completions, plain.behavior_completions);
 }
 
-TEST(ProgramCache, SimConfigChangeMisses) {
-  const Specification spec = testing::abc_spec(2);
-  ProgramCache cache;
-  SimConfig cfg;
-  cfg.exec_tier = ExecTier::Bytecode;
-  { Simulator s(spec, cfg, &cache); }
-  SimConfig slower = cfg;
-  slower.stmt_cost = 3;  // cost model is baked into the compiled plan
-  { Simulator s(spec, slower, &cache); }
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
 TEST(ProgramCache, LruEvictionAtCapacity) {
   ProgramCache cache(/*capacity=*/2);
   SimConfig cfg;
@@ -177,35 +162,6 @@ TEST(ProgramCache, CachedProgramOutlivesEvictionWhileSimulatorUsesIt) {
   EXPECT_EQ(cache.stats().evictions, 1u);
   const SimResult r = sim.run();  // must still run on the evicted program
   EXPECT_EQ(r.final_vars, testing::run(s1, cfg).final_vars);
-}
-
-// -- simulator reset ---------------------------------------------------------
-
-TEST(SimulatorReset, RerunIsBitIdentical) {
-  const Specification spec = testing::medical_like_spec();
-  Simulator sim(spec);
-  const SimResult first = sim.run();
-  EXPECT_THROW((void)sim.run(), SpecError);  // still once-only without reset
-  sim.reset();
-  const SimResult second = sim.run();
-  EXPECT_EQ(first.end_time, second.end_time);
-  EXPECT_EQ(first.steps, second.steps);
-  EXPECT_EQ(first.root_completed, second.root_completed);
-  EXPECT_EQ(first.final_vars, second.final_vars);
-  EXPECT_EQ(first.observable_writes, second.observable_writes);
-  EXPECT_EQ(first.behavior_completions, second.behavior_completions);
-}
-
-TEST(SimulatorReset, WorksOnLegacyInterpreterToo) {
-  const Specification spec = testing::abc_spec(2);
-  SimConfig cfg;
-  cfg.exec_tier = ExecTier::Tree;
-  Simulator sim(spec, cfg);
-  const SimResult first = sim.run();
-  sim.reset();
-  const SimResult second = sim.run();
-  EXPECT_EQ(first.final_vars, second.final_vars);
-  EXPECT_EQ(first.end_time, second.end_time);
 }
 
 // -- parallel equivalence ----------------------------------------------------

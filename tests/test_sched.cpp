@@ -79,7 +79,7 @@ TEST(SchedPolicy, FifoWithRecordingMatchesDefaultRunOnEveryTier) {
     const SimResult base = testing::run(s, plain);
 
     SimConfig rec = plain;
-    rec.record_schedule = true;  // forces the generic scheduling loop
+    rec.record_schedule = true;  // turns off bytecode statement chaining
     const SimResult recorded = testing::run(s, rec);
     expect_same_result(base, recorded);
     EXPECT_FALSE(recorded.sched_decisions.empty());
@@ -150,6 +150,156 @@ TEST(SchedPolicy, ExhaustedReplayTraceContinuesCanonically) {
   SimConfig cfg;
   cfg.sched_policy = SchedPolicy::Replay;
   expect_same_result(testing::run(s), testing::run(s, cfg));
+}
+
+// -- scheduler contract ------------------------------------------------------
+//
+// The (time, seq) order pinned directly, with expectations derived by hand
+// from the cost model (a statement costs one cycle, `delay N` max(N, 1), a
+// `<=` commits one cycle later, before that instant's steps). t=0 steps the
+// root, which forks A and B; t=1 starts both (neither has entered a behavior
+// yet, hence "<none>"). A process stepped earlier in an instant is re-armed
+// earlier, so it keeps its place in the next instant's ready list.
+
+SchedDecision decision(uint64_t time, uint32_t pick,
+                       std::vector<std::string> ready) {
+  SchedDecision d;
+  d.time = time;
+  d.pick = pick;
+  d.ready = std::move(ready);
+  return d;
+}
+
+SimResult run_recorded(const Specification& s, ExecTier tier,
+                       std::vector<uint32_t> picks = {}) {
+  SimConfig cfg;
+  cfg.exec_tier = tier;
+  cfg.record_schedule = true;
+  if (!picks.empty()) {
+    cfg.sched_policy = SchedPolicy::Replay;
+    cfg.sched_picks = std::move(picks);
+  }
+  return testing::run(s, cfg);
+}
+
+/// A's `delay 2` at t=2 lands at t=4 from the overflow heap; B's third
+/// statement lands at t=4 from the bucket it was re-armed into at t=3. A was
+/// scheduled first, so it heads the t=4 ready list and B's write lands last.
+Specification overflow_vs_bucket_spec() {
+  return parse_or_die(
+      "spec OverflowVsBucket;\n"
+      "observable var x : int8;\n"
+      "var y : int8;\n"
+      "behavior Top : conc {\n"
+      "  behavior A : leaf { delay 2; x := 1; }\n"
+      "  behavior B : leaf { y := 1; y := 2; x := 2; }\n"
+      "}\n");
+}
+
+TEST(SchedContract, OverflowStepsPrecedeBucketStepsOnEveryTier) {
+  const Specification s = overflow_vs_bucket_spec();
+  const std::vector<SchedDecision> expected = {
+      decision(1, 0, {"<none>", "<none>"}),
+      decision(2, 0, {"A", "B"}),  // A: delay 2 (to t=4), B: y := 1
+      // t=3: B alone (y := 2); no decision
+      decision(4, 0, {"A", "B"}),  // A from overflow, B from the bucket
+      decision(5, 0, {"A", "B"}),  // both bodies end
+      decision(6, 0, {"A", "B"}),  // both complete; the join wakes Top
+  };
+  for (ExecTier tier : kTiers) {
+    SCOPED_TRACE(exec_tier_name(tier));
+    const SimResult r = run_recorded(s, tier);
+    EXPECT_EQ(r.sched_decisions, expected);
+    EXPECT_EQ(r.final_vars.at("x"), 2u);
+    EXPECT_EQ(r.observable_writes,
+              (std::vector<WriteEvent>{{"x", 1, 4}, {"x", 2, 4}}));
+    EXPECT_EQ(r.end_time, 7u);  // t=6 Top leaves its join, t=7 completes
+    EXPECT_EQ(r.steps, 14u);
+    SimConfig unrecorded;  // the bytecode tier chains statements here
+    unrecorded.exec_tier = tier;
+    expect_same_result(r, testing::run(s, unrecorded));
+  }
+}
+
+TEST(SchedContract, ReplayPickOfTheBucketStepFlipsTheOutcome) {
+  const Specification s = overflow_vs_bucket_spec();
+  // Decision 2 is t=4's [A, B]; pick 1 steps B first, so A writes last and
+  // the pair keeps the order [B, A] from then on.
+  const std::vector<SchedDecision> expected = {
+      decision(1, 0, {"<none>", "<none>"}),
+      decision(2, 0, {"A", "B"}),
+      decision(4, 1, {"A", "B"}),
+      decision(5, 0, {"B", "A"}),
+      decision(6, 0, {"B", "A"}),
+  };
+  for (ExecTier tier : kTiers) {
+    SCOPED_TRACE(exec_tier_name(tier));
+    const SimResult r = run_recorded(s, tier, {0, 0, 1});
+    EXPECT_EQ(r.sched_decisions, expected);
+    EXPECT_EQ(r.final_vars.at("x"), 1u);
+    EXPECT_EQ(r.observable_writes,
+              (std::vector<WriteEvent>{{"x", 2, 4}, {"x", 1, 4}}));
+  }
+}
+
+TEST(SchedContract, DelayZeroCostsOneCycleLikeAStatement) {
+  // `delay 0` re-arms A into t=3's bucket ahead of B, exactly as a
+  // statement would: both writes land at t=3, A's first.
+  const Specification s = parse_or_die(
+      "spec DelayZero;\n"
+      "observable var x : int8;\n"
+      "var y : int8;\n"
+      "behavior Top : conc {\n"
+      "  behavior A : leaf { delay 0; x := 1; }\n"
+      "  behavior B : leaf { y := 1; x := 2; }\n"
+      "}\n");
+  const std::vector<SchedDecision> expected = {
+      decision(1, 0, {"<none>", "<none>"}),
+      decision(2, 0, {"A", "B"}),
+      decision(3, 0, {"A", "B"}),
+      decision(4, 0, {"A", "B"}),
+      decision(5, 0, {"A", "B"}),
+  };
+  for (ExecTier tier : kTiers) {
+    SCOPED_TRACE(exec_tier_name(tier));
+    const SimResult r = run_recorded(s, tier);
+    EXPECT_EQ(r.sched_decisions, expected);
+    EXPECT_EQ(r.observable_writes,
+              (std::vector<WriteEvent>{{"x", 1, 3}, {"x", 2, 3}}));
+    EXPECT_EQ(r.end_time, 6u);
+  }
+}
+
+TEST(SchedContract, SameInstantCommitWakesQueueBehindTheBucket) {
+  // B's `s <= 1` at t=2 commits at t=3 before any step, waking A, which
+  // blocked at t=2. The wake is scheduled at t=3, after B was re-armed at
+  // t=2, so the t=3 ready list is [B, A]: B writes x first, and A passes
+  // its wait at t=3 and writes x at t=4.
+  const Specification s = parse_or_die(
+      "spec CommitWake;\n"
+      "observable var x : int8;\n"
+      "signal s : bit;\n"
+      "behavior Top : conc {\n"
+      "  behavior A : leaf { wait s == 1; x := 1; }\n"
+      "  behavior B : leaf { s <= 1; x := 2; }\n"
+      "}\n");
+  const std::vector<SchedDecision> expected = {
+      decision(1, 0, {"<none>", "<none>"}),
+      decision(2, 0, {"A", "B"}),  // A blocks, B schedules the commit
+      decision(3, 0, {"B", "A"}),  // B from the bucket, then the woken A
+      decision(4, 0, {"B", "A"}),
+      decision(5, 0, {"B", "A"}),  // B completes, A's body ends
+      // t=6: A alone completes and the join wakes Top
+  };
+  for (ExecTier tier : kTiers) {
+    SCOPED_TRACE(exec_tier_name(tier));
+    const SimResult r = run_recorded(s, tier);
+    EXPECT_EQ(r.sched_decisions, expected);
+    EXPECT_EQ(r.final_vars.at("x"), 1u);
+    EXPECT_EQ(r.observable_writes,
+              (std::vector<WriteEvent>{{"x", 2, 3}, {"x", 1, 4}}));
+    EXPECT_EQ(r.end_time, 7u);
+  }
 }
 
 // -- witness strings ---------------------------------------------------------

@@ -47,8 +47,8 @@
 //
 // sweep options:
 //   partition options as for refine (--assign/--pin-var/--ratio/--asics),
-//   --jobs N               worker threads (default 1; 0 = one per core);
-//                          output is byte-identical for any value
+//   --jobs N               worker threads, 0..256 (default 1; 0 = one per
+//                          core); output is byte-identical for any value
 //   --verify               also check functional equivalence per point
 //   --explore-schedules[=N] partition-consistency check per point
 //   --json                 emit the ranked rows as JSON instead of the table
@@ -57,8 +57,9 @@
 // fuzz options:
 //   --seeds N              number of seeds to run (default 100)
 //   --seed S               first seed (default 1)
-//   --jobs N               worker threads for the seed sweep (default 1;
-//                          0 = one per core); output is byte-identical
+//   --jobs N               worker threads for the seed sweep, 0..256
+//                          (default 1; 0 = one per core); output is
+//                          byte-identical
 //   --budget B             generator statement budget per spec (default 40)
 //   --reduce               shrink failing specs before writing reproducers
 //   --out DIR              reproducer directory (default fuzz-failures)
@@ -74,6 +75,7 @@
 //   --stats-json FILE      write the telemetry stats JSON (specsyn-stats-v1)
 //   --pipeline-trace FILE  write a Perfetto-loadable Chrome trace of the
 //                          tool's own pipeline phases (one lane per worker)
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -136,9 +138,9 @@ commands:
                                    SA020-racing ready sets; a divergent
                                    observable outcome becomes an SA021 error
                                    with a replayable witness
-                         --jobs N  worker threads for the exploration waves
-                                   (default 1; 0 = one per core); output is
-                                   byte-identical for any value
+                         --jobs N  worker threads for the exploration waves,
+                                   0..256 (default 1; 0 = one per core);
+                                   output is byte-identical for any value
   print    <file.spec>   canonical pretty-print
   simulate <file.spec>   run the discrete-event simulator, report results
   graph    <file.spec>   Graphviz DOT of the access graph
@@ -182,8 +184,9 @@ refine options:
   --vhdl ; --report ; --rates ; --verify ; --exec-tier T ; -o FILE
 
 sweep options:
-  --jobs N               worker threads (default 1; 0 = one per core); the
-                         ranked output is byte-identical for any value
+  --jobs N               worker threads, 0..256 (default 1; 0 = one per
+                         core); the ranked output is byte-identical for any
+                         value
   --verify               also check per-point functional equivalence
   --explore-schedules[=N]  with --verify (implied): per point, check that
                          every refined outcome over up to N explored
@@ -197,9 +200,9 @@ sweep options:
 fuzz options:
   --seeds N              number of seeds to run (default 100)
   --seed S               first seed (default 1)
-  --jobs N               worker threads for the seed sweep (default 1;
-                         0 = one per core); report, reproducers and log are
-                         byte-identical for any value
+  --jobs N               worker threads for the seed sweep, 0..256
+                         (default 1; 0 = one per core); report, reproducers
+                         and log are byte-identical for any value
   --budget B             generator statement budget per spec (default 40)
   --reduce               shrink failing specs before writing reproducers
   --out DIR              reproducer directory (default fuzz-failures)
@@ -372,6 +375,28 @@ int parse_explore_flag(const std::string& f, size_t& out) {
   return 1;
 }
 
+/// Upper bound on --jobs (check, sweep, fuzz). Each worker is a thread, so a
+/// larger count buys nothing on any realistic host and can exhaust the
+/// process's thread limit.
+constexpr size_t kMaxJobs = 256;
+
+/// `--jobs N`: a decimal worker count from 0 (one per core) to kMaxJobs.
+/// Prints the error and returns false on anything else.
+bool parse_jobs(const char* v, size_t& out) {
+  const char* end = v + std::strlen(v);
+  size_t n = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc() || ptr == v || ptr != end || n > kMaxJobs) {
+    std::fprintf(stderr,
+                 "--jobs expects a worker count from 0 to %zu "
+                 "(0 = one per core)\n",
+                 kMaxJobs);
+    return false;
+  }
+  out = n;
+  return true;
+}
+
 bool parse_kv(const char* arg, std::pair<std::string, size_t>& out) {
   const char* eq = std::strchr(arg, '=');
   if (eq == nullptr || eq == arg) return false;
@@ -475,8 +500,7 @@ int parse_args(int argc, char** argv, Args& a) {
       a.asics = static_cast<size_t>(std::atoi(v));
     } else if (f == "--jobs") {
       const char* v = next();
-      if (!v) return 2;
-      a.jobs = static_cast<size_t>(std::strtoul(v, nullptr, 10));
+      if (!v || !parse_jobs(v, a.jobs)) return 2;
     } else if (f == "--assign") {
       const char* v = next();
       std::pair<std::string, size_t> kv;
@@ -812,8 +836,7 @@ int cmd_fuzz(int argc, char** argv) {
       opts.stmt_budget = static_cast<size_t>(std::strtoull(v, nullptr, 10));
     } else if (f == "--jobs") {
       const char* v = next();
-      if (!v) return 2;
-      opts.jobs = static_cast<size_t>(std::strtoul(v, nullptr, 10));
+      if (!v || !parse_jobs(v, opts.jobs)) return 2;
     } else if (f == "--json") {
       const char* v = next();
       if (!v) return 2;
