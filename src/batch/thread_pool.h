@@ -1,37 +1,34 @@
-// Work-stealing thread pool for batch execution of independent
+// Thread pool for batch execution of independent
 // refine -> lower -> simulate -> check jobs (the engine behind
-// `specsyn fuzz --jobs` and `specsyn sweep`).
+// `specsyn fuzz --jobs`, `specsyn sweep` and `check --explore-schedules`).
 //
 // Shape:
 //   * a fixed worker count, chosen at construction (threads are started once
 //     and parked between batches),
-//   * one double-ended job queue per worker — submission deals job indices
-//     round-robin, a worker pops its own queue LIFO and steals FIFO from the
-//     longest peer queue when its own runs dry, so a skewed batch (one slow
-//     refinement config, many fast ones) still keeps every worker busy,
-//   * a bounded aggregate queue: for_each blocks the submitting thread when
-//     `queue_bound` jobs are pending, so a million-job sweep never
-//     materializes a million queue nodes,
+//   * one shared job counter: a batch is always the dense range [0, jobs),
+//     so for_each publishes the range and each worker claims the highest
+//     unclaimed index until the range is used up. A skewed batch (one slow
+//     refinement config, many fast ones) keeps every worker busy because a
+//     worker that finishes early simply claims again,
 //   * per-worker arenas: each worker owns a ProgramCache (and, via the
 //     worker index, any caller-side scratch), so the hot path never shares
 //     mutable state between workers. Immutable state, such as one SimPlan
 //     (sim/plan.h) read by every exploration job, is shared freely.
 //
 // Determinism contract: jobs receive their dense batch index and must write
-// results only into per-index slots (run_batch below does this). Job
-// *scheduling* order varies with the worker count and timing; job *results*
-// must not — everything a job reads is either owned by the job or shared
-// const (see DESIGN.md "Parallel execution"). Under that contract the merged
-// result vector is bit-identical for any --jobs value.
+// results only into per-index slots (run_batch below does this). Which
+// worker runs which job varies with the worker count and timing; job
+// *results* must not — everything a job reads is either owned by the job or
+// shared const (see DESIGN.md "Parallel execution"). Under that contract the
+// merged result vector is bit-identical for any --jobs value.
 //
-// Locking is deliberately coarse (one mutex for queues + batch lifecycle):
-// jobs are milliseconds of simulation work, so queue traffic is cold. The
-// point of the per-worker deques is steal locality, not lock-free speed.
+// Locking is deliberately coarse (one mutex for the counter and the batch
+// lifecycle): jobs are milliseconds of simulation work, so claim traffic is
+// cold.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -45,7 +42,7 @@ namespace specsyn::batch {
 
 /// Per-worker execution context handed to every job.
 struct WorkerContext {
-  /// Dense worker index, 0 .. workers()-1 (0 for inline execution).
+  /// Dense worker index, 0 .. workers()-1.
   size_t worker = 0;
   /// The worker's own plan cache; never shared between workers. No library
   /// code consults it (a job that re-simulates one spec runs from a shared
@@ -55,10 +52,8 @@ struct WorkerContext {
 
 class ThreadPool {
  public:
-  /// Starts `workers` threads (at least 1). `queue_bound` caps the number of
-  /// queued-but-unclaimed jobs across all workers; submission blocks at the
-  /// bound.
-  explicit ThreadPool(size_t workers, size_t queue_bound = 1024);
+  /// Starts `workers` threads (at least 1).
+  explicit ThreadPool(size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -78,25 +73,18 @@ class ThreadPool {
 
  private:
   struct Worker {
-    std::deque<size_t> queue;  // guarded by mu_
     ProgramCache programs;
     std::thread thread;
   };
 
   void worker_main(size_t self);
-  /// Pops one job for worker `self` (own back first, then steal from the
-  /// longest peer queue's front). Caller holds mu_. Returns false if no job
-  /// is pending anywhere.
-  bool claim_job(size_t self, size_t& job);
 
   std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: a job or stop_ is available
-  std::condition_variable space_cv_;  // submitter: queue space freed
-  std::condition_variable done_cv_;   // submitter: batch complete
+  std::condition_variable work_cv_;  // workers: a batch or stop_ is posted
+  std::condition_variable done_cv_;  // submitter: batch complete
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  size_t queue_bound_;
-  size_t queued_ = 0;     // jobs submitted but not yet claimed
+  size_t claimed_ = 0;    // jobs handed to a worker this batch
   size_t completed_ = 0;  // jobs finished (ok or error) this batch
   size_t total_ = 0;      // jobs in the active batch
   bool active_ = false;

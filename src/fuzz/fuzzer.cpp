@@ -136,20 +136,11 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& log) {
   }
 
   // Phase 1: sweep the seeds. Each seed is an independent job.
-  std::vector<SeedOutcome> outcomes;
-  const size_t jobs =
-      opts.jobs == 0 ? batch::ThreadPool::default_workers() : opts.jobs;
-  if (jobs <= 1) {
-    outcomes.reserve(opts.seeds);
-    for (size_t i = 0; i < opts.seeds; ++i) {
-      outcomes.push_back(eval_seed(opts, i));
-    }
-  } else {
-    batch::ThreadPool pool(jobs);
-    outcomes = batch::run_batch<SeedOutcome>(
-        pool, opts.seeds,
-        [&](size_t job, batch::WorkerContext&) { return eval_seed(opts, job); });
-  }
+  batch::ThreadPool pool(opts.jobs == 0 ? batch::ThreadPool::default_workers()
+                                        : opts.jobs);
+  std::vector<SeedOutcome> outcomes = batch::run_batch<SeedOutcome>(
+      pool, opts.seeds,
+      [&](size_t job, batch::WorkerContext&) { return eval_seed(opts, job); });
 
   // Phase 2: merge in seed order — every file write and log line happens
   // here, serially, so the output does not depend on the job count.

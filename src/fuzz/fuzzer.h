@@ -42,8 +42,8 @@ struct FuzzOptions {
   /// Schedules per side for the schedule-inclusion oracle
   /// (`--explore-schedules[=N]`; 0 disables).
   size_t explore_schedules = 4;
-  /// Worker threads for the seed sweep (1 = serial in the calling thread,
-  /// 0 = one per core). Seeds are independent jobs on a batch::ThreadPool;
+  /// Worker threads for the seed sweep (0 = one per core). Seeds are
+  /// independent jobs on a batch::ThreadPool at every value, 1 included;
   /// per-seed work (including reduction) runs concurrently, while file
   /// writes and the log stream are emitted in a serial seed-order merge
   /// phase — so the report and the log are byte-identical for any value.

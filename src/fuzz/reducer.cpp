@@ -5,7 +5,6 @@
 #include "printer/printer.h"
 #include "spec/builder.h"
 #include "spec/mutate.h"
-#include "spec/transform.h"
 
 namespace specsyn::fuzz {
 

@@ -1,5 +1,6 @@
 #include "parser/parser.h"
 
+#include <algorithm>
 #include <charconv>
 
 #include "parser/lexer.h"
@@ -7,6 +8,14 @@
 namespace specsyn {
 
 namespace {
+
+// Deepest nesting a spec may have. Behaviors, statement blocks, parentheses,
+// unary operators and expression-tree height all count toward it, so a
+// left-deep `1+1+...+1` chain is as deep as its length. Every later pass
+// (validation, refinement, printing, lowering, simulation, analysis) walks
+// these trees recursively; bounding the depth here keeps each of them
+// inside the stack. Deeper input fails with SP002.
+constexpr size_t kMaxNestingDepth = 1000;
 
 class Parser {
  public:
@@ -41,7 +50,7 @@ class Parser {
   }
 
   ExprPtr parse_only_expr() {
-    ExprPtr e = parse_expr_prec(0);
+    ExprPtr e = parse_expr();
     if (!failed_ && peek().kind != Tok::End) err("trailing input after expression");
     return failed_ ? nullptr : std::move(e);
   }
@@ -65,6 +74,32 @@ class Parser {
     if (!failed_) diags_.error(msg, peek().loc);
     failed_ = true;
   }
+
+  // Fails the parse with SP002 once `extra` levels below the current
+  // nesting would pass kMaxNestingDepth.
+  void check_depth(size_t extra) {
+    if (depth_ + extra > kMaxNestingDepth) {
+      err("[SP002] nesting deeper than " + std::to_string(kMaxNestingDepth) +
+          " levels");
+    }
+  }
+
+  // One level of recursive nesting, held for a scope. Callers stop
+  // recursing once failed() is set, so a hostile input never gets deeper
+  // than the limit.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      ++p_.depth_;
+      p_.check_depth(0);
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
 
   bool expect(Tok k) {
     if (failed_) return false;
@@ -212,6 +247,7 @@ class Parser {
   }
 
   BehaviorPtr parse_behavior() {
+    const Nest nest(*this);
     expect_keyword("behavior");
     const SourceLoc loc = peek().loc;
     std::string name = expect_ident("behavior name");
@@ -255,7 +291,7 @@ class Parser {
           t.to = (to == "complete") ? "" : to;
           if (at_keyword("when")) {
             advance();
-            t.guard = parse_expr_prec(0);
+            t.guard = parse_expr();
           }
           expect(Tok::Semi);
           b->transitions.push_back(std::move(t));
@@ -276,6 +312,7 @@ class Parser {
   }
 
   StmtList parse_braced_block() {
+    const Nest nest(*this);
     expect(Tok::LBrace);
     StmtList b = parse_stmts_until_rbrace();
     expect(Tok::RBrace);
@@ -287,7 +324,7 @@ class Parser {
     StmtPtr s;
     if (at_keyword("if")) {
       advance();
-      ExprPtr cond = parse_expr_prec(0);
+      ExprPtr cond = parse_expr();
       StmtList then_b = parse_braced_block();
       StmtList else_b;
       if (at_keyword("else")) {
@@ -297,14 +334,14 @@ class Parser {
       s = Stmt::if_(std::move(cond), std::move(then_b), std::move(else_b));
     } else if (at_keyword("while")) {
       advance();
-      ExprPtr cond = parse_expr_prec(0);
+      ExprPtr cond = parse_expr();
       s = Stmt::while_(std::move(cond), parse_braced_block());
     } else if (at_keyword("loop")) {
       advance();
       s = Stmt::loop(parse_braced_block());
     } else if (at_keyword("wait")) {
       advance();
-      s = Stmt::wait(parse_expr_prec(0));
+      s = Stmt::wait(parse_expr());
       expect(Tok::Semi);
     } else if (at_keyword("delay")) {
       advance();
@@ -317,7 +354,7 @@ class Parser {
       std::vector<ExprPtr> args;
       if (!at(Tok::RParen)) {
         while (!failed_) {
-          args.push_back(parse_expr_prec(0));
+          args.push_back(parse_expr());
           if (at(Tok::Comma)) {
             advance();
             continue;
@@ -340,10 +377,10 @@ class Parser {
       std::string target = advance().text;
       if (at(Tok::Assign)) {
         advance();
-        s = Stmt::assign(std::move(target), parse_expr_prec(0));
+        s = Stmt::assign(std::move(target), parse_expr());
       } else if (at(Tok::Le)) {
         advance();
-        s = Stmt::signal_assign(std::move(target), parse_expr_prec(0));
+        s = Stmt::signal_assign(std::move(target), parse_expr());
       } else {
         err("expected ':=' or '<=' after '" + target + "'");
         s = Stmt::nop();
@@ -358,9 +395,16 @@ class Parser {
     return s;
   }
 
-  // Precedence climbing. min_prec of 0 accepts any expression.
-  ExprPtr parse_expr_prec(int min_prec) {
-    ExprPtr lhs = parse_unary();
+  ExprPtr parse_expr() {
+    size_t height = 0;
+    return parse_expr_prec(0, height);
+  }
+
+  // Precedence climbing. min_prec of 0 accepts any expression. `height`
+  // receives the height of the returned tree: the parser does not recurse
+  // down a left-deep chain, but every later pass does.
+  ExprPtr parse_expr_prec(int min_prec, size_t& height) {
+    ExprPtr lhs = parse_unary(height);
     while (!failed_) {
       BinOp op;
       if (!binop_of(peek().kind, op)) break;
@@ -369,8 +413,11 @@ class Parser {
       advance();
       // All operators are left-associative: the right operand must bind
       // strictly tighter.
-      ExprPtr rhs = parse_expr_prec(prec + 1);
+      size_t rhs_height = 0;
+      ExprPtr rhs = parse_expr_prec(prec + 1, rhs_height);
       lhs = Expr::binary(op, std::move(lhs), std::move(rhs));
+      height = 1 + std::max(height, rhs_height);
+      check_depth(height);
     }
     return lhs;
   }
@@ -399,25 +446,34 @@ class Parser {
     }
   }
 
-  ExprPtr parse_unary() {
+  // Parentheses and unary operators are the expression grammar's only
+  // unbounded recursion, so each call holds one nesting level.
+  ExprPtr parse_unary(size_t& height) {
     const SourceLoc loc = peek().loc;
+    const Nest nest(*this);
+    height = 0;
     ExprPtr e;
-    if (at(Tok::Bang)) {
+    if (failed_) {
+      e = Expr::lit(0);
+    } else if (at(Tok::Bang)) {
       advance();
-      e = Expr::unary(UnOp::LogicalNot, parse_unary());
+      e = Expr::unary(UnOp::LogicalNot, parse_unary(height));
+      ++height;
     } else if (at(Tok::Tilde)) {
       advance();
-      e = Expr::unary(UnOp::BitNot, parse_unary());
+      e = Expr::unary(UnOp::BitNot, parse_unary(height));
+      ++height;
     } else if (at(Tok::Minus)) {
       advance();
-      e = Expr::unary(UnOp::Neg, parse_unary());
+      e = Expr::unary(UnOp::Neg, parse_unary(height));
+      ++height;
     } else if (at(Tok::Int)) {
       e = Expr::lit(advance().int_value, Type::u64());
     } else if (at(Tok::Ident)) {
       e = Expr::ref(advance().text);
     } else if (at(Tok::LParen)) {
       advance();
-      e = parse_expr_prec(0);
+      e = parse_expr_prec(0, height);
       expect(Tok::RParen);
     } else {
       err("expected expression, found " + describe(peek()));
@@ -430,6 +486,7 @@ class Parser {
   std::vector<Token> toks_;
   DiagnosticSink& diags_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // nesting levels currently held (see Nest)
   bool failed_ = false;
 };
 

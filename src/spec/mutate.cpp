@@ -36,6 +36,37 @@ void visit_stmts(StmtList& list, const std::function<void(Stmt&)>& fn) {
   }
 }
 
+bool is_trivial_seq(const Behavior& b) {
+  return b.kind == BehaviorKind::Sequential && b.children.size() == 1 &&
+         b.transitions.empty();
+}
+
+/// Takes ownership of a trivial composite and returns its only child, with
+/// the composite's declarations moved onto it.
+BehaviorPtr splice(BehaviorPtr composite) {
+  BehaviorPtr child = std::move(composite->children[0]);
+  for (auto& v : composite->vars) child->vars.push_back(std::move(v));
+  for (auto& sg : composite->signals) child->signals.push_back(std::move(sg));
+  return child;
+}
+
+size_t flatten_under(Behavior& b) {
+  size_t removed = 0;
+  for (auto& c : b.children) removed += flatten_under(*c);
+  for (auto& c : b.children) {
+    while (is_trivial_seq(*c)) {
+      const std::string old_name = c->name;
+      c = splice(std::move(c));
+      for (Transition& t : b.transitions) {
+        if (t.from == old_name) t.from = c->name;
+        if (t.to == old_name) t.to = c->name;
+      }
+      ++removed;
+    }
+  }
+  return removed;
+}
+
 }  // namespace
 
 void for_each_block(Specification& spec,
@@ -118,6 +149,16 @@ size_t remove_unused_decls(Specification& spec) {
                             static_cast<ptrdiff_t>(i));
       ++removed;
     }
+  }
+  return removed;
+}
+
+size_t flatten_trivial_composites(Specification& spec) {
+  if (!spec.top) return 0;
+  size_t removed = flatten_under(*spec.top);
+  while (is_trivial_seq(*spec.top)) {
+    spec.top = splice(std::move(spec.top));
+    ++removed;
   }
   return removed;
 }

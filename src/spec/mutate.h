@@ -1,9 +1,10 @@
 // Structural mutation helpers shared by the differential fuzzer (src/fuzz):
 // block/statement enumeration for the delta-debugging reducer, targeted
-// statement surgery for planted-bug injection, and dead-declaration cleanup.
+// statement surgery for planted-bug injection, dead-declaration cleanup and
+// trivial-composite flattening.
 //
-// Unlike the passes in transform.h these are *not* semantics-preserving —
-// they exist precisely to break or shrink specifications — so nothing here
+// Apart from flatten_trivial_composites these are *not* semantics-preserving
+// — they exist precisely to break or shrink specifications — so nothing here
 // re-validates. Callers (the reducer loop, the oracle's bug injector) run
 // validate() on the result before using it.
 #pragma once
@@ -35,5 +36,12 @@ bool remove_first_matching_stmt(Specification& spec,
 /// Returns the number of declarations removed. Observable variables count as
 /// referenced (their final value is part of the spec's observable behavior).
 size_t remove_unused_decls(Specification& spec);
+
+/// Splices single-child, transition-free sequential composites into their
+/// parents, repeatedly and bottom-up; the composite's declarations move onto
+/// the surviving child, and parent transitions are renamed to it. Returns
+/// the number of composites removed. The top behavior is replaced (not
+/// spliced) if it is itself trivial. Preserves semantics and validity.
+size_t flatten_trivial_composites(Specification& spec);
 
 }  // namespace specsyn

@@ -1,7 +1,6 @@
 #include "telemetry/telemetry.h"
 
 #include <algorithm>
-#include <bit>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -33,15 +32,6 @@ struct CounterCell {
   uint64_t value = 0;
 };
 
-struct HistCell {
-  Stability st = Stability::Stable;
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t min = std::numeric_limits<uint64_t>::max();
-  uint64_t max = 0;
-  std::array<uint64_t, 64> buckets{};
-};
-
 struct SpanCell {
   Stability st = Stability::Stable;
   uint64_t count = 0;
@@ -60,7 +50,6 @@ struct Shard {
   std::string lane;           // empty until set_lane()
   int lane_order = 1 << 20;   // unnamed lanes sort last
   std::map<std::string, CounterCell, std::less<>> counters;
-  std::map<std::string, HistCell, std::less<>> hists;
   std::map<std::string, SpanCell, std::less<>> spans;
   std::vector<SpanEvent> events;
 };
@@ -101,11 +90,6 @@ uint64_t since_origin_ns(std::chrono::steady_clock::time_point tp) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(tp - t0).count());
 }
 
-// Bucket 0 holds exact zeros; otherwise the value's bit width.
-unsigned bucket_index(uint64_t v) {
-  return static_cast<unsigned>(std::bit_width(v));
-}
-
 }  // namespace
 
 void enable(bool stats, bool trace) {
@@ -127,7 +111,6 @@ void reset() {
   for (auto& s : r.shards) {
     std::lock_guard<std::mutex> slk(s->mu);
     s->counters.clear();
-    s->hists.clear();
     s->spans.clear();
     s->events.clear();
   }
@@ -140,20 +123,6 @@ void count(std::string_view name, Stability st, uint64_t delta) {
   if (it == s.counters.end())
     it = s.counters.emplace(std::string(name), CounterCell{st, 0}).first;
   it->second.value += delta;
-}
-
-void observe(std::string_view name, Stability st, uint64_t value) {
-  Shard& s = my_shard();
-  std::lock_guard<std::mutex> lk(s.mu);
-  auto it = s.hists.find(name);
-  if (it == s.hists.end())
-    it = s.hists.emplace(std::string(name), HistCell{st}).first;
-  HistCell& h = it->second;
-  h.count++;
-  h.sum += value;
-  h.min = std::min(h.min, value);
-  h.max = std::max(h.max, value);
-  h.buckets[bucket_index(value)]++;
 }
 
 void set_lane(std::string name, int order) {
@@ -174,8 +143,9 @@ Span::~Span() {
   const uint64_t dur_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
           .count());
-  const bool stats = stats_enabled();
-  const bool trace = trace_enabled();
+  const uint32_t mode = detail::g_mode.load(std::memory_order_relaxed);
+  const bool stats = (mode & detail::kStatsBit) != 0;
+  const bool trace = (mode & detail::kTraceBit) != 0;
   if (!stats && !trace) return;
   Shard& s = my_shard();
   std::lock_guard<std::mutex> lk(s.mu);
@@ -211,21 +181,6 @@ Snapshot snapshot() {
       CounterValue& dst = out.counters[name];
       dst.stability = cell.st;
       dst.value += cell.value;
-    }
-    for (const auto& [name, cell] : sp->hists) {
-      HistogramData& dst = out.histograms[name];
-      dst.stability = cell.st;
-      if (dst.count == 0) {
-        dst.min = cell.min;
-        dst.max = cell.max;
-      } else {
-        dst.min = std::min(dst.min, cell.min);
-        dst.max = std::max(dst.max, cell.max);
-      }
-      dst.count += cell.count;
-      dst.sum += cell.sum;
-      for (size_t i = 0; i < cell.buckets.size(); ++i)
-        dst.buckets[i] += cell.buckets[i];
     }
     for (const auto& [name, cell] : sp->spans) {
       SpanAggregate& dst = out.spans[name];
@@ -307,77 +262,26 @@ std::string render_stats_table(const Snapshot& snap) {
       appendf(out, "%-34s %6s %12" PRIu64 "\n", name.c_str(),
               stability_name(c.stability), c.value);
   }
-  if (!snap.histograms.empty()) {
-    if (!out.empty()) out += '\n';
-    appendf(out, "%-34s %6s %8s %12s %10s %10s %10s\n", "histogram", "class",
-            "count", "sum", "mean", "min", "max");
-    for (const auto& [name, h] : snap.histograms) {
-      const double mean =
-          h.count ? static_cast<double>(h.sum) / static_cast<double>(h.count)
-                  : 0.0;
-      appendf(out, "%-34s %6s %8" PRIu64 " %12" PRIu64 " %10.1f %10" PRIu64
-                   " %10" PRIu64 "\n",
-              name.c_str(), stability_name(h.stability), h.count, h.sum, mean,
-              h.count ? h.min : 0, h.max);
-    }
-  }
   if (out.empty()) out = "(no telemetry collected)\n";
   return out;
 }
-
-namespace {
-
-template <typename Map, typename EmitValue>
-void json_by_stability(JsonWriter& w, const char* section, const Map& map,
-                       EmitValue emit_value) {
-  w.key(section).begin_object();
-  for (Stability st :
-       {Stability::Stable, Stability::Sched, Stability::Time}) {
-    w.key(stability_name(st)).begin_object();
-    for (const auto& [name, v] : map) {
-      if (v.stability != st) continue;
-      w.key(name);
-      emit_value(w, v);
-    }
-    w.end_object();
-  }
-  w.end_object();
-}
-
-}  // namespace
 
 std::string stats_to_json(const Snapshot& snap, std::string_view command) {
   std::string out;
   JsonWriter w(&out, 2);
   w.begin_object();
-  w.kv("schema", "specsyn-stats-v1");
+  w.kv("schema", "specsyn-stats-v2");
   w.kv("command", command);
-  json_by_stability(w, "counters", snap.counters,
-                    [](JsonWriter& jw, const CounterValue& c) {
-                      jw.value(c.value);
-                    });
-  json_by_stability(
-      w, "histograms", snap.histograms,
-      [](JsonWriter& jw, const HistogramData& h) {
-        jw.begin_object();
-        jw.kv("count", h.count);
-        jw.kv("sum", h.sum);
-        jw.kv("min", h.count ? h.min : 0);
-        jw.kv("max", h.max);
-        jw.key("buckets").begin_array();
-        for (size_t i = 0; i < h.buckets.size(); ++i) {
-          if (!h.buckets[i]) continue;
-          // Upper bound of bucket i is 2^i - 1 (bucket 0 = exact zeros).
-          const uint64_t le =
-              i == 0 ? 0 : (i >= 64 ? ~0ull : (1ull << i) - 1);
-          jw.begin_object();
-          jw.kv("le", le);
-          jw.kv("count", h.buckets[i]);
-          jw.end_object();
-        }
-        jw.end_array();
-        jw.end_object();
-      });
+  w.key("counters").begin_object();
+  for (Stability st :
+       {Stability::Stable, Stability::Sched, Stability::Time}) {
+    w.key(stability_name(st)).begin_object();
+    for (const auto& [name, c] : snap.counters) {
+      if (c.stability == st) w.kv(name, c.value);
+    }
+    w.end_object();
+  }
+  w.end_object();
   w.key("spans").begin_object();
   for (const auto& [name, s] : snap.spans) {
     w.key(name).begin_object();

@@ -20,12 +20,12 @@
 //     what is bytewise reproducible across `--jobs` values from what is not:
 //
 //       Stable — identical bytes for identical inputs at any --jobs value
-//                (per-seed sim step counts, oracle verdicts, opcode
-//                histograms, per-phase span *counts* for phases that run a
+//                (per-seed sim step counts, oracle verdicts, pool job
+//                totals, per-phase span *counts* for phases that run a
 //                fixed number of times).
-//       Sched  — deterministic work, scheduling-dependent accounting: steal
-//                counts, queue depths, which worker's L1 took the miss, how
-//                many lowers ran before a cache hit covered the rest.
+//       Sched  — deterministic work, scheduling-dependent accounting: which
+//                worker ran how many jobs, which worker's L1 took the miss,
+//                how many lowers ran before a cache hit covered the rest.
 //       Time   — wall-clock durations and latencies; never reproducible.
 //
 //     The "byte-identical across --jobs" contract (tools/check_stats_json.py
@@ -40,7 +40,6 @@
 // cost one aggregate update and no allocation growth per span.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -67,28 +66,19 @@ extern std::atomic<uint32_t> g_mode;
 inline bool enabled() {
   return detail::g_mode.load(std::memory_order_relaxed) != 0;
 }
-inline bool stats_enabled() {
-  return (detail::g_mode.load(std::memory_order_relaxed) & detail::kStatsBit) != 0;
-}
-inline bool trace_enabled() {
-  return (detail::g_mode.load(std::memory_order_relaxed) & detail::kTraceBit) != 0;
-}
 
 /// Turns collection on/off. Captures the trace time origin and labels the
 /// calling thread's lane "main" (sort order 0). Idempotent; (false, false)
 /// stops collection but keeps already-collected data for snapshot().
 void enable(bool stats, bool trace);
 
-/// Drops all collected data in every shard (counters, histograms, span
-/// aggregates and events). Shards themselves and lane labels survive, so
+/// Drops all collected data in every shard (counters, span aggregates and
+/// events). Shards themselves and lane labels survive, so
 /// live threads keep writing to their registered shards.
 void reset();
 
 /// Adds `delta` to the named counter in the calling thread's shard.
 void count(std::string_view name, Stability st, uint64_t delta = 1);
-
-/// Records one sample into the named power-of-two-bucket histogram.
-void observe(std::string_view name, Stability st, uint64_t value);
 
 /// Labels the calling thread's trace lane. Lanes sort by `order` (main is
 /// 0; pool workers use worker index + 1), then by registration order.
@@ -125,17 +115,6 @@ struct CounterValue {
   uint64_t value = 0;
 };
 
-struct HistogramData {
-  Stability stability = Stability::Stable;
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t min = 0;
-  uint64_t max = 0;
-  // buckets[i] counts samples whose bit width is i, i.e. values in
-  // [2^(i-1), 2^i - 1] (bucket 0 holds exact zeros).
-  std::array<uint64_t, 64> buckets{};
-};
-
 struct SpanAggregate {
   Stability stability = Stability::Stable;
   uint64_t count = 0;
@@ -159,7 +138,6 @@ struct Lane {
 
 struct Snapshot {
   std::map<std::string, CounterValue> counters;
-  std::map<std::string, HistogramData> histograms;
   std::map<std::string, SpanAggregate> spans;
   std::vector<Lane> lanes;  // sorted: main first, then workers by index
 };
@@ -169,11 +147,12 @@ Snapshot snapshot();
 // ---------------------------------------------------------------------------
 // Exporters. All three are pure functions of a snapshot.
 
-/// Human-readable summary table (counters + histograms + span totals).
+/// Human-readable summary table (span totals + counters).
 std::string render_stats_table(const Snapshot& snap);
 
-/// `specsyn-stats-v1` JSON document; see tools/check_stats_json.py for the
-/// schema. Counters/histograms/spans are grouped by stability class.
+/// `specsyn-stats-v2` JSON document; see tools/check_stats_json.py for the
+/// schema. Counters are grouped by stability class; each span carries its
+/// own.
 std::string stats_to_json(const Snapshot& snap, std::string_view command);
 
 /// Chrome trace-event JSON (Perfetto-loadable): one pid, one tid lane per
@@ -188,10 +167,4 @@ std::string trace_to_chrome_json(const Snapshot& snap);
   do {                                                                    \
     if (::specsyn::telemetry::enabled())                                  \
       ::specsyn::telemetry::count((name), (stability), (delta));          \
-  } while (0)
-
-#define SPECSYN_TM_OBSERVE(name, stability, value)                        \
-  do {                                                                    \
-    if (::specsyn::telemetry::enabled())                                  \
-      ::specsyn::telemetry::observe((name), (stability), (value));        \
   } while (0)

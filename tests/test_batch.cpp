@@ -1,7 +1,8 @@
-// Batch engine tests: thread-pool correctness (ordering, stealing contexts,
-// exception discipline), the compiled-program cache, parallel equivalence,
-// the sweep's run reuse under --verify, and the engine-level determinism
-// contract (sweep and fuzz output identical for any worker count).
+// Batch engine tests: thread-pool correctness (ordering, exactly-once
+// claiming, per-worker contexts, exception discipline), the compiled-program
+// cache, parallel equivalence, the sweep's run reuse under --verify, and the
+// engine-level determinism contract (sweep and fuzz output identical for any
+// worker count).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -38,16 +39,18 @@ TEST(ThreadPool, RunBatchOrdersResultsForAnyWorkerCount) {
   }
 }
 
-TEST(ThreadPool, BoundedQueueStillCompletesEveryJob) {
-  // Submission blocks at the bound; all jobs must still run exactly once.
-  ThreadPool pool(3, /*queue_bound=*/4);
+TEST(ThreadPool, EveryJobRunsExactlyOnce) {
+  // Workers race on one shared counter; no index may be claimed twice or
+  // skipped.
+  constexpr size_t kJobs = 10000;
+  ThreadPool pool(3);
   std::mutex mu;
   std::set<size_t> seen;
-  pool.for_each(500, [&](size_t job, WorkerContext&) {
+  pool.for_each(kJobs, [&](size_t job, WorkerContext&) {
     std::lock_guard<std::mutex> lock(mu);
     EXPECT_TRUE(seen.insert(job).second) << "job " << job << " ran twice";
   });
-  EXPECT_EQ(seen.size(), 500u);
+  EXPECT_EQ(seen.size(), kJobs);
 }
 
 TEST(ThreadPool, WorkersGetDistinctArenas) {

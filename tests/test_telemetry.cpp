@@ -92,11 +92,9 @@ TEST_F(TelemetryTest, DisabledCollectionRecordsNothing) {
   tm::reset();
   EXPECT_FALSE(tm::enabled());
   SPECSYN_TM_COUNT("t.counter", tm::Stability::Stable, 5);
-  SPECSYN_TM_OBSERVE("t.hist", tm::Stability::Stable, 8);
   { tm::Span span("t.span", tm::Stability::Stable); }
   const tm::Snapshot snap = tm::snapshot();
   EXPECT_EQ(snap.counters.count("t.counter"), 0u);
-  EXPECT_EQ(snap.histograms.count("t.hist"), 0u);
   EXPECT_EQ(snap.spans.count("t.span"), 0u);
 }
 
@@ -108,22 +106,6 @@ TEST_F(TelemetryTest, CountersAccumulateWithStability) {
   EXPECT_EQ(counter_value(snap, "t.a"), 5u);
   EXPECT_EQ(snap.counters.at("t.a").stability, tm::Stability::Stable);
   EXPECT_EQ(snap.counters.at("t.b").stability, tm::Stability::Sched);
-}
-
-TEST_F(TelemetryTest, HistogramBucketsByBitWidth) {
-  for (const uint64_t v : {0ull, 1ull, 1ull, 6ull, 6ull, 6ull, 1000ull}) {
-    tm::observe("t.h", tm::Stability::Stable, v);
-  }
-  const tm::Snapshot snap = tm::snapshot();
-  const tm::HistogramData& h = snap.histograms.at("t.h");
-  EXPECT_EQ(h.count, 7u);
-  EXPECT_EQ(h.sum, 1020u);
-  EXPECT_EQ(h.min, 0u);
-  EXPECT_EQ(h.max, 1000u);
-  EXPECT_EQ(h.buckets[0], 1u);   // exact zeros
-  EXPECT_EQ(h.buckets[1], 2u);   // value 1
-  EXPECT_EQ(h.buckets[3], 3u);   // value 6 (bit width 3)
-  EXPECT_EQ(h.buckets[10], 1u);  // value 1000 (bit width 10)
 }
 
 TEST_F(TelemetryTest, SpansAggregateAndEmitTraceEvents) {
@@ -152,12 +134,12 @@ TEST_F(TelemetryTest, SpansAggregateAndEmitTraceEvents) {
 TEST_F(TelemetryTest, StatsJsonIsSchemaShapedAndTableRenders) {
   tm::count("t.stable", tm::Stability::Stable, 1);
   tm::count("t.timey", tm::Stability::Time, 9);
-  tm::observe("t.h", tm::Stability::Sched, 3);
   { tm::Span span("t.phase", tm::Stability::Stable); }
   const tm::Snapshot snap = tm::snapshot();
 
   const std::string json = tm::stats_to_json(snap, "test");
-  EXPECT_NE(json.find("\"schema\": \"specsyn-stats-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"specsyn-stats-v2\""), std::string::npos);
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"command\": \"test\""), std::string::npos);
   EXPECT_NE(json.find("\"t.stable\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"t.timey\": 9"), std::string::npos);
@@ -205,7 +187,6 @@ TEST_F(TelemetryTest, PoolCountersSumAcrossEightWorkers) {
   // scheduler spread them.
   EXPECT_EQ(per_worker, kJobs);
   EXPECT_GE(workers_seen, 1u);
-  EXPECT_EQ(snap.histograms.at("pool.queue_depth").count, kJobs);
   EXPECT_EQ(snap.spans.at("t.job").count, kJobs);
 
   // Every worker that executed a job shows up as a trace lane (each job

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a specsyn --stats-json document (schema specsyn-stats-v1).
+"""Validate a specsyn --stats-json document (schema specsyn-stats-v2).
 
 Usage:
   check_stats_json.py FILE            validate; exit 0/1, errors on stderr
@@ -7,9 +7,9 @@ Usage:
                                       stability-stable subset on stdout
 
 The --strip output keeps only the sections the telemetry layer guarantees
-byte-identical across --jobs values: stable counters, stable histograms, and
-the *counts* of stable spans (span durations are wall clock even when the
-count is deterministic). Two runs of the same command are expected to produce
+byte-identical across --jobs values: stable counters and the *counts* of
+stable spans (span durations are wall clock even when the count is
+deterministic). Two runs of the same command are expected to produce
 identical --strip output for any worker count:
 
   specsyn sweep spec --jobs 1 --stats-json a.json
@@ -21,7 +21,7 @@ identical --strip output for any worker count:
 import json
 import sys
 
-SCHEMA = "specsyn-stats-v1"
+SCHEMA = "specsyn-stats-v2"
 STABILITY_CLASSES = ("stable", "sched", "time")
 
 
@@ -39,43 +39,23 @@ def is_uint(v):
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def check_histogram(name, h):
-    expect(isinstance(h, dict), f"histogram {name}: not an object")
-    for field in ("count", "sum", "min", "max"):
-        expect(is_uint(h.get(field)), f"histogram {name}: bad '{field}'")
-    buckets = h.get("buckets")
-    expect(isinstance(buckets, list), f"histogram {name}: 'buckets' missing")
-    total = 0
-    prev_le = -1
-    for b in buckets:
-        expect(isinstance(b, dict) and is_uint(b.get("le"))
-               and is_uint(b.get("count")),
-               f"histogram {name}: malformed bucket {b!r}")
-        expect(b["le"] > prev_le, f"histogram {name}: buckets not ascending")
-        prev_le = b["le"]
-        total += b["count"]
-    expect(total == h["count"],
-           f"histogram {name}: bucket counts sum to {total}, "
-           f"'count' says {h['count']}")
-
-
 def validate(doc):
     expect(isinstance(doc, dict), "top level is not an object")
     expect(doc.get("schema") == SCHEMA,
            f"schema is {doc.get('schema')!r}, expected {SCHEMA!r}")
     expect(isinstance(doc.get("command"), str), "'command' missing")
 
-    for section, checker in (("counters", None), ("histograms", None)):
-        sec = doc.get(section)
-        expect(isinstance(sec, dict), f"'{section}' missing")
-        expect(sorted(sec.keys()) == sorted(STABILITY_CLASSES),
-               f"'{section}' must have exactly the keys "
-               f"{STABILITY_CLASSES}")
+    # v1 documents carried a "histograms" section; v2 has none.
+    expect("histograms" not in doc,
+           "'histograms' is not part of the v2 schema")
+
+    counters = doc.get("counters")
+    expect(isinstance(counters, dict), "'counters' missing")
+    expect(sorted(counters.keys()) == sorted(STABILITY_CLASSES),
+           f"'counters' must have exactly the keys {STABILITY_CLASSES}")
     for cls in STABILITY_CLASSES:
-        for name, v in doc["counters"][cls].items():
+        for name, v in counters[cls].items():
             expect(is_uint(v), f"counter {name}: value {v!r} is not a uint")
-        for name, h in doc["histograms"][cls].items():
-            check_histogram(name, h)
 
     spans = doc.get("spans")
     expect(isinstance(spans, dict), "'spans' missing")
@@ -94,7 +74,6 @@ def strip(doc):
         "schema": doc["schema"],
         "command": doc["command"],
         "counters": doc["counters"]["stable"],
-        "histograms": doc["histograms"]["stable"],
         "span_counts": {
             name: s["count"]
             for name, s in doc["spans"].items()

@@ -72,7 +72,7 @@
 //
 // global options (every subcommand):
 //   --stats                print the telemetry summary table on stderr
-//   --stats-json FILE      write the telemetry stats JSON (specsyn-stats-v1)
+//   --stats-json FILE      write the telemetry stats JSON (specsyn-stats-v2)
 //   --pipeline-trace FILE  write a Perfetto-loadable Chrome trace of the
 //                          tool's own pipeline phases (one lane per worker)
 #include <charconv>
@@ -216,12 +216,12 @@ fuzz options:
                          the equivalence oracle compares)
 
 global options (accepted by every subcommand):
-  --stats                print the telemetry summary table (counters,
-                         histograms, per-phase span totals) on stderr
+  --stats                print the telemetry summary table (per-phase
+                         span totals, counters) on stderr
   --stats-json FILE      write the telemetry stats as JSON (schema
-                         specsyn-stats-v1; the "stable" sections are
-                         byte-identical across --jobs values — see
-                         tools/check_stats_json.py --strip)
+                         specsyn-stats-v2; the "stable" counters and span
+                         counts are byte-identical across --jobs values —
+                         see tools/check_stats_json.py --strip)
   --pipeline-trace FILE  write a Perfetto-loadable Chrome trace of the
                          tool's own pipeline phases (parse, refine, price,
                          check, lower, simulate, equivalence ...) with one
