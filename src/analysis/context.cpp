@@ -1,6 +1,7 @@
 #include "analysis/context.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace specsyn::analysis {
 
@@ -11,6 +12,42 @@ constexpr uint32_t kNoBus = UINT32_MAX;
 void add_unique(std::vector<const Behavior*>& v, const Behavior* b) {
   if (std::find(v.begin(), v.end(), b) == v.end()) v.push_back(b);
 }
+
+/// Calls `fn` on every NameRef of `e`, pre-order, left to right.
+template <typename Fn>
+void for_each_name(const Expr& e, Fn&& fn) {
+  if (e.kind == Expr::Kind::NameRef) fn(e.name);
+  for (const ExprPtr& a : e.args) for_each_name(*a, fn);
+}
+
+/// A few name-keyed entries (call bindings, out-parameter renames, loop
+/// bounds), searched linearly. Keys view names owned by the spec.
+template <typename V>
+class NameTable {
+ public:
+  [[nodiscard]] const V* find(std::string_view name) const {
+    for (const auto& [n, v] : entries_) {
+      if (n == name) return &v;
+    }
+    return nullptr;
+  }
+  void set(std::string_view name, V value) {
+    for (auto& [n, v] : entries_) {
+      if (n == name) {
+        v = value;
+        return;
+      }
+    }
+    entries_.emplace_back(name, value);
+  }
+  void erase(std::string_view name) {
+    std::erase_if(entries_, [&](const auto& e) { return e.first == name; });
+  }
+  void clear() { entries_.clear(); }
+
+ private:
+  std::vector<std::pair<std::string_view, V>> entries_;
+};
 
 /// Flattens a (possibly nested) chain of `op` applications into leaves.
 void flatten(const Expr& e, BinOp op, std::vector<const Expr*>& out) {
@@ -66,11 +103,11 @@ struct Context::Scope {
   const Behavior* leaf = nullptr;
   int call_depth = 0;
   /// in-param name -> caller argument expression (already caller-resolved).
-  std::map<std::string, const Expr*> bindings;
-  /// out-param name -> caller target variable name.
-  std::map<std::string, std::string> renames;
+  NameTable<const Expr*> bindings;
+  /// out-param name -> caller target's symbol (nullptr: not declared).
+  NameTable<Symbol*> renames;
   /// `while (k < N)` binds k -> N inside the body (ByteSerial beat loops).
-  std::map<std::string, uint64_t> loop_bounds;
+  NameTable<uint64_t> loop_bounds;
   /// Buses currently held: req asserted, start mid-transfer, or being served.
   std::set<uint32_t> held;
   /// Per-bus direction lines currently asserted: bit0 = rd, bit1 = wr.
@@ -89,13 +126,26 @@ struct Context::Scope {
 
 Context::Context(const Specification& spec)
     : spec_(&spec), topo_(BusTopology::discover(spec)) {
+  // The first declaration of a name supplies its initial value.
+  const auto declare = [this](const std::string& name,
+                              uint64_t init) -> Symbol& {
+    const auto [it, fresh] = symbols_.try_emplace(name);
+    if (fresh) {
+      it->second.name = it->first;
+      it->second.init = init;
+    }
+    return it->second;
+  };
   for (const VarDecl* v : spec.all_vars()) {
-    var_names_.insert(v->name);
-    init_values_.emplace(v->name, v->init);
+    declare(v->name, v->init).is_var = true;
   }
   for (const SignalDecl* s : spec.all_signals()) {
-    signal_names_.insert(s->name);
-    init_values_.emplace(s->name, s->init);
+    Symbol& sym = declare(s->name, s->init);
+    sym.is_signal = true;
+    sym.role = topo_.role_of(s->name);
+  }
+  for (const BusTopology::BusEntry& bus : topo_.buses) {
+    bus_data_.push_back(bus.name + bus_naming::kData);
   }
   if (spec.top) index_behaviors(*spec.top, nullptr);
   walk_spec();
@@ -153,9 +203,9 @@ bool Context::const_eval(const Expr& e, uint64_t& out) const {
       out = e.int_value;
       return true;
     case Expr::Kind::NameRef: {
-      const auto it = init_values_.find(e.name);
-      if (it == init_values_.end()) return false;
-      out = it->second;
+      const Symbol* sym = symbol(e.name);
+      if (sym == nullptr) return false;
+      out = sym->init;
       return true;
     }
     case Expr::Kind::Unary: {
@@ -209,11 +259,31 @@ const Expr* Context::resolve(const Expr& e, const Scope& scope) const {
   const Expr* cur = &e;
   int fuel = 8;
   while (fuel-- > 0 && cur->kind == Expr::Kind::NameRef) {
-    const auto it = scope.bindings.find(cur->name);
-    if (it == scope.bindings.end()) break;
-    cur = it->second;
+    const Expr* const* bound = scope.bindings.find(cur->name);
+    if (bound == nullptr) break;
+    cur = *bound;
   }
   return cur;
+}
+
+Context::Symbol* Context::symbol(std::string_view name) {
+  const auto it = symbols_.find(name);
+  return it == symbols_.end() ? nullptr : &it->second;
+}
+
+const Context::Symbol* Context::symbol(std::string_view name) const {
+  const auto it = symbols_.find(name);
+  return it == symbols_.end() ? nullptr : &it->second;
+}
+
+BusTopology::SignalRole Context::role_of(std::string_view name) const {
+  const Symbol* sym = symbol(name);
+  return sym == nullptr ? BusTopology::SignalRole{} : sym->role;
+}
+
+SignalUse& Context::use_of(Symbol& sym) {
+  if (sym.use == nullptr) sym.use = &signal_use_[std::string(sym.name)];
+  return *sym.use;
 }
 
 MasterFacts& Context::master_facts(const Behavior* b, uint32_t bus) {
@@ -257,20 +327,20 @@ void Context::close_open_accesses(Scope& scope) {
   scope.open_access.clear();
 }
 
-void Context::record_var_access(const std::string& name, bool is_write,
-                                Scope& scope) {
-  std::string resolved = name;
-  const auto rn = scope.renames.find(name);
-  if (rn != scope.renames.end()) resolved = rn->second;
-  if (var_names_.count(resolved) == 0) return;  // proc local / param
-  var_access_[resolved].push_back(
-      {scope.leaf, is_write, scope.serving != kNoBus});
+void Context::record_var_access(std::string_view name, Symbol* sym,
+                                bool is_write, Scope& scope) {
+  if (Symbol* const* renamed = scope.renames.find(name)) sym = *renamed;
+  if (sym == nullptr || !sym->is_var) return;  // proc local / param
+  if (sym->accesses == nullptr) {
+    sym->accesses = &var_access_[std::string(sym->name)];
+  }
+  sym->accesses->push_back({scope.leaf, is_write, scope.serving != kNoBus});
 }
 
-void Context::note_signal_write(const std::string& name, const Behavior* b,
+void Context::note_signal_write(Symbol* sym, const Behavior* b,
                                 const Expr* value, Scope& scope) {
-  if (signal_names_.count(name) == 0) return;
-  SignalUse& use = signal_use_[name];
+  if (sym == nullptr || !sym->is_signal) return;
+  SignalUse& use = use_of(*sym);
   add_unique(use.writers, b);
   const Expr* v = value != nullptr ? resolve(*value, scope) : nullptr;
   if (v != nullptr && v->kind == Expr::Kind::IntLit) {
@@ -280,15 +350,14 @@ void Context::note_signal_write(const std::string& name, const Behavior* b,
 }
 
 void Context::note_expr_reads(const Expr& e, Scope& scope) {
-  std::vector<std::string> names;
-  e.collect_names(names);
-  for (const std::string& n : names) {
-    if (signal_names_.count(n) != 0) {
-      add_unique(signal_use_[n].readers, scope.leaf);
+  for_each_name(e, [&](const std::string& n) {
+    Symbol* sym = symbol(n);
+    if (sym != nullptr && sym->is_signal) {
+      add_unique(use_of(*sym).readers, scope.leaf);
     } else {
-      record_var_access(n, /*is_write=*/false, scope);
+      record_var_access(n, sym, /*is_write=*/false, scope);
     }
-  }
+  });
 }
 
 size_t Context::try_serve_loop(const Stmt& loop, Scope& scope) {
@@ -305,7 +374,7 @@ size_t Context::try_serve_loop(const Stmt& loop, Scope& scope) {
   for (const Expr* c : conjuncts) {
     uint64_t v = 0;
     if (const Expr* n = match_eq_lit(*c, v)) {
-      const BusTopology::SignalRole role = topo_.role_of(n->name);
+      const BusTopology::SignalRole role = role_of(n->name);
       if (role.role == BusSignalRole::Start && v == 1) {
         if (bus != kNoBus && bus != role.bus) return SIZE_MAX;
         bus = role.bus;
@@ -318,12 +387,12 @@ size_t Context::try_serve_loop(const Stmt& loop, Scope& scope) {
       return SIZE_MAX;
     }
     if (const Expr* n = match_cmp_lit(*c, BinOp::Ge, v)) {
-      if (topo_.role_of(n->name).role != BusSignalRole::Addr) return SIZE_MAX;
+      if (role_of(n->name).role != BusSignalRole::Addr) return SIZE_MAX;
       lone_lo.push_back(v);
       continue;
     }
     if (const Expr* n = match_cmp_lit(*c, BinOp::Le, v)) {
-      if (topo_.role_of(n->name).role != BusSignalRole::Addr) return SIZE_MAX;
+      if (role_of(n->name).role != BusSignalRole::Addr) return SIZE_MAX;
       lone_hi.push_back(v);
       continue;
     }
@@ -333,7 +402,7 @@ size_t Context::try_serve_loop(const Stmt& loop, Scope& scope) {
     if (terms.size() < 2) return SIZE_MAX;
     for (const Expr* t : terms) {
       if (const Expr* n = match_eq_lit(*t, v)) {
-        if (topo_.role_of(n->name).role != BusSignalRole::Addr) {
+        if (role_of(n->name).role != BusSignalRole::Addr) {
           return SIZE_MAX;
         }
         match.push_back({v, v});
@@ -346,8 +415,8 @@ size_t Context::try_serve_loop(const Stmt& loop, Scope& scope) {
       const Expr* nl = match_cmp_lit(*pair[0], BinOp::Ge, lo);
       const Expr* nh = match_cmp_lit(*pair[1], BinOp::Le, hi);
       if (nl == nullptr || nh == nullptr ||
-          topo_.role_of(nl->name).role != BusSignalRole::Addr ||
-          topo_.role_of(nh->name).role != BusSignalRole::Addr) {
+          role_of(nl->name).role != BusSignalRole::Addr ||
+          role_of(nh->name).role != BusSignalRole::Addr) {
         return SIZE_MAX;
       }
       match.push_back({lo, hi});
@@ -400,15 +469,14 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
   switch (s.kind) {
     case Stmt::Kind::Assign: {
       if (s.expr) note_expr_reads(*s.expr, scope);
-      record_var_access(s.target, /*is_write=*/true, scope);
+      Symbol* target = symbol(s.target);
+      record_var_access(s.target, target, /*is_write=*/true, scope);
       // Slave write-case decode: `var := f(<bus>_data)` under an addr case
       // inside the `if wr == 1` branch.
       if (scope.serving != kNoBus && scope.decode_dir == 2 &&
           scope.have_addr && scope.port_idx != SIZE_MAX &&
-          var_names_.count(s.target) != 0 && s.expr) {
-        const std::string data =
-            topo_.buses[scope.serving].name + bus_naming::kData;
-        if (s.expr->references(data)) {
+          target != nullptr && target->is_var && s.expr) {
+        if (s.expr->references(bus_data_[scope.serving])) {
           SlavePort& port = slaves_[scope.port_idx];
           for (uint64_t a = scope.decode_addr.lo; a <= scope.decode_addr.hi;
                ++a) {
@@ -420,8 +488,10 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
     }
     case Stmt::Kind::SignalAssign: {
       if (s.expr) note_expr_reads(*s.expr, scope);
-      note_signal_write(s.target, scope.leaf, s.expr.get(), scope);
-      const BusTopology::SignalRole role = topo_.role_of(s.target);
+      Symbol* target = symbol(s.target);
+      note_signal_write(target, scope.leaf, s.expr.get(), scope);
+      const BusTopology::SignalRole role =
+          target != nullptr ? target->role : BusTopology::SignalRole{};
       const Expr* v = s.expr ? resolve(*s.expr, scope) : nullptr;
       const bool lit = v != nullptr && v->kind == Expr::Kind::IntLit;
       const uint64_t level = lit ? v->int_value : 0;
@@ -492,11 +562,10 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
             if (l->kind != Expr::Kind::IntLit) std::swap(l, r);
             if (l->kind == Expr::Kind::IntLit &&
                 r->kind == Expr::Kind::NameRef) {
-              const auto bound = scope.loop_bounds.find(r->name);
-              if (bound != scope.loop_bounds.end() && bound->second > 0) {
+              const uint64_t* bound = scope.loop_bounds.find(r->name);
+              if (bound != nullptr && *bound > 0) {
                 access.resolved = true;
-                access.range = {l->int_value,
-                                l->int_value + bound->second - 1};
+                access.range = {l->int_value, l->int_value + *bound - 1};
               }
             }
           }
@@ -512,20 +581,19 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
           // case inside the `if rd == 1` branch.
           if (scope.serving == role.bus && scope.decode_dir == 1 &&
               scope.have_addr && scope.port_idx != SIZE_MAX && s.expr) {
-            std::vector<std::string> names;
-            s.expr->collect_names(names);
-            std::string served;
+            const Symbol* served = nullptr;
             bool unique = true;
-            for (const std::string& n : names) {
-              if (var_names_.count(n) == 0) continue;
-              if (!served.empty() && served != n) unique = false;
-              served = n;
-            }
-            if (unique && !served.empty()) {
+            for_each_name(*s.expr, [&](const std::string& n) {
+              const Symbol* sym = symbol(n);
+              if (sym == nullptr || !sym->is_var) return;
+              if (served != nullptr && served != sym) unique = false;
+              served = sym;
+            });
+            if (unique && served != nullptr) {
               SlavePort& port = slaves_[scope.port_idx];
               for (uint64_t a = scope.decode_addr.lo;
                    a <= scope.decode_addr.hi; ++a) {
-                port.read_cases[a] = served;
+                port.read_cases[a] = served->name;
               }
             }
           }
@@ -554,7 +622,7 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
       uint64_t v = 0;
       const Expr* n = cond != nullptr ? match_eq_lit(*cond, v) : nullptr;
       if (n != nullptr) {
-        const BusTopology::SignalRole role = topo_.role_of(n->name);
+        const BusTopology::SignalRole role = role_of(n->name);
         if (role.role == BusSignalRole::Req && v == 1) {
           scope.req_chain[role.bus].push_back(role.master);
         } else if (scope.serving == role.bus && v == 1 &&
@@ -585,25 +653,26 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
         const Expr* lhs = resolve(*cond->args[0], scope);
         const Expr* rhs = resolve(*cond->args[1], scope);
         if (rhs->kind == Expr::Kind::NameRef &&
-            topo_.role_of(rhs->name).role == BusSignalRole::Addr) {
+            role_of(rhs->name).role == BusSignalRole::Addr) {
           std::swap(lhs, rhs);
         }
-        if (lhs->kind == Expr::Kind::NameRef &&
-            topo_.role_of(lhs->name).role == BusSignalRole::Addr &&
-            topo_.role_of(lhs->name).bus == scope.serving &&
+        const BusTopology::SignalRole lrole =
+            lhs->kind == Expr::Kind::NameRef ? role_of(lhs->name)
+                                             : BusTopology::SignalRole{};
+        if (lrole.role == BusSignalRole::Addr && lrole.bus == scope.serving &&
             rhs->kind == Expr::Kind::Binary && rhs->bin_op == BinOp::Add) {
           const Expr* base = resolve(*rhs->args[0], scope);
           const Expr* idx = resolve(*rhs->args[1], scope);
           if (base->kind != Expr::Kind::IntLit) std::swap(base, idx);
           if (base->kind == Expr::Kind::IntLit &&
               idx->kind == Expr::Kind::NameRef) {
-            const auto bound = scope.loop_bounds.find(idx->name);
-            if (bound != scope.loop_bounds.end() && bound->second > 0) {
+            const uint64_t* bound = scope.loop_bounds.find(idx->name);
+            if (bound != nullptr && *bound > 0) {
               const bool saved_have = scope.have_addr;
               const AddrRange saved_addr = scope.decode_addr;
               scope.have_addr = true;
               scope.decode_addr = {base->int_value,
-                                   base->int_value + bound->second - 1};
+                                   base->int_value + *bound - 1};
               walk_block(s.then_block, scope);
               scope.have_addr = saved_have;
               scope.decode_addr = saved_addr;
@@ -620,25 +689,24 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
     case Stmt::Kind::While: {
       if (s.expr) note_expr_reads(*s.expr, scope);
       const Expr* cond = s.expr ? resolve(*s.expr, scope) : nullptr;
-      std::string bound_name;
-      uint64_t saved_bound = 0;
-      bool had_bound = false;
+      const std::string* bound_name = nullptr;
+      std::optional<uint64_t> saved_bound;
       if (cond != nullptr && cond->kind == Expr::Kind::Binary &&
           cond->bin_op == BinOp::Lt &&
           cond->args[0]->kind == Expr::Kind::NameRef) {
         const Expr* limit = resolve(*cond->args[1], scope);
         if (limit->kind == Expr::Kind::IntLit) {
-          bound_name = cond->args[0]->name;
-          const auto it = scope.loop_bounds.find(bound_name);
-          had_bound = it != scope.loop_bounds.end();
-          if (had_bound) saved_bound = it->second;
-          scope.loop_bounds[bound_name] = limit->int_value;
+          bound_name = &cond->args[0]->name;
+          if (const uint64_t* old = scope.loop_bounds.find(*bound_name)) {
+            saved_bound = *old;
+          }
+          scope.loop_bounds.set(*bound_name, limit->int_value);
         }
       }
       walk_block(s.then_block, scope);
-      if (!bound_name.empty()) {
-        if (had_bound) scope.loop_bounds[bound_name] = saved_bound;
-        else scope.loop_bounds.erase(bound_name);
+      if (bound_name != nullptr) {
+        if (saved_bound) scope.loop_bounds.set(*bound_name, *saved_bound);
+        else scope.loop_bounds.erase(*bound_name);
       }
       return;
     }
@@ -664,17 +732,17 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
     case Stmt::Kind::Wait: {
       if (!s.expr) return;
       waits_.push_back({scope.leaf, s.expr.get()});
-      std::vector<std::string> names;
-      s.expr->collect_names(names);
-      for (const std::string& n : names) {
-        if (signal_names_.count(n) != 0) {
-          SignalUse& use = signal_use_[n];
+      for_each_name(*s.expr, [&](const std::string& n) {
+        Symbol* sym = symbol(n);
+        if (sym != nullptr && sym->is_signal) {
+          SignalUse& use = use_of(*sym);
           add_unique(use.readers, scope.leaf);
           add_unique(use.waiters, scope.leaf);
         } else {
-          record_var_access(n, /*is_write=*/false, scope);
+          record_var_access(n, sym, /*is_write=*/false, scope);
         }
-        const BusTopology::SignalRole role = topo_.role_of(n);
+        if (sym == nullptr) return;
+        const BusTopology::SignalRole& role = sym->role;
         switch (role.role) {
           case BusSignalRole::Done:
             master_facts(scope.leaf, role.bus).waits_done = true;
@@ -688,7 +756,7 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
           default:
             break;
         }
-      }
+      });
       return;
     }
     case Stmt::Kind::Call: {
@@ -707,13 +775,13 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
         if (!s.args[i]) continue;
         if (p.is_out) {
           if (s.args[i]->kind == Expr::Kind::NameRef) {
-            std::string target = s.args[i]->name;
-            const auto rn = scope.renames.find(target);
-            if (rn != scope.renames.end()) target = rn->second;
-            inner.renames[p.name] = std::move(target);
+            const std::string& arg = s.args[i]->name;
+            Symbol* const* renamed = scope.renames.find(arg);
+            inner.renames.set(p.name,
+                              renamed != nullptr ? *renamed : symbol(arg));
           }
         } else {
-          inner.bindings[p.name] = resolve(*s.args[i], scope);
+          inner.bindings.set(p.name, resolve(*s.args[i], scope));
         }
       }
       walk_block(proc->body, inner);

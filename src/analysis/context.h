@@ -23,12 +23,18 @@
 // The walk follows Call statements into procedure bodies with the call's
 // in-arguments bound, so specs refined with --no-inline (shared MST_*
 // procedures) analyze identically to fully inlined ones.
+//
+// Every variable, signal and bus-role name resolves through one symbol
+// table built per spec, so the walk makes one hash lookup per name
+// occurrence and visits expressions in place.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "refine/protocol.h"
@@ -118,6 +124,11 @@ struct WaitSite {
 class Context {
  public:
   explicit Context(const Specification& spec);
+  // The symbol table points into the maps below: build a Context in place.
+  Context(const Context&) = delete;
+  Context& operator=(const Context&) = delete;
+  Context(Context&&) = delete;
+  Context& operator=(Context&&) = delete;
 
   [[nodiscard]] const Specification& spec() const { return *spec_; }
   [[nodiscard]] const BusTopology& topology() const { return topo_; }
@@ -165,14 +176,35 @@ class Context {
  private:
   struct Scope;  // walker state, defined in context.cpp
 
+  /// One declared variable and/or signal name.
+  struct Symbol {
+    std::string_view name;  ///< the declaration's own storage
+    bool is_var = false;
+    bool is_signal = false;
+    uint64_t init = 0;  ///< first variable declaration's, else first signal's
+    BusTopology::SignalRole role;
+    /// Entries of signal_use_ / var_access_, made on first use (std::map
+    /// nodes never move).
+    SignalUse* use = nullptr;
+    std::vector<VarAccess>* accesses = nullptr;
+  };
+
+  [[nodiscard]] Symbol* symbol(std::string_view name);
+  [[nodiscard]] const Symbol* symbol(std::string_view name) const;
+  [[nodiscard]] BusTopology::SignalRole role_of(std::string_view name) const;
+  SignalUse& use_of(Symbol& sym);
+
   void index_behaviors(const Behavior& b, const Behavior* parent);
   void walk_spec();
   void walk_block(const StmtList& stmts, Scope& scope);
   void walk_stmt(const Stmt& s, Scope& scope);
-  void note_signal_write(const std::string& name, const Behavior* b,
-                         const Expr* value, Scope& scope);
+  void note_signal_write(Symbol* sym, const Behavior* b, const Expr* value,
+                         Scope& scope);
   void note_expr_reads(const Expr& e, Scope& scope);
-  void record_var_access(const std::string& name, bool is_write, Scope& scope);
+  /// `sym` is the symbol of `name` (nullptr when undeclared); an out-parameter
+  /// rename in scope takes precedence.
+  void record_var_access(std::string_view name, Symbol* sym, bool is_write,
+                         Scope& scope);
   MasterFacts& master_facts(const Behavior* b, uint32_t bus);
   SlavePort& slave_port(const Behavior* b, uint32_t bus);
   /// Recognizes the serve-loop trigger shape; on success fills a SlavePort
@@ -186,8 +218,8 @@ class Context {
   const Specification* spec_;
   BusTopology topo_;
 
-  std::set<std::string> var_names_, signal_names_;
-  std::map<std::string, uint64_t> init_values_;  // vars and signals
+  std::unordered_map<std::string_view, Symbol> symbols_;
+  std::vector<std::string> bus_data_;  ///< `<bus>_data` per topology bus
 
   std::map<const Behavior*, const Behavior*> parent_;
   std::map<const Behavior*, std::vector<const Behavior*>> chain_;  // root..b

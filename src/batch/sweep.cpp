@@ -76,7 +76,7 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
       return std::pair(std::move(rr), std::move(cr));
     }();
     row.buses = r.stats.buses;
-    row.lines = count_lines(print(r.refined));
+    row.lines = count_lines(r.refined);
     row.peak_mbps = rates.max_rate();
     row.cost = cost.total;
 

@@ -88,7 +88,7 @@ SeedOutcome eval_seed(const FuzzOptions& opts, size_t index) {
   o.issues = outcome.issues;
   Specification repro = spec.clone();
   if (opts.reduce) {
-    o.reduced_from = count_lines(print(spec));
+    o.reduced_from = count_lines(spec);
     const FailPredicate still_fails = [&](const Specification& cand) {
       return !run_oracles(cand, o.config, oopts).ok();
     };
@@ -96,7 +96,7 @@ SeedOutcome eval_seed(const FuzzOptions& opts, size_t index) {
     repro = reduce_spec(spec, still_fails, &stats);
     o.issues = run_oracles(repro, o.config, oopts).issues;
   }
-  o.spec_lines = count_lines(print(repro));
+  o.spec_lines = count_lines(repro);
   o.reproducer_body =
       reproducer_text(repro, o.seed, o.config, o.issues, opts.inject);
   return o;

@@ -17,7 +17,7 @@ class Reducer {
       : current_(failing.clone()), still_fails_(still_fails), stats_(stats) {}
 
   Specification run() {
-    stats_.initial_lines = count_lines(print(current_));
+    stats_.initial_lines = count_lines(current_);
     bool progress = true;
     while (progress && stats_.rounds < kMaxRounds) {
       ++stats_.rounds;
@@ -31,7 +31,7 @@ class Reducer {
       progress |= pass_simplify_exprs();
       progress |= pass_drop_unused_decls();
     }
-    stats_.final_lines = count_lines(print(current_));
+    stats_.final_lines = count_lines(current_);
     return std::move(current_);
   }
 

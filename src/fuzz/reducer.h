@@ -33,7 +33,7 @@ struct ReduceStats {
   size_t rounds = 0;
   size_t candidates_tried = 0;
   size_t candidates_kept = 0;
-  size_t initial_lines = 0;  // count_lines(print(input))
+  size_t initial_lines = 0;  // count_lines(input)
   size_t final_lines = 0;
 };
 

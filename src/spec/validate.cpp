@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "spec/specification.h"
+#include "telemetry/telemetry.h"
 
 namespace specsyn {
 
@@ -390,6 +391,7 @@ class Validator {
 }  // namespace
 
 bool validate(const Specification& spec, DiagnosticSink& diags) {
+  telemetry::Span span("validate", telemetry::Stability::Stable);
   const size_t before = diags.error_count();
   Validator(spec, diags).run();
   return diags.error_count() == before;

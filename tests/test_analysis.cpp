@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <tuple>
+#include <type_traits>
 
 #include "analysis/context.h"
 #include "analysis/verifier.h"
 #include "graph/access_graph.h"
 #include "refine/refiner.h"
 #include "spec/builder.h"
+#include "test_util.h"
 #include "workloads/medical.h"
 
 namespace specsyn {
@@ -216,6 +219,245 @@ TEST(Analysis, ContextRecoversBusStructure) {
     EXPECT_EQ(chain.size(), ctx.topology().buses[bus].masters.size());
   }
   EXPECT_TRUE(any_chain);
+}
+
+// -- Context facts, derived by hand from one small spec ------------------------
+
+// Master reads through a shared procedure (in-parameter bound to a signal
+// expression, out-parameter renamed to `res`) with a ByteSerial beat loop,
+// writes y inline, then reads into y through a wrapper procedure (renames
+// chain through the nested call); Mem serves gbus with read and write decode
+// cases, one of them serving two variables; Watcher only waits.
+constexpr const char* kFactsSpec = R"(spec Facts;
+
+signal gbus_start : bit;
+signal gbus_done : bit;
+signal gbus_rd : bit;
+signal gbus_wr : bit;
+signal gbus_addr : int8;
+signal gbus_data : int8;
+signal sel : int8 := 2;
+var x : int8 := 3;
+var y : int8;
+var res : int8;
+
+proc Fetch(a : int8, out d : int8) {
+  var k : int8;
+  k := 0;
+  while k < 4 {
+    gbus_rd <= 1;
+    gbus_addr <= 8 + k;
+    gbus_start <= 1;
+    wait gbus_done == 1;
+    d := gbus_data;
+    gbus_rd <= 0;
+    gbus_start <= 0;
+    wait gbus_done == 0;
+    k := k + 1;
+  }
+  d := d + a;
+}
+
+proc Outer(out o : int8) {
+  call Fetch(0, o);
+}
+
+behavior Top : conc {
+  behavior Master : leaf {
+    call Fetch(sel + 1, res);
+    y := x * x;
+    gbus_wr <= 1;
+    gbus_addr <= 2;
+    gbus_data <= y;
+    gbus_start <= 1;
+    wait gbus_done == 1;
+    gbus_wr <= 0;
+    gbus_start <= 0;
+    wait gbus_done == 0;
+    call Outer(y);
+  }
+  behavior Mem : leaf {
+    loop {
+      wait gbus_start == 1;
+      if gbus_rd == 1 {
+        if gbus_addr == 2 {
+          gbus_data <= x;
+        }
+        if gbus_addr == 3 {
+          gbus_data <= y;
+        }
+        if gbus_addr == 4 {
+          gbus_data <= x + y;
+        }
+      }
+      if gbus_wr == 1 {
+        if gbus_addr == 2 {
+          x := gbus_data;
+        }
+      }
+      gbus_done <= 1;
+      wait gbus_start == 0;
+      gbus_done <= 0;
+    }
+  }
+  behavior Watcher : leaf {
+    wait gbus_done == 1 && sel > 0;
+    wait gbus_done == 1;
+  }
+}
+)";
+
+static_assert(!std::is_copy_constructible_v<analysis::Context>);
+static_assert(!std::is_move_constructible_v<analysis::Context>);
+
+struct FactsFixture {
+  Specification spec = testing::parse_or_die(kFactsSpec);
+  const Behavior* master = spec.find_behavior("Master");
+  const Behavior* mem = spec.find_behavior("Mem");
+  const Behavior* watcher = spec.find_behavior("Watcher");
+};
+
+using Accesses = std::vector<std::tuple<const Behavior*, bool, bool>>;
+
+Accesses accesses_of(const analysis::Context& ctx, const std::string& var) {
+  Accesses out;
+  const auto it = ctx.var_access().find(var);
+  if (it == ctx.var_access().end()) return out;
+  for (const analysis::VarAccess& a : it->second) {
+    out.emplace_back(a.behavior, a.is_write, a.bus_mediated);
+  }
+  return out;
+}
+
+TEST(ContextFacts, VarAccessSequences) {
+  const FactsFixture f;
+  const analysis::Context ctx(f.spec);
+  std::vector<std::string> names;
+  for (const auto& [name, accesses] : ctx.var_access()) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"res", "x", "y"}));
+  constexpr bool R = false, W = true;
+  // The call site reads its out-argument; inside Fetch, `d` is `res` and the
+  // signal-bound `a` is no variable at all.
+  EXPECT_EQ(accesses_of(ctx, "res"), (Accesses{{f.master, R, false},
+                                               {f.master, W, false},
+                                               {f.master, R, false},
+                                               {f.master, W, false}}));
+  // `x * x` reads x twice; Mem's accesses sit inside its serve loop.
+  EXPECT_EQ(accesses_of(ctx, "x"), (Accesses{{f.master, R, false},
+                                             {f.master, R, false},
+                                             {f.mem, R, true},
+                                             {f.mem, R, true},
+                                             {f.mem, W, true}}));
+  // `call Outer(y)` reads y at the call site, Outer's `call Fetch(0, o)`
+  // reads it as `o`, and Fetch's `d` is y through both renames.
+  EXPECT_EQ(accesses_of(ctx, "y"), (Accesses{{f.master, W, false},
+                                             {f.master, R, false},
+                                             {f.master, R, false},
+                                             {f.master, R, false},
+                                             {f.master, W, false},
+                                             {f.master, R, false},
+                                             {f.master, W, false},
+                                             {f.mem, R, true},
+                                             {f.mem, R, true}}));
+}
+
+TEST(ContextFacts, SignalUseIsUniqueInFirstOccurrenceOrder) {
+  const FactsFixture f;
+  const analysis::Context ctx(f.spec);
+  using B = std::vector<const Behavior*>;
+  const auto& use = ctx.signal_use();
+  std::vector<std::string> names;
+  for (const auto& [name, u] : use) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"gbus_addr", "gbus_data",
+                                             "gbus_done", "gbus_rd",
+                                             "gbus_start", "gbus_wr", "sel"}));
+  EXPECT_EQ(use.at("gbus_addr").writers, (B{f.master}));
+  EXPECT_EQ(use.at("gbus_addr").readers, (B{f.mem}));
+  EXPECT_EQ(use.at("gbus_addr").literal_levels, (std::set<uint64_t>{2}));
+  EXPECT_EQ(use.at("gbus_data").writers, (B{f.master, f.mem}));
+  EXPECT_EQ(use.at("gbus_data").readers, (B{f.master, f.mem}));
+  EXPECT_TRUE(use.at("gbus_data").waiters.empty());
+  EXPECT_EQ(use.at("gbus_done").writers, (B{f.mem}));
+  EXPECT_EQ(use.at("gbus_done").readers, (B{f.master, f.watcher}));
+  EXPECT_EQ(use.at("gbus_done").waiters, (B{f.master, f.watcher}));
+  EXPECT_EQ(use.at("gbus_done").literal_levels, (std::set<uint64_t>{0, 1}));
+  EXPECT_EQ(use.at("gbus_rd").writers, (B{f.master}));
+  EXPECT_EQ(use.at("gbus_rd").readers, (B{f.mem}));
+  EXPECT_EQ(use.at("gbus_start").writers, (B{f.master}));
+  EXPECT_EQ(use.at("gbus_start").readers, (B{f.mem}));
+  EXPECT_EQ(use.at("gbus_start").waiters, (B{f.mem}));
+  EXPECT_EQ(use.at("gbus_wr").writers, (B{f.master}));
+  // The in-argument `sel + 1` is read at the call site; Watcher waits on it.
+  EXPECT_TRUE(use.at("sel").writers.empty());
+  EXPECT_EQ(use.at("sel").readers, (B{f.master, f.watcher}));
+  EXPECT_EQ(use.at("sel").waiters, (B{f.watcher}));
+}
+
+TEST(ContextFacts, MasterAccessRanges) {
+  const FactsFixture f;
+  const analysis::Context ctx(f.spec);
+  ASSERT_EQ(ctx.accesses().size(), 3u);
+  // `gbus_addr <= 8 + k` inside `while k < 4` covers four beats.
+  const analysis::MasterAccess& beat = ctx.accesses()[0];
+  EXPECT_EQ(beat.behavior, f.master);
+  EXPECT_EQ(beat.bus, 0u);
+  EXPECT_TRUE(beat.resolved);
+  EXPECT_EQ(beat.range.lo, 8u);
+  EXPECT_EQ(beat.range.hi, 11u);
+  EXPECT_TRUE(beat.is_read);
+  EXPECT_FALSE(beat.is_write);
+  const analysis::MasterAccess& point = ctx.accesses()[1];
+  EXPECT_EQ(point.behavior, f.master);
+  EXPECT_TRUE(point.resolved);
+  EXPECT_EQ(point.range.lo, 2u);
+  EXPECT_EQ(point.range.hi, 2u);
+  EXPECT_FALSE(point.is_read);
+  EXPECT_TRUE(point.is_write);
+  const analysis::MasterAccess& nested = ctx.accesses()[2];
+  EXPECT_EQ(nested.behavior, f.master);
+  EXPECT_TRUE(nested.resolved);
+  EXPECT_EQ(nested.range.lo, 8u);
+  EXPECT_EQ(nested.range.hi, 11u);
+  EXPECT_TRUE(nested.is_read);
+  EXPECT_FALSE(nested.is_write);
+  ASSERT_EQ(ctx.masters().size(), 2u);
+  EXPECT_EQ(ctx.masters()[0].behavior, f.master);
+  EXPECT_TRUE(ctx.masters()[0].drives_start_1);
+  EXPECT_TRUE(ctx.masters()[0].drives_start_0);
+  EXPECT_TRUE(ctx.masters()[0].waits_done);
+  EXPECT_EQ(ctx.masters()[1].behavior, f.watcher);
+  EXPECT_TRUE(ctx.masters()[1].waits_done);
+  EXPECT_EQ(ctx.waits().size(), 10u);
+}
+
+TEST(ContextFacts, ConstEvalFoldsDeclaredInitialValues) {
+  const FactsFixture f;
+  const analysis::Context ctx(f.spec);
+  uint64_t value = 0;
+  EXPECT_TRUE(ctx.const_eval(*add(ref("x"), ref("sel")), value));
+  EXPECT_EQ(value, 5u);
+  EXPECT_TRUE(ctx.const_eval(*eq(ref("res"), lit(0)), value));
+  EXPECT_EQ(value, 1u);
+  // A procedure local is no declared name.
+  EXPECT_FALSE(ctx.const_eval(*ref("k"), value));
+}
+
+TEST(ContextFacts, ServeLoopDecodeCases) {
+  const FactsFixture f;
+  const analysis::Context ctx(f.spec);
+  ASSERT_EQ(ctx.slaves().size(), 1u);
+  const analysis::SlavePort& port = ctx.slaves()[0];
+  EXPECT_EQ(port.behavior, f.mem);
+  EXPECT_EQ(port.bus, 0u);
+  EXPECT_TRUE(port.serve_loop);
+  EXPECT_TRUE(port.full_range);
+  EXPECT_TRUE(port.waits_start);
+  EXPECT_TRUE(port.drives_done_1);
+  EXPECT_TRUE(port.drives_done_0);
+  // `gbus_data <= x + y` serves two variables: no read case at 4.
+  EXPECT_EQ(port.read_cases,
+            (std::map<uint64_t, std::string>{{2, "x"}, {3, "y"}}));
+  EXPECT_EQ(port.write_cases, (std::map<uint64_t, std::string>{{2, "x"}}));
 }
 
 // -- mutation tests: each checker is live ------------------------------------

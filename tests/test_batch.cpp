@@ -20,6 +20,7 @@
 #include "refine/refiner.h"
 #include "sim/equivalence.h"
 #include "sim/program_cache.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
 #include "workloads/medical.h"
 
@@ -298,6 +299,29 @@ TEST(Sweep, VerifyReusesRunsWithoutChangingVerdicts) {
       }
     }
   }
+}
+
+// Every validation shows in --stats: a verified point validates three
+// times (refine's input, refine's output, the refined spec's SimPlan), and
+// the original's SimPlan adds one.
+TEST(Sweep, VerifiedSweepCountsEveryValidation) {
+  const Specification spec = make_medical_system();
+  const AccessGraph graph = build_access_graph(spec);
+  const ProfileResult prof = profile_spec(spec);
+  const PartitionerResult d = make_medical_design(spec, graph, 1);
+  ThreadPool pool(2);
+  SweepOptions opts;
+  opts.verify = true;
+  telemetry::enable(/*stats=*/true, /*trace=*/false);
+  telemetry::reset();
+  const SweepReport rep =
+      run_sweep(spec, d.partition, graph, prof, full_matrix(), opts, pool);
+  const telemetry::Snapshot snap = telemetry::snapshot();
+  telemetry::enable(false, false);
+  telemetry::reset();
+  ASSERT_EQ(rep.rows.size(), 32u);
+  ASSERT_EQ(snap.spans.count("validate"), 1u);
+  EXPECT_EQ(snap.spans.at("validate").count, 97u);
 }
 
 TEST(Sweep, OriginalThatFailsToSimulateFailsEveryRow) {

@@ -1,9 +1,22 @@
 // Unit tests for the SpecLang pretty-printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <vector>
+
+#include "batch/sweep.h"
+#include "fuzz/generator.h"
+#include "fuzz/oracle.h"
+#include "graph/access_graph.h"
 #include "printer/printer.h"
+#include "refine/refiner.h"
 #include "spec/builder.h"
 #include "test_util.h"
+#include "workloads/medical.h"
+#include "workloads/synthetic.h"
 
 namespace specsyn {
 namespace {
@@ -109,6 +122,69 @@ TEST(CountLines, MatchesPrintedSpec) {
   const std::string text = print(s);
   // Stable small spec: exact count documents the printing format.
   EXPECT_EQ(count_lines(text), 20u) << text;
+}
+
+// The Figure 10 metric counts lines without printing; it must equal the
+// line count of the printed text on every shape of spec the tools feed it.
+void expect_count_matches_text(const Specification& spec) {
+  EXPECT_EQ(count_lines(spec), count_lines(print(spec))) << spec.name;
+}
+
+TEST(Printer, CountLinesWithoutTextMatchesPrintedText) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(SPECSYN_SOURCE_DIR) + "/examples/specs")) {
+    if (entry.path().extension() == ".spec") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 4u);
+  for (const auto& file : files) {
+    std::ifstream in(file);
+    std::stringstream text;
+    text << in.rdbuf();
+    expect_count_matches_text(testing::parse_or_die(text.str()));
+  }
+
+  const Specification medical = make_medical_system();
+  const AccessGraph medical_graph = build_access_graph(medical);
+  for (int design = 1; design <= 3; ++design) {
+    const PartitionerResult d =
+        make_medical_design(medical, medical_graph, design);
+    for (const batch::SweepPoint& point : batch::full_matrix()) {
+      expect_count_matches_text(
+          refine(d.partition, medical_graph, point.config).refined);
+    }
+  }
+
+  // Fuzz seeds under their sampled configs; leaves are dealt round-robin
+  // over the sampled components.
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    fuzz::GenOptions gen;
+    gen.seed = seed;
+    const Specification spec = fuzz::generate_spec(gen);
+    expect_count_matches_text(spec);
+    const fuzz::OracleConfig cfg = fuzz::sample_config(seed);
+    const AccessGraph graph = build_access_graph(spec);
+    Partition part(spec, cfg.components == 2
+                             ? Allocation::proc_plus_asic()
+                             : Allocation::asics(cfg.components));
+    size_t next = cfg.partition_salt;
+    spec.top->for_each([&](const Behavior& b) {
+      if (b.is_leaf()) part.assign_behavior(b.name, next++ % cfg.components);
+    });
+    part.auto_assign_vars(graph);
+    RefineConfig rc;
+    rc.model = cfg.model;
+    rc.protocol = cfg.protocol;
+    rc.leaf_scheme = cfg.scheme;
+    rc.inline_protocols = cfg.inline_protocols;
+    expect_count_matches_text(refine(part, graph, rc).refined);
+  }
+
+  SyntheticOptions large;
+  large.leaf_behaviors = 256;
+  large.max_depth = 6;
+  expect_count_matches_text(make_synthetic_spec(large));
 }
 
 }  // namespace

@@ -617,7 +617,7 @@ int cmd_check(const Args& a, const Specification& spec) {
   std::printf("  signals:       %zu\n", spec.all_signals().size());
   std::printf("  procedures:    %zu\n", spec.procedures.size());
   std::printf("  statements:    %zu\n", spec.stmt_count());
-  std::printf("  lines:         %zu\n", count_lines(print(spec)));
+  std::printf("  lines:         %zu\n", count_lines(spec));
   std::printf("  data channels: %zu\n", graph.data_channel_pairs());
   std::printf("  control arcs:  %zu\n", graph.control_channels().size());
   std::printf("  sequential:    %s\n",
@@ -934,12 +934,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   Specification spec = std::move(*parsed);
-  bool valid;
-  {
-    telemetry::Span span("validate", telemetry::Stability::Stable);
-    valid = validate(spec, diags);
-  }
-  if (!valid) {
+  if (!validate(spec, diags)) {
     std::fprintf(stderr, "%s", diags.str().c_str());
     return 1;
   }
