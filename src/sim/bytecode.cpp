@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "printer/printer.h"
@@ -38,11 +39,17 @@ BinOp mirror_cmp(BinOp op) {
 
 /// Matches a postfix range that is an And/Or tree whose leaves all compare
 /// one signal against a literal; fills `out` with the equivalent BWaitOp
-/// postfix program. Sound to fuse because this IR has no short-circuit
-/// (operands evaluate eagerly), compares yield 0/1, and signal reads fire
-/// no observer callbacks.
+/// postfix program. A bare signal condition (`wait sig`) is the one leaf
+/// `sig != 0`. Sound to fuse because this IR has no short-circuit (operands
+/// evaluate eagerly), compares yield 0/1, and signal reads fire no observer
+/// callbacks.
 bool collect_wait_expr(const LOp* pool, const LExpr& e,
                        std::vector<BWaitOp>& out) {
+  if (e.count == 1 && pool[e.first].kind == LOp::Kind::PushSignal) {
+    out.push_back({BWaitOp::Kind::Cmp, static_cast<uint8_t>(BinOp::Ne),
+                   pool[e.first].slot, 0});
+    return true;
+  }
   const uint32_t end = e.first + e.count;
   uint32_t results = 0;  // values notionally on the eval stack
   for (uint32_t i = e.first; i < end;) {
@@ -135,7 +142,7 @@ class BytecodeCompiler {
  private:
   uint32_t pc() const { return static_cast<uint32_t>(bc_->code_.size()); }
 
-  uint32_t emit(BOp op, uint8_t a = 0, uint8_t b = 0, uint8_t c = 0,
+  uint32_t emit(BOp op, uint16_t a = 0, uint16_t b = 0, uint16_t c = 0,
                 uint32_t slot = 0, uint32_t aux = 0, uint64_t imm = 0) {
     bc_->code_.push_back(BInstr{op, a, b, c, slot, aux, imm});
     return pc() - 1;
@@ -145,23 +152,18 @@ class BytecodeCompiler {
 
   const LOp* ops() const { return prog_.ops().data(); }
 
-  /// Emits micro-ops evaluating `e` into register 0 (or one EvalSpill op on
-  /// the register-overflow path). Expressions always start from an empty
-  /// register window, so statement compilation needs no live-range tracking:
-  /// a value's postfix stack position *is* its register.
+  /// Emits micro-ops evaluating `e` into register 0. Expressions always
+  /// start from an empty register window, so statement compilation needs no
+  /// live-range tracking: a value's postfix stack position *is* its register.
   void emit_expr(const LExpr& e) {
     const uint32_t depth = expr_depth(ops(), e);
-    if (depth > kMaxRegs) {
-      const uint32_t first = static_cast<uint32_t>(bc_->spill_ops_.size());
-      bc_->spill_ops_.insert(bc_->spill_ops_.end(), ops() + e.first,
-                             ops() + e.first + e.count);
-      bc_->max_spill_stack_ = std::max(bc_->max_spill_stack_, depth);
-      emit(BOp::EvalSpill, 0, 0, 0, first, e.count);
-      return;
+    if (depth > UINT16_MAX) {
+      throw SpecError("bytecode: expression deeper than " +
+                      std::to_string(UINT16_MAX) + " registers");
     }
     bc_->reg_count_ = std::max(bc_->reg_count_, depth);
     const size_t expr_start = bc_->code_.size();
-    uint8_t sp = 0;
+    uint16_t sp = 0;
     for (uint32_t i = 0; i < e.count; ++i) {
       const LOp& op = ops()[e.first + i];
       switch (op.kind) {
@@ -178,8 +180,8 @@ class BytecodeCompiler {
           emit(BOp::LoadLoc, sp++, 0, 0, op.slot);
           break;
         case LOp::Kind::Unary:
-          emit(BOp::UnApply, static_cast<uint8_t>(sp - 1),
-               static_cast<uint8_t>(sp - 1), 0, 0, op.op);
+          emit(BOp::UnApply, static_cast<uint16_t>(sp - 1),
+               static_cast<uint16_t>(sp - 1), 0, 0, op.op);
           break;
         case LOp::Kind::Binary: {
           // Peephole: a literal rhs loaded by the immediately preceding
@@ -190,18 +192,6 @@ class BytecodeCompiler {
           // (expr_start guard), so no recorded pc points at or past them.
           std::vector<BInstr>& code = bc_->code_;
           const size_t n = code.size();
-          if (n - expr_start >= 1 && code[n - 1].op == BOp::SigBinImm &&
-              code[n - 1].a == sp - 1) {
-            // The rhs is itself a fused signal compare: fold this combining
-            // binop in as the outer op (packed into aux's high byte).
-            const BInstr prev = code[n - 1];
-            code.pop_back();
-            emit(BOp::SigBinImmBin, static_cast<uint8_t>(sp - 2),
-                 static_cast<uint8_t>(sp - 2), 0, prev.slot,
-                 (static_cast<uint32_t>(op.op) << 8) | prev.aux, prev.imm);
-            --sp;
-            break;
-          }
           if (n - expr_start >= 1 && code[n - 1].op == BOp::LoadLit &&
               code[n - 1].a == sp - 1) {
             const uint64_t lit = code[n - 1].imm;
@@ -210,19 +200,19 @@ class BytecodeCompiler {
               const uint32_t sig = code[n - 2].slot;
               code.pop_back();
               code.pop_back();
-              emit(BOp::SigBinImm, static_cast<uint8_t>(sp - 2), 0, 0, sig,
+              emit(BOp::SigBinImm, static_cast<uint16_t>(sp - 2), 0, 0, sig,
                    op.op, lit);
             } else {
               code.pop_back();
-              emit(BOp::BinApplyImm, static_cast<uint8_t>(sp - 2),
-                   static_cast<uint8_t>(sp - 2), 0, 0, op.op, lit);
+              emit(BOp::BinApplyImm, static_cast<uint16_t>(sp - 2),
+                   static_cast<uint16_t>(sp - 2), 0, 0, op.op, lit);
             }
             --sp;
             break;
           }
-          emit(BOp::BinApply, static_cast<uint8_t>(sp - 2),
-               static_cast<uint8_t>(sp - 2), static_cast<uint8_t>(sp - 1), 0,
-               op.op);
+          emit(BOp::BinApply, static_cast<uint16_t>(sp - 2),
+               static_cast<uint16_t>(sp - 2), static_cast<uint16_t>(sp - 1),
+               0, op.op);
           --sp;
           break;
         }
@@ -243,7 +233,7 @@ class BytecodeCompiler {
       const BInstr prev = code.back();
       code.pop_back();
       return emit(br_true ? BOp::SigBrTrue : BOp::SigBrFalse, 0, 0,
-                  static_cast<uint8_t>(prev.aux), prev.slot, target, prev.imm);
+                  static_cast<uint16_t>(prev.aux), prev.slot, target, prev.imm);
     }
     return emit(br_true ? BOp::BrTrue : BOp::BrFalse, 0, 0, 0, 0, target);
   }
@@ -376,43 +366,18 @@ class BytecodeCompiler {
       }
       case Stmt::Kind::Wait: {
         const uint32_t site = add_wait_site(s);
-        // `wait sig == k` / `wait k == sig` / `wait sig` fuse into one
-        // superinstruction: the blocked re-check becomes a single load and
-        // compare instead of a postfix evaluation.
-        if (s.expr.count == 3) {
-          const LOp& x = ops()[s.expr.first];
-          const LOp& y = ops()[s.expr.first + 1];
-          const LOp& z = ops()[s.expr.first + 2];
-          if (z.kind == LOp::Kind::Binary &&
-              static_cast<BinOp>(z.op) == BinOp::Eq) {
-            if (x.kind == LOp::Kind::PushSignal &&
-                y.kind == LOp::Kind::PushLit) {
-              emit(BOp::WaitSigEq, 0, 0, 0, x.slot, site, y.lit);
-              return;
-            }
-            if (x.kind == LOp::Kind::PushLit &&
-                y.kind == LOp::Kind::PushSignal) {
-              emit(BOp::WaitSigEq, 0, 0, 0, y.slot, site, x.lit);
-              return;
-            }
-          }
-        }
-        if (const LOp* op = single_op(s.expr);
-            op != nullptr && op->kind == LOp::Kind::PushSignal) {
-          emit(BOp::WaitSigNz, 0, 0, 0, op->slot, site);
-          return;
-        }
-        // Signal-only conditions — handshakes (`ack == 1 && busy == 0`) and
-        // slave address decodes (`start == 1 && (addr == 0 || ...)`) — fuse
-        // into WaitSigExpr: every blocked re-check, the hot path of
-        // bus-protocol waits, evaluates the whole condition in one dispatch.
+        // Signal-only conditions — `wait sig == k`, `wait sig`, handshakes
+        // (`ack == 1 && busy == 0`) and slave address decodes (`start == 1 &&
+        // (addr == 0 || ...)`) — fuse into WaitSigExpr: every blocked
+        // re-check, the hot path of bus-protocol waits, evaluates the whole
+        // condition in one dispatch.
         if (std::vector<BWaitOp> wops;
             collect_wait_expr(ops(), s.expr, wops)) {
           const uint32_t first =
               static_cast<uint32_t>(bc_->wait_ops_.size());
           bc_->wait_ops_.insert(bc_->wait_ops_.end(), wops.begin(),
                                 wops.end());
-          emit(BOp::WaitSigExpr, 0, static_cast<uint8_t>(wops.size()), 0,
+          emit(BOp::WaitSigExpr, 0, static_cast<uint16_t>(wops.size()), 0,
                first, site);
           return;
         }

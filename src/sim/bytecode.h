@@ -10,11 +10,10 @@
 //     are pushed or popped in the steady state, only Call frames remain,
 //   * postfix expression ops become register micro-ops: the stack-depth
 //     position of every intermediate value is known at compile time, so it is
-//     assigned a fixed register index in the simulator's register file
-//     (expressions deeper than kMaxRegs fall back to one EvalSpill op over a
-//     serialized postfix pool — the spill path),
+//     assigned a fixed register index in the simulator's register file, which
+//     is sized to the deepest expression (reg_count()),
 //   * hot single-statement shapes are fused into superinstructions
-//     (WaitSigEq/WaitSigNz for `wait sig == k`, SigImm for `sig <= k`,
+//     (WaitSigExpr for signal-only waits, SigImm for `sig <= k`,
 //     AssignImm/AssignLoad for constant and copy assignments) — fusion never
 //     crosses a statement boundary because every statement must still consume
 //     exactly one scheduling step (one cycle) to stay bit-identical with the
@@ -22,9 +21,9 @@
 //
 // Instructions split into *micro-ops* (expression evaluation; consume no
 // scheduling step) and *statement terminals* (end the step and re-enqueue the
-// process). interp_bytecode.cpp dispatches them with computed goto on GNU
-// compilers and a portable switch behind SPECSYN_BYTECODE_SWITCH_DISPATCH.
-// This is the default tier (default_exec_tier()).
+// process). interp_bytecode.cpp dispatches them with computed goto (a GNU
+// extension GCC and Clang both implement). This is the default tier
+// (default_exec_tier()).
 #pragma once
 
 #include <cstdint>
@@ -47,16 +46,11 @@ enum class BOp : uint8_t {
   LoadLoc,    // regs[a] = locals[slot] of the innermost call frame
   UnApply,    // regs[a] = apply_unop(aux, regs[b])
   BinApply,   // regs[a] = apply_binop(aux, regs[b], regs[c])
-  EvalSpill,  // regs[a] = postfix-eval of spill_ops[slot, slot+aux)
   ArgStage,   // staging[slot] = regs[b]     (pending in-arg of the next Call)
   GuardEnd,   // end of a transition-guard unit; result in regs[b]
   // Fused micro-ops (compiler peephole; dominant compare-with-literal shapes)
   BinApplyImm,  // regs[a] = apply_binop(aux, regs[b], imm)
   SigBinImm,    // regs[a] = apply_binop(aux, signals[slot], imm)
-  // regs[a] = binop(aux >> 8, regs[b], binop(aux & 0xff, signals[slot], imm))
-  // — a SigBinImm whose result feeds a combining binop (`x && sig OP k`).
-  // Sound because this IR has no short-circuit: operands evaluate eagerly.
-  SigBinImmBin,
 
   // -- statement terminals (consume one scheduling step) --
   StVar,         // vars[slot] = regs[b]
@@ -75,13 +69,12 @@ enum class BOp : uint8_t {
   SigBrFalse,    // pc = binop(c, signals[slot], imm) ? pc+1 : aux
   SigBrTrue,     // pc = binop(c, signals[slot], imm) ? aux : pc+1
   WaitTrue,      // advance if regs[b] != 0, else block on wait site slot
-  WaitSigEq,     // advance if signals[slot] == imm, else block (site aux)
-  WaitSigNz,     // advance if signals[slot] != 0, else block (site aux)
   // Fused signal-condition wait: advance iff the postfix program
   // wait_ops[slot, slot+b) — compare leaves (sig OP lit) under And/Or
-  // combiners — evaluates nonzero, else block (site aux). Handshake and
-  // address-decode waits (`start == 1 && (addr == 0 || addr == 1 || ...)`)
-  // re-check in one dispatch instead of a guard-chain re-evaluation.
+  // combiners — evaluates nonzero, else block (site aux). `wait sig == k`
+  // and `wait sig` are one-leaf programs; handshake and address-decode waits
+  // (`start == 1 && (addr == 0 || addr == 1 || ...)`) re-check in one
+  // dispatch instead of a guard-chain re-evaluation.
   WaitSigExpr,
   DelayStep,     // re-enqueue at now + imm (imm = max(delay, 1) cycles)
   Call,          // activate call_sites[slot]
@@ -92,10 +85,6 @@ enum class BOp : uint8_t {
 /// Number of BOp values.
 inline constexpr uint8_t kBOpCount = static_cast<uint8_t>(BOp::NopStmt) + 1;
 
-/// Register-file size. Expressions whose postfix evaluation depth exceeds
-/// this are compiled to EvalSpill instead of register micro-ops.
-inline constexpr uint32_t kMaxRegs = 64;
-
 /// AssignLoad/SigLoad source kinds (BInstr::a low bits).
 enum : uint8_t { kSrcVar = 0, kSrcSig = 1, kSrcLoc = 2 };
 /// AssignLoad target scope flag (BInstr::a bit 2): set = local target.
@@ -104,13 +93,14 @@ inline constexpr uint8_t kTargetLocalBit = 4;
 /// One fixed-size bytecode instruction.
 struct BInstr {
   BOp op = BOp::NopStmt;
-  uint8_t a = 0;      // dst register / scope + src-kind bits
-  uint8_t b = 0;      // src register
-  uint8_t c = 0;      // second src register
-  uint32_t slot = 0;  // var/signal/local slot, call-site or spill-pool index
+  uint16_t a = 0;     // dst register / scope + src-kind bits
+  uint16_t b = 0;     // src register / WaitSigExpr leaf count
+  uint16_t c = 0;     // second src register / SigBr* BinOp
+  uint32_t slot = 0;  // var/signal/local slot, call-site or wait-pool index
   uint32_t aux = 0;   // jump target, UnOp/BinOp code, wait-site index, slot
   uint64_t imm = 0;   // literal
 };
+static_assert(sizeof(BInstr) == 24);
 
 /// Pre-resolved assignment destination (out-parameter copy-backs).
 struct BTarget {
@@ -179,7 +169,6 @@ class BytecodeProgram {
   static std::shared_ptr<const BytecodeProgram> compile(const Program& prog);
 
   [[nodiscard]] const std::vector<BInstr>& code() const { return code_; }
-  [[nodiscard]] const std::vector<LOp>& spill_ops() const { return spill_ops_; }
   [[nodiscard]] const std::vector<BProc>& procs() const { return procs_; }
   [[nodiscard]] const std::vector<BCallSite>& call_sites() const {
     return call_sites_;
@@ -203,10 +192,9 @@ class BytecodeProgram {
   [[nodiscard]] const std::vector<std::string>& behavior_names() const {
     return names_;
   }
-  /// Registers the interpreter must provide (<= kMaxRegs).
+  /// Registers the interpreter must provide: the deepest expression's
+  /// postfix evaluation depth (at least 1, at most 65535).
   [[nodiscard]] uint32_t reg_count() const { return reg_count_; }
-  /// Value-stack depth EvalSpill needs (0 when nothing spilled).
-  [[nodiscard]] uint32_t max_spill_stack() const { return max_spill_stack_; }
   /// Largest procedure activation record (sizes the in-arg staging buffer).
   [[nodiscard]] uint32_t max_proc_locals() const { return max_proc_locals_; }
 
@@ -215,7 +203,6 @@ class BytecodeProgram {
   BytecodeProgram() = default;
 
   std::vector<BInstr> code_;
-  std::vector<LOp> spill_ops_;
   std::vector<BProc> procs_;
   std::vector<BCallSite> call_sites_;
   std::vector<BWaitSite> wait_sites_;
@@ -223,7 +210,6 @@ class BytecodeProgram {
   std::vector<BBehavior> behaviors_;  // indexed by id, pre-order
   std::vector<std::string> names_;    // behavior names, indexed by id
   uint32_t reg_count_ = 1;
-  uint32_t max_spill_stack_ = 0;
   uint32_t max_proc_locals_ = 0;
 };
 

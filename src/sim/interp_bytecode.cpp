@@ -6,9 +6,9 @@
 // block/statement trees: control flow is pc jumps, so only Behavior/Seq/Conc
 // boundaries and procedure calls still push frames.
 //
-// Dispatch is computed goto on GNU-compatible compilers (one indirect branch
-// per instruction, which branch predictors specialize per preceding opcode);
-// define SPECSYN_BYTECODE_SWITCH_DISPATCH to force the portable switch loop.
+// Dispatch is computed goto (a GNU extension GCC and Clang implement): one
+// indirect branch per instruction, which branch predictors specialize per
+// preceding opcode.
 //
 // This file also owns the event loop every tier runs on (run_loop), so the
 // bytecode hot path — event loop, frame dispatch, VM — is one translation unit
@@ -17,11 +17,6 @@
 
 #include "sim/frames.h"
 #include "sim/value.h"
-
-#if !defined(SPECSYN_BYTECODE_SWITCH_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SPECSYN_BC_CGOTO 1
-#endif
 
 namespace specsyn {
 
@@ -101,43 +96,6 @@ void Simulator::bwrite_var(uint32_t slot, uint64_t value, Process& p) {
   }
 }
 
-// Postfix fallback for expressions deeper than the register file; identical
-// evaluation (and observer-read) order to the register path.
-template <bool Obs>
-uint64_t Simulator::beval_spill(const BInstr& ins, Process& p) {
-  uint64_t* const base = eval_stack_.data();
-  uint64_t* sp = base;
-  Frame* call = nullptr;
-  const LOp* op = bprog_->spill_ops().data() + ins.slot;
-  for (const LOp* const end = op + ins.aux; op != end; ++op) {
-    switch (op->kind) {
-      case LOp::Kind::PushLit:
-        *sp++ = op->lit;
-        break;
-      case LOp::Kind::PushVar:
-        if constexpr (Obs) notify_var_read(op->slot, p);
-        *sp++ = vars_.get(op->slot);
-        break;
-      case LOp::Kind::PushSignal:
-        *sp++ = signals_.get(op->slot);
-        break;
-      case LOp::Kind::PushLocal:
-        if (call == nullptr) call = &bcall_frame(p);
-        *sp++ = call->dlocals[op->slot];
-        break;
-      case LOp::Kind::Unary:
-        sp[-1] = apply_unop(static_cast<UnOp>(op->op), sp[-1]);
-        break;
-      case LOp::Kind::Binary: {
-        const uint64_t rhs = *--sp;
-        sp[-1] = apply_binop(static_cast<BinOp>(op->op), sp[-1], rhs);
-        break;
-      }
-    }
-  }
-  return sp[-1];
-}
-
 // Transition guards are GuardEnd-terminated micro-op units evaluated inline
 // during a Seq-advance step (never entered by a Code frame's control flow).
 template <bool Obs>
@@ -174,15 +132,6 @@ uint64_t Simulator::beval_guard(uint32_t pc, Process& p) {
       case BOp::SigBinImm:
         regs[i.a] = apply_binop(static_cast<BinOp>(i.aux),
                                 signals_.get(i.slot), i.imm);
-        break;
-      case BOp::SigBinImmBin:
-        regs[i.a] = apply_binop(
-            static_cast<BinOp>(i.aux >> 8), regs[i.b],
-            apply_binop(static_cast<BinOp>(i.aux & 0xff),
-                        signals_.get(i.slot), i.imm));
-        break;
-      case BOp::EvalSpill:
-        regs[i.a] = beval_spill<Obs>(i, p);
         break;
       case BOp::GuardEnd:
         return regs[i.b];
@@ -226,41 +175,29 @@ bool Simulator::bexec(Process& p) {
     return false;                                                   \
   } while (0)
 
-#ifdef SPECSYN_BC_CGOTO
   // Label table indexed by BOp value; must mirror the enum order exactly.
   static const void* const kLabels[] = {
-      &&op_LoadLit,       &&op_LoadVar,   &&op_LoadSig,  &&op_LoadLoc,
-      &&op_UnApply,       &&op_BinApply,  &&op_EvalSpill, &&op_ArgStage,
-      &&op_GuardEnd,      &&op_BinApplyImm, &&op_SigBinImm, &&op_SigBinImmBin,
-      &&op_StVar,     &&op_StLoc,    &&op_StSig,
-      &&op_AssignImmVar,  &&op_AssignImmLoc, &&op_AssignLoad, &&op_SigImm,
-      &&op_SigLoad,       &&op_Jump,      &&op_BrFalse,  &&op_BrTrue,
-      &&op_SigBrFalse,    &&op_SigBrTrue,
-      &&op_WaitTrue,      &&op_WaitSigEq, &&op_WaitSigNz, &&op_WaitSigExpr,
-      &&op_DelayStep,     &&op_Call,      &&op_EndUnit,  &&op_NopStmt};
+      &&op_LoadLit,      &&op_LoadVar,      &&op_LoadSig,    &&op_LoadLoc,
+      &&op_UnApply,      &&op_BinApply,     &&op_ArgStage,   &&op_GuardEnd,
+      &&op_BinApplyImm,  &&op_SigBinImm,    &&op_StVar,      &&op_StLoc,
+      &&op_StSig,        &&op_AssignImmVar, &&op_AssignImmLoc,
+      &&op_AssignLoad,   &&op_SigImm,       &&op_SigLoad,    &&op_Jump,
+      &&op_BrFalse,      &&op_BrTrue,       &&op_SigBrFalse, &&op_SigBrTrue,
+      &&op_WaitTrue,     &&op_WaitSigExpr,  &&op_DelayStep,  &&op_Call,
+      &&op_EndUnit,      &&op_NopStmt};
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kBOpCount);
-#define SPECSYN_BC_OP(name) op_##name:
 #define SPECSYN_BC_NEXT() goto* kLabels[static_cast<uint8_t>(code[pc].op)]
   SPECSYN_BC_NEXT();
-#else
-// A label, not a loop: SPECSYN_BC_NEXT must redispatch from inside the
-// statement chain in SPECSYN_BC_STEP_END, where a `continue` would bind to
-// the macro's own do-while instead of the dispatch loop.
-#define SPECSYN_BC_OP(name) case BOp::name:
-#define SPECSYN_BC_NEXT() goto specsyn_bc_dispatch
-specsyn_bc_dispatch:
-  switch (code[pc].op) {
-#endif
 
   // ---- expression micro-ops -----------------------------------------------
-  SPECSYN_BC_OP(LoadLit) {
+  op_LoadLit: {
     const BInstr& i = code[pc];
     regs[i.a] = i.imm;
     ++pc;
   }
   SPECSYN_BC_NEXT();
 
-  SPECSYN_BC_OP(LoadVar) {
+  op_LoadVar: {
     const BInstr& i = code[pc];
     if constexpr (Obs) notify_var_read(i.slot, p);
     regs[i.a] = vars_.get(i.slot);
@@ -268,14 +205,14 @@ specsyn_bc_dispatch:
   }
   SPECSYN_BC_NEXT();
 
-  SPECSYN_BC_OP(LoadSig) {
+  op_LoadSig: {
     const BInstr& i = code[pc];
     regs[i.a] = signals_.get(i.slot);
     ++pc;
   }
   SPECSYN_BC_NEXT();
 
-  SPECSYN_BC_OP(LoadLoc) {
+  op_LoadLoc: {
     const BInstr& i = code[pc];
     if (call == nullptr) call = &bcall_frame(p);
     regs[i.a] = call->dlocals[i.slot];
@@ -283,46 +220,39 @@ specsyn_bc_dispatch:
   }
   SPECSYN_BC_NEXT();
 
-  SPECSYN_BC_OP(UnApply) {
+  op_UnApply: {
     const BInstr& i = code[pc];
     regs[i.a] = apply_unop(static_cast<UnOp>(i.aux), regs[i.b]);
     ++pc;
   }
   SPECSYN_BC_NEXT();
 
-  SPECSYN_BC_OP(BinApply) {
+  op_BinApply: {
     const BInstr& i = code[pc];
     regs[i.a] = apply_binop(static_cast<BinOp>(i.aux), regs[i.b], regs[i.c]);
     ++pc;
   }
   SPECSYN_BC_NEXT();
 
-  SPECSYN_BC_OP(EvalSpill) {
-    const BInstr& i = code[pc];
-    regs[i.a] = beval_spill<Obs>(i, p);
-    ++pc;
-  }
-  SPECSYN_BC_NEXT();
-
-  SPECSYN_BC_OP(ArgStage) {
+  op_ArgStage: {
     const BInstr& i = code[pc];
     staging_[i.slot] = regs[i.b];
     ++pc;
   }
   SPECSYN_BC_NEXT();
 
-  SPECSYN_BC_OP(GuardEnd) {
+  op_GuardEnd: {
     throw SpecError("internal: guard unit entered by control flow");
   }
 
-  SPECSYN_BC_OP(BinApplyImm) {
+  op_BinApplyImm: {
     const BInstr& i = code[pc];
     regs[i.a] = apply_binop(static_cast<BinOp>(i.aux), regs[i.b], i.imm);
     ++pc;
   }
   SPECSYN_BC_NEXT();
 
-  SPECSYN_BC_OP(SigBinImm) {
+  op_SigBinImm: {
     const BInstr& i = code[pc];
     regs[i.a] =
         apply_binop(static_cast<BinOp>(i.aux), signals_.get(i.slot), i.imm);
@@ -330,31 +260,21 @@ specsyn_bc_dispatch:
   }
   SPECSYN_BC_NEXT();
 
-  SPECSYN_BC_OP(SigBinImmBin) {
-    const BInstr& i = code[pc];
-    const uint64_t inner = apply_binop(static_cast<BinOp>(i.aux & 0xff),
-                                       signals_.get(i.slot), i.imm);
-    regs[i.a] =
-        apply_binop(static_cast<BinOp>(i.aux >> 8), regs[i.b], inner);
-    ++pc;
-  }
-  SPECSYN_BC_NEXT();
-
   // ---- statement terminals ------------------------------------------------
-  SPECSYN_BC_OP(StVar) {
+  op_StVar: {
     const BInstr& i = code[pc];
     bwrite_var<Obs>(i.slot, regs[i.b], p);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
-  SPECSYN_BC_OP(StLoc) {
+  op_StLoc: {
     const BInstr& i = code[pc];
     if (call == nullptr) call = &bcall_frame(p);
     call->dlocals[i.slot] = call->bproc->local_types[i.slot].wrap(regs[i.b]);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
-  SPECSYN_BC_OP(StSig) {
+  op_StSig: {
     const BInstr& i = code[pc];
     const uint64_t v = regs[i.b];
     if constexpr (Obs) notify_signal_schedule(i.slot, v, p);
@@ -362,20 +282,20 @@ specsyn_bc_dispatch:
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
-  SPECSYN_BC_OP(AssignImmVar) {
+  op_AssignImmVar: {
     const BInstr& i = code[pc];
     bwrite_var<Obs>(i.slot, i.imm, p);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
-  SPECSYN_BC_OP(AssignImmLoc) {
+  op_AssignImmLoc: {
     const BInstr& i = code[pc];
     if (call == nullptr) call = &bcall_frame(p);
     call->dlocals[i.slot] = call->bproc->local_types[i.slot].wrap(i.imm);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
-  SPECSYN_BC_OP(AssignLoad) {
+  op_AssignLoad: {
     const BInstr& i = code[pc];
     uint64_t v = 0;
     switch (i.a & 3) {
@@ -400,14 +320,14 @@ specsyn_bc_dispatch:
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
-  SPECSYN_BC_OP(SigImm) {
+  op_SigImm: {
     const BInstr& i = code[pc];
     if constexpr (Obs) notify_signal_schedule(i.slot, i.imm, p);
     schedule_signal(i.slot, i.imm);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
-  SPECSYN_BC_OP(SigLoad) {
+  op_SigLoad: {
     const BInstr& i = code[pc];
     uint64_t v = 0;
     switch (i.a) {
@@ -428,61 +348,47 @@ specsyn_bc_dispatch:
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
-  SPECSYN_BC_OP(Jump) { SPECSYN_BC_STEP_END(code[pc].aux); }
+  op_Jump: { SPECSYN_BC_STEP_END(code[pc].aux); }
 
-  SPECSYN_BC_OP(BrFalse) {
+  op_BrFalse: {
     const BInstr& i = code[pc];
     SPECSYN_BC_STEP_END(regs[i.b] != 0 ? pc + 1 : i.aux);
   }
 
-  SPECSYN_BC_OP(BrTrue) {
+  op_BrTrue: {
     const BInstr& i = code[pc];
     SPECSYN_BC_STEP_END(regs[i.b] != 0 ? i.aux : pc + 1);
   }
 
-  SPECSYN_BC_OP(SigBrFalse) {
+  op_SigBrFalse: {
     const BInstr& i = code[pc];
     const uint64_t v =
         apply_binop(static_cast<BinOp>(i.c), signals_.get(i.slot), i.imm);
     SPECSYN_BC_STEP_END(v != 0 ? pc + 1 : i.aux);
   }
 
-  SPECSYN_BC_OP(SigBrTrue) {
+  op_SigBrTrue: {
     const BInstr& i = code[pc];
     const uint64_t v =
         apply_binop(static_cast<BinOp>(i.c), signals_.get(i.slot), i.imm);
     SPECSYN_BC_STEP_END(v != 0 ? i.aux : pc + 1);
   }
 
-  SPECSYN_BC_OP(WaitTrue) {
+  op_WaitTrue: {
     const BInstr& i = code[pc];
     if (regs[i.b] != 0) SPECSYN_BC_STEP_END(pc + 1);
     bblock_on(p, bprog_->wait_sites()[i.slot]);  // f.idx stays at step start
     return false;
   }
 
-  SPECSYN_BC_OP(WaitSigEq) {
-    const BInstr& i = code[pc];
-    if (signals_.get(i.slot) == i.imm) SPECSYN_BC_STEP_END(pc + 1);
-    bblock_on(p, bprog_->wait_sites()[i.aux]);
-    return false;
-  }
-
-  SPECSYN_BC_OP(WaitSigNz) {
-    const BInstr& i = code[pc];
-    if (signals_.get(i.slot) != 0) SPECSYN_BC_STEP_END(pc + 1);
-    bblock_on(p, bprog_->wait_sites()[i.aux]);
-    return false;
-  }
-
-  SPECSYN_BC_OP(WaitSigExpr) {
+  op_WaitSigExpr: {
     const BInstr& i = code[pc];
     const BWaitOp* wop = bprog_->wait_ops().data() + i.slot;
     // Postfix eval over compare leaves and And/Or combiners; depth <= count
-    // (<= 255, the compiler only fuses programs that fit the 8-bit count).
+    // (<= 255, the compiler fuses no longer program).
     uint64_t st[256];
     uint32_t sp = 0;
-    for (uint8_t k = 0; k < i.b; ++k) {
+    for (uint32_t k = 0; k < i.b; ++k) {
       if (wop[k].kind == BWaitOp::Kind::Cmp) {
         st[sp++] = apply_binop(static_cast<BinOp>(wop[k].op),
                                signals_.get(wop[k].slot), wop[k].imm);
@@ -497,7 +403,7 @@ specsyn_bc_dispatch:
     return false;
   }
 
-  SPECSYN_BC_OP(DelayStep) {
+  op_DelayStep: {
     const BInstr& i = code[pc];
     f.idx = pc + 1;
     // imm = max(delay, 1), baked at compile time; a 1-cycle delay is a plain
@@ -507,7 +413,7 @@ specsyn_bc_dispatch:
     return false;
   }
 
-  SPECSYN_BC_OP(Call) {
+  op_Call: {
     const BInstr& i = code[pc];
     const BCallSite& site = bprog_->call_sites()[i.slot];
     const BProc& proc = bprog_->procs()[site.proc];
@@ -532,20 +438,14 @@ specsyn_bc_dispatch:
     return false;
   }
 
-  SPECSYN_BC_OP(EndUnit) {
+  op_EndUnit: {
     leave_frame(p);  // Behavior or Call frame below acts on the next step
     if (chain_advance<Obs>()) return true;
     rearm_step(p);
     return false;
   }
 
-  SPECSYN_BC_OP(NopStmt) { SPECSYN_BC_STEP_END(pc + 1); }
-
-#ifndef SPECSYN_BC_CGOTO
-  }
-  SPECSYN_BC_NEXT();  // every case returns or redispatches; defensive only
-#endif
-#undef SPECSYN_BC_OP
+  op_NopStmt: { SPECSYN_BC_STEP_END(pc + 1); }
 #undef SPECSYN_BC_NEXT
 #undef SPECSYN_BC_STEP_END
 }

@@ -119,10 +119,8 @@ Simulator::Simulator(std::shared_ptr<const SimPlan> plan, SimConfig cfg)
   } else if (cfg_.exec_tier == ExecTier::Bytecode) {
     bprog_ = plan_->bytecode();
     bcode_ = bprog_->code().data();
-    regs_.assign(kMaxRegs, 0);
+    regs_.assign(bprog_->reg_count(), 0);
     staging_.assign(std::max<uint32_t>(1, bprog_->max_proc_locals()), 0);
-    // The eval stack backs only the EvalSpill fallback in this tier.
-    eval_stack_.assign(std::max<uint32_t>(1, bprog_->max_spill_stack()), 0);
     completions_.assign(bprog_->behavior_count(), 0);
   }
   for (Bucket& b : buckets_) {

@@ -341,7 +341,6 @@ class Simulator {
   template <bool Obs> void bstep(Process& p);
   template <bool Obs> bool bexec(Process& p);
   template <bool Obs> uint64_t beval_guard(uint32_t pc, Process& p);
-  template <bool Obs> uint64_t beval_spill(const BInstr& ins, Process& p);
   template <bool Obs> bool bseq_advance(Process& p);
   /// Statement chaining (see interp_bytecode.cpp): proves the stepping
   /// process is the only pending work at now_ + 1, advances now_/steps_
@@ -371,8 +370,7 @@ class Simulator {
   const Program* prog_ = nullptr;
   /// Base of prog_'s pooled postfix ops (cached; LExpr ranges index into it).
   const LOp* ops_base_ = nullptr;
-  /// Scratch value stack for leval (lowered; sized to max_eval_stack) and
-  /// for the bytecode tier's EvalSpill path (sized to max_spill_stack).
+  /// Scratch value stack for leval (lowered; sized to max_eval_stack).
   std::vector<uint64_t> eval_stack_;
   /// Per-behavior-id completion counts (slot-indexed tiers; the legacy path
   /// counts into behavior_completions_ directly).
@@ -381,7 +379,7 @@ class Simulator {
   /// Bytecode tier state (null/empty under the other tiers).
   const BytecodeProgram* bprog_ = nullptr;
   const BInstr* bcode_ = nullptr;     // cached bprog_->code().data()
-  std::vector<uint64_t> regs_;        // register file (kMaxRegs slots)
+  std::vector<uint64_t> regs_;        // register file (reg_count() slots)
   std::vector<uint64_t> staging_;     // pending call in-args, by param slot
   /// Behavior names indexed by interned id, materialized once per observed
   /// run for the SlotObserver binding.

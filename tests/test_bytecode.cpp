@@ -1,5 +1,5 @@
 // Unit tests for the bytecode execution tier (sim/bytecode.h):
-// superinstruction fusion, the register-allocation spill path, and the
+// superinstruction fusion, register allocation for deep expressions, and the
 // per-tier entries of the in-memory program cache.
 #include <gtest/gtest.h>
 
@@ -25,6 +25,15 @@ bool has_op(const BytecodeProgram& p, BOp op) {
     if (i.op == op) return true;
   }
   return false;
+}
+
+/// Leaf counts (BInstr::b) of every WaitSigExpr, in code order.
+std::vector<uint32_t> wait_expr_leaves(const BytecodeProgram& p) {
+  std::vector<uint32_t> out;
+  for (const BInstr& i : p.code()) {
+    if (i.op == BOp::WaitSigExpr) out.push_back(i.b);
+  }
+  return out;
 }
 
 SimResult run_tier(const Specification& spec, ExecTier tier) {
@@ -56,8 +65,8 @@ Specification fusion_spec() {
                              assign("y", ref("x")),     // AssignLoad
                              set("req", 1),             // SigImm
                              sassign("req", ref("x")),  // SigLoad
-                             wait_eq("req", 1),         // WaitSigEq
-                             wait(ref("req"))));        // WaitSigNz
+                             wait_eq("req", 1),         // WaitSigExpr
+                             wait(ref("req"))));        // WaitSigExpr
   return s;
 }
 
@@ -69,8 +78,14 @@ TEST(BytecodeCompile, SuperinstructionFusion) {
   EXPECT_TRUE(has_op(*prog, BOp::AssignLoad));
   EXPECT_TRUE(has_op(*prog, BOp::SigImm));
   EXPECT_TRUE(has_op(*prog, BOp::SigLoad));
-  EXPECT_TRUE(has_op(*prog, BOp::WaitSigEq));
-  EXPECT_TRUE(has_op(*prog, BOp::WaitSigNz));
+  // `wait req == 1` and `wait req` are one-leaf WaitSigExpr programs; the
+  // bare signal compiles to the leaf `req != 0`.
+  EXPECT_EQ(wait_expr_leaves(*prog), (std::vector<uint32_t>{1, 1}));
+  ASSERT_EQ(prog->wait_ops().size(), 2u);
+  EXPECT_EQ(prog->wait_ops()[0].op, static_cast<uint8_t>(BinOp::Eq));
+  EXPECT_EQ(prog->wait_ops()[0].imm, 1u);
+  EXPECT_EQ(prog->wait_ops()[1].op, static_cast<uint8_t>(BinOp::Ne));
+  EXPECT_EQ(prog->wait_ops()[1].imm, 0u);
   // Every statement fused: no generic store or wait remains.
   EXPECT_FALSE(has_op(*prog, BOp::StVar));
   EXPECT_FALSE(has_op(*prog, BOp::WaitTrue));
@@ -171,35 +186,49 @@ TEST(BytecodeCompile, WaitSigEqFusesBothOperandOrders) {
   using namespace build;
   Specification s;
   s.name = "wait_rev";
-  s.signals.push_back(signal("go"));
-  s.top = leaf("main", block(set("go", 1),
-                             wait(eq(lit(1, Type::bit()), ref("go")))));
+  s.signals.push_back(signal("go", Type::u16()));
+  // `go == 3` and the mirrored `3 == go` compile to the same one leaf.
+  s.top = leaf("main",
+               block(set("go", 3), wait(eq(ref("go"), lit(3, Type::u16()))),
+                     wait(eq(lit(3, Type::u16()), ref("go")))));
   auto prog = compile_spec(s);
   ASSERT_NE(prog, nullptr);
-  EXPECT_TRUE(has_op(*prog, BOp::WaitSigEq));
+  EXPECT_EQ(wait_expr_leaves(*prog), (std::vector<uint32_t>{1, 1}));
   EXPECT_FALSE(has_op(*prog, BOp::WaitTrue));
+  ASSERT_EQ(prog->wait_ops().size(), 2u);
+  for (const BWaitOp& w : prog->wait_ops()) {
+    EXPECT_EQ(w.kind, BWaitOp::Kind::Cmp);
+    EXPECT_EQ(w.op, static_cast<uint8_t>(BinOp::Eq));
+    EXPECT_EQ(w.slot, prog->wait_ops()[0].slot);
+    EXPECT_EQ(w.imm, 3u);
+  }
+  expect_same_result(run_tier(s, ExecTier::Bytecode),
+                     run_tier(s, ExecTier::Tree));
 }
 
-TEST(BytecodeCompile, DeepExpressionTakesSpillPath) {
+TEST(BytecodeCompile, DeepExpressionUsesWideRegisterFile) {
   using namespace build;
   // Right-nested adds: postfix evaluation depth is the nesting count + 1,
-  // so 70 levels exceed the kMaxRegs = 64 register file.
-  ExprPtr e = lit(1);
-  for (int i = 0; i < 70; ++i) e = add(lit(1), std::move(e));
-  Specification s;
-  s.name = "deep";
-  s.vars.push_back(var("x", Type::u32(), 0, /*observable=*/true));
-  s.top = leaf("main", block(assign("x", std::move(e))));
+  // and every level stays a register micro-op. 1000 levels is the deepest
+  // nesting the parser admits.
+  for (const int levels : {70, 1000}) {
+    ExprPtr e = lit(1);
+    for (int i = 0; i < levels; ++i) e = add(lit(1), std::move(e));
+    Specification s;
+    s.name = "deep";
+    s.vars.push_back(var("x", Type::u32(), 0, /*observable=*/true));
+    s.top = leaf("main", block(assign("x", std::move(e))));
 
-  auto prog = compile_spec(s);
-  ASSERT_NE(prog, nullptr);
-  EXPECT_TRUE(has_op(*prog, BOp::EvalSpill));
-  EXPECT_GT(prog->max_spill_stack(), kMaxRegs);
+    auto prog = compile_spec(s);
+    ASSERT_NE(prog, nullptr);
+    EXPECT_GE(prog->reg_count(), static_cast<uint32_t>(levels));
+    EXPECT_TRUE(has_op(*prog, BOp::BinApply));
 
-  const SimResult bc = run_tier(s, ExecTier::Bytecode);
-  expect_same_result(bc, run_tier(s, ExecTier::Tree));
-  ASSERT_EQ(bc.final_vars.count("x"), 1u);
-  EXPECT_EQ(bc.final_vars.at("x"), 71u);
+    const SimResult bc = run_tier(s, ExecTier::Bytecode);
+    expect_same_result(bc, run_tier(s, ExecTier::Tree));
+    ASSERT_EQ(bc.final_vars.count("x"), 1u);
+    EXPECT_EQ(bc.final_vars.at("x"), static_cast<uint64_t>(levels) + 1);
+  }
 }
 
 TEST(BytecodeCompile, ShallowExpressionsStayInRegisters) {
@@ -215,8 +244,7 @@ TEST(BytecodeCompile, ShallowExpressionsStayInRegisters) {
   // x*y keeps the reg-reg form; the literal +7 folds into its consumer.
   EXPECT_TRUE(has_op(*prog, BOp::BinApply));
   EXPECT_TRUE(has_op(*prog, BOp::BinApplyImm));
-  EXPECT_FALSE(has_op(*prog, BOp::EvalSpill));
-  EXPECT_EQ(prog->max_spill_stack(), 0u);
+  EXPECT_EQ(prog->reg_count(), 2u);
 }
 
 TEST(ProgramCacheTiers, TiersGetSeparateEntries) {
