@@ -125,7 +125,7 @@ struct Context::Scope {
 };
 
 Context::Context(const Specification& spec)
-    : spec_(&spec), topo_(BusTopology::discover(spec)) {
+    : index_(spec), topo_(BusTopology::discover(spec)) {
   // The first declaration of a name supplies its initial value.
   const auto declare = [this](const std::string& name,
                               uint64_t init) -> Symbol& {
@@ -147,49 +147,32 @@ Context::Context(const Specification& spec)
   for (const BusTopology::BusEntry& bus : topo_.buses) {
     bus_data_.push_back(bus.name + bus_naming::kData);
   }
-  if (spec.top) index_behaviors(*spec.top, nullptr);
   walk_spec();
 }
 
-void Context::index_behaviors(const Behavior& b, const Behavior* parent) {
-  parent_[&b] = parent;
-  std::vector<const Behavior*> chain =
-      parent != nullptr ? chain_[parent] : std::vector<const Behavior*>{};
-  chain.push_back(&b);
-  chain_[&b] = std::move(chain);
-  for (const auto& c : b.children) index_behaviors(*c, &b);
-}
-
 bool Context::concurrent(const Behavior* a, const Behavior* b) const {
-  if (a == b) return false;
-  const auto ia = chain_.find(a);
-  const auto ib = chain_.find(b);
-  if (ia == chain_.end() || ib == chain_.end()) return false;
-  const auto& ca = ia->second;
-  const auto& cb = ib->second;
-  size_t common = 0;
-  while (common < ca.size() && common < cb.size() && ca[common] == cb[common]) {
-    ++common;
+  const SpecIndex::Id ia = index_.id_of(a), ib = index_.id_of(b);
+  if (ia == SpecIndex::kNone || ib == SpecIndex::kNone ||
+      index_.is_ancestor(ia, ib) || index_.is_ancestor(ib, ia)) {
+    return false;  // unknown, the same behavior, or an ancestor
   }
-  if (common == 0) return false;                       // different roots
-  if (common == ca.size() || common == cb.size()) return false;  // ancestor
-  return ca[common - 1]->kind == BehaviorKind::Concurrent;
+  SpecIndex::Id lca = index_.parent(ia);
+  while (!index_.is_ancestor(lca, ib)) lca = index_.parent(lca);
+  return index_.behavior(lca).kind == BehaviorKind::Concurrent;
 }
 
 std::string Context::path_of(const Behavior* b) const {
-  const auto it = chain_.find(b);
-  if (it == chain_.end()) return b != nullptr ? b->name : std::string{};
-  std::string path;
-  for (const Behavior* n : it->second) {
-    if (!path.empty()) path += '/';
-    path += n->name;
+  std::vector<const std::string*> names;  // b up to the top
+  for (SpecIndex::Id id = index_.id_of(b); id != SpecIndex::kNone;
+       id = index_.parent(id)) {
+    names.push_back(&index_.behavior(id).name);
+  }
+  if (names.empty()) return b != nullptr ? b->name : std::string{};
+  std::string path = *names.back();
+  for (auto it = names.rbegin() + 1; it != names.rend(); ++it) {
+    path += '/' + **it;
   }
   return path;
-}
-
-const Behavior* Context::parent_of(const Behavior* b) const {
-  const auto it = parent_.find(b);
-  return it == parent_.end() ? nullptr : it->second;
 }
 
 std::vector<int32_t> Context::arbiter_chain(uint32_t bus) const {
@@ -437,11 +420,8 @@ size_t Context::try_serve_loop(const Stmt& loop, Scope& scope) {
 }
 
 void Context::walk_spec() {
-  std::vector<const Behavior*> all;
-  if (spec_->top) {
-    for (const Behavior* b : spec_->top->all_behaviors()) all.push_back(b);
-  }
-  for (const Behavior* b : all) {
+  for (SpecIndex::Id id = 0; id < index_.size(); ++id) {
+    const Behavior* b = &index_.behavior(id);
     Scope scope;
     scope.leaf = b;
     if (b->is_leaf()) {
@@ -763,7 +743,7 @@ void Context::walk_stmt(const Stmt& s, Scope& scope) {
       for (const ExprPtr& a : s.args) {
         if (a) note_expr_reads(*a, scope);
       }
-      const Procedure* proc = spec_->find_procedure(s.callee);
+      const Procedure* proc = spec().find_procedure(s.callee);
       if (proc == nullptr || scope.call_depth >= 8) return;
       Scope inner = scope;
       inner.call_depth = scope.call_depth + 1;

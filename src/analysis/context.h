@@ -26,7 +26,9 @@
 //
 // Every variable, signal and bus-role name resolves through one symbol
 // table built per spec, so the walk makes one hash lookup per name
-// occurrence and visits expressions in place.
+// occurrence and visits expressions in place. Hierarchy questions (parent,
+// path, concurrency) read the context's SpecIndex (spec/index.h), so the
+// specification must outlive the context and must not change under it.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,7 @@
 #include <vector>
 
 #include "refine/protocol.h"
-#include "spec/specification.h"
+#include "spec/index.h"
 
 namespace specsyn::analysis {
 
@@ -130,7 +132,7 @@ class Context {
   Context(Context&&) = delete;
   Context& operator=(Context&&) = delete;
 
-  [[nodiscard]] const Specification& spec() const { return *spec_; }
+  [[nodiscard]] const Specification& spec() const { return index_.spec(); }
   [[nodiscard]] const BusTopology& topology() const { return topo_; }
 
   /// True when `a` and `b` can be simultaneously active.
@@ -140,7 +142,9 @@ class Context {
   [[nodiscard]] std::string path_of(const Behavior* b) const;
 
   /// Parent in the hierarchy; nullptr for the top or unknown behaviors.
-  [[nodiscard]] const Behavior* parent_of(const Behavior* b) const;
+  [[nodiscard]] const Behavior* parent_of(const Behavior* b) const {
+    return index_.parent_of(b);
+  }
 
   [[nodiscard]] const std::vector<MasterFacts>& masters() const {
     return masters_;
@@ -194,7 +198,6 @@ class Context {
   [[nodiscard]] BusTopology::SignalRole role_of(std::string_view name) const;
   SignalUse& use_of(Symbol& sym);
 
-  void index_behaviors(const Behavior& b, const Behavior* parent);
   void walk_spec();
   void walk_block(const StmtList& stmts, Scope& scope);
   void walk_stmt(const Stmt& s, Scope& scope);
@@ -215,14 +218,11 @@ class Context {
   /// Resolves NameRefs through the scope's in-argument bindings.
   const Expr* resolve(const Expr& e, const Scope& scope) const;
 
-  const Specification* spec_;
+  SpecIndex index_;
   BusTopology topo_;
 
   std::unordered_map<std::string_view, Symbol> symbols_;
   std::vector<std::string> bus_data_;  ///< `<bus>_data` per topology bus
-
-  std::map<const Behavior*, const Behavior*> parent_;
-  std::map<const Behavior*, std::vector<const Behavior*>> chain_;  // root..b
 
   std::vector<MasterFacts> masters_;
   std::vector<SlavePort> slaves_;

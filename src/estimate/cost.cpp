@@ -19,9 +19,10 @@ CostReport estimate_cost(const RefineResult& refined,
   }
   r.memories = refined.stats.memories;
   r.memory_ports = refined.stats.memory_ports;
+  const SpecIndex index(refined.refined);
   for (const MemoryModule& m : refined.plan.memories()) {
     for (const std::string& v : m.vars) {
-      const VarDecl* decl = refined.refined.find_var(v);
+      const VarDecl* decl = index.find_var(v);
       if (decl != nullptr) r.memory_bits += decl->type.width;
     }
   }

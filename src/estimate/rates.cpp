@@ -23,14 +23,12 @@ BusRateReport bus_rates(const ProfileResult& profile, const Partition& part,
                         const BusPlan& plan, double clock_hz) {
   BusRateReport report;
   report.model = plan.model();
-  const Specification& spec = part.spec();
-
   // Every bus appears in the report, even at rate 0.
   for (const BusDecl& b : plan.buses()) report.bus_mbps[b.name] = 0.0;
 
   for (const auto& [key, counts] : profile.accesses) {
     const auto& [behavior, var] = key;
-    const VarDecl* decl = spec.find_var(var);
+    const VarDecl* decl = part.index().find_var(var);
     if (decl == nullptr) continue;  // tmp of a refined spec profile
 
     auto bit = profile.behaviors.find(behavior);

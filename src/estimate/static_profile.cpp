@@ -3,6 +3,8 @@
 #include <cmath>
 #include <map>
 
+#include "spec/index.h"
+
 namespace specsyn {
 
 namespace {
@@ -28,7 +30,7 @@ struct Activity {
 class Analyzer {
  public:
   Analyzer(const Specification& spec, const StaticProfileOptions& opts)
-      : spec_(spec), opts_(opts) {}
+      : spec_(spec), index_(spec), opts_(opts) {}
 
   ProfileResult run() {
     ProfileResult out;
@@ -59,7 +61,7 @@ class Analyzer {
   }
 
   [[nodiscard]] bool is_var(const std::string& name) const {
-    return spec_.find_var(name) != nullptr;
+    return index_.find_var(name) != nullptr;
   }
 
   void note_reads(const Expr& e, const std::string& behavior, Activity& a,
@@ -249,6 +251,7 @@ class Analyzer {
   }
 
   const Specification& spec_;
+  const SpecIndex index_;
   const StaticProfileOptions& opts_;
   std::map<std::string, BehaviorProfile> behaviors_;
 };

@@ -2,6 +2,8 @@
 
 #include <tuple>
 
+#include "spec/index.h"
+
 namespace specsyn {
 
 namespace {
@@ -10,7 +12,7 @@ using Key = std::tuple<std::string, std::string, AccessDir>;
 
 class Builder {
  public:
-  explicit Builder(const Specification& spec) : spec_(spec) {}
+  explicit Builder(const Specification& spec) : spec_(spec), index_(spec) {}
 
   void build(std::vector<std::string>& behaviors,
              std::vector<std::string>& variables,
@@ -122,11 +124,12 @@ class Builder {
 
   void add_access(const std::string& behavior, const std::string& name,
                   AccessDir dir) {
-    if (spec_.find_var(name) == nullptr) return;  // signals etc.
+    if (index_.find_var(name) == nullptr) return;  // signals etc.
     ++counts_[{behavior, name, dir}];
   }
 
   const Specification& spec_;
+  const SpecIndex index_;
   std::map<Key, size_t> counts_;
   std::vector<ControlChannel> control_;
 };

@@ -74,15 +74,15 @@ void BusTracer::discover_buses(const Specification& spec) {
 }
 
 void BusTracer::scan_address_map(const Specification& spec) {
-  if (spec.top) {
-    spec.top->for_each([&](const Behavior& b) {
-      if (b.is_leaf()) scan_stmts(b.body, spec);
-    });
+  const SpecIndex index(spec);
+  for (SpecIndex::Id id = 0; id < index.size(); ++id) {
+    const Behavior& b = index.behavior(id);
+    if (b.is_leaf()) scan_stmts(b.body, index);
   }
-  for (const Procedure& p : spec.procedures) scan_stmts(p.body, spec);
+  for (const Procedure& p : spec.procedures) scan_stmts(p.body, index);
 }
 
-void BusTracer::scan_stmts(const StmtList& stmts, const Specification& spec) {
+void BusTracer::scan_stmts(const StmtList& stmts, const SpecIndex& index) {
   for (const StmtPtr& s : stmts) {
     if (s->kind == Stmt::Kind::If && s->expr != nullptr &&
         s->expr->kind == Expr::Kind::Binary &&
@@ -96,7 +96,7 @@ void BusTracer::scan_stmts(const StmtList& stmts, const Specification& spec) {
         // assigned (write port) or drives the data bus (read port).
         for (const StmtPtr& inner : s->then_block) {
           if (inner->kind == Stmt::Kind::Assign &&
-              spec.find_var(inner->target) != nullptr) {
+              index.find_var(inner->target) != nullptr) {
             addr_to_var_.emplace(addr, inner->target);
             break;
           }
@@ -106,7 +106,7 @@ void BusTracer::scan_stmts(const StmtList& stmts, const Specification& spec) {
             inner->expr->collect_names(refs);
             const auto var = std::find_if(
                 refs.begin(), refs.end(), [&](const std::string& n) {
-                  return spec.find_var(n) != nullptr;
+                  return index.find_var(n) != nullptr;
                 });
             if (var != refs.end()) {
               addr_to_var_.emplace(addr, *var);
@@ -116,8 +116,8 @@ void BusTracer::scan_stmts(const StmtList& stmts, const Specification& spec) {
         }
       }
     }
-    if (!s->then_block.empty()) scan_stmts(s->then_block, spec);
-    if (!s->else_block.empty()) scan_stmts(s->else_block, spec);
+    if (!s->then_block.empty()) scan_stmts(s->then_block, index);
+    if (!s->else_block.empty()) scan_stmts(s->else_block, index);
   }
 }
 

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "sim/simulator.h"
+#include "spec/index.h"
 
 namespace specsyn {
 
@@ -170,7 +171,7 @@ class BusTracer : public SlotObserver {
 
   void discover_buses(const Specification& spec);
   void scan_address_map(const Specification& spec);
-  void scan_stmts(const StmtList& stmts, const Specification& spec);
+  void scan_stmts(const StmtList& stmts, const SpecIndex& index);
 
   void start_rise(uint32_t bus, uint64_t time);
   void done_edge(uint32_t bus, uint64_t time, bool rising);

@@ -9,14 +9,6 @@ namespace specsyn {
 
 namespace {
 
-// Deepest nesting a spec may have. Behaviors, statement blocks, parentheses,
-// unary operators and expression-tree height all count toward it, so a
-// left-deep `1+1+...+1` chain is as deep as its length. Every later pass
-// (validation, refinement, printing, lowering, simulation, analysis) walks
-// these trees recursively; bounding the depth here keeps each of them
-// inside the stack. Deeper input fails with SP002.
-constexpr size_t kMaxNestingDepth = 1000;
-
 class Parser {
  public:
   Parser(std::vector<Token> tokens, DiagnosticSink& diags)

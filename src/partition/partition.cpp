@@ -35,91 +35,99 @@ Allocation Allocation::asics(size_t p) {
 }
 
 Partition::Partition(const Specification& spec, Allocation alloc)
-    : spec_(&spec), alloc_(std::move(alloc)) {
+    : alloc_(std::move(alloc)),
+      index_(spec),
+      behavior_pin_(index_.size(), kUnpinned),
+      var_pin_(index_.var_count(), kUnpinned) {
   if (alloc_.components.empty()) {
     throw SpecError("partition requires at least one allocated component");
   }
 }
 
 void Partition::assign_behavior(const std::string& name, size_t component) {
-  if (spec_->find_behavior(name) == nullptr) {
+  const SpecIndex::Id id = index_.id_of(name);
+  if (id == SpecIndex::kNone) {
     throw SpecError("assign_behavior: unknown behavior '" + name + "'");
   }
   if (component >= alloc_.size()) {
     throw SpecError("assign_behavior: component index out of range");
   }
-  behavior_pin_[name] = component;
+  behavior_pin_[id] = component;
 }
 
 void Partition::assign_var(const std::string& name, size_t component) {
-  if (spec_->find_var(name) == nullptr) {
+  const SpecIndex::Id id = index_.var_id(name);
+  if (id == SpecIndex::kNone) {
     throw SpecError("assign_var: unknown variable '" + name + "'");
   }
   if (component >= alloc_.size()) {
     throw SpecError("assign_var: component index out of range");
   }
-  var_pin_[name] = component;
+  var_pin_[id] = component;
+}
+
+size_t Partition::component_of(SpecIndex::Id id) const {
+  for (; id != SpecIndex::kNone; id = index_.parent(id)) {
+    if (behavior_pin_[id] != kUnpinned) return behavior_pin_[id];
+  }
+  return 0;
 }
 
 size_t Partition::component_of_behavior(const std::string& name) const {
-  std::string cur = name;
-  while (true) {
-    auto it = behavior_pin_.find(cur);
-    if (it != behavior_pin_.end()) return it->second;
-    const Behavior* parent = spec_->parent_of(cur);
-    if (parent == nullptr) return 0;
-    cur = parent->name;
-  }
+  return component_of(index_.id_of(name));
 }
 
 size_t Partition::component_of_var(const std::string& name) const {
-  auto it = var_pin_.find(name);
-  if (it != var_pin_.end()) return it->second;
-  const Behavior* owner = nullptr;
-  if (spec_->find_var(name, &owner) == nullptr) {
+  const SpecIndex::Id id = index_.var_id(name);
+  if (id == SpecIndex::kNone) {
     throw SpecError("component_of_var: unknown variable '" + name + "'");
   }
-  return owner != nullptr ? component_of_behavior(owner->name) : 0;
+  if (var_pin_[id] != kUnpinned) return var_pin_[id];
+  const SpecIndex::Id owner = index_.var(id).owner;
+  return owner != SpecIndex::kNone ? component_of(owner) : 0;
+}
+
+bool Partition::is_cut(SpecIndex::Id id) const {
+  const SpecIndex::Id parent = index_.parent(id);
+  return parent != SpecIndex::kNone && component_of(id) != component_of(parent);
 }
 
 bool Partition::is_cut_behavior(const std::string& name) const {
-  const Behavior* parent = spec_->parent_of(name);
-  if (parent == nullptr) return false;  // top is never cut
-  return component_of_behavior(name) != component_of_behavior(parent->name);
+  const SpecIndex::Id id = index_.id_of(name);
+  return id != SpecIndex::kNone && is_cut(id);  // top is never cut
 }
 
 std::vector<std::string> Partition::cut_behaviors() const {
+  // Pre-order ids: an outer cut subtree is reported before (and hides) cuts
+  // that merely re-inherit inside it.
   std::vector<std::string> out;
-  if (!spec_->top) return out;
-  // Pre-order: an outer cut subtree is reported before (and hides) cuts that
-  // merely re-inherit inside it.
-  spec_->top->for_each([&](const Behavior& b) {
-    if (is_cut_behavior(b.name)) out.push_back(b.name);
-  });
+  for (SpecIndex::Id id = 0; id < index_.size(); ++id) {
+    if (is_cut(id)) out.push_back(index_.behavior(id).name);
+  }
   return out;
 }
 
 void Partition::auto_assign_vars(const AccessGraph& graph) {
-  for (const VarDecl* v : spec_->all_vars()) {
-    if (var_pin_.count(v->name) != 0) continue;
+  for (SpecIndex::Id v = 0; v < index_.var_count(); ++v) {
+    if (var_pin_[v] != kUnpinned) continue;
+    const std::string& name = index_.var(v).decl->name;
     std::vector<size_t> votes(alloc_.size(), 0);
     for (const DataChannel& c : graph.data_channels()) {
-      if (c.var == v->name) {
-        votes[component_of_behavior(c.behavior)] += c.sites;
-      }
+      if (c.var == name) votes[component_of_behavior(c.behavior)] += c.sites;
     }
     size_t best = 0;
     for (size_t i = 1; i < votes.size(); ++i) {
       if (votes[i] > votes[best]) best = i;
     }
-    var_pin_[v->name] = best;
+    var_pin_[v] = best;
   }
 }
 
 std::vector<VarPlacement> Partition::classify_vars(
     const AccessGraph& graph) const {
   std::vector<VarPlacement> out;
-  for (const VarDecl* v : spec_->all_vars()) {
+  for (SpecIndex::Id id = 0; id < index_.var_count(); ++id) {
+    const VarDecl* v = index_.var(id).decl;
     VarPlacement p;
     p.var = v->name;
     p.component = component_of_var(v->name);
@@ -148,10 +156,8 @@ std::pair<size_t, size_t> Partition::local_global_counts(
 bool Partition::check(DiagnosticSink& diags) const {
   const size_t before = diags.error_count();
   std::vector<size_t> behaviors_per(alloc_.size(), 0);
-  if (spec_->top) {
-    spec_->top->for_each([&](const Behavior& b) {
-      ++behaviors_per[component_of_behavior(b.name)];
-    });
+  for (SpecIndex::Id id = 0; id < index_.size(); ++id) {
+    ++behaviors_per[component_of(id)];
   }
   for (size_t i = 0; i < alloc_.size(); ++i) {
     if (behaviors_per[i] == 0) {
@@ -159,20 +165,16 @@ bool Partition::check(DiagnosticSink& diags) const {
                     "' hosts no behaviors");
     }
   }
-  for (const auto& [name, comp] : behavior_pin_) {
-    if (spec_->find_behavior(name) == nullptr) {
-      diags.error("partition pins unknown behavior '" + name + "'");
-    }
-    if (comp >= alloc_.size()) {
-      diags.error("partition pins '" + name + "' to missing component");
+  for (SpecIndex::Id id = 0; id < index_.size(); ++id) {
+    if (behavior_pin_[id] != kUnpinned && behavior_pin_[id] >= alloc_.size()) {
+      diags.error("partition pins '" + index_.behavior(id).name +
+                  "' to missing component");
     }
   }
-  for (const auto& [name, comp] : var_pin_) {
-    if (spec_->find_var(name) == nullptr) {
-      diags.error("partition pins unknown variable '" + name + "'");
-    }
-    if (comp >= alloc_.size()) {
-      diags.error("partition pins variable '" + name + "' to missing component");
+  for (SpecIndex::Id id = 0; id < index_.var_count(); ++id) {
+    if (var_pin_[id] != kUnpinned && var_pin_[id] >= alloc_.size()) {
+      diags.error("partition pins variable '" + index_.var(id).decl->name +
+                  "' to missing component");
     }
   }
   return diags.error_count() == before;

@@ -11,17 +11,21 @@
 // Variable locality (the knob the paper's three experimental designs turn):
 // a variable is *local* iff every behavior accessing it lives on the
 // variable's own component; otherwise it is *global*.
+//
+// A Partition builds one SpecIndex (spec/index.h) of its specification and
+// keys its pins by index id, so a component lookup climbs integer parent
+// ids. The specification must outlive the partition and must not change
+// under it.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "graph/access_graph.h"
-#include "spec/specification.h"
+#include "spec/index.h"
 
 namespace specsyn {
 
@@ -61,11 +65,12 @@ struct VarPlacement {
 
 class Partition {
  public:
-  /// `spec` must outlive the partition.
+  /// `spec` must outlive the partition and not change under it.
   Partition(const Specification& spec, Allocation alloc);
 
   [[nodiscard]] const Allocation& allocation() const { return alloc_; }
-  [[nodiscard]] const Specification& spec() const { return *spec_; }
+  [[nodiscard]] const Specification& spec() const { return index_.spec(); }
+  [[nodiscard]] const SpecIndex& index() const { return index_; }
 
   /// Pins behavior `name` (and, by inheritance, its unpinned subtree) to a
   /// component. Throws SpecError for unknown names/components.
@@ -99,15 +104,20 @@ class Partition {
   [[nodiscard]] std::pair<size_t, size_t> local_global_counts(
       const AccessGraph& graph) const;
 
-  /// Checks internal consistency (names exist, every component hosts at
-  /// least one behavior). Returns false with diagnostics on problems.
+  /// Checks internal consistency (pins name allocated components; warns
+  /// when a component hosts no behavior). Returns false on errors.
   [[nodiscard]] bool check(DiagnosticSink& diags) const;
 
  private:
-  const Specification* spec_;
+  static constexpr size_t kUnpinned = SIZE_MAX;
+
+  [[nodiscard]] size_t component_of(SpecIndex::Id behavior) const;
+  [[nodiscard]] bool is_cut(SpecIndex::Id behavior) const;
+
   Allocation alloc_;
-  std::map<std::string, size_t> behavior_pin_;
-  std::map<std::string, size_t> var_pin_;
+  SpecIndex index_;
+  std::vector<size_t> behavior_pin_;  ///< by behavior id
+  std::vector<size_t> var_pin_;       ///< by variable id
 };
 
 }  // namespace specsyn

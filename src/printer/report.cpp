@@ -21,6 +21,7 @@ std::string architecture_report(const RefineResult& result,
                                 const BusRateReport* rates) {
   std::ostringstream os;
   const Specification& spec = result.refined;
+  const SpecIndex index(spec);
   const Allocation& alloc = part.allocation();
 
   os << "# Architecture: " << spec.name << "\n\n";
@@ -81,7 +82,7 @@ std::string architecture_report(const RefineResult& result,
        << alloc.components[m.component].name << ")\n\n";
     os << "| variable | address | beats | type |\n|---|---|---|---|\n";
     for (const std::string& v : m.vars) {
-      const VarDecl* decl = spec.find_var(v);
+      const VarDecl* decl = index.find_var(v);
       os << "| " << v << " | " << result.addresses.addr_of(v) << " | "
          << result.addresses.beats_of(v) << " | "
          << (decl != nullptr ? decl->type.str() : "?") << " |\n";
@@ -121,8 +122,8 @@ std::string architecture_report(const RefineResult& result,
       const std::string& n = s->name;
       if (n.size() > 6 && n.compare(n.size() - 6, 6, "_start") == 0) {
         const std::string base = n.substr(0, n.size() - 6);
-        if (spec.find_signal(base + "_done") != nullptr &&
-            spec.find_behavior(base + "_CTRL") != nullptr) {
+        if (index.signal(base + "_done").decl != nullptr &&
+            index.id_of(base + "_CTRL") != SpecIndex::kNone) {
           os << "* " << base << ": " << base << "_CTRL -> " << base
              << "_NEW via " << base << "_start / " << base << "_done\n";
         }

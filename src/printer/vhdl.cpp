@@ -190,6 +190,7 @@ class VhdlEmitter {
     for (const SignalDecl* s : spec_.all_signals()) {
       os_ << "  signal " << s->name << " : u64 := " << u64lit(s->init)
           << ";  -- " << s->type.str() << "\n";
+      widths_.try_emplace(s->name, s->type.width);
     }
     for (const ProcInfo& p : procs_) {
       if (p.join_parent != nullptr) {
@@ -419,13 +420,8 @@ class VhdlEmitter {
   /// Masks a value to the declared width of `name` (no-op for 64-bit and
   /// for names without a recorded width, e.g. integers we emitted).
   std::string wrapped(const std::string& name, std::string value) {
-    auto it = widths_.find(name);
-    uint32_t w = 64;
-    if (it != widths_.end()) {
-      w = it->second;
-    } else if (const SignalDecl* sd = spec_.find_signal(name)) {
-      w = sd->type.width;
-    }
+    const auto it = widths_.find(name);
+    const uint32_t w = it != widths_.end() ? it->second : 64;
     if (w >= 64) return value;
     return "f_wrap(" + std::move(value) + ", " + std::to_string(w) + ")";
   }
@@ -457,7 +453,7 @@ class VhdlEmitter {
   std::vector<ProcInfo> procs_;
   std::vector<const VarDecl*> shared_;
   std::map<std::string, std::string> fork_go_;  // conc name -> go signal
-  std::map<std::string, uint32_t> widths_;      // variables only
+  std::map<std::string, uint32_t> widths_;      // declared widths
 };
 
 }  // namespace

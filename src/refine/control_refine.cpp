@@ -90,12 +90,10 @@ class ControlRefiner {
       auto setter = leaf(b.name + "_SETDONE",
                          block(set(done_sig, 1), wait_eq(start, 0),
                                set(done_sig, 0)));
-      const std::string inner_name = inner->name;
       server = seq(b.name + "_NEW",
                    behaviors(std::move(waiter), std::move(inner),
                              std::move(setter)),
                    arcs(on(b.name + "_SETDONE", b.name + "_WAIT")));
-      (void)inner_name;
     }
     result_.components[target].servers.push_back(std::move(server));
   }

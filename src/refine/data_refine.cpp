@@ -27,7 +27,7 @@ namespace {
 
 class DataRefiner {
  public:
-  DataRefiner(size_t component, const Specification& orig, const BusPlan& plan,
+  DataRefiner(size_t component, const SpecIndex& orig, const BusPlan& plan,
               const AddressMap& amap, MasterUse& use, bool per_thread_masters)
       : component_(component), orig_(orig), plan_(plan), amap_(amap),
         use_(use), per_thread_masters_(per_thread_masters) {}
@@ -166,7 +166,7 @@ class DataRefiner {
         out.push_back(std::move(s));
         break;
       case Stmt::Kind::Call: {
-        const Procedure* p = orig_.find_procedure(s->callee);
+        const Procedure* p = orig_.spec().find_procedure(s->callee);
         std::vector<std::string> post_stores;
         for (size_t i = 0; i < s->args.size(); ++i) {
           const bool is_out =
@@ -289,7 +289,7 @@ class DataRefiner {
   }
 
   size_t component_;
-  const Specification& orig_;
+  const SpecIndex& orig_;
   const BusPlan& plan_;
   const AddressMap& amap_;
   MasterUse& use_;
@@ -299,7 +299,7 @@ class DataRefiner {
 }  // namespace
 
 void data_refine_tree(Behavior& root, size_t component,
-                      const std::string& thread, const Specification& orig,
+                      const std::string& thread, const SpecIndex& orig,
                       const BusPlan& plan, const AddressMap& amap,
                       MasterUse& use, bool per_thread_masters) {
   DataRefiner(component, orig, plan, amap, use, per_thread_masters)

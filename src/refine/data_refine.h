@@ -50,7 +50,7 @@ struct MasterUse {
 /// (component-granular), children of Concurrent composites keep the
 /// enclosing identity — only sound for specs without concurrency.
 void data_refine_tree(Behavior& root, size_t component,
-                      const std::string& thread, const Specification& orig,
+                      const std::string& thread, const SpecIndex& orig,
                       const BusPlan& plan, const AddressMap& amap,
                       MasterUse& use, bool per_thread_masters = true);
 

@@ -5,7 +5,7 @@
 namespace specsyn {
 
 BehaviorPtr generate_memory(const MemoryModule& m, const ProtocolGen& proto,
-                            const AddressMap& amap, const Specification& orig) {
+                            const AddressMap& amap, const SpecIndex& orig) {
   if (m.port_buses.empty()) {
     throw SpecError("memory module '" + m.name + "' has no port buses");
   }

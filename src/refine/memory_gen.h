@@ -21,6 +21,6 @@ namespace specsyn {
 [[nodiscard]] BehaviorPtr generate_memory(const MemoryModule& m,
                                           const ProtocolGen& proto,
                                           const AddressMap& amap,
-                                          const Specification& orig);
+                                          const SpecIndex& orig);
 
 }  // namespace specsyn

@@ -19,8 +19,8 @@ namespace {
 /// Original user procedures may only touch their parameters and locals:
 /// a procedure body that reads a specification variable directly cannot be
 /// rewritten per-master (the same procedure is shared by all callers).
-void check_procedures(const Specification& spec) {
-  for (const Procedure& p : spec.procedures) {
+void check_procedures(const SpecIndex& index) {
+  for (const Procedure& p : index.spec().procedures) {
     std::vector<std::string> names;
     for (const auto& s : p.body) {
       // Collect all referenced names in the body, conservatively.
@@ -36,7 +36,7 @@ void check_procedures(const Specification& spec) {
       Walker::stmt(*s, names);
     }
     for (const auto& n : names) {
-      if (spec.find_var(n) != nullptr) {
+      if (index.find_var(n) != nullptr) {
         throw SpecError("refine: procedure '" + p.name +
                         "' accesses specification variable '" + n +
                         "' directly; pass it through parameters instead");
@@ -58,7 +58,7 @@ RefineResult refine(const Partition& part, const AccessGraph& graph,
   telemetry::Span tm_refine("refine", telemetry::Stability::Stable);
   const Specification& orig = part.spec();
   validate_or_throw(orig);
-  check_procedures(orig);
+  check_procedures(part.index());
 
   AddressMap amap(part, cfg.protocol);
   BusPlan plan = BusPlan::build(part, graph, cfg.model, cfg.max_memory_ports);
@@ -94,12 +94,12 @@ RefineResult refine(const Partition& part, const AccessGraph& graph,
       ComponentTree& tree = ctrl.components[c];
       const std::string comp_name = part.allocation().components[c].name;
       if (tree.main) {
-        data_refine_tree(*tree.main, c, comp_name, orig, plan, amap, use,
-                         per_thread);
+        data_refine_tree(*tree.main, c, comp_name, part.index(), plan, amap,
+                         use, per_thread);
       }
       for (auto& server : tree.servers) {
         data_refine_tree(*server, c, per_thread ? server->name : comp_name,
-                         orig, plan, amap, use, per_thread);
+                         part.index(), plan, amap, use, per_thread);
       }
     }
   }
@@ -115,7 +115,7 @@ RefineResult refine(const Partition& part, const AccessGraph& graph,
       if (ib.inbound) interfaces.push_back(std::move(ib.inbound));
     }
     for (const MemoryModule& m : plan.memories()) {
-      memories.push_back(generate_memory(m, proto, amap, orig));
+      memories.push_back(generate_memory(m, proto, amap, part.index()));
     }
   }
 
@@ -205,6 +205,12 @@ RefineResult refine(const Partition& part, const AccessGraph& graph,
   result.stats.behaviors = out.all_behaviors().size();
 
   validate_or_throw(out);
+  // The model must read back: the parser rejects deeper nesting.
+  if (const size_t depth = nesting_depth(out); depth > kMaxNestingDepth) {
+    throw SpecError("[SP002] refine: the refined model nests " +
+                    std::to_string(depth) + " levels deep; the parser accepts " +
+                    std::to_string(kMaxNestingDepth));
+  }
   return result;
 }
 

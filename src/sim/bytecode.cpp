@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "printer/printer.h"
 #include "support/diagnostics.h"
 
 namespace specsyn {
@@ -124,7 +123,6 @@ class BytecodeCompiler {
     auto out = std::shared_ptr<BytecodeProgram>(new BytecodeProgram());
     bc_ = out.get();
     bc_->behaviors_.resize(prog_.behavior_count());
-    bc_->names_.resize(prog_.behavior_count());
     compile_behavior(*prog_.root());
     // Procedures discovered at call sites compile after the unit that
     // referenced them (code is one flat array; units never nest). A pending
@@ -246,7 +244,7 @@ class BytecodeCompiler {
   uint32_t add_wait_site(const LStmt& s) {
     BWaitSite site;
     site.signals = s.wait_signals;
-    site.cond_str = print(*s.src->expr);
+    site.cond = s.src->expr.get();
     bc_->wait_sites_.push_back(std::move(site));
     return static_cast<uint32_t>(bc_->wait_sites_.size() - 1);
   }
@@ -430,7 +428,6 @@ class BytecodeCompiler {
     b.src = lb.src;
     b.id = lb.id;
     b.kind = lb.kind;
-    bc_->names_[lb.id] = lb.src->name;
     if (lb.kind == BehaviorKind::Leaf) {
       b.body = pc();
       compile_block(*lb.body);

@@ -124,10 +124,10 @@ struct BCallSite {
 };
 
 /// One `wait` statement: the signal slots its condition is sensitive to
-/// (waiter registration) and the printed condition (blocked diagnostics).
+/// (waiter registration) and the condition (blocked diagnostics).
 struct BWaitSite {
   std::vector<uint32_t> signals;
-  std::string cond_str;
+  const Expr* cond = nullptr;
 };
 
 /// One postfix op of a fused WaitSigExpr condition: a compare leaf pushes
@@ -187,10 +187,7 @@ class BytecodeProgram {
     return static_cast<uint32_t>(behaviors_.size());
   }
   [[nodiscard]] const std::string& behavior_name(uint32_t id) const {
-    return names_[id];
-  }
-  [[nodiscard]] const std::vector<std::string>& behavior_names() const {
-    return names_;
+    return behaviors_[id].src->name;
   }
   /// Registers the interpreter must provide: the deepest expression's
   /// postfix evaluation depth (at least 1, at most 65535).
@@ -208,7 +205,6 @@ class BytecodeProgram {
   std::vector<BWaitSite> wait_sites_;
   std::vector<BWaitOp> wait_ops_;     // WaitSigExpr postfix pool
   std::vector<BBehavior> behaviors_;  // indexed by id, pre-order
-  std::vector<std::string> names_;    // behavior names, indexed by id
   uint32_t reg_count_ = 1;
   uint32_t max_proc_locals_ = 0;
 };

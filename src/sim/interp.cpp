@@ -156,7 +156,7 @@ void Simulator::step(Process& p) {
         f.started = true;
         p.behavior_stack.push_back(&b);
         if (!slot_observers_.empty()) {
-          const uint32_t id = tree_ids_.at(&b);
+          const uint32_t id = tree_index_->id_of(&b);
           for (SlotObserver* o : slot_observers_) {
             o->on_behavior_start(id, p.id, now_);
           }
@@ -194,13 +194,11 @@ void Simulator::step(Process& p) {
         }
       } else {
         // Body / children finished: this behavior completes.
-        if (!slot_observers_.empty()) {
-          const uint32_t id = tree_ids_.at(&b);
-          for (SlotObserver* o : slot_observers_) {
-            o->on_behavior_end(id, p.id, now_);
-          }
+        const uint32_t id = tree_index_->id_of(&b);
+        for (SlotObserver* o : slot_observers_) {
+          o->on_behavior_end(id, p.id, now_);
         }
-        ++behavior_completions_[b.name];
+        ++completions_[id];
         p.behavior_stack.pop_back();
         leave_frame(p);
         if (p.stack.empty()) {

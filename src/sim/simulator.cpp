@@ -122,6 +122,9 @@ Simulator::Simulator(std::shared_ptr<const SimPlan> plan, SimConfig cfg)
     regs_.assign(bprog_->reg_count(), 0);
     staging_.assign(std::max<uint32_t>(1, bprog_->max_proc_locals()), 0);
     completions_.assign(bprog_->behavior_count(), 0);
+  } else {
+    tree_index_.emplace(spec_);
+    completions_.assign(tree_index_->size(), 0);
   }
   for (Bucket& b : buckets_) {
     b.runs.reserve(64);
@@ -150,9 +153,15 @@ uint32_t Simulator::innermost_behavior_id(const Process& p) const {
     if (it->kind != Frame::Kind::Behavior) continue;
     if (it->lbehavior != nullptr) return it->lbehavior->id;
     if (it->bbehavior != nullptr) return it->bbehavior->id;
-    return tree_ids_.at(it->behavior);
+    return tree_index_->id_of(it->behavior);
   }
   return UINT32_MAX;
+}
+
+const std::string& Simulator::behavior_name(uint32_t id) const {
+  if (prog_ != nullptr) return prog_->behavior_name(id);
+  if (bprog_ != nullptr) return bprog_->behavior_name(id);
+  return tree_index_->behavior(id).name;
 }
 
 void Simulator::notify_var_read(uint32_t slot, const Process& p) {
@@ -302,19 +311,8 @@ SimResult Simulator::run() {
   if (observed) {
     // Materialize the id-indexed behavior names once; valid for the run.
     bound_names_.clear();
-    if (prog_) {
-      bound_names_.reserve(prog_->behavior_count());
-      for (uint32_t id = 0; id < prog_->behavior_count(); ++id) {
-        bound_names_.push_back(prog_->behavior_name(id));
-      }
-    } else if (bprog_) {
-      bound_names_ = bprog_->behavior_names();
-    } else {
-      tree_ids_.clear();
-      for (const Behavior* b : spec_.all_behaviors()) {
-        tree_ids_.emplace(b, static_cast<uint32_t>(bound_names_.size()));
-        bound_names_.push_back(b->name);
-      }
+    for (uint32_t id = 0; id < completions_.size(); ++id) {
+      bound_names_.push_back(behavior_name(id));
     }
     const SlotObserver::Binding binding{&vars_, &signals_, &bound_names_};
     for (SlotObserver* o : slot_observers_) o->on_bind(binding);
@@ -351,9 +349,8 @@ SimResult Simulator::run() {
     info.process_id = p->id;
     info.behavior =
         p->behavior_stack.empty() ? "<none>" : p->behavior_stack.back()->name;
-    info.waiting_on = p->wait_cond != nullptr ? print(*p->wait_cond)
-                      : p->bwait != nullptr   ? p->bwait->cond_str
-                                              : "<join>";
+    const Expr* cond = p->bwait != nullptr ? p->bwait->cond : p->wait_cond;
+    info.waiting_on = cond != nullptr ? print(*cond) : "<join>";
     result.blocked.push_back(std::move(info));
   }
   for (size_t i = 0; i < vars_.size(); ++i) {
@@ -363,21 +360,11 @@ SimResult Simulator::run() {
   for (const RawWrite& w : raw_writes_) {
     result.observable_writes.push_back({vars_.name_of(w.var), w.value, w.time});
   }
-  if (prog_ || bprog_) {
-    // Compiled runs count completions per interned behavior id; materialize
-    // the name-keyed map (ids with zero completions have no entry, matching
-    // the legacy map's insert-on-first-completion behavior).
-    const uint32_t n =
-        prog_ ? prog_->behavior_count() : bprog_->behavior_count();
-    for (uint32_t id = 0; id < n; ++id) {
-      if (completions_[id] != 0) {
-        result.behavior_completions.emplace(
-            prog_ ? prog_->behavior_name(id) : bprog_->behavior_name(id),
-            completions_[id]);
-      }
+  // Behaviors that never completed get no entry.
+  for (uint32_t id = 0; id < completions_.size(); ++id) {
+    if (completions_[id] != 0) {
+      result.behavior_completions.emplace(behavior_name(id), completions_[id]);
     }
-  } else {
-    result.behavior_completions = behavior_completions_;
   }
   if (telemetry::enabled()) {
     // All three are per-run deterministic: identical inputs yield identical

@@ -26,13 +26,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/signal_table.h"
-#include "spec/specification.h"
+#include "spec/index.h"
 
 namespace specsyn {
 
@@ -329,6 +330,8 @@ class Simulator {
   // observer dispatch shared by the three tiers (simulator.cpp); called only
   // when an observer is attached
   uint32_t innermost_behavior_id(const Process& p) const;
+  /// Name of interned behavior `id` under the running tier.
+  [[nodiscard]] const std::string& behavior_name(uint32_t id) const;
   void notify_var_read(uint32_t slot, const Process& p);
   void notify_var_write(uint32_t slot, const Process& p);
   void notify_signal_schedule(uint32_t slot, uint64_t value,
@@ -372,8 +375,7 @@ class Simulator {
   const LOp* ops_base_ = nullptr;
   /// Scratch value stack for leval (lowered; sized to max_eval_stack).
   std::vector<uint64_t> eval_stack_;
-  /// Per-behavior-id completion counts (slot-indexed tiers; the legacy path
-  /// counts into behavior_completions_ directly).
+  /// Completion counts by interned behavior id (pre-order, every tier).
   std::vector<uint64_t> completions_;
 
   /// Bytecode tier state (null/empty under the other tiers).
@@ -384,9 +386,9 @@ class Simulator {
   /// Behavior names indexed by interned id, materialized once per observed
   /// run for the SlotObserver binding.
   std::vector<std::string> bound_names_;
-  /// Tree tier's Behavior* -> interned id (pre-order over spec_.top, the
-  /// numbering the compiled tiers intern), filled once per observed run.
-  std::unordered_map<const Behavior*, uint32_t> tree_ids_;
+  /// Tree tier's behavior ids: the index's pre-order numbering, which the
+  /// compiled tiers intern too.
+  std::optional<SpecIndex> tree_index_;
 
   std::vector<std::unique_ptr<Process>> processes_;
 
@@ -458,7 +460,6 @@ class Simulator {
     uint64_t time;
   };
   std::vector<RawWrite> raw_writes_;
-  std::map<std::string, uint64_t> behavior_completions_;
   Process* root_ = nullptr;
 };
 

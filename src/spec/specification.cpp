@@ -1,6 +1,65 @@
 #include "spec/specification.h"
 
+#include <algorithm>
+
 namespace specsyn {
+
+namespace {
+
+// Depth as parser.cpp counts it, accumulated into `max`: behaviors, braced
+// blocks, unary operators and printed parentheses each hold a level over
+// their text, a primary holds one while it is read, and a binary chain
+// reaches the depth it starts at plus its height. Returns the tree height.
+size_t expr_nesting(const Expr& e, size_t d, size_t& max) {
+  if (e.kind == Expr::Kind::Unary) {  // printed `op(x)`
+    return 1 + expr_nesting(*e.args[0], d + 2, max);
+  }
+  if (e.kind != Expr::Kind::Binary) {
+    max = std::max(max, d + 1);
+    return 0;
+  }
+  const int prec = precedence(e.bin_op);
+  size_t h = 0;
+  for (size_t i = 0; i < 2; ++i) {  // parenthesized as append_expr does
+    const Expr& x = *e.args[i];
+    const bool parens = x.kind == Expr::Kind::Binary &&
+                        (precedence(x.bin_op) < prec ||
+                         (i == 1 && precedence(x.bin_op) == prec));
+    h = std::max(h, 1 + expr_nesting(x, d + (parens ? 1 : 0), max));
+  }
+  max = std::max(max, d + h);
+  return h;
+}
+
+void block_nesting(const StmtList& stmts, size_t d, size_t& max) {
+  max = std::max(max, d);
+  for (const StmtPtr& s : stmts) {
+    if (s->expr) expr_nesting(*s->expr, d, max);
+    for (const ExprPtr& a : s->args) expr_nesting(*a, d, max);
+    if (s->kind == Stmt::Kind::If || s->kind == Stmt::Kind::While ||
+        s->kind == Stmt::Kind::Loop) {
+      block_nesting(s->then_block, d + 1, max);
+    }
+    if (!s->else_block.empty()) block_nesting(s->else_block, d + 1, max);
+  }
+}
+
+void behavior_nesting(const Behavior& b, size_t d, size_t& max) {
+  block_nesting(b.body, d + 1, max);
+  for (const Transition& t : b.transitions) {
+    if (t.guard) expr_nesting(*t.guard, d + 1, max);
+  }
+  for (const BehaviorPtr& c : b.children) behavior_nesting(*c, d + 1, max);
+}
+
+}  // namespace
+
+size_t nesting_depth(const Specification& spec) {
+  size_t max = 0;
+  if (spec.top) behavior_nesting(*spec.top, 0, max);
+  for (const Procedure& p : spec.procedures) block_nesting(p.body, 0, max);
+  return max;
+}
 
 Specification Specification::clone() const {
   Specification s;
@@ -27,26 +86,6 @@ Behavior* Specification::find_behavior(const std::string& n) {
       static_cast<const Specification*>(this)->find_behavior(n));
 }
 
-const Behavior* Specification::parent_of(const std::string& n) const {
-  if (!top) return nullptr;
-  const Behavior* found = nullptr;
-  top->for_each([&](const Behavior& b) {
-    if (found) return;
-    for (const auto& c : b.children) {
-      if (c->name == n) {
-        found = &b;
-        return;
-      }
-    }
-  });
-  return found;
-}
-
-Behavior* Specification::parent_of(const std::string& n) {
-  return const_cast<Behavior*>(
-      static_cast<const Specification*>(this)->parent_of(n));
-}
-
 std::vector<const Behavior*> Specification::all_behaviors() const {
   if (!top) return {};
   return static_cast<const Behavior&>(*top).all_behaviors();
@@ -55,54 +94,6 @@ std::vector<const Behavior*> Specification::all_behaviors() const {
 std::vector<Behavior*> Specification::all_behaviors() {
   if (!top) return {};
   return top->all_behaviors();
-}
-
-const VarDecl* Specification::find_var(const std::string& n,
-                                       const Behavior** owner) const {
-  for (const auto& v : vars) {
-    if (v.name == n) {
-      if (owner) *owner = nullptr;
-      return &v;
-    }
-  }
-  const VarDecl* found = nullptr;
-  if (top) {
-    top->for_each([&](const Behavior& b) {
-      if (found) return;
-      for (const auto& v : b.vars) {
-        if (v.name == n) {
-          found = &v;
-          if (owner) *owner = &b;
-          return;
-        }
-      }
-    });
-  }
-  return found;
-}
-
-const SignalDecl* Specification::find_signal(const std::string& n,
-                                             const Behavior** owner) const {
-  for (const auto& s : signals) {
-    if (s.name == n) {
-      if (owner) *owner = nullptr;
-      return &s;
-    }
-  }
-  const SignalDecl* found = nullptr;
-  if (top) {
-    top->for_each([&](const Behavior& b) {
-      if (found) return;
-      for (const auto& s : b.signals) {
-        if (s.name == n) {
-          found = &s;
-          if (owner) *owner = &b;
-          return;
-        }
-      }
-    });
-  }
-  return found;
 }
 
 const Procedure* Specification::find_procedure(const std::string& n) const {

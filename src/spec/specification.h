@@ -38,28 +38,16 @@ struct Specification {
   // Lookups come in const/non-const pairs: a `const Specification&` hands out
   // only `const Behavior*`, so a spec shared read-only across batch workers
   // (src/batch) cannot be mutated through a lookup — the compiler enforces
-  // the const-sharing contract. Passes that rewrite a spec (refine, reducer,
-  // mutation tests) hold a non-const object and get the mutable overloads.
+  // the const-sharing contract. Name lookups walk the tree; a pass that makes
+  // more than one builds a SpecIndex (spec/index.h) instead.
 
   /// Behavior with the given name anywhere in the hierarchy, or nullptr.
   [[nodiscard]] Behavior* find_behavior(const std::string& name);
   [[nodiscard]] const Behavior* find_behavior(const std::string& name) const;
 
-  /// Parent of the named behavior; nullptr for top or unknown names.
-  [[nodiscard]] Behavior* parent_of(const std::string& name);
-  [[nodiscard]] const Behavior* parent_of(const std::string& name) const;
-
   /// All behaviors, pre-order from top.
   [[nodiscard]] std::vector<Behavior*> all_behaviors();
   [[nodiscard]] std::vector<const Behavior*> all_behaviors() const;
-
-  /// Declaration of the named variable (spec level or any behavior), or
-  /// nullptr. `owner`, when non-null, receives the declaring behavior
-  /// (nullptr if declared at specification level).
-  [[nodiscard]] const VarDecl* find_var(const std::string& name,
-                                        const Behavior** owner = nullptr) const;
-  [[nodiscard]] const SignalDecl* find_signal(const std::string& name,
-                                              const Behavior** owner = nullptr) const;
 
   /// Procedure by name, or nullptr.
   [[nodiscard]] const Procedure* find_procedure(const std::string& name) const;
@@ -76,6 +64,16 @@ struct Specification {
   /// variable write traces, not just final values.)
   [[nodiscard]] bool is_fully_sequential() const;
 };
+
+/// Deepest nesting the parser accepts (SP002). Behaviors, statement blocks,
+/// parentheses, unary operators and expression-tree height all count, so a
+/// left-deep `1+1+...+1` chain is as deep as its length. Every pass walks
+/// these trees recursively; the bound keeps each of them inside the stack.
+inline constexpr size_t kMaxNestingDepth = 1000;
+
+/// The nesting the parser counts reading `print(spec)`; the text parses iff
+/// this is at most kMaxNestingDepth.
+[[nodiscard]] size_t nesting_depth(const Specification& spec);
 
 /// Structural validation: unique names, resolvable references, transitions
 /// naming real siblings, leaf/composite shape rules, call arity and out-param

@@ -96,13 +96,13 @@ bool is_sassign_level(const Stmt& s, const std::string& name, uint64_t level) {
 }
 
 void delete_behavior(Specification& spec, const std::string& name) {
-  Behavior* parent = spec.parent_of(name);
-  ASSERT_NE(parent, nullptr) << "no parent for " << name;
-  for (auto it = parent->children.begin(); it != parent->children.end();
-       ++it) {
-    if ((*it)->name == name) {
-      parent->children.erase(it);
-      return;
+  for (Behavior* parent : spec.all_behaviors()) {
+    auto& kids = parent->children;
+    for (auto it = kids.begin(); it != kids.end(); ++it) {
+      if ((*it)->name == name) {
+        kids.erase(it);
+        return;
+      }
     }
   }
   FAIL() << "behavior not found: " << name;

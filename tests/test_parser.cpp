@@ -1,9 +1,11 @@
 // Unit tests for the SpecLang lexer/parser, including print->parse round-trips.
 #include <gtest/gtest.h>
 
+#include "fuzz/generator.h"
 #include "parser/lexer.h"
 #include "parser/parser.h"
 #include "printer/printer.h"
+#include "refine/refiner.h"
 #include "spec/builder.h"
 #include "test_util.h"
 
@@ -241,6 +243,126 @@ TEST(RoundTrip, SpecWithEverything) {
   DiagnosticSink diags;
   ASSERT_TRUE(validate(s, diags)) << diags.str();
   expect_roundtrip(s);
+}
+
+// ---------------------------------------------------------------------------
+// nesting_depth counts what the parser counts: raised to exactly
+// kMaxNestingDepth a spec's text parses, one level more and it fails SP002.
+// ---------------------------------------------------------------------------
+
+Specification wrapped(const Specification& s, size_t levels) {
+  Specification out = s.clone();
+  for (size_t i = 0; i < levels; ++i) {
+    out.top = seq("Wrap" + std::to_string(i), behaviors(std::move(out.top)));
+  }
+  return out;
+}
+
+bool parses(const Specification& s) {
+  DiagnosticSink diags;
+  const bool ok = parse_spec(print(s), diags).has_value();
+  EXPECT_EQ(ok, diags.str().find("[SP002]") == std::string::npos)
+      << diags.str();
+  return ok;
+}
+
+/// `s`'s deepest point lies in its behavior tree: wrapping raises it one
+/// level per wrapper, and the parser's verdict flips exactly at the limit.
+void expect_exact_at_limit(const Specification& s) {
+  const size_t d = nesting_depth(s);
+  ASSERT_LT(d, kMaxNestingDepth);
+  const Specification at = wrapped(s, kMaxNestingDepth - d);
+  EXPECT_EQ(nesting_depth(at), kMaxNestingDepth) << print(s);
+  EXPECT_TRUE(parses(at)) << print(s);
+  const Specification over = wrapped(s, kMaxNestingDepth - d + 1);
+  EXPECT_EQ(nesting_depth(over), kMaxNestingDepth + 1);
+  EXPECT_FALSE(parses(over)) << print(s);
+}
+
+Specification one_leaf(StmtList body) {
+  Specification s;
+  s.name = "N";
+  s.vars = {var("x"), var("y")};
+  s.signals = {signal("g")};
+  Procedure p;  // `call P(...)`: arguments count at the call's depth
+  p.name = "P";
+  p.params = {in_param("a"), in_param("b")};
+  p.body = block(nop());
+  s.procedures.push_back(std::move(p));
+  s.top = leaf("T", std::move(body));
+  return s;
+}
+
+TEST(NestingDepth, ExpressionShapesMatchParserAtLimit) {
+  // Left- and right-nested chains, mixed precedence (parenthesized and
+  // not), nested unary operators and every statement that holds one.
+  std::vector<StmtList> bodies;
+  bodies.push_back(block(assign("x", lit(1))));
+  bodies.push_back(block(assign("x", add(add(add(ref("x"), lit(1)), lit(2)),
+                                         lit(3)))));
+  bodies.push_back(block(assign(
+      "x", sub(ref("x"), sub(ref("y"), sub(lit(1), sub(lit(2), lit(3))))))));
+  bodies.push_back(block(assign(
+      "x", mul(add(ref("x"), lit(1)), add(mul(ref("y"), lit(2)), lit(3))))));
+  bodies.push_back(block(assign(
+      "x", add(mul(ref("x"), mul(ref("y"), lit(2))), lit(3)))));
+  bodies.push_back(block(assign(
+      "x", neg(bnot(lnot(add(ref("x"), lit(1))))))));
+  bodies.push_back(block(assign("x", add(lit(1), neg(neg(ref("y")))))));
+  bodies.push_back(
+      block(assign("x", sub(ref("x"), sub(ref("y"), neg(lit(1)))))));
+  bodies.push_back(block(call("P", args(neg(neg(ref("y"))), lit(2)))));
+  bodies.push_back(block(sassign("g", land(lt(ref("x"), lit(1)),
+                                            lor(ref("y"), lnot(ref("x")))))));
+  bodies.push_back(block(wait(eq(add(ref("g"), lit(1)), lit(2)))));
+  bodies.push_back(block(if_(gt(ref("x"), lit(1)), block(nop()),
+                             block(while_(ref("y"), block(loop(block(
+                                 assign("x", neg(ref("y"))), break_()))))))));
+  bodies.push_back(block(loop(block()), if_(ref("x"), block())));
+  for (StmtList& body : bodies) expect_exact_at_limit(one_leaf(std::move(body)));
+}
+
+TEST(NestingDepth, GuardsAndGeneratedSpecsMatchParserAtLimit) {
+  Specification abc = testing::abc_spec(3);
+  abc.top->transitions[0].guard = lnot(lnot(gt(ref("x"), lit(1))));
+  expect_exact_at_limit(abc);
+  size_t checked = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    fuzz::GenOptions opts;
+    opts.seed = seed;
+    const Specification s = fuzz::generate_spec(opts);
+    if (nesting_depth(wrapped(s, 1)) == nesting_depth(s) + 1) {
+      expect_exact_at_limit(s);
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 6u);
+  // Refined models: inlined protocol loops, serve loops and arbiters.
+  const Specification orig = testing::abc_spec(3);
+  const AccessGraph graph = build_access_graph(orig);
+  Partition part(orig, Allocation::proc_plus_asic());
+  part.assign_behavior("B", 1);
+  part.auto_assign_vars(graph);
+  for (const ProtocolStyle style :
+       {ProtocolStyle::FullHandshake, ProtocolStyle::ByteSerial}) {
+    RefineConfig cfg;
+    cfg.model = ImplModel::Model4;
+    cfg.protocol = style;
+    expect_exact_at_limit(refine(part, graph, cfg).refined);
+  }
+}
+
+TEST(NestingDepth, ProcedureBodiesCountFromZero) {
+  for (const size_t loops : {kMaxNestingDepth - 1, kMaxNestingDepth}) {
+    Specification s = one_leaf(block(nop()));
+    Procedure p;
+    p.name = "Deep";
+    p.body = block(assign("x", lit(1)));
+    for (size_t i = 0; i < loops; ++i) p.body = block(loop(std::move(p.body)));
+    s.procedures.push_back(std::move(p));
+    EXPECT_EQ(nesting_depth(s), loops + 1);
+    EXPECT_EQ(parses(s), loops + 1 <= kMaxNestingDepth);
+  }
 }
 
 }  // namespace

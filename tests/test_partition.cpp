@@ -2,6 +2,8 @@
 // and the ratio-driven partitioner.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "partition/partitioner.h"
 #include "spec/builder.h"
 #include "test_util.h"
@@ -197,6 +199,187 @@ TEST(Partitioner, RejectsDegenerateInputs) {
   EXPECT_THROW(make_ratio_partition(tiny, tg, Allocation::proc_plus_asic(),
                                     PartitionerOptions{}),
                SpecError);
+}
+
+// -- SpecIndex and Partition against brute-force references -------------------
+
+/// `depth` single-child seq behaviors S0..S{depth-1} around one leaf; every
+/// third level declares a variable and a signal.
+Specification deep_chain(size_t depth) {
+  Specification s;
+  s.name = "Chain";
+  s.vars.push_back(var("g"));
+  BehaviorPtr b = leaf("Leaf", block(assign("g", lit(1))));
+  for (size_t i = depth; i-- > 0;) {
+    b = seq("S" + std::to_string(i), behaviors(std::move(b)));
+    if (i % 3 == 0) {
+      b->vars.push_back(var("v" + std::to_string(i)));
+      b->signals.push_back(signal("s" + std::to_string(i)));
+    }
+  }
+  s.top = std::move(b);
+  return s;
+}
+
+/// A seq root over `width` concurrent groups of `fan` leaves each.
+Specification fan_out(size_t width, size_t fan) {
+  Specification s;
+  s.name = "Fan";
+  s.signals.push_back(signal("top_sig"));
+  std::vector<BehaviorPtr> groups;
+  for (size_t i = 0; i < width; ++i) {
+    std::vector<BehaviorPtr> leaves;
+    for (size_t j = 0; j < fan; ++j) {
+      const std::string n = std::to_string(i) + "_" + std::to_string(j);
+      leaves.push_back(leaf("L" + n, block(nop())));
+      if (j % 4 == 0) leaves.back()->vars.push_back(var("w" + n));
+    }
+    groups.push_back(conc("G" + std::to_string(i), std::move(leaves)));
+    groups.back()->signals.push_back(signal("gs" + std::to_string(i)));
+  }
+  s.top = seq("Root", std::move(groups));
+  return s;
+}
+
+/// The answers the index gives, recomputed the slow way: a parent is found
+/// by scanning every behavior's child list, a declaration by scanning the
+/// specification level and then every behavior in pre-order.
+struct BruteForce {
+  explicit BruteForce(const Specification& s) : all(s.all_behaviors()) {
+    for (const Behavior* b : all) {
+      size_t parent = kTop;
+      for (size_t p = 0; p < all.size(); ++p) {
+        for (const auto& c : all[p]->children) {
+          if (c.get() == b) parent = p;
+        }
+      }
+      parents.push_back(parent);
+    }
+  }
+  [[nodiscard]] const Behavior* parent(size_t i) const {
+    return parents[i] == kTop ? nullptr : all[parents[i]];
+  }
+  /// Declaring behavior of `name` (nullptr: spec level); false if unknown.
+  template <typename D>
+  bool owner(const std::string& name, std::vector<D> Behavior::*list,
+             const std::vector<D>& top, const Behavior*& out) const {
+    for (const D& d : top) {
+      if (d.name == name) return out = nullptr, true;
+    }
+    for (const Behavior* b : all) {
+      for (const D& d : b->*list) {
+        if (d.name == name) return out = b, true;
+      }
+    }
+    return false;
+  }
+
+  static constexpr size_t kTop = SIZE_MAX;
+  std::vector<const Behavior*> all;  // pre-order
+  std::vector<size_t> parents;       // pre-order positions; kTop for the top
+};
+
+void expect_index_matches(const Specification& s) {
+  const SpecIndex index(s);
+  const BruteForce ref(s);
+  ASSERT_EQ(index.size(), ref.all.size());
+  size_t wrong_parent = 0, wrong_ancestor = 0;
+  std::vector<bool> is_anc(ref.all.size());
+  for (size_t d = 0; d < ref.all.size(); ++d) {
+    const Behavior* b = ref.all[d];
+    ASSERT_EQ(index.id_of(b->name), d);
+    ASSERT_EQ(index.id_of(b), d);
+    if (index.parent_of(b) != ref.parent(d)) ++wrong_parent;
+    std::fill(is_anc.begin(), is_anc.end(), false);
+    for (size_t a = d; a != BruteForce::kTop; a = ref.parents[a]) {
+      is_anc[a] = true;
+    }
+    for (size_t a = 0; a < ref.all.size(); ++a) {
+      const auto ia = static_cast<SpecIndex::Id>(a);
+      const auto id = static_cast<SpecIndex::Id>(d);
+      if (index.is_ancestor(ia, id) != is_anc[a]) ++wrong_ancestor;
+    }
+  }
+  EXPECT_EQ(wrong_parent, 0u);
+  EXPECT_EQ(wrong_ancestor, 0u);
+
+  const auto owner_of = [&](SpecIndex::Id id) {
+    return id == SpecIndex::kNone ? nullptr : &index.behavior(id);
+  };
+  size_t vars = 0, signals = 0;
+  for (const VarDecl* v : s.all_vars()) {
+    const Behavior* want = nullptr;
+    ASSERT_TRUE(ref.owner(v->name, &Behavior::vars, s.vars, want));
+    const SpecIndex::Id id = index.var_id(v->name);
+    ASSERT_NE(id, SpecIndex::kNone) << v->name;
+    EXPECT_EQ(index.var(id).decl, v);
+    EXPECT_EQ(owner_of(index.var(id).owner), want) << v->name;
+    ++vars;
+  }
+  for (const SignalDecl* sd : s.all_signals()) {
+    const Behavior* want = nullptr;
+    ASSERT_TRUE(ref.owner(sd->name, &Behavior::signals, s.signals, want));
+    EXPECT_EQ(index.signal(sd->name).decl, sd);
+    EXPECT_EQ(owner_of(index.signal(sd->name).owner), want) << sd->name;
+    ++signals;
+  }
+  EXPECT_EQ(index.var_count(), vars);
+  EXPECT_GT(signals, 1u);
+  EXPECT_EQ(index.id_of("nope"), SpecIndex::kNone);
+  EXPECT_EQ(index.find_var("nope"), nullptr);
+  EXPECT_EQ(index.signal("nope").decl, nullptr);
+}
+
+TEST(SpecIndex, DeepChainMatchesBruteForce) {
+  expect_index_matches(deep_chain(1000));
+}
+
+TEST(SpecIndex, WideFanOutMatchesBruteForce) {
+  expect_index_matches(fan_out(40, 25));
+}
+
+/// Pins every other level of the tree, alternating components, and checks
+/// every behavior's component and the cut list against a naive climb.
+void expect_partition_matches(const Specification& s) {
+  const BruteForce ref(s);
+  Partition part(s, Allocation::asics(3));
+  std::map<size_t, size_t> pins;  // pre-order position -> component
+  std::vector<size_t> level(ref.all.size(), 0);
+  for (size_t i = 1; i < ref.all.size(); ++i) {
+    level[i] = level[ref.parents[i]] + 1;
+    if (level[i] % 2 == 0) {
+      pins[i] = level[i] / 2 % 3;
+      part.assign_behavior(ref.all[i]->name, pins[i]);
+    }
+  }
+  const auto naive = [&](size_t i) -> size_t {
+    for (; i != BruteForce::kTop; i = ref.parents[i]) {
+      if (const auto it = pins.find(i); it != pins.end()) return it->second;
+    }
+    return 0;
+  };
+  std::vector<std::string> cuts;
+  size_t wrong = 0;
+  for (size_t i = 0; i < ref.all.size(); ++i) {
+    const size_t want = naive(i);
+    if (part.component_of_behavior(ref.all[i]->name) != want) ++wrong;
+    if (i != 0 && naive(ref.parents[i]) != want) {
+      cuts.push_back(ref.all[i]->name);
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(part.cut_behaviors(), cuts);
+  EXPECT_GT(cuts.size(), 1u);
+  DiagnosticSink diags;
+  EXPECT_TRUE(part.check(diags)) << diags.str();
+}
+
+TEST(Partition, DeepChainComponentsMatchNaiveClimb) {
+  expect_partition_matches(deep_chain(1000));
+}
+
+TEST(Partition, WideFanOutComponentsMatchNaiveClimb) {
+  expect_partition_matches(fan_out(40, 25));
 }
 
 }  // namespace

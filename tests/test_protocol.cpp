@@ -307,7 +307,7 @@ TEST(MemoryGen, SinglePortShape) {
   m.name = "MEM";
   m.vars = {"x", "y"};
   m.port_buses = {{"b", 0}};
-  BehaviorPtr b = generate_memory(m, proto, amap, orig);
+  BehaviorPtr b = generate_memory(m, proto, amap, part.index());
   EXPECT_TRUE(b->is_leaf());
   ASSERT_EQ(b->vars.size(), 2u);
   EXPECT_EQ(b->vars[0].init, 5u);               // init preserved
@@ -327,7 +327,7 @@ TEST(MemoryGen, MultiPortIsConcurrentComposite) {
   m.name = "GMEM";
   m.vars = {"x"};
   m.port_buses = {{"b1", 0}, {"b2", 1}};
-  BehaviorPtr b = generate_memory(m, proto, amap, orig);
+  BehaviorPtr b = generate_memory(m, proto, amap, part.index());
   EXPECT_EQ(b->kind, BehaviorKind::Concurrent);
   EXPECT_EQ(b->children.size(), 2u);
   EXPECT_EQ(b->vars.size(), 1u);  // variables shared at the composite
@@ -345,12 +345,12 @@ TEST(MemoryGen, Errors) {
   MemoryModule no_ports;
   no_ports.name = "M";
   no_ports.vars = {"x"};
-  EXPECT_THROW(generate_memory(no_ports, proto, amap, orig), SpecError);
+  EXPECT_THROW(generate_memory(no_ports, proto, amap, part.index()), SpecError);
   MemoryModule ghost;
   ghost.name = "M";
   ghost.vars = {"ghost"};
   ghost.port_buses = {{"b", 0}};
-  EXPECT_THROW(generate_memory(ghost, proto, amap, orig), SpecError);
+  EXPECT_THROW(generate_memory(ghost, proto, amap, part.index()), SpecError);
 }
 
 }  // namespace

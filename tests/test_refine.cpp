@@ -201,8 +201,9 @@ TEST(ControlRefine, StubAndServerGenerated) {
   // The PROC side gets B_CTRL in Main; the ASIC side hosts B_NEW.
   EXPECT_NE(r.refined.find_behavior("B_CTRL"), nullptr);
   EXPECT_NE(r.refined.find_behavior("B_NEW"), nullptr);
-  EXPECT_NE(r.refined.find_signal("B_start"), nullptr);
-  EXPECT_NE(r.refined.find_signal("B_done"), nullptr);
+  const SpecIndex index(r.refined);
+  EXPECT_NE(index.signal("B_start").decl, nullptr);
+  EXPECT_NE(index.signal("B_done").decl, nullptr);
   // Transitions updated to reference the stub.
   const Behavior* main_b = r.refined.find_behavior("Main");
   ASSERT_NE(main_b, nullptr);

@@ -3,6 +3,7 @@
 // master-granularity guard rails.
 #include <gtest/gtest.h>
 
+#include "parser/parser.h"
 #include "printer/printer.h"
 #include "refine/refiner.h"
 #include "sim/equivalence.h"
@@ -222,6 +223,39 @@ TEST(RefineEdge, SingleComponentAllocationModel1) {
   EXPECT_EQ(r.stats.memories, 1u);
   EquivalenceReport rep = check_equivalence(s, r.refined);
   EXPECT_TRUE(rep.equivalent) << rep.summary();
+}
+
+TEST(RefineEdge, ModelDeeperThanTheParserAcceptsIsRejected) {
+  // `gen_deep_spec.py seq N`: Model1 adds SYS and PROC_top above the chain,
+  // so N = 996 refines to exactly kMaxNestingDepth and N = 997 to one more.
+  for (const size_t depth : {996, 997}) {
+    Specification s;
+    s.name = "Deep";
+    s.vars.push_back(var("x", Type::u32(), 0, /*observable=*/true));
+    BehaviorPtr b = leaf("Leaf", block(assign("x", lit(1))));
+    for (size_t i = depth; i-- > 0;) {
+      b = seq("S" + std::to_string(i), behaviors(std::move(b)));
+    }
+    s.top = std::move(b);
+    AccessGraph g = build_access_graph(s);
+    Partition part(s, Allocation::proc_plus_asic());
+    part.auto_assign_vars(g);
+    if (depth == 996) {
+      const RefineResult r = refine(part, g, model(ImplModel::Model1));
+      EXPECT_EQ(nesting_depth(r.refined), kMaxNestingDepth);
+      DiagnosticSink diags;
+      EXPECT_TRUE(parse_spec(print(r.refined), diags).has_value())
+          << diags.str();
+      continue;
+    }
+    try {
+      (void)refine(part, g, model(ImplModel::Model1));
+      ADD_FAILURE() << "a model the parser rejects was refined";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("[SP002]"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

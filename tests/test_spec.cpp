@@ -3,6 +3,7 @@
 
 #include "printer/printer.h"
 #include "spec/builder.h"
+#include "spec/index.h"
 #include "test_util.h"
 
 namespace specsyn {
@@ -89,13 +90,13 @@ TEST(Specification, LookupAcrossHierarchy) {
   Specification s = testing::abc_spec(3);
   EXPECT_NE(s.find_behavior("B"), nullptr);
   EXPECT_EQ(s.find_behavior("nope"), nullptr);
-  ASSERT_NE(s.parent_of("B"), nullptr);
-  EXPECT_EQ(s.parent_of("B")->name, "Main");
-  EXPECT_EQ(s.parent_of("Main"), nullptr);
-  const Behavior* owner = reinterpret_cast<const Behavior*>(1);
-  const VarDecl* x = s.find_var("x", &owner);
-  ASSERT_NE(x, nullptr);
-  EXPECT_EQ(owner, nullptr);  // declared at spec level
+  const SpecIndex index(s);
+  ASSERT_NE(index.parent_of(s.find_behavior("B")), nullptr);
+  EXPECT_EQ(index.parent_of(s.find_behavior("B"))->name, "Main");
+  EXPECT_EQ(index.parent_of(s.find_behavior("Main")), nullptr);
+  const SpecIndex::Id x = index.var_id("x");
+  ASSERT_NE(x, SpecIndex::kNone);
+  EXPECT_EQ(index.var(x).owner, SpecIndex::kNone);  // declared at spec level
   EXPECT_EQ(s.all_vars().size(), 2u);
   EXPECT_EQ(s.all_behaviors().size(), 4u);
 }
