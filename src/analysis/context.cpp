@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_set>
+
+#include "sim/value.h"
 
 namespace specsyn::analysis {
 
@@ -148,10 +151,14 @@ Context::Context(const Specification& spec)
     bus_data_.push_back(bus.name + bus_naming::kData);
   }
   walk_spec();
+  find_races();
 }
 
 bool Context::concurrent(const Behavior* a, const Behavior* b) const {
-  const SpecIndex::Id ia = index_.id_of(a), ib = index_.id_of(b);
+  return concurrent(index_.id_of(a), index_.id_of(b));
+}
+
+bool Context::concurrent(SpecIndex::Id ia, SpecIndex::Id ib) const {
   if (ia == SpecIndex::kNone || ib == SpecIndex::kNone ||
       index_.is_ancestor(ia, ib) || index_.is_ancestor(ib, ia)) {
     return false;  // unknown, the same behavior, or an ancestor
@@ -159,6 +166,27 @@ bool Context::concurrent(const Behavior* a, const Behavior* b) const {
   SpecIndex::Id lca = index_.parent(ia);
   while (!index_.is_ancestor(lca, ib)) lca = index_.parent(lca);
   return index_.behavior(lca).kind == BehaviorKind::Concurrent;
+}
+
+void Context::find_races() {
+  std::vector<SpecIndex::Id> ids;
+  std::unordered_set<uint64_t> seen;  // behavior pairs of one variable
+  for (const auto& [var, accesses] : var_access_) {
+    ids.clear();
+    for (const VarAccess& a : accesses) ids.push_back(index_.id_of(a.behavior));
+    seen.clear();
+    for (size_t i = 0; i < accesses.size(); ++i) {
+      for (size_t j = i + 1; j < accesses.size(); ++j) {
+        const VarAccess& a = accesses[i];
+        const VarAccess& b = accesses[j];
+        if (!a.is_write && !b.is_write) continue;
+        if (a.bus_mediated && b.bus_mediated) continue;
+        if (!concurrent(ids[i], ids[j])) continue;
+        if (!seen.insert(behavior_pair(ids[i], ids[j])).second) continue;
+        races_.push_back({&var, &a, &b, ids[i], ids[j]});
+      }
+    }
+  }
 }
 
 std::string Context::path_of(const Behavior* b) const {
@@ -194,45 +222,16 @@ bool Context::const_eval(const Expr& e, uint64_t& out) const {
     case Expr::Kind::Unary: {
       uint64_t v = 0;
       if (!const_eval(*e.args[0], v)) return false;
-      switch (e.un_op) {
-        case UnOp::LogicalNot: out = v == 0 ? 1 : 0; return true;
-        case UnOp::BitNot: out = ~v; return true;
-        case UnOp::Neg: out = ~v + 1; return true;
-      }
-      return false;
+      out = apply_unop(e.un_op, v);
+      return true;
     }
     case Expr::Kind::Binary: {
       uint64_t l = 0, r = 0;
       if (!const_eval(*e.args[0], l) || !const_eval(*e.args[1], r)) {
         return false;
       }
-      switch (e.bin_op) {
-        case BinOp::Add: out = l + r; return true;
-        case BinOp::Sub: out = l - r; return true;
-        case BinOp::Mul: out = l * r; return true;
-        case BinOp::Div:
-          if (r == 0) return false;
-          out = l / r;
-          return true;
-        case BinOp::Mod:
-          if (r == 0) return false;
-          out = l % r;
-          return true;
-        case BinOp::And: out = l & r; return true;
-        case BinOp::Or: out = l | r; return true;
-        case BinOp::Xor: out = l ^ r; return true;
-        case BinOp::Shl: out = r >= 64 ? 0 : l << r; return true;
-        case BinOp::Shr: out = r >= 64 ? 0 : l >> r; return true;
-        case BinOp::Lt: out = l < r ? 1 : 0; return true;
-        case BinOp::Le: out = l <= r ? 1 : 0; return true;
-        case BinOp::Gt: out = l > r ? 1 : 0; return true;
-        case BinOp::Ge: out = l >= r ? 1 : 0; return true;
-        case BinOp::Eq: out = l == r ? 1 : 0; return true;
-        case BinOp::Ne: out = l != r ? 1 : 0; return true;
-        case BinOp::LogicalAnd: out = (l != 0 && r != 0) ? 1 : 0; return true;
-        case BinOp::LogicalOr: out = (l != 0 || r != 0) ? 1 : 0; return true;
-      }
-      return false;
+      out = apply_binop(e.bin_op, l, r);
+      return true;
     }
   }
   return false;

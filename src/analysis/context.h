@@ -15,7 +15,8 @@
 //     `loop { wait <bus>_start [&& addr match]; ... done pulse }`, with
 //     their decoded (address -> variable) read/write cases,
 //   * a variable access index for race checking, where accesses inside a
-//     recognized serve loop are "bus-mediated",
+//     recognized serve loop are "bus-mediated", and the race relation over
+//     it (SA020's predicate, which schedule exploration prunes on),
 //   * a bus hold graph for deadlock checking: edge A -> B when some thread
 //     initiates a transfer on B while holding A (req asserted on A, or
 //     serving A's slave side mid-handshake).
@@ -117,6 +118,23 @@ struct VarAccess {
   bool bus_mediated = false;
 };
 
+/// Two accesses to one variable that may race (the SA020 predicate): their
+/// behaviors are concurrent, at least one access writes, and they are not
+/// both bus-mediated (a bus, or a multi-port memory's ports, serializes two
+/// mediated accesses).
+struct Race {
+  const std::string* var = nullptr;  ///< key in Context::var_access()
+  const VarAccess* a = nullptr;      ///< precedes `b` in the variable's list
+  const VarAccess* b = nullptr;
+  SpecIndex::Id a_id = SpecIndex::kNone;  ///< id of a->behavior
+  SpecIndex::Id b_id = SpecIndex::kNone;  ///< id of b->behavior
+};
+
+/// Order-free key of a behavior-id pair: the smaller id in the high half.
+[[nodiscard]] inline uint64_t behavior_pair(SpecIndex::Id x, SpecIndex::Id y) {
+  return x < y ? uint64_t{x} << 32 | y : uint64_t{y} << 32 | x;
+}
+
 /// A `wait until` site, for satisfiability checking.
 struct WaitSite {
   const Behavior* behavior = nullptr;
@@ -163,6 +181,10 @@ class Context {
   var_access() const {
     return var_access_;
   }
+  /// Every racing access pair, grouped by variable in var_access() order and
+  /// in list order within a variable; only the first pair of each
+  /// (variable, behavior pair) is kept.
+  [[nodiscard]] const std::vector<Race>& races() const { return races_; }
   /// Bus hold graph: edges_[a] = buses acquired while a is held.
   [[nodiscard]] const std::map<uint32_t, std::set<uint32_t>>& hold_edges()
       const {
@@ -173,8 +195,9 @@ class Context {
   /// if-chain was recognized.
   [[nodiscard]] std::vector<int32_t> arbiter_chain(uint32_t bus) const;
 
-  /// Constant-folds `e` over declared initial values; returns false when any
-  /// referenced name is unknown or the fold is undefined (division by zero).
+  /// Constant-folds `e` over declared initial values with the simulator's
+  /// operator semantics (sim/value.h); returns false when any referenced
+  /// name is unknown.
   [[nodiscard]] bool const_eval(const Expr& e, uint64_t& out) const;
 
  private:
@@ -198,7 +221,10 @@ class Context {
   [[nodiscard]] BusTopology::SignalRole role_of(std::string_view name) const;
   SignalUse& use_of(Symbol& sym);
 
+  [[nodiscard]] bool concurrent(SpecIndex::Id a, SpecIndex::Id b) const;
+
   void walk_spec();
+  void find_races();
   void walk_block(const StmtList& stmts, Scope& scope);
   void walk_stmt(const Stmt& s, Scope& scope);
   void note_signal_write(Symbol* sym, const Behavior* b, const Expr* value,
@@ -232,6 +258,7 @@ class Context {
   std::vector<WaitSite> waits_;
   std::map<std::string, SignalUse> signal_use_;
   std::map<std::string, std::vector<VarAccess>> var_access_;
+  std::vector<Race> races_;
   std::map<uint32_t, std::set<uint32_t>> hold_edges_;
   /// bus -> (arbiter behavior, recognized grant chain).
   std::map<uint32_t, std::vector<int32_t>> arbiter_chains_;

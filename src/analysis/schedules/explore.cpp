@@ -16,35 +16,23 @@ namespace specsyn::analysis::schedules {
 
 namespace {
 
-/// Unordered behavior-name pairs the SA020 predicate flags as potentially
-/// racing: concurrent, at least one write, not both bus-mediated. These are
-/// the only reorderings that can change an observable outcome, so they are
-/// the only places exploration branches.
-std::set<std::pair<std::string, std::string>> racing_pairs(const Context& ctx) {
-  std::set<std::pair<std::string, std::string>> pairs;
-  for (const auto& [var, accesses] : ctx.var_access()) {
-    (void)var;
-    for (size_t i = 0; i < accesses.size(); ++i) {
-      for (size_t j = i + 1; j < accesses.size(); ++j) {
-        const VarAccess& a = accesses[i];
-        const VarAccess& b = accesses[j];
-        if (!a.is_write && !b.is_write) continue;
-        if (a.bus_mediated && b.bus_mediated) continue;  // multi-port mem
-        if (a.behavior == b.behavior) continue;
-        if (!ctx.concurrent(a.behavior, b.behavior)) continue;
-        std::string x = a.behavior->name;
-        std::string y = b.behavior->name;
-        if (y < x) std::swap(x, y);
-        pairs.emplace(std::move(x), std::move(y));
-      }
-    }
+/// Behavior-id pairs (behavior_pair keys, sorted) holding an SA020 racing
+/// access pair (Context::races). These are the only reorderings that can
+/// change an observable outcome, so they are the only places exploration
+/// branches.
+std::vector<uint64_t> racing_behaviors(const Context& ctx) {
+  std::vector<uint64_t> pairs;
+  pairs.reserve(ctx.races().size());
+  for (const Race& r : ctx.races()) {
+    pairs.push_back(behavior_pair(r.a_id, r.b_id));
   }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   return pairs;
 }
 
-bool is_racing(const std::set<std::pair<std::string, std::string>>& pairs,
-               const std::string& a, const std::string& b) {
-  return a <= b ? pairs.count({a, b}) != 0 : pairs.count({b, a}) != 0;
+bool is_racing(const std::vector<uint64_t>& pairs, uint32_t a, uint32_t b) {
+  return std::binary_search(pairs.begin(), pairs.end(), behavior_pair(a, b));
 }
 
 /// One exploration run: replay `picks` (canonical beyond the end), record
@@ -69,15 +57,6 @@ RunResult run_one(const std::shared_ptr<const SimPlan>& plan, SimConfig cfg,
   out.decisions = std::move(r.sched_decisions);
   out.outcome = outcome_of(r, root_behavior);
   return out;
-}
-
-std::string prefix_key(const std::vector<uint32_t>& picks) {
-  std::string key;
-  for (uint32_t p : picks) {
-    key += std::to_string(p);
-    key += ',';
-  }
-  return key;
 }
 
 /// First point of disagreement between two outcomes, for report text.
@@ -180,54 +159,57 @@ ExploreResult explore(const Context& ctx,
                       const std::shared_ptr<const SimPlan>& plan,
                       const ExploreOptions& opts) {
   telemetry::Span span("explore", telemetry::Stability::Stable);
-  const auto races = racing_pairs(ctx);
+  const std::vector<uint64_t> races = racing_behaviors(ctx);
 
   ExploreResult result;
   const size_t bound = std::max<size_t>(1, opts.max_schedules);
 
-  // Prefix frontier. A candidate prefix is the taken trace of some explored
-  // run up to decision d, with one alternative pick substituted at d; the
-  // run it seeds replays that prefix and continues canonically. Expanding
-  // only decisions at or past the seeding prefix's length keeps proposals
-  // unique up to the dedupe set (earlier decisions were expanded by the
-  // ancestors that ran them).
-  std::deque<std::vector<uint32_t>> frontier;
-  std::set<std::string> seen;
+  // Schedule tree. A frontier entry is a branch off an explored schedule:
+  // its pick trace up to `decision`, then `alt` there; the run it seeds
+  // replays that prefix and continues canonically. A run only branches at
+  // decisions past its own seed prefix (the earlier ones are its ancestors'
+  // to expand), so every branch names a distinct pick trace.
+  struct Branch {
+    size_t parent;    // index into result.schedules
+    size_t decision;  // decision index the alternative is taken at
+    uint32_t alt;
+  };
+  std::deque<Branch> frontier;
 
   auto expand = [&](const RunResult& run, size_t from_decision) {
+    const size_t parent = result.schedules.size();  // `run` is pushed next
     for (size_t d = from_decision; d < run.decisions.size(); ++d) {
       const SchedDecision& dec = run.decisions[d];
       const size_t k = dec.ready.size();
       for (uint32_t alt = 0; alt < k; ++alt) {
         if (alt == dec.pick) continue;
+        // Picking `alt` ahead of its turn reorders it against every other
+        // ready process; the branch matters only if one of those pairs is
+        // statically racing.
         bool allowed = !opts.prune;
-        if (opts.prune) {
-          // Picking `alt` ahead of its turn reorders it against every other
-          // ready process; the branch matters only if one of those pairs is
-          // statically racing.
-          for (size_t other = 0; other < k && !allowed; ++other) {
-            if (other == alt) continue;
-            allowed = is_racing(races, dec.ready[alt], dec.ready[other]);
-          }
+        for (size_t other = 0; other < k && !allowed; ++other) {
+          allowed = other != alt &&
+                    is_racing(races, dec.ready[alt], dec.ready[other]);
         }
         if (!allowed) {
           ++result.pruned;
           continue;
         }
-        std::vector<uint32_t> prefix(run.taken.begin(),
-                                     run.taken.begin() + d);
-        prefix.push_back(alt);
-        if (seen.insert(prefix_key(prefix)).second) {
-          frontier.push_back(std::move(prefix));
-        }
+        frontier.push_back({parent, d, alt});
       }
     }
   };
+  // The pick trace a branch replays, built only when its run starts.
+  const auto picks_of = [&](const Branch& b) {
+    const std::vector<uint32_t>& trace = result.schedules[b.parent].picks;
+    std::vector<uint32_t> picks(trace.begin(), trace.begin() + b.decision);
+    picks.push_back(b.alt);
+    return picks;
+  };
 
   // Baseline: canonical schedule (empty pick trace).
-  seen.insert(prefix_key({}));
   RunResult baseline = run_one(plan, opts.config, {}, opts.root_behavior);
-  expand(baseline, 0);  // before the moves below — expand slices run.taken
+  expand(baseline, 0);
   result.schedules.push_back(
       {std::move(baseline.taken), std::move(baseline.outcome), false});
 
@@ -235,34 +217,31 @@ ExploreResult explore(const Context& ctx,
   // would dangle a reference into it.
   const Outcome base_outcome = result.schedules.front().outcome;
   while (!frontier.empty() && result.schedules.size() < bound) {
-    // One wave: as many frontier prefixes as the budget still allows, run
+    // One wave: as many frontier branches as the budget still allows, run
     // as one (optionally parallel) batch, merged in index order so the
     // result is byte-identical for any worker count.
     const size_t wave =
         std::min(frontier.size(), bound - result.schedules.size());
-    std::vector<std::vector<uint32_t>> prefixes;
-    prefixes.reserve(wave);
-    for (size_t i = 0; i < wave; ++i) {
-      prefixes.push_back(std::move(frontier.front()));
-      frontier.pop_front();
-    }
+    std::vector<Branch> branches(frontier.begin(), frontier.begin() + wave);
+    frontier.erase(frontier.begin(), frontier.begin() + wave);
     std::vector<RunResult> runs;
     if (opts.pool != nullptr && wave > 1) {
       runs = batch::run_batch<RunResult>(
           *opts.pool, wave, [&](size_t job, batch::WorkerContext&) {
-            return run_one(plan, opts.config, prefixes[job],
+            return run_one(plan, opts.config, picks_of(branches[job]),
                            opts.root_behavior);
           });
     } else {
       runs.reserve(wave);
-      for (const auto& prefix : prefixes) {
-        runs.push_back(run_one(plan, opts.config, prefix, opts.root_behavior));
+      for (const Branch& b : branches) {
+        runs.push_back(
+            run_one(plan, opts.config, picks_of(b), opts.root_behavior));
       }
     }
     for (size_t i = 0; i < runs.size(); ++i) {
       RunResult& run = runs[i];
       const bool divergent = !(run.outcome == base_outcome);
-      expand(run, prefixes[i].size());
+      expand(run, branches[i].decision + 1);
       if (divergent) {
         ++result.divergent;
         if (result.witness.empty()) {

@@ -7,15 +7,19 @@
 // to find (or rule out, up to a bound) exactly that:
 //
 //   * the baseline run replays the canonical Fifo schedule while recording
-//     every decision point (an instant whose ready set held >= 2 processes),
-//   * each explored schedule proposes one alternative pick at one decision
-//     point of an already-run schedule and replays canonically after it
-//     (prefix enumeration — every interleaving is reachable this way),
+//     every decision point (an instant whose ready set held >= 2 processes,
+//     as behavior ids),
+//   * the explored schedules form a tree: a frontier entry is (parent
+//     schedule, decision, alternative pick), and its run replays the
+//     parent's picks up to that decision, takes the alternative and
+//     continues canonically (every interleaving is reachable this way). A
+//     run branches only past its own seed prefix, so no two entries name
+//     the same schedule, and a pick trace exists only for a run that ran,
 //   * partial-order pruning keeps the frontier honest: a branch is only
-//     taken when the reordered process's behavior forms a statically racing
-//     pair (the SA020 predicate over analysis::Context) with another member
-//     of the ready set — reordering independent behaviors cannot change the
-//     outcome, so those branches are counted as pruned, not explored,
+//     taken when the reordered process's behavior forms a racing pair
+//     (Context::races, the SA020 relation) with another member of the ready
+//     set — reordering independent behaviors cannot change the outcome, so
+//     those branches are counted as pruned, not explored,
 //   * outcomes are compared timing-free (final variables + per-variable
 //     observable write value sequences + termination status); two schedules
 //     that disagree yield a replayable witness ("picks:..." — sim/sched.h).

@@ -219,27 +219,17 @@ class Checker {
   // -- SA020: races ---------------------------------------------------------
 
   void check_races() {
-    for (const auto& [var, accesses] : ctx_.var_access()) {
-      bool hit = false;
-      for (size_t i = 0; i < accesses.size() && !hit; ++i) {
-        for (size_t j = i + 1; j < accesses.size() && !hit; ++j) {
-          const VarAccess& a = accesses[i];
-          const VarAccess& b = accesses[j];
-          if (!a.is_write && !b.is_write) continue;
-          if (a.bus_mediated && b.bus_mediated) continue;  // multi-port mem
-          if (!ctx_.concurrent(a.behavior, b.behavior)) continue;
-          const VarAccess& offender = a.bus_mediated ? b : a;
-          const VarAccess& other = a.bus_mediated ? a : b;
-          emit("SA020", Severity::Error, offender.behavior,
-               "variable '" + var + "' is accessed directly while '" +
-                   ctx_.path_of(other.behavior) +
-                   "' can concurrently " +
-                   (other.is_write ? "write" : "read") +
-                   " it; the access escaped data refinement (not "
-                   "bus-mediated)");
-          hit = true;  // one report per variable
-        }
-      }
+    const std::string* reported = nullptr;
+    for (const Race& race : ctx_.races()) {
+      if (race.var == reported) continue;  // one report per variable
+      reported = race.var;
+      const VarAccess& offender = race.a->bus_mediated ? *race.b : *race.a;
+      const VarAccess& other = race.a->bus_mediated ? *race.a : *race.b;
+      emit("SA020", Severity::Error, offender.behavior,
+           "variable '" + *race.var + "' is accessed directly while '" +
+               ctx_.path_of(other.behavior) + "' can concurrently " +
+               (other.is_write ? "write" : "read") +
+               " it; the access escaped data refinement (not bus-mediated)");
     }
   }
 

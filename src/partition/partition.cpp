@@ -153,8 +153,7 @@ std::pair<size_t, size_t> Partition::local_global_counts(
   return {local, global};
 }
 
-bool Partition::check(DiagnosticSink& diags) const {
-  const size_t before = diags.error_count();
+void Partition::check(DiagnosticSink& diags) const {
   std::vector<size_t> behaviors_per(alloc_.size(), 0);
   for (SpecIndex::Id id = 0; id < index_.size(); ++id) {
     ++behaviors_per[component_of(id)];
@@ -165,19 +164,6 @@ bool Partition::check(DiagnosticSink& diags) const {
                     "' hosts no behaviors");
     }
   }
-  for (SpecIndex::Id id = 0; id < index_.size(); ++id) {
-    if (behavior_pin_[id] != kUnpinned && behavior_pin_[id] >= alloc_.size()) {
-      diags.error("partition pins '" + index_.behavior(id).name +
-                  "' to missing component");
-    }
-  }
-  for (SpecIndex::Id id = 0; id < index_.var_count(); ++id) {
-    if (var_pin_[id] != kUnpinned && var_pin_[id] >= alloc_.size()) {
-      diags.error("partition pins variable '" + index_.var(id).decl->name +
-                  "' to missing component");
-    }
-  }
-  return diags.error_count() == before;
 }
 
 }  // namespace specsyn

@@ -104,9 +104,9 @@ class Partition {
   [[nodiscard]] std::pair<size_t, size_t> local_global_counts(
       const AccessGraph& graph) const;
 
-  /// Checks internal consistency (pins name allocated components; warns
-  /// when a component hosts no behavior). Returns false on errors.
-  [[nodiscard]] bool check(DiagnosticSink& diags) const;
+  /// Warns when a component hosts no behavior. Pins need no check:
+  /// assign_behavior and assign_var reject a component out of range.
+  void check(DiagnosticSink& diags) const;
 
  private:
   static constexpr size_t kUnpinned = SIZE_MAX;

@@ -40,6 +40,8 @@ struct Simulator::Frame {
   const Behavior* behavior = nullptr;
   const LBehavior* lbehavior = nullptr;
   const BBehavior* bbehavior = nullptr;  // bytecode tier
+  /// Behavior: entered (the innermost started one is the process's
+  /// attribution, Simulator::innermost_behavior_id). Seq: first child entered.
   bool started = false;
   size_t child = 0;     // Seq: index of the currently running child
   int remaining = 0;    // Conc: children still running
@@ -76,7 +78,6 @@ struct Simulator::Process {
   uint32_t call_idx = 0;
   uint64_t wait_epoch = 0;          // invalidates stale waiter-list entries
   Process* parent = nullptr;        // forking process (Conc), or null
-  std::vector<const Behavior*> behavior_stack;  // innermost = attribution
 };
 
 // A statement costs one cycle: the process's next step lands in the next

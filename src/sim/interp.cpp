@@ -5,15 +5,6 @@
 
 namespace specsyn {
 
-namespace {
-const std::string kNoBehavior = "<none>";
-}
-
-const std::string& Simulator::current_behavior(const Process& p) const {
-  if (p.behavior_stack.empty()) return kNoBehavior;
-  return p.behavior_stack.back()->name;
-}
-
 uint64_t Simulator::read_name(const std::string& name, Process& p) {
   // Innermost procedure activation (if any) shadows the global tables.
   for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
@@ -154,7 +145,6 @@ void Simulator::step(Process& p) {
       const Behavior& b = *f.behavior;
       if (!f.started) {
         f.started = true;
-        p.behavior_stack.push_back(&b);
         if (!slot_observers_.empty()) {
           const uint32_t id = tree_index_->id_of(&b);
           for (SlotObserver* o : slot_observers_) {
@@ -199,7 +189,6 @@ void Simulator::step(Process& p) {
           o->on_behavior_end(id, p.id, now_);
         }
         ++completions_[id];
-        p.behavior_stack.pop_back();
         leave_frame(p);
         if (p.stack.empty()) {
           finish_process(p, now_);

@@ -500,7 +500,6 @@ void Simulator::bstep(Process& p) {
         const BBehavior& b = *f.bbehavior;
         if (!f.started) {
           f.started = true;
-          p.behavior_stack.push_back(b.src);
           if constexpr (Obs) {
             for (SlotObserver* o : slot_observers_) {
               o->on_behavior_start(b.id, p.id, now_);
@@ -549,7 +548,6 @@ void Simulator::bstep(Process& p) {
           }
         }
         ++completions_[b.id];
-        p.behavior_stack.pop_back();
         leave_frame(p);
         if (p.stack.empty()) {
           finish_process(p, now_);

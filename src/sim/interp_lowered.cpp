@@ -120,7 +120,6 @@ void Simulator::lstep(Process& p) {
       const LBehavior& b = *f.lbehavior;
       if (!f.started) {
         f.started = true;
-        p.behavior_stack.push_back(b.src);
         if constexpr (Obs) {
           for (SlotObserver* o : slot_observers_) {
             o->on_behavior_start(b.id, p.id, now_);
@@ -165,7 +164,6 @@ void Simulator::lstep(Process& p) {
           }
         }
         ++completions_[b.id];
-        p.behavior_stack.pop_back();
         leave_frame(p);
         if (p.stack.empty()) {
           finish_process(p, now_);

@@ -146,16 +146,19 @@ void Simulator::add_slot_observer(SlotObserver* obs) {
   slot_observers_.push_back(obs);
 }
 
-// Interned id of the innermost active behavior — the attribution carried by
-// observer events. Walks the (shallow) frame stack.
+// Interned id of the innermost started behavior — the attribution carried by
+// observer events, recorded ready sets and the blocked-process report. A
+// pushed but unstarted Behavior frame (a forked child, or a sequential
+// composite's next child) does not count yet. Walks the (shallow) frame
+// stack.
 uint32_t Simulator::innermost_behavior_id(const Process& p) const {
   for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
-    if (it->kind != Frame::Kind::Behavior) continue;
+    if (it->kind != Frame::Kind::Behavior || !it->started) continue;
     if (it->lbehavior != nullptr) return it->lbehavior->id;
     if (it->bbehavior != nullptr) return it->bbehavior->id;
     return tree_index_->id_of(it->behavior);
   }
-  return UINT32_MAX;
+  return SpecIndex::kNone;
 }
 
 const std::string& Simulator::behavior_name(uint32_t id) const {
@@ -294,7 +297,7 @@ uint32_t Simulator::sched_pick(size_t k) {
     d.pick = pick;
     d.ready.reserve(k);
     for (size_t i = fb_run_next_; i < fb_cur_->runs.size(); ++i) {
-      d.ready.push_back(current_behavior(*fb_cur_->runs[i]));
+      d.ready.push_back(innermost_behavior_id(*fb_cur_->runs[i]));
     }
     sched_trace_.push_back(std::move(d));
   }
@@ -347,8 +350,8 @@ SimResult Simulator::run() {
     if (p->status != Process::Status::Blocked) continue;
     BlockedProcess info;
     info.process_id = p->id;
-    info.behavior =
-        p->behavior_stack.empty() ? "<none>" : p->behavior_stack.back()->name;
+    const uint32_t id = innermost_behavior_id(*p);
+    info.behavior = id == SpecIndex::kNone ? "<none>" : behavior_name(id);
     const Expr* cond = p->bwait != nullptr ? p->bwait->cond : p->wait_cond;
     info.waiting_on = cond != nullptr ? print(*cond) : "<join>";
     result.blocked.push_back(std::move(info));

@@ -115,7 +115,7 @@ struct SimConfig {
 /// Callbacks carry dense slot indices and interned behavior ids rather than
 /// names; an observer resolves them against the simulator's tables exactly
 /// once, in on_bind, and materializes names only when it exports a report or
-/// trace. `behavior` is the interned id of the innermost active behavior of
+/// trace. `behavior` is the interned id of the innermost started behavior of
 /// the acting process (transition-guard evaluation reports the composite
 /// itself). Attaching any observer selects the observed stepping variant for
 /// the whole run; an unobserved run contains no observer dispatch at all.
@@ -191,7 +191,8 @@ struct WriteEvent {
 /// specifications (e.g. a mis-generated handshake).
 struct BlockedProcess {
   uint64_t process_id = 0;
-  /// Innermost behavior the process was executing.
+  /// Innermost started behavior of the process ("<none>" before its first
+  /// behavior started), named from its interned id when the run ends.
   std::string behavior;
   /// The wait condition it was blocked on (printed), or "<join>" when
   /// waiting for concurrent children.
@@ -199,13 +200,17 @@ struct BlockedProcess {
 };
 
 /// One recorded scheduling decision: an instant whose ready set held two or
-/// more processes. `ready` lists the innermost active behavior of every
-/// candidate in canonical (seq) order; `pick` is the index stepped first —
-/// feeding picks back through SimConfig::sched_picks replays the schedule.
+/// more processes. `ready` holds, for every candidate in canonical (seq)
+/// order, the interned id of its innermost *started* behavior (pre-order
+/// over the spec's behavior tree, as SpecIndex numbers it, identical on every
+/// tier), or SpecIndex::kNone for a process whose first behavior has not
+/// started. A sequential composite whose next child is pushed but not yet
+/// started is itself the entry. `pick` is the index stepped first — feeding
+/// picks back through SimConfig::sched_picks replays the schedule.
 struct SchedDecision {
   uint64_t time = 0;
   uint32_t pick = 0;
-  std::vector<std::string> ready;
+  std::vector<uint32_t> ready;
 
   friend bool operator==(const SchedDecision&, const SchedDecision&) = default;
 };
@@ -327,8 +332,9 @@ class Simulator {
   void lblock_on(Process& p, const LStmt& s);
   Frame& innermost_call(Process& p);
 
-  // observer dispatch shared by the three tiers (simulator.cpp); called only
-  // when an observer is attached
+  // attribution shared by the three tiers (simulator.cpp): observer dispatch
+  // (only when an observer is attached), recorded ready sets and the
+  // blocked-process report
   uint32_t innermost_behavior_id(const Process& p) const;
   /// Name of interned behavior `id` under the running tier.
   [[nodiscard]] const std::string& behavior_name(uint32_t id) const;
@@ -356,8 +362,6 @@ class Simulator {
                                       Process& p);
   void benter_behavior(const BBehavior& b, Process& p);
   void bblock_on(Process& p, const BWaitSite& site);
-
-  const std::string& current_behavior(const Process& p) const;
 
   /// Validated spec, slot layouts and compiled programs; everything below
   /// that points into a program or the spec is anchored by this.

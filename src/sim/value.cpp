@@ -1,7 +1,5 @@
 #include "sim/value.h"
 
-#include "support/diagnostics.h"
-
 namespace specsyn {
 
 uint64_t apply_unop(UnOp op, uint64_t a) {
@@ -33,21 +31,6 @@ uint64_t apply_binop(BinOp op, uint64_t a, uint64_t b) {
     case BinOp::Ne: return a != b ? 1 : 0;
     case BinOp::LogicalAnd: return (a != 0 && b != 0) ? 1 : 0;
     case BinOp::LogicalOr: return (a != 0 || b != 0) ? 1 : 0;
-  }
-  return 0;
-}
-
-uint64_t eval_const(const Expr& e) {
-  switch (e.kind) {
-    case Expr::Kind::IntLit:
-      return e.int_value;
-    case Expr::Kind::NameRef:
-      throw SpecError("eval_const: expression references name '" + e.name + "'");
-    case Expr::Kind::Unary:
-      return apply_unop(e.un_op, eval_const(*e.args[0]));
-    case Expr::Kind::Binary:
-      return apply_binop(e.bin_op, eval_const(*e.args[0]),
-                         eval_const(*e.args[1]));
   }
   return 0;
 }

@@ -19,8 +19,4 @@ namespace specsyn {
 [[nodiscard]] uint64_t apply_unop(UnOp op, uint64_t a);
 [[nodiscard]] uint64_t apply_binop(BinOp op, uint64_t a, uint64_t b);
 
-/// Evaluates a constant expression (no NameRefs). Throws SpecError on a
-/// NameRef — used for guards known to be closed, e.g. in unit tests.
-[[nodiscard]] uint64_t eval_const(const Expr& e);
-
 }  // namespace specsyn

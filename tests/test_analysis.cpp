@@ -442,6 +442,28 @@ TEST(ContextFacts, ConstEvalFoldsDeclaredInitialValues) {
   EXPECT_FALSE(ctx.const_eval(*ref("k"), value));
 }
 
+// SA011 folds a wait condition with the simulator's operator semantics
+// (sim/value.h), so it fires exactly on the waits a run blocks on forever.
+TEST(ContextFacts, ConstEvalShiftsModulo64LikeTheSimulator) {
+  const Specification spec = testing::parse_or_die(
+      "spec Shift;\n"
+      "signal s : int8 := 1;\n"
+      "behavior W : leaf { wait (s << 64) == 1; }\n");
+  const analysis::Report rep = analysis::analyze(spec);
+  EXPECT_FALSE(rep.has("SA011")) << dump(rep);
+  EXPECT_TRUE(testing::run(spec).root_completed);  // 1 << (64 & 63) == 1
+}
+
+TEST(ContextFacts, ConstEvalDividesByZeroLikeTheSimulator) {
+  const Specification spec = testing::parse_or_die(
+      "spec DivZero;\n"
+      "signal s : int8 := 1;\n"
+      "behavior W : leaf { wait (s / 0) != 0; }\n");
+  const analysis::Report rep = analysis::analyze(spec);
+  EXPECT_TRUE(rep.has("SA011")) << dump(rep);
+  EXPECT_FALSE(testing::run(spec).root_completed);  // 1 / 0 == 0
+}
+
 TEST(ContextFacts, ServeLoopDecodeCases) {
   const FactsFixture f;
   const analysis::Context ctx(f.spec);

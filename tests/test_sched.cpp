@@ -4,6 +4,9 @@
 // relation predicts (and nothing on clean specs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -157,16 +160,19 @@ TEST(SchedPolicy, ExhaustedReplayTraceContinuesCanonically) {
 // The (time, seq) order pinned directly, with expectations derived by hand
 // from the cost model (a statement costs one cycle, `delay N` max(N, 1), a
 // `<=` commits one cycle later, before that instant's steps). t=0 steps the
-// root, which forks A and B; t=1 starts both (neither has entered a behavior
+// root, which forks A and B; t=1 starts both (neither has started a behavior
 // yet, hence "<none>"). A process stepped earlier in an instant is re-armed
 // earlier, so it keeps its place in the next instant's ready list.
 
-SchedDecision decision(uint64_t time, uint32_t pick,
-                       std::vector<std::string> ready) {
+/// A decision whose ready set is given by behavior name; "<none>" (no such
+/// behavior) becomes SpecIndex::kNone, the id of a process that has not
+/// started its first behavior.
+SchedDecision decision(const SpecIndex& ids, uint64_t time, uint32_t pick,
+                       std::initializer_list<const char*> ready) {
   SchedDecision d;
   d.time = time;
   d.pick = pick;
-  d.ready = std::move(ready);
+  for (const char* name : ready) d.ready.push_back(ids.id_of(name));
   return d;
 }
 
@@ -198,13 +204,14 @@ Specification overflow_vs_bucket_spec() {
 
 TEST(SchedContract, OverflowStepsPrecedeBucketStepsOnEveryTier) {
   const Specification s = overflow_vs_bucket_spec();
+  const SpecIndex ids(s);
   const std::vector<SchedDecision> expected = {
-      decision(1, 0, {"<none>", "<none>"}),
-      decision(2, 0, {"A", "B"}),  // A: delay 2 (to t=4), B: y := 1
+      decision(ids, 1, 0, {"<none>", "<none>"}),
+      decision(ids, 2, 0, {"A", "B"}),  // A: delay 2 (to t=4), B: y := 1
       // t=3: B alone (y := 2); no decision
-      decision(4, 0, {"A", "B"}),  // A from overflow, B from the bucket
-      decision(5, 0, {"A", "B"}),  // both bodies end
-      decision(6, 0, {"A", "B"}),  // both complete; the join wakes Top
+      decision(ids, 4, 0, {"A", "B"}),  // A from overflow, B from bucket
+      decision(ids, 5, 0, {"A", "B"}),  // both bodies end
+      decision(ids, 6, 0, {"A", "B"}),  // both complete; the join wakes Top
   };
   for (ExecTier tier : kTiers) {
     SCOPED_TRACE(exec_tier_name(tier));
@@ -225,12 +232,13 @@ TEST(SchedContract, ReplayPickOfTheBucketStepFlipsTheOutcome) {
   const Specification s = overflow_vs_bucket_spec();
   // Decision 2 is t=4's [A, B]; pick 1 steps B first, so A writes last and
   // the pair keeps the order [B, A] from then on.
+  const SpecIndex ids(s);
   const std::vector<SchedDecision> expected = {
-      decision(1, 0, {"<none>", "<none>"}),
-      decision(2, 0, {"A", "B"}),
-      decision(4, 1, {"A", "B"}),
-      decision(5, 0, {"B", "A"}),
-      decision(6, 0, {"B", "A"}),
+      decision(ids, 1, 0, {"<none>", "<none>"}),
+      decision(ids, 2, 0, {"A", "B"}),
+      decision(ids, 4, 1, {"A", "B"}),
+      decision(ids, 5, 0, {"B", "A"}),
+      decision(ids, 6, 0, {"B", "A"}),
   };
   for (ExecTier tier : kTiers) {
     SCOPED_TRACE(exec_tier_name(tier));
@@ -253,12 +261,13 @@ TEST(SchedContract, DelayZeroCostsOneCycleLikeAStatement) {
       "  behavior A : leaf { delay 0; x := 1; }\n"
       "  behavior B : leaf { y := 1; x := 2; }\n"
       "}\n");
+  const SpecIndex ids(s);
   const std::vector<SchedDecision> expected = {
-      decision(1, 0, {"<none>", "<none>"}),
-      decision(2, 0, {"A", "B"}),
-      decision(3, 0, {"A", "B"}),
-      decision(4, 0, {"A", "B"}),
-      decision(5, 0, {"A", "B"}),
+      decision(ids, 1, 0, {"<none>", "<none>"}),
+      decision(ids, 2, 0, {"A", "B"}),
+      decision(ids, 3, 0, {"A", "B"}),
+      decision(ids, 4, 0, {"A", "B"}),
+      decision(ids, 5, 0, {"A", "B"}),
   };
   for (ExecTier tier : kTiers) {
     SCOPED_TRACE(exec_tier_name(tier));
@@ -283,12 +292,13 @@ TEST(SchedContract, SameInstantCommitWakesQueueBehindTheBucket) {
       "  behavior A : leaf { wait s == 1; x := 1; }\n"
       "  behavior B : leaf { s <= 1; x := 2; }\n"
       "}\n");
+  const SpecIndex ids(s);
   const std::vector<SchedDecision> expected = {
-      decision(1, 0, {"<none>", "<none>"}),
-      decision(2, 0, {"A", "B"}),  // A blocks, B schedules the commit
-      decision(3, 0, {"B", "A"}),  // B from the bucket, then the woken A
-      decision(4, 0, {"B", "A"}),
-      decision(5, 0, {"B", "A"}),  // B completes, A's body ends
+      decision(ids, 1, 0, {"<none>", "<none>"}),
+      decision(ids, 2, 0, {"A", "B"}),  // A blocks, B schedules the commit
+      decision(ids, 3, 0, {"B", "A"}),  // B from the bucket, then the woken A
+      decision(ids, 4, 0, {"B", "A"}),
+      decision(ids, 5, 0, {"B", "A"}),  // B completes, A's body ends
       // t=6: A alone completes and the join wakes Top
   };
   for (ExecTier tier : kTiers) {
@@ -299,6 +309,51 @@ TEST(SchedContract, SameInstantCommitWakesQueueBehindTheBucket) {
     EXPECT_EQ(r.observable_writes,
               (std::vector<WriteEvent>{{"x", 2, 3}, {"x", 1, 4}}));
     EXPECT_EQ(r.end_time, 7u);
+  }
+}
+
+TEST(SchedContract, ReadyNamesTheCompositeUntilItsNextChildStarts) {
+  // A sequential composite pushes its next child's Behavior frame one step
+  // before the child starts (t=2 enters P1, t=6 enters P2); in between the
+  // process is attributed to the composite itself. P2 then blocks forever,
+  // and the blocked-process report names it.
+  const Specification s = parse_or_die(
+      "spec SeqPair;\n"
+      "observable var x : int8;\n"
+      "signal go : bit;\n"
+      "behavior Top : conc {\n"
+      "  behavior P : seq {\n"
+      "    behavior P1 : leaf { x := 1; }\n"
+      "    behavior P2 : leaf { wait go == 1; }\n"
+      "  }\n"
+      "  behavior Q : seq {\n"
+      "    behavior Q1 : leaf { x := 2; }\n"
+      "    behavior Q2 : leaf { x := 3; }\n"
+      "  }\n"
+      "}\n");
+  const SpecIndex ids(s);
+  const std::vector<SchedDecision> expected = {
+      decision(ids, 1, 0, {"<none>", "<none>"}),
+      decision(ids, 2, 0, {"P", "Q"}),    // both push their Seq frames
+      decision(ids, 3, 0, {"P", "Q"}),    // P1 and Q1 pushed, not started
+      decision(ids, 4, 0, {"P1", "Q1"}),  // x := 1, x := 2
+      decision(ids, 5, 0, {"P1", "Q1"}),  // both bodies end
+      decision(ids, 6, 0, {"P1", "Q1"}),  // both complete; P2, Q2 pushed
+      decision(ids, 7, 0, {"P", "Q"}),
+      decision(ids, 8, 0, {"P2", "Q2"}),  // P2 blocks, x := 3
+      // t=9..11: Q alone finishes; the run quiesces with P2 blocked
+  };
+  for (ExecTier tier : kTiers) {
+    SCOPED_TRACE(exec_tier_name(tier));
+    const SimResult r = run_recorded(s, tier);
+    EXPECT_EQ(r.sched_decisions, expected);
+    EXPECT_EQ(r.final_vars.at("x"), 3u);
+    EXPECT_FALSE(r.root_completed);
+    ASSERT_EQ(r.blocked.size(), 2u);
+    EXPECT_EQ(r.blocked[0].behavior, "Top");
+    EXPECT_EQ(r.blocked[0].waiting_on, "<join>");
+    EXPECT_EQ(r.blocked[1].behavior, "P2");
+    EXPECT_EQ(r.blocked[1].waiting_on, "go == 1");
   }
 }
 
@@ -395,6 +450,70 @@ TEST(Explore, IndependentConcurrencyIsPrunedAwayButNotMissed) {
   const ExploreResult e = analysis::schedules::explore(s, ctx, exhaustive);
   EXPECT_GT(e.explored, 1u);
   EXPECT_FALSE(e.diverged());
+}
+
+/// The schedule-tree shape: explored pick traces are pairwise distinct, the
+/// baseline is canonical, and every other trace is an earlier schedule's
+/// trace up to some decision, another pick there, and canonical picks (0)
+/// after it.
+void expect_schedule_tree(const ExploreResult& r) {
+  ASSERT_FALSE(r.schedules.empty());
+  const auto canonical = [](auto first, auto last) {
+    return std::all_of(first, last, [](uint32_t p) { return p == 0; });
+  };
+  const std::vector<uint32_t>& base = r.schedules[0].picks;
+  EXPECT_TRUE(canonical(base.begin(), base.end()));
+  std::set<std::vector<uint32_t>> seen;
+  for (size_t i = 0; i < r.schedules.size(); ++i) {
+    const std::vector<uint32_t>& t = r.schedules[i].picks;
+    EXPECT_TRUE(seen.insert(t).second) << "schedule " << i << " repeats";
+    bool branched = i == 0;
+    for (size_t j = 0; j < i && !branched; ++j) {
+      const std::vector<uint32_t>& parent = r.schedules[j].picks;
+      const size_t n = std::min(t.size(), parent.size());
+      const size_t d =
+          std::mismatch(t.begin(), t.begin() + n, parent.begin()).first -
+          t.begin();
+      branched = d < n && canonical(t.begin() + d + 1, t.end());
+    }
+    EXPECT_TRUE(branched) << "schedule " << i
+                          << " is no one-pick branch of an earlier schedule";
+  }
+}
+
+TEST(Explore, ExploredSchedulesFormATreeOfDistinctTracesOnEveryTier) {
+  std::ifstream in(std::string(SPECSYN_SOURCE_DIR) +
+                   "/examples/specs/race.spec");
+  const Specification race = parse_or_die(std::string(
+      std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()));
+  const Context race_ctx(race);
+  const Specification indep = independent_spec();
+  const Context indep_ctx(indep);
+  std::vector<std::vector<uint32_t>> race_traces;
+  for (ExecTier tier : kTiers) {
+    SCOPED_TRACE(exec_tier_name(tier));
+    ExploreOptions opts;
+    opts.max_schedules = 64;
+    opts.config.exec_tier = tier;
+    const ExploreResult r = analysis::schedules::explore(race, race_ctx, opts);
+    EXPECT_EQ(r.explored, 16u);
+    EXPECT_EQ(r.pruned, 1u);
+    EXPECT_EQ(r.divergent, 8u);
+    EXPECT_TRUE(r.complete);
+    expect_schedule_tree(r);
+    std::vector<std::vector<uint32_t>> traces;
+    for (const auto& sch : r.schedules) traces.push_back(sch.picks);
+    if (race_traces.empty()) race_traces = traces;
+    EXPECT_EQ(traces, race_traces);  // the same tree on every tier
+
+    opts.prune = false;
+    const ExploreResult e =
+        analysis::schedules::explore(indep, indep_ctx, opts);
+    EXPECT_GT(e.explored, 1u);
+    EXPECT_EQ(e.pruned, 0u);
+    EXPECT_FALSE(e.diverged());
+    expect_schedule_tree(e);
+  }
 }
 
 TEST(Explore, BoundTruncatesAndReportsIncomplete) {

@@ -36,11 +36,6 @@ TEST(Value, BinopSemantics) {
   EXPECT_EQ(apply_unop(UnOp::LogicalNot, 0), 1u);
 }
 
-TEST(Value, EvalConst) {
-  EXPECT_EQ(eval_const(*add(lit(2), mul(lit(3), lit(4)))), 14u);
-  EXPECT_THROW((void)eval_const(*ref("x")), SpecError);
-}
-
 TEST(Sim, StraightLineAssignments) {
   auto s = single_leaf(block(assign("x", lit(5)),
                              assign("y", add(ref("x"), lit(2)))),
