@@ -8,6 +8,7 @@
 #include "analysis/context.h"
 #include "analysis/verifier.h"
 #include "batch/thread_pool.h"
+#include "sim/equivalence.h"
 #include "sim/plan.h"
 #include "sim/sched.h"
 #include "telemetry/telemetry.h"
@@ -44,9 +45,7 @@ struct RunResult {
 };
 
 RunResult run_one(const std::shared_ptr<const SimPlan>& plan, SimConfig cfg,
-                  std::vector<uint32_t> picks,
-                  const std::string& root_behavior) {
-  cfg.sched_policy = SchedPolicy::Replay;
+                  std::vector<uint32_t> picks, const Specification* original) {
   cfg.sched_picks = std::move(picks);
   cfg.record_schedule = true;
   Simulator sim(plan, std::move(cfg));
@@ -55,7 +54,7 @@ RunResult run_one(const std::shared_ptr<const SimPlan>& plan, SimConfig cfg,
   out.taken.reserve(r.sched_decisions.size());
   for (const SchedDecision& d : r.sched_decisions) out.taken.push_back(d.pick);
   out.decisions = std::move(r.sched_decisions);
-  out.outcome = outcome_of(r, root_behavior);
+  out.outcome = outcome_of(r, original);
   return out;
 }
 
@@ -103,15 +102,11 @@ std::string describe_divergence(const Outcome& base, const Outcome& other) {
 
 }  // namespace
 
-Outcome outcome_of(const SimResult& r, const std::string& root_behavior) {
+Outcome outcome_of(const SimResult& r, const Specification* original) {
   Outcome o;
   o.status = r.status;
-  o.root_completed = r.root_completed;
-  if (!o.root_completed && !root_behavior.empty()) {
-    auto it = r.behavior_completions.find(root_behavior);
-    o.root_completed =
-        it != r.behavior_completions.end() && it->second > 0;
-  }
+  o.root_completed =
+      original != nullptr ? top_completed(*original, r) : r.root_completed;
   o.final_vars = r.final_vars;
   for (const WriteEvent& w : r.observable_writes) {
     o.writes[w.var].push_back(w.value);
@@ -155,9 +150,14 @@ std::string Outcome::digest() const {
   return out;
 }
 
-ExploreResult explore(const Context& ctx,
-                      const std::shared_ptr<const SimPlan>& plan,
-                      const ExploreOptions& opts) {
+namespace {
+
+/// explore() proper; a non-null `original` marks ctx.spec() as its
+/// refinement, for outcome_of's liveness criterion.
+ExploreResult explore_runs(const Context& ctx,
+                           const std::shared_ptr<const SimPlan>& plan,
+                           const ExploreOptions& opts,
+                           const Specification* original) {
   telemetry::Span span("explore", telemetry::Stability::Stable);
   const std::vector<uint64_t> races = racing_behaviors(ctx);
 
@@ -208,7 +208,7 @@ ExploreResult explore(const Context& ctx,
   };
 
   // Baseline: canonical schedule (empty pick trace).
-  RunResult baseline = run_one(plan, opts.config, {}, opts.root_behavior);
+  RunResult baseline = run_one(plan, opts.config, {}, original);
   expand(baseline, 0);
   result.schedules.push_back(
       {std::move(baseline.taken), std::move(baseline.outcome), false});
@@ -229,13 +229,12 @@ ExploreResult explore(const Context& ctx,
       runs = batch::run_batch<RunResult>(
           *opts.pool, wave, [&](size_t job, batch::WorkerContext&) {
             return run_one(plan, opts.config, picks_of(branches[job]),
-                           opts.root_behavior);
+                           original);
           });
     } else {
       runs.reserve(wave);
       for (const Branch& b : branches) {
-        runs.push_back(
-            run_one(plan, opts.config, picks_of(b), opts.root_behavior));
+        runs.push_back(run_one(plan, opts.config, picks_of(b), original));
       }
     }
     for (size_t i = 0; i < runs.size(); ++i) {
@@ -270,6 +269,14 @@ ExploreResult explore(const Context& ctx,
   return result;
 }
 
+}  // namespace
+
+ExploreResult explore(const Context& ctx,
+                      const std::shared_ptr<const SimPlan>& plan,
+                      const ExploreOptions& opts) {
+  return explore_runs(ctx, plan, opts, nullptr);
+}
+
 ExploreResult explore(const Specification& spec, const Context& ctx,
                       const ExploreOptions& opts) {
   return explore(ctx, SimPlan::build(spec, opts.config.exec_tier), opts);
@@ -282,13 +289,9 @@ InclusionResult check_inclusion(
     const std::shared_ptr<const SimPlan>& refined_plan,
     const ExploreOptions& opts) {
   const Specification& original = original_ctx.spec();
-  // The refined top is a Concurrent composite whose server behaviors never
-  // complete; liveness there means the original top behavior finished
-  // inside it (outcome_of's fallback, as in sim/equivalence).
-  ExploreOptions ropts = opts;
-  if (original.top != nullptr) ropts.root_behavior = original.top->name;
   ExploreResult orig = explore(original_ctx, original_plan, opts);
-  ExploreResult refd = explore(refined_ctx, refined_plan, ropts);
+  ExploreResult refd =
+      explore_runs(refined_ctx, refined_plan, opts, &original);
 
   InclusionResult result;
   result.original_explored = orig.explored;
@@ -345,13 +348,9 @@ InclusionResult check_inclusion(const Specification& original,
 namespace specsyn::analysis {
 
 void check_schedules(const Context& ctx, Report& report,
-                     const ScheduleCheckOptions& opts) {
-  schedules::ExploreOptions eopts;
-  eopts.max_schedules = opts.max_schedules;
-  eopts.config = opts.config;
-  eopts.pool = opts.pool;
+                     const schedules::ExploreOptions& opts) {
   const schedules::ExploreResult explored =
-      schedules::explore(ctx.spec(), ctx, eopts);
+      schedules::explore(ctx.spec(), ctx, opts);
 
   report.schedules.ran = true;
   report.schedules.explored = explored.explored;
@@ -374,11 +373,6 @@ void check_schedules(const Context& ctx, Report& report,
               " explored schedules diverge)";
   f.witness = explored.witness;
   report.findings.push_back(std::move(f));
-}
-
-void check_schedules(const Specification& spec, Report& report,
-                     const ScheduleCheckOptions& opts) {
-  check_schedules(Context(spec), report, opts);
 }
 
 }  // namespace specsyn::analysis

@@ -1,4 +1,5 @@
-// Bounded schedule exploration over the simulator's SchedPolicy seam.
+// Bounded schedule exploration over the simulator's one schedule input, a
+// pick trace (SimConfig::sched_picks, recorded via record_schedule).
 //
 // A specification's observable outcome should not depend on how the kernel
 // breaks ties between simultaneously-ready processes — the refiner
@@ -6,7 +7,7 @@
 // that survives refinement is a race. This module enumerates interleavings
 // to find (or rule out, up to a bound) exactly that:
 //
-//   * the baseline run replays the canonical Fifo schedule while recording
+//   * the baseline run replays the empty (canonical) trace while recording
 //     every decision point (an instant whose ready set held >= 2 processes,
 //     as behavior ids),
 //   * the explored schedules form a tree: a frontier entry is (parent
@@ -74,12 +75,11 @@ struct Outcome {
   [[nodiscard]] std::string digest() const;
 };
 
-/// Extracts the timing-free outcome of a finished run. When `root_behavior`
-/// is non-empty, the run also counts as root-complete if that behavior
-/// completed at least once — a refined top is a Concurrent composite whose
-/// server behaviors never finish, so the literal root never completes (the
-/// same liveness criterion as sim/equivalence).
-Outcome outcome_of(const SimResult& r, const std::string& root_behavior = {});
+/// Extracts the timing-free outcome of a finished run. When `original` is
+/// given, `r` is a run of its refinement and root completion is
+/// sim/equivalence's liveness criterion (top_completed).
+Outcome outcome_of(const SimResult& r,
+                   const Specification* original = nullptr);
 
 /// One explored interleaving.
 struct Schedule {
@@ -93,7 +93,7 @@ struct Schedule {
 struct ExploreOptions {
   /// Total schedules to simulate, baseline included.
   size_t max_schedules = 16;
-  /// Tier / max_cycles / clock for every run; sched_policy, sched_picks and
+  /// Tier / max_cycles / clock for every run; sched_picks and
   /// record_schedule are owned by the explorer and overwritten.
   SimConfig config;
   /// Partial-order pruning: branch only where the ready set holds a
@@ -103,9 +103,6 @@ struct ExploreOptions {
   /// Optional PR 5 pool: each exploration wave runs as one parallel batch.
   /// Results are byte-identical for any worker count.
   batch::ThreadPool* pool = nullptr;
-  /// Liveness fallback handed to outcome_of (see there). check_inclusion
-  /// sets this to the original top behavior for the refined side.
-  std::string root_behavior;
   /// check_inclusion only: compare per-variable observable write value
   /// sequences. Callers disable this for byte-serial protocols, whose beat
   /// splitting legitimately changes the sequences (the same policy as
@@ -114,7 +111,7 @@ struct ExploreOptions {
 };
 
 struct ExploreResult {
-  /// Explored schedules; [0] is the baseline (canonical Fifo) run.
+  /// Explored schedules; [0] is the baseline (canonical) run.
   std::vector<Schedule> schedules;
   uint64_t explored = 0;   ///< == schedules.size()
   uint64_t pruned = 0;     ///< branch candidates rejected by the race filter

@@ -23,7 +23,7 @@
 //
 // One dynamic checker can be appended behind `specsyn check
 // --explore-schedules` (check_schedules below): bounded schedule exploration
-// over the simulator's SchedPolicy seam, emitting
+// over the simulator's pick-trace seam (SimConfig::sched_picks), emitting
 //
 //   schedules              SA021 schedule-sensitive observable outcome
 //
@@ -37,17 +37,16 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulator.h"
 #include "spec/specification.h"
 #include "support/diagnostics.h"
-
-namespace specsyn::batch {
-class ThreadPool;
-}  // namespace specsyn::batch
 
 namespace specsyn::analysis {
 
 class Context;
+
+namespace schedules {
+struct ExploreOptions;
+}  // namespace schedules
 
 struct Finding {
   std::string code;             ///< "SA001"...
@@ -97,29 +96,14 @@ struct Report {
 /// analyze() over a Context built here.
 [[nodiscard]] Report analyze(const Specification& spec);
 
-/// Options for the dynamic schedule-exploration pass
-/// (`specsyn check --explore-schedules[=N]`).
-struct ScheduleCheckOptions {
-  /// Total schedules to simulate, baseline included.
-  size_t max_schedules = 16;
-  /// Tier / max_cycles for every exploration run. sched_policy fields are
-  /// overwritten by the explorer.
-  SimConfig config;
-  /// Optional PR 5 pool: exploration waves run as parallel batch jobs.
-  /// Output is byte-identical for any worker count.
-  batch::ThreadPool* pool = nullptr;
-};
-
 /// Bounded schedule exploration (src/analysis/schedules) appended to a
 /// static `report`: fills report.schedules, emits SA021 when two explored
 /// schedules disagree on the observable outcome, and attaches the replay
 /// witness to the SA021 and every SA020 finding already present. `ctx`
 /// drives the pruning rule; every explored schedule (pooled waves included)
-/// runs from one plan of ctx.spec() built for opts.config.exec_tier.
+/// runs from one plan of ctx.spec() built for opts.config.exec_tier
+/// (`specsyn check --explore-schedules[=N]`).
 void check_schedules(const Context& ctx, Report& report,
-                     const ScheduleCheckOptions& opts);
-/// check_schedules() over a Context built here.
-void check_schedules(const Specification& spec, Report& report,
-                     const ScheduleCheckOptions& opts);
+                     const schedules::ExploreOptions& opts);
 
 }  // namespace specsyn::analysis

@@ -96,15 +96,7 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
     sim.add_slot_observer(&tracer);
     const SimResult res = sim.run();
     row.cycles = res.end_time;
-    // The refined top is a Concurrent composite whose servers (memories,
-    // arbiters, interfaces) never finish; liveness means the original top
-    // behavior's control flow completed inside the refined spec.
-    row.root_completed = res.root_completed;
-    if (!row.root_completed && spec.top) {
-      auto it = res.behavior_completions.find(spec.top->name);
-      row.root_completed =
-          it != res.behavior_completions.end() && it->second > 0;
-    }
+    row.root_completed = top_completed(spec, res);
     const MetricsReport m = MetricsReport::from(tracer);
     for (const MetricsReport::BusRow& b : m.buses) {
       row.contention_cycles += b.contention_cycles;

@@ -74,6 +74,12 @@ EquivalenceReport check_equivalence(const Specification& original,
   return report;
 }
 
+bool top_completed(const Specification& original, const SimResult& r) {
+  if (r.root_completed || original.top == nullptr) return r.root_completed;
+  const auto it = r.behavior_completions.find(original.top->name);
+  return it != r.behavior_completions.end() && it->second > 0;
+}
+
 EquivalenceReport compare_results(const Specification& original,
                                   const SimResult& a, const SimResult& b,
                                   bool compare_write_traces) {
@@ -84,19 +90,11 @@ EquivalenceReport compare_results(const Specification& original,
   if (b.status != SimResult::Status::Quiescent) {
     report.mismatches.push_back("refined simulation did not quiesce");
   }
-  if (a.root_completed && !b.root_completed) {
-    // The refined top is a Concurrent composite whose server behaviors
-    // (memories, arbiters, bus interfaces) never complete, so the refined
-    // root does not complete. The real liveness criterion is that the
-    // original top behavior's control flow completed inside the refined
-    // spec, which we check via behavior completion counts below.
+  if (a.root_completed && !top_completed(original, b)) {
     const std::string top_name = original.top ? original.top->name : "";
-    auto it = b.behavior_completions.find(top_name);
-    if (it == b.behavior_completions.end() || it->second == 0) {
-      report.mismatches.push_back(
-          "refined spec never completed the original top behavior '" +
-          top_name + "' (deadlock or starvation in inserted interfaces)");
-    }
+    report.mismatches.push_back(
+        "refined spec never completed the original top behavior '" +
+        top_name + "' (deadlock or starvation in inserted interfaces)");
   }
 
   // (1) Final values of every original variable.

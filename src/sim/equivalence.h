@@ -51,6 +51,14 @@ struct EquivalenceReport {
     const Specification& original, const Specification& refined,
     const EquivalenceOptions& opts = {});
 
+/// The liveness criterion for a run `r` of a refinement of `original`: the
+/// root completed, or the original top behavior completed at least once
+/// inside it. A refined top is a Concurrent composite whose servers
+/// (memories, arbiters, bus interfaces) never finish, so the refined root
+/// itself never completes.
+[[nodiscard]] bool top_completed(const Specification& original,
+                                 const SimResult& r);
+
 /// The comparison half of check_equivalence, for callers that already hold
 /// both runs (the sweep reuses its measured run, the fuzz oracles their
 /// interp-diff runs). Both results must come from the same SimConfig.

@@ -59,10 +59,10 @@ void Simulator::bblock_on(Process& p, const BWaitSite& site) {
 //
 // Any doubt returns false and falls back to the scheduler, including the
 // max_cycles boundaries, where the loop's exact termination bookkeeping must
-// run, and any run under a schedule policy, whose every ready set must reach
-// the loop's pick (a commit retired here can wake a process that ties with
-// this one). A successful statement always re-arms into fb_next_, one cycle
-// on.
+// run, and any run that replays or records a schedule, whose every ready set
+// must reach the loop's pick (a commit retired here can wake a process that
+// ties with this one). A successful statement always re-arms into fb_next_,
+// one cycle on.
 template <bool Obs>
 inline bool Simulator::chain_advance() {
   if (sched_active_ || fb_run_next_ != fb_cur_->runs.size() ||
@@ -619,24 +619,24 @@ void Simulator::bstep(Process& p) {
 template void Simulator::bstep<false>(Process& p);
 template void Simulator::bstep<true>(Process& p);
 
-// The event loop, shared by every tier and schedule policy. Phase structure
+// The event loop, shared by every tier and schedule. Phase structure
 // per instant: signal commits first, in issue order (they may append wakes
 // to the instant's runs), then overflow steps due now move to the front of
 // the runs — their seqs are older than any bucket entry's — and the runs
 // drain in order, steps appending any further work at now_ (joins) behind.
 //
 // fb_run_next_ is the cursor into fb_cur_->runs: the index of the first
-// not-yet-stepped entry, advanced here around every step. Under a schedule
-// policy the pick among fb_cur_->runs[fb_run_next_..] rotates to the cursor,
-// which keeps the rest in canonical order. The VM's statement chain compares
-// the cursor against runs.size() to prove the instant has no further pending
-// step, and resets it when chain_advance rolls the buckets to a commit
-// instant — which is why the drain below loops on the member cursor instead
-// of a local index. A chained step advances now_ inside bstep; every loop
-// condition tolerates that (the heap top was checked to lie beyond every
-// chained instant, and bucket appends made by chained statements are
-// relative to the *new* now_, where this loop and the next outer iteration
-// pick them up).
+// not-yet-stepped entry, advanced here around every step. Under a replayed
+// or recorded schedule the pick among fb_cur_->runs[fb_run_next_..] rotates
+// to the cursor, which keeps the rest in canonical order. The VM's statement
+// chain compares the cursor against runs.size() to prove the instant has no
+// further pending step, and resets it when chain_advance rolls the buckets
+// to a commit instant — which is why the drain below loops on the member
+// cursor instead of a local index. A chained step advances now_ inside
+// bstep; every loop condition tolerates that (the heap top was checked to
+// lie beyond every chained instant, and bucket appends made by chained
+// statements are relative to the *new* now_, where this loop and the next
+// outer iteration pick them up).
 template <bool Obs, void (Simulator::*Step)(Simulator::Process&)>
 void Simulator::run_loop(SimResult& result) {
   for (;;) {

@@ -7,7 +7,6 @@ namespace specsyn {
 namespace {
 
 constexpr const char kPicksPrefix[] = "picks:";
-constexpr const char kSeedPrefix[] = "seed:";
 
 /// Parses a decimal uint64 spanning exactly [begin, end). Returns false on
 /// empty input, a non-digit, or overflow.
@@ -27,8 +26,10 @@ bool parse_u64(const char* begin, const char* end, uint64_t* out) {
 }  // namespace
 
 std::string format_witness(const std::vector<uint32_t>& picks) {
+  size_t n = picks.size();
+  while (n != 0 && picks[n - 1] == 0) --n;
   std::string out = kPicksPrefix;
-  for (size_t i = 0; i < picks.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     if (i != 0) out += ',';
     out += std::to_string(picks[i]);
   }
@@ -38,13 +39,6 @@ std::string format_witness(const std::vector<uint32_t>& picks) {
 bool apply_witness(const std::string& witness, SimConfig* cfg) {
   const char* data = witness.data();
   const char* end = data + witness.size();
-  if (witness.rfind(kSeedPrefix, 0) == 0) {
-    uint64_t seed = 0;
-    if (!parse_u64(data + sizeof(kSeedPrefix) - 1, end, &seed)) return false;
-    cfg->sched_policy = SchedPolicy::Random;
-    cfg->sched_seed = seed;
-    return true;
-  }
   if (witness.rfind(kPicksPrefix, 0) != 0) return false;
   std::vector<uint32_t> picks;
   const char* cursor = data + sizeof(kPicksPrefix) - 1;
@@ -59,7 +53,6 @@ bool apply_witness(const std::string& witness, SimConfig* cfg) {
     // cursor == end after consuming it, silently dropping the empty entry.
     if (cursor == end && stop != end) return false;
   }
-  cfg->sched_policy = SchedPolicy::Replay;
   cfg->sched_picks = std::move(picks);
   return true;
 }

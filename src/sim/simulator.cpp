@@ -1,4 +1,4 @@
-// Simulator kernel: process/event bookkeeping, schedule policies and run().
+// Simulator kernel: process/event bookkeeping, schedule replay and run().
 // The event loop lives in interp_bytecode.cpp; the per-statement interpreters
 // live in interp.cpp, interp_lowered.cpp and interp_bytecode.cpp.
 #include "sim/simulator.h"
@@ -37,31 +37,6 @@ const char* exec_tier_name(ExecTier tier) {
       return "lowered";
     case ExecTier::Bytecode:
       return "bytecode";
-  }
-  return "?";
-}
-
-bool parse_sched_policy(const std::string& name, SchedPolicy* out) {
-  if (name == "fifo") {
-    *out = SchedPolicy::Fifo;
-  } else if (name == "random") {
-    *out = SchedPolicy::Random;
-  } else if (name == "replay") {
-    *out = SchedPolicy::Replay;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* sched_policy_name(SchedPolicy p) {
-  switch (p) {
-    case SchedPolicy::Fifo:
-      return "fifo";
-    case SchedPolicy::Random:
-      return "random";
-    case SchedPolicy::Replay:
-      return "replay";
   }
   return "?";
 }
@@ -130,12 +105,11 @@ Simulator::Simulator(std::shared_ptr<const SimPlan> plan, SimConfig cfg)
     b.runs.reserve(64);
     b.sigs.reserve(64);
   }
-  // Permuted or recorded scheduling must see every decision point, so it
+  // Replayed or recorded scheduling must see every decision point, so it
   // turns off the bytecode tier's statement chaining, which steps a process
-  // past instants without a scheduler round-trip.
-  sched_active_ =
-      cfg_.sched_policy != SchedPolicy::Fifo || cfg_.record_schedule;
-  sched_rng_ = cfg_.sched_seed;
+  // past instants without a scheduler round-trip. Chaining is result-neutral,
+  // so an empty trace may chain.
+  sched_active_ = !cfg_.sched_picks.empty() || cfg_.record_schedule;
   processes_.reserve(64);
   raw_writes_.reserve(256);
 }
@@ -260,37 +234,20 @@ void Simulator::finish_process(Process& p, uint64_t time) {
 }
 
 uint32_t Simulator::sched_pick(size_t k) {
+  // One trace entry per decision point; an exhausted trace means "the rest of
+  // the run is canonical" (pick 0), which is what lets a prefix double as a
+  // complete witness.
   uint32_t pick = 0;
-  switch (cfg_.sched_policy) {
-    case SchedPolicy::Fifo:
-      break;
-    case SchedPolicy::Random: {
-      // splitmix64: tiny, seed-deterministic, plenty for tie-breaking.
-      sched_rng_ += 0x9e3779b97f4a7c15ull;
-      uint64_t z = sched_rng_;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      z ^= z >> 31;
-      pick = static_cast<uint32_t>(z % k);
-      break;
+  if (sched_pick_cursor_ < cfg_.sched_picks.size()) {
+    pick = cfg_.sched_picks[sched_pick_cursor_];
+    if (pick >= k) {
+      throw SpecError("schedule replay: pick " + std::to_string(pick) +
+                      " at decision " + std::to_string(sched_pick_cursor_) +
+                      " is out of range (ready set holds " +
+                      std::to_string(k) + ")");
     }
-    case SchedPolicy::Replay:
-      // One trace entry per decision point; an exhausted trace means "the
-      // rest of the run is canonical" (pick 0), which is what lets a prefix
-      // double as a complete witness.
-      if (sched_pick_cursor_ < cfg_.sched_picks.size()) {
-        pick = cfg_.sched_picks[sched_pick_cursor_];
-        if (pick >= k) {
-          throw SpecError("schedule replay: pick " + std::to_string(pick) +
-                          " at decision " +
-                          std::to_string(sched_pick_cursor_) +
-                          " is out of range (ready set holds " +
-                          std::to_string(k) + ")");
-        }
-      }
-      ++sched_pick_cursor_;
-      break;
   }
+  ++sched_pick_cursor_;
   if (cfg_.record_schedule) {
     SchedDecision d;
     d.time = now_;

@@ -59,29 +59,6 @@ const char* exec_tier_name(ExecTier tier);
 /// touching tests that pin a tier on purpose.
 ExecTier default_exec_tier();
 
-/// How the kernel breaks ties when several processes are ready at the same
-/// instant. Non-Fifo policies are the seam schedule exploration
-/// (src/analysis/schedules) is built on: they permute pick order at exactly
-/// the points where concurrent statements or arbiter grants contend, and are
-/// honored identically by all three execution tiers.
-enum class SchedPolicy : uint8_t {
-  /// Canonical (time, seq) order — the default, bit-identical to the
-  /// behavior before schedule policies existed.
-  Fifo,
-  /// Seeded pseudo-random pick among the ready set (SimConfig::sched_seed).
-  Random,
-  /// Consume SimConfig::sched_picks one entry per decision point; beyond the
-  /// end of the trace, fall back to Fifo (pick 0).
-  Replay,
-};
-
-/// Parses a policy name ("fifo", "random", "replay"); returns false on
-/// anything else.
-bool parse_sched_policy(const std::string& name, SchedPolicy* out);
-
-/// Spelling of a policy, inverse of parse_sched_policy.
-const char* sched_policy_name(SchedPolicy p);
-
 struct SimConfig {
   /// Hard stop; a run reaching it reports Status::MaxCycles.
   uint64_t max_cycles = 50'000'000;
@@ -92,17 +69,15 @@ struct SimConfig {
   /// `specsyn --exec-tier tree`). Defaults to Bytecode unless the
   /// SPECSYN_EXEC_TIER environment variable overrides it.
   ExecTier exec_tier = default_exec_tier();
-  /// Ready-set tie-break policy. Any value other than Fifo (and any run with
-  /// record_schedule set) turns off the bytecode tier's statement chaining so
-  /// decision points land identically on all three tiers; the default Fifo
-  /// policy costs one predictable branch per step.
-  SchedPolicy sched_policy = SchedPolicy::Fifo;
-  /// Seed for SchedPolicy::Random. Equal seeds reproduce the schedule (and
-  /// therefore the whole run) bit-for-bit on every tier.
-  uint64_t sched_seed = 0;
-  /// Pick trace for SchedPolicy::Replay: entry i is the index into the
-  /// canonical-order ready set taken at decision point i (instants with a
-  /// single ready process consume nothing). A pick out of range throws.
+  /// Pick trace: entry i is the index into the canonical-order ready set
+  /// taken at decision point i, an instant whose ready set holds >= 2
+  /// processes (instants with a single ready process consume nothing). An
+  /// empty or exhausted trace is canonical, (time, seq) order (pick 0); a
+  /// pick out of range throws. This is the seam schedule exploration
+  /// (src/analysis/schedules) is built on, honored identically by all three
+  /// execution tiers. A nonempty trace (or record_schedule) turns off the
+  /// bytecode tier's statement chaining so decision points land identically
+  /// on every tier; the canonical run costs one predictable branch per step.
   std::vector<uint32_t> sched_picks;
   /// Record every decision point into SimResult::sched_decisions — the raw
   /// material schedule exploration branches on.
@@ -302,7 +277,7 @@ class Simulator {
   void finish_process(Process& p, uint64_t time);
   /// Commits one scheduled signal update at now_: observers + waiter wakes.
   void commit_signal(size_t signal, uint64_t value, bool observed);
-  /// run()'s event loop, shared by every tier and schedule policy; `Step` is
+  /// run()'s event loop, shared by every tier and schedule; `Step` is
   /// the tier's stepping function. Lives in interp_bytecode.cpp so bstep<Obs>
   /// inlines into the loop body — the bytecode hot path (event loop, frame
   /// dispatch, VM) is one translation unit.
@@ -432,16 +407,15 @@ class Simulator {
   /// process is the last pending step of the instant.
   uint32_t fb_run_next_ = 0;
 
-  // Schedule-policy state. sched_active_ is set iff the run permutes or
-  // records pick order (non-Fifo policy or record_schedule); it turns off
-  // statement chaining so every tier sees the same decision points.
+  // Schedule state. sched_active_ is set iff the run replays or records pick
+  // order (nonempty sched_picks or record_schedule); it turns off statement
+  // chaining so every tier sees the same decision points.
   bool sched_active_ = false;
-  uint64_t sched_rng_ = 0;        // splitmix64 state (Random policy)
-  size_t sched_pick_cursor_ = 0;  // next entry of cfg_.sched_picks (Replay)
+  size_t sched_pick_cursor_ = 0;  // next entry of cfg_.sched_picks
   std::vector<SchedDecision> sched_trace_;
-  /// Applies the policy to the instant's ready set (k >= 2 entries from
-  /// fb_run_next_): returns the index to step next and, when recording,
-  /// appends the decision to sched_trace_.
+  /// Takes the next pick of the trace for the instant's ready set (k >= 2
+  /// entries from fb_run_next_): returns the index to step next and, when
+  /// recording, appends the decision to sched_trace_.
   uint32_t sched_pick(size_t k);
 
   uint64_t seq_counter_ = 0;

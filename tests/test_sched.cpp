@@ -1,7 +1,7 @@
-// Schedule seam + bounded exploration tests: the SchedPolicy knob must not
-// perturb the default run, replay must be bit-identical on every execution
-// tier, and the explorer must find exactly the divergences the static race
-// relation predicts (and nothing on clean specs).
+// Schedule seam + bounded exploration tests: recording a schedule must not
+// perturb the default run, replaying a pick trace must be bit-identical on
+// every execution tier, and the explorer must find exactly the divergences
+// the static race relation predicts (and nothing on clean specs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,18 +61,27 @@ void expect_same_result(const SimResult& x, const SimResult& y) {
   EXPECT_EQ(x.observable_writes, y.observable_writes);
 }
 
-// -- the SchedPolicy seam ----------------------------------------------------
-
-TEST(SchedPolicy, ParseAndNameRoundTrip) {
-  for (SchedPolicy p :
-       {SchedPolicy::Fifo, SchedPolicy::Random, SchedPolicy::Replay}) {
-    SchedPolicy back = SchedPolicy::Fifo;
-    EXPECT_TRUE(parse_sched_policy(sched_policy_name(p), &back));
-    EXPECT_EQ(back, p);
-  }
-  SchedPolicy out;
-  EXPECT_FALSE(parse_sched_policy("robin", &out));
+/// examples/specs/race.spec: two writers race on `winner`.
+Specification race_spec() {
+  std::ifstream in(std::string(SPECSYN_SOURCE_DIR) +
+                   "/examples/specs/race.spec");
+  return parse_or_die(std::string(std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>()));
 }
+
+/// The full pick trace of the first schedule of race.spec the explorer finds
+/// divergent.
+std::vector<uint32_t> divergent_race_trace(const Specification& race) {
+  const ExploreResult r =
+      analysis::schedules::explore(race, Context(race), {});
+  const auto divergent =
+      std::find_if(r.schedules.begin(), r.schedules.end(),
+                   [](const auto& sch) { return sch.divergent; });
+  if (divergent == r.schedules.end()) return {};
+  return divergent->picks;
+}
+
+// -- the pick-trace seam -----------------------------------------------------
 
 TEST(SchedPolicy, FifoWithRecordingMatchesDefaultRunOnEveryTier) {
   const Specification s = racy_spec();
@@ -86,55 +95,57 @@ TEST(SchedPolicy, FifoWithRecordingMatchesDefaultRunOnEveryTier) {
     const SimResult recorded = testing::run(s, rec);
     expect_same_result(base, recorded);
     EXPECT_FALSE(recorded.sched_decisions.empty());
-
-    SimConfig fifo = plain;
-    fifo.sched_policy = SchedPolicy::Fifo;
-    expect_same_result(base, testing::run(s, fifo));
   }
 }
 
-TEST(SchedPolicy, RandomIsDeterministicPerSeed) {
-  const Specification s = racy_spec();
+TEST(SchedPolicy, ReplayIsDeterministicPerTrace) {
+  const Specification race = race_spec();
   SimConfig cfg;
-  cfg.sched_policy = SchedPolicy::Random;
-  cfg.sched_seed = 7;
+  cfg.sched_picks = divergent_race_trace(race);
+  ASSERT_FALSE(cfg.sched_picks.empty());
   cfg.record_schedule = true;
-  const SimResult a = testing::run(s, cfg);
-  const SimResult b = testing::run(s, cfg);
-  expect_same_result(a, b);
-  EXPECT_EQ(a.sched_decisions, b.sched_decisions);
-}
-
-TEST(SchedPolicy, SomeSeedFlipsTheRacyOutcome) {
-  const Specification s = racy_spec();
-  const uint64_t base_winner = testing::run(s).final_vars.at("winner");
-  bool flipped = false;
-  for (uint64_t seed = 0; seed < 32 && !flipped; ++seed) {
-    SimConfig cfg;
-    cfg.sched_policy = SchedPolicy::Random;
-    cfg.sched_seed = seed;
-    flipped = testing::run(s, cfg).final_vars.at("winner") != base_winner;
+  for (ExecTier tier : kTiers) {
+    SCOPED_TRACE(exec_tier_name(tier));
+    cfg.exec_tier = tier;
+    const SimResult a = testing::run(race, cfg);
+    const SimResult b = testing::run(race, cfg);
+    expect_same_result(a, b);
+    EXPECT_EQ(a.sched_decisions, b.sched_decisions);
   }
-  EXPECT_TRUE(flipped) << "no seed in [0,32) reordered the racing writers";
 }
 
-TEST(SchedPolicy, ReplayReproducesARandomRunBitIdenticallyOnEveryTier) {
-  const Specification s = racy_spec();
-  SimConfig rand_cfg;
-  rand_cfg.sched_policy = SchedPolicy::Random;
-  rand_cfg.sched_seed = 3;
-  rand_cfg.record_schedule = true;
-  const SimResult recorded = testing::run(s, rand_cfg);
+TEST(SchedPolicy, SomeTraceFlipsTheRacyOutcome) {
+  const Specification race = race_spec();
+  SimConfig cfg;
+  cfg.sched_picks = divergent_race_trace(race);
+  for (ExecTier tier : kTiers) {
+    SCOPED_TRACE(exec_tier_name(tier));
+    cfg.exec_tier = tier;
+    SimConfig canonical;
+    canonical.exec_tier = tier;
+    EXPECT_NE(testing::run(race, cfg).final_vars.at("winner"),
+              testing::run(race, canonical).final_vars.at("winner"));
+  }
+}
+
+TEST(SchedPolicy, ReplayReproducesAnExploredRunBitIdenticallyOnEveryTier) {
+  // Record the explored divergent run, then replay the picks it actually
+  // took: every tier must take the same decisions to the same result.
+  const Specification race = race_spec();
+  SimConfig rec_cfg;
+  rec_cfg.sched_picks = divergent_race_trace(race);
+  rec_cfg.record_schedule = true;
+  const SimResult recorded = testing::run(race, rec_cfg);
 
   SimConfig replay_cfg;
-  replay_cfg.sched_policy = SchedPolicy::Replay;
   for (const SchedDecision& d : recorded.sched_decisions) {
     replay_cfg.sched_picks.push_back(d.pick);
   }
   replay_cfg.record_schedule = true;
   for (ExecTier tier : kTiers) {
+    SCOPED_TRACE(exec_tier_name(tier));
     replay_cfg.exec_tier = tier;
-    const SimResult replayed = testing::run(s, replay_cfg);
+    const SimResult replayed = testing::run(race, replay_cfg);
     expect_same_result(recorded, replayed);
     EXPECT_EQ(recorded.sched_decisions, replayed.sched_decisions);
   }
@@ -142,16 +153,18 @@ TEST(SchedPolicy, ReplayReproducesARandomRunBitIdenticallyOnEveryTier) {
 
 TEST(SchedPolicy, ReplayPickOutOfRangeThrows) {
   SimConfig cfg;
-  cfg.sched_policy = SchedPolicy::Replay;
   cfg.sched_picks = {99};
   EXPECT_THROW(testing::run(racy_spec(), cfg), SpecError);
 }
 
 TEST(SchedPolicy, ExhaustedReplayTraceContinuesCanonically) {
-  // An empty pick trace under Replay is exactly the canonical schedule.
+  // Canonical picks past the end of a trace are the canonical schedule: an
+  // all-zero trace, recorded or not, matches the default run.
   const Specification s = racy_spec();
   SimConfig cfg;
-  cfg.sched_policy = SchedPolicy::Replay;
+  cfg.sched_picks = {0, 0};
+  expect_same_result(testing::run(s), testing::run(s, cfg));
+  cfg.record_schedule = true;
   expect_same_result(testing::run(s), testing::run(s, cfg));
 }
 
@@ -181,10 +194,7 @@ SimResult run_recorded(const Specification& s, ExecTier tier,
   SimConfig cfg;
   cfg.exec_tier = tier;
   cfg.record_schedule = true;
-  if (!picks.empty()) {
-    cfg.sched_policy = SchedPolicy::Replay;
-    cfg.sched_picks = std::move(picks);
-  }
+  cfg.sched_picks = std::move(picks);
   return testing::run(s, cfg);
 }
 
@@ -365,30 +375,29 @@ TEST(Witness, FormatAndApplyRoundTrip) {
   EXPECT_EQ(w, "picks:1,0,2");
   SimConfig cfg;
   ASSERT_TRUE(apply_witness(w, &cfg));
-  EXPECT_EQ(cfg.sched_policy, SchedPolicy::Replay);
   EXPECT_EQ(cfg.sched_picks, picks);
 
-  SimConfig seeded;
-  ASSERT_TRUE(apply_witness("seed:42", &seeded));
-  EXPECT_EQ(seeded.sched_policy, SchedPolicy::Random);
-  EXPECT_EQ(seeded.sched_seed, 42u);
+  // Trailing canonical picks are dropped: replay treats an exhausted trace
+  // as canonical, so the shorter witness names the same run.
+  EXPECT_EQ(format_witness({1, 0, 0}), "picks:1");
+  EXPECT_EQ(format_witness({0, 0}), "picks:");
 
   // format_witness({}) == "picks:" is the (legal) empty trace: canonical
   // replay.
   SimConfig empty;
+  empty.sched_picks = {7};
   ASSERT_TRUE(apply_witness(format_witness({}), &empty));
-  EXPECT_EQ(empty.sched_policy, SchedPolicy::Replay);
   EXPECT_TRUE(empty.sched_picks.empty());
 }
 
 TEST(Witness, MalformedInputsAreRejectedAndLeaveConfigUntouched) {
   for (const char* bad : {"", "picks:1,,2", "picks:1,", "picks:x",
-                          "seed:", "seed:12x", "frobnicate",
+                          "seed:", "seed:12x", "seed:42", "frobnicate",
                           "picks:99999999999999999999999"}) {
     SimConfig cfg;
+    cfg.sched_picks = {1};
     EXPECT_FALSE(apply_witness(bad, &cfg)) << bad;
-    EXPECT_EQ(cfg.sched_policy, SchedPolicy::Fifo) << bad;
-    EXPECT_TRUE(cfg.sched_picks.empty()) << bad;
+    EXPECT_EQ(cfg.sched_picks, std::vector<uint32_t>{1}) << bad;
   }
 }
 
@@ -482,10 +491,7 @@ void expect_schedule_tree(const ExploreResult& r) {
 }
 
 TEST(Explore, ExploredSchedulesFormATreeOfDistinctTracesOnEveryTier) {
-  std::ifstream in(std::string(SPECSYN_SOURCE_DIR) +
-                   "/examples/specs/race.spec");
-  const Specification race = parse_or_die(std::string(
-      std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()));
+  const Specification race = race_spec();
   const Context race_ctx(race);
   const Specification indep = independent_spec();
   const Context indep_ctx(indep);
@@ -571,11 +577,12 @@ TEST(Explore, EmitsStableTelemetryCounters) {
 
 TEST(CheckSchedules, AttachesWitnessesToSa020AndAppendsSa021) {
   const Specification s = racy_spec();
-  analysis::Report rep = analysis::analyze(s);
+  const Context ctx(s);
+  analysis::Report rep = analysis::analyze(ctx);
   ASSERT_TRUE(rep.has_errors());  // SA020 from the static pass
 
-  analysis::ScheduleCheckOptions opts;
-  analysis::check_schedules(s, rep, opts);
+  ExploreOptions opts;
+  analysis::check_schedules(ctx, rep, opts);
   EXPECT_TRUE(rep.schedules.ran);
   EXPECT_GE(rep.schedules.divergent, 1u);
 
@@ -597,8 +604,9 @@ TEST(CheckSchedules, AttachesWitnessesToSa020AndAppendsSa021) {
 
 TEST(CheckSchedules, CleanSpecStaysWitnessFree) {
   const Specification s = testing::medical_like_spec();
-  analysis::Report rep = analysis::analyze(s);
-  analysis::check_schedules(s, rep, {});
+  const Context ctx(s);
+  analysis::Report rep = analysis::analyze(ctx);
+  analysis::check_schedules(ctx, rep, ExploreOptions{});
   EXPECT_TRUE(rep.schedules.ran);
   EXPECT_EQ(rep.schedules.divergent, 0u);
   for (const analysis::Finding& f : rep.findings) {

@@ -15,7 +15,7 @@ The document shape:
     "errors": N, "warnings": N,
     "findings": [
       {"code": "SA0xx", "severity": "error"|"warning", "behavior": "...",
-       "message": "...", "witness": "picks:..."|"seed:..."|""},
+       "message": "...", "witness": "picks:..."|""},
       ...
     ],
     "schedules": {"explored": N, "pruned": N, "divergent": N,
@@ -32,7 +32,7 @@ import sys
 
 SCHEMA = "specsyn-check-v1"
 CODE_RE = re.compile(r"^SA\d{3}$")
-WITNESS_RE = re.compile(r"^(picks:\d+(,\d+)*|seed:\d+)$")
+WITNESS_RE = re.compile(r"^picks:(\d+(,\d+)*)?$")
 SEVERITIES = ("error", "warning")
 
 

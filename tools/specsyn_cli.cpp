@@ -24,11 +24,9 @@
 //   --vcd FILE             dump a VCD waveform of every signal
 //   --exec-tier T          execution tier: tree | lowered | bytecode
 //                          (default bytecode, or $SPECSYN_EXEC_TIER)
-//   --sched-policy P       ready-set tie-break policy: fifo | random | replay
-//   --sched-seed N         seed for --sched-policy random
-//   --replay-witness W     replay a schedule witness ("picks:1,0,2" or
-//                          "seed:42") attached to an SA020/SA021 diagnostic;
-//                          reproduces the diverging run byte-for-byte
+//   --replay-witness W     replay a schedule witness ("picks:1,0,2")
+//                          attached to an SA020/SA021 diagnostic; reproduces
+//                          the diverging run byte-for-byte
 //
 // refine options:
 //   --model N              implementation model 1..4 (default 1)
@@ -38,7 +36,8 @@
 //   --assign B=C           pin behavior B to component index C (repeatable)
 //   --pin-var V=C          pin variable V to component index C (repeatable)
 //   --ratio balanced|local|global   auto-partition to a ratio goal instead
-//   --asics N              allocate N ASICs instead of PROC+ASIC
+//   --asics N              allocate N ASICs instead of PROC+ASIC, 0..256
+//                          (default 0 = PROC+ASIC)
 //   --vhdl                 emit VHDL-93 instead of SpecLang
 //   --report               emit the architecture report instead of the spec
 //   --rates                print the per-bus transfer-rate table
@@ -87,6 +86,7 @@
 #include <vector>
 
 #include "analysis/context.h"
+#include "analysis/schedules/explore.h"
 #include "analysis/verifier.h"
 #include "batch/sweep.h"
 #include "batch/thread_pool.h"
@@ -168,15 +168,11 @@ simulate options:
                          register bytecode). Default bytecode, overridable
                          via $SPECSYN_EXEC_TIER. Every output (--vcd,
                          --trace, --metrics) is identical on all tiers.
-  --sched-policy P       ready-set tie-break policy when several processes
-                         are runnable at the same instant: fifo (default,
-                         event order), random (seeded shuffle), replay
-                         (consume --replay-witness picks)
-  --sched-seed N         seed for --sched-policy random (default 0)
   --replay-witness W     replay a schedule witness from an SA020/SA021
-                         diagnostic ("picks:1,0,2" or "seed:42"); the run
-                         reproduces the diverging schedule byte-for-byte on
-                         any --exec-tier
+                         diagnostic ("picks:1,0,2"): the ready-set index
+                         taken at each instant where several processes are
+                         runnable; the run reproduces the diverging schedule
+                         byte-for-byte on any --exec-tier
 
 refine options:
   --model N ; --protocol hs|bs ; --scheme loop|wrapper ; --no-inline
@@ -348,8 +344,6 @@ struct Args {
   size_t asics = 0;  // 0 => PROC+ASIC
   size_t jobs = 1;   // sweep/check workers; 0 => one per core
   size_t explore_schedules = 0;  // --explore-schedules[=N]; 0 => off
-  SchedPolicy sched_policy = SchedPolicy::Fifo;
-  uint64_t sched_seed = 0;
   std::string replay_witness;
   std::vector<std::pair<std::string, size_t>> assigns;
   std::vector<std::pair<std::string, size_t>> var_pins;
@@ -380,21 +374,30 @@ int parse_explore_flag(const std::string& f, size_t& out) {
 /// process's thread limit.
 constexpr size_t kMaxJobs = 256;
 
-/// `--jobs N`: a decimal worker count from 0 (one per core) to kMaxJobs.
-/// Prints the error and returns false on anything else.
-bool parse_jobs(const char* v, size_t& out) {
+/// Upper bound on --asics: one component per ASIC, far beyond any partition
+/// the refiner has a use for.
+constexpr size_t kMaxAsics = 256;
+
+/// A decimal count from 0 to `max`: digits only, no sign. Returns false on
+/// anything else, leaving `out` untouched.
+bool parse_count(const char* v, size_t max, size_t& out) {
   const char* end = v + std::strlen(v);
   size_t n = 0;
   const auto [ptr, ec] = std::from_chars(v, end, n);
-  if (ec != std::errc() || ptr == v || ptr != end || n > kMaxJobs) {
-    std::fprintf(stderr,
-                 "--jobs expects a worker count from 0 to %zu "
-                 "(0 = one per core)\n",
-                 kMaxJobs);
-    return false;
-  }
+  if (ec != std::errc() || ptr == v || ptr != end || n > max) return false;
   out = n;
   return true;
+}
+
+/// `--jobs N`: a decimal worker count from 0 (one per core) to kMaxJobs.
+/// Prints the error and returns false on anything else.
+bool parse_jobs(const char* v, size_t& out) {
+  if (parse_count(v, kMaxJobs, out)) return true;
+  std::fprintf(stderr,
+               "--jobs expects a worker count from 0 to %zu "
+               "(0 = one per core)\n",
+               kMaxJobs);
+  return false;
 }
 
 bool parse_kv(const char* arg, std::pair<std::string, size_t>& out) {
@@ -497,7 +500,13 @@ int parse_args(int argc, char** argv, Args& a) {
     } else if (f == "--asics") {
       const char* v = next();
       if (!v) return 2;
-      a.asics = static_cast<size_t>(std::atoi(v));
+      if (!parse_count(v, kMaxAsics, a.asics)) {
+        std::fprintf(stderr,
+                     "--asics expects an ASIC count from 0 to %zu "
+                     "(0 = PROC+ASIC)\n",
+                     kMaxAsics);
+        return 2;
+      }
     } else if (f == "--jobs") {
       const char* v = next();
       if (!v || !parse_jobs(v, a.jobs)) return 2;
@@ -521,17 +530,6 @@ int parse_args(int argc, char** argv, Args& a) {
       const char* v = next();
       if (!v) return 2;
       a.ratio = v;
-    } else if (f == "--sched-policy") {
-      const char* v = next();
-      if (!v) return 2;
-      if (!parse_sched_policy(v, &a.sched_policy)) {
-        std::fprintf(stderr, "--sched-policy must be fifo, random or replay\n");
-        return 2;
-      }
-    } else if (f == "--sched-seed") {
-      const char* v = next();
-      if (!v) return 2;
-      a.sched_seed = std::strtoull(v, nullptr, 10);
     } else if (f == "--replay-witness") {
       const char* v = next();
       if (!v) return 2;
@@ -594,7 +592,7 @@ int cmd_check(const Args& a, const Specification& spec) {
   const analysis::Context ctx(spec);
   analysis::Report rep = analysis::analyze(ctx);
   if (a.explore_schedules > 0) {
-    analysis::ScheduleCheckOptions sopts;
+    analysis::schedules::ExploreOptions sopts;
     sopts.max_schedules = a.explore_schedules;
     sopts.config.exec_tier = a.exec_tier;
     if (a.max_cycles != 0) sopts.config.max_cycles = a.max_cycles;
@@ -643,13 +641,10 @@ int cmd_simulate(const Args& a, const Specification& spec) {
   cfg.exec_tier = a.exec_tier;
   if (a.max_cycles != 0) cfg.max_cycles = a.max_cycles;
   if (a.clock_hz > 0.0) cfg.clock_hz = a.clock_hz;
-  cfg.sched_policy = a.sched_policy;
-  cfg.sched_seed = a.sched_seed;
   if (!a.replay_witness.empty() &&
       !apply_witness(a.replay_witness, &cfg)) {
     std::fprintf(stderr,
-                 "malformed --replay-witness '%s' (expected picks:N,N,... "
-                 "or seed:N)\n",
+                 "malformed --replay-witness '%s' (expected picks:N,N,...)\n",
                  a.replay_witness.c_str());
     return 2;
   }
