@@ -136,22 +136,6 @@ class Builder {
 
 }  // namespace
 
-std::set<std::string> AccessGraph::accessors_of(const std::string& var) const {
-  std::set<std::string> out;
-  for (const auto& c : data_) {
-    if (c.var == var) out.insert(c.behavior);
-  }
-  return out;
-}
-
-std::set<std::string> AccessGraph::vars_accessed_by(const std::string& b) const {
-  std::set<std::string> out;
-  for (const auto& c : data_) {
-    if (c.behavior == b) out.insert(c.var);
-  }
-  return out;
-}
-
 bool AccessGraph::reads(const std::string& behavior,
                         const std::string& var) const {
   for (const auto& c : data_) {

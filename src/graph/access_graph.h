@@ -66,12 +66,6 @@ class AccessGraph {
     return variables_;
   }
 
-  /// Behaviors with at least one data channel to `var`.
-  [[nodiscard]] std::set<std::string> accessors_of(const std::string& var) const;
-
-  /// Variables behavior `b` touches.
-  [[nodiscard]] std::set<std::string> vars_accessed_by(const std::string& b) const;
-
   [[nodiscard]] bool reads(const std::string& behavior,
                            const std::string& var) const;
   [[nodiscard]] bool writes(const std::string& behavior,

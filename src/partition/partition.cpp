@@ -1,5 +1,7 @@
 #include "partition/partition.h"
 
+#include "partition/channel_table.h"
+
 namespace specsyn {
 
 const char* to_string(ComponentKind k) {
@@ -82,9 +84,25 @@ size_t Partition::component_of_var(const std::string& name) const {
   if (id == SpecIndex::kNone) {
     throw SpecError("component_of_var: unknown variable '" + name + "'");
   }
+  return var_component(id);
+}
+
+size_t Partition::var_component(SpecIndex::Id id) const {
   if (var_pin_[id] != kUnpinned) return var_pin_[id];
   const SpecIndex::Id owner = index_.var(id).owner;
   return owner != SpecIndex::kNone ? component_of(owner) : 0;
+}
+
+std::vector<size_t> Partition::behavior_components() const {
+  // Pre-order ids: a parent's component is known before its children's.
+  std::vector<size_t> out(index_.size());
+  for (SpecIndex::Id id = 0; id < index_.size(); ++id) {
+    const SpecIndex::Id parent = index_.parent(id);
+    out[id] = behavior_pin_[id] != kUnpinned ? behavior_pin_[id]
+              : parent != SpecIndex::kNone   ? out[parent]
+                                             : 0;
+  }
+  return out;
 }
 
 bool Partition::is_cut(SpecIndex::Id id) const {
@@ -108,37 +126,30 @@ std::vector<std::string> Partition::cut_behaviors() const {
 }
 
 void Partition::auto_assign_vars(const AccessGraph& graph) {
+  const ChannelTable table(index_, graph);
+  const std::vector<size_t> comp = behavior_components();
+  std::vector<size_t> votes(alloc_.size());
   for (SpecIndex::Id v = 0; v < index_.var_count(); ++v) {
-    if (var_pin_[v] != kUnpinned) continue;
-    const std::string& name = index_.var(v).decl->name;
-    std::vector<size_t> votes(alloc_.size(), 0);
-    for (const DataChannel& c : graph.data_channels()) {
-      if (c.var == name) votes[component_of_behavior(c.behavior)] += c.sites;
+    if (var_pin_[v] == kUnpinned) {
+      var_pin_[v] = table.majority_component(v, comp, votes);
     }
-    size_t best = 0;
-    for (size_t i = 1; i < votes.size(); ++i) {
-      if (votes[i] > votes[best]) best = i;
-    }
-    var_pin_[v] = best;
   }
 }
 
 std::vector<VarPlacement> Partition::classify_vars(
     const AccessGraph& graph) const {
+  const ChannelTable table(index_, graph);
+  const std::vector<size_t> comp = behavior_components();
   std::vector<VarPlacement> out;
-  for (SpecIndex::Id id = 0; id < index_.var_count(); ++id) {
-    const VarDecl* v = index_.var(id).decl;
+  out.reserve(index_.var_count());
+  for (SpecIndex::Id v = 0; v < index_.var_count(); ++v) {
     VarPlacement p;
-    p.var = v->name;
-    p.component = component_of_var(v->name);
-    for (const std::string& b : graph.accessors_of(v->name)) {
-      p.accessor_components.insert(component_of_behavior(b));
+    p.var = index_.var(v).decl->name;
+    p.component = var_component(v);
+    for (const ChannelTable::Row& r : table.rows(v)) {
+      p.accessor_components.insert(comp[r.behavior]);
     }
-    // Local iff every accessor lives on the variable's own component.
-    p.is_global = false;
-    for (size_t c : p.accessor_components) {
-      if (c != p.component) p.is_global = true;
-    }
+    p.is_global = table.is_global(v, p.component, comp);
     out.push_back(std::move(p));
   }
   return out;
@@ -155,9 +166,7 @@ std::pair<size_t, size_t> Partition::local_global_counts(
 
 void Partition::check(DiagnosticSink& diags) const {
   std::vector<size_t> behaviors_per(alloc_.size(), 0);
-  for (SpecIndex::Id id = 0; id < index_.size(); ++id) {
-    ++behaviors_per[component_of(id)];
-  }
+  for (size_t c : behavior_components()) ++behaviors_per[c];
   for (size_t i = 0; i < alloc_.size(); ++i) {
     if (behaviors_per[i] == 0) {
       diags.warning("component '" + alloc_.components[i].name +

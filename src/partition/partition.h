@@ -93,7 +93,8 @@ class Partition {
   [[nodiscard]] std::vector<std::string> cut_behaviors() const;
 
   /// Pins every unpinned variable to the component that performs the most
-  /// static accesses to it (ties to the lowest index).
+  /// static accesses to it (ties to the lowest index). This and the two
+  /// classifications below apply ChannelTable's vote and locality rules.
   void auto_assign_vars(const AccessGraph& graph);
 
   /// Locality classification for every variable under this partition.
@@ -112,6 +113,9 @@ class Partition {
   static constexpr size_t kUnpinned = SIZE_MAX;
 
   [[nodiscard]] size_t component_of(SpecIndex::Id behavior) const;
+  [[nodiscard]] size_t var_component(SpecIndex::Id var) const;
+  /// The effective component of every behavior, by id.
+  [[nodiscard]] std::vector<size_t> behavior_components() const;
   [[nodiscard]] bool is_cut(SpecIndex::Id behavior) const;
 
   Allocation alloc_;

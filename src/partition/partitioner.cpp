@@ -1,6 +1,9 @@
 #include "partition/partitioner.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "telemetry/telemetry.h"
 
 namespace specsyn {
 
@@ -15,48 +18,11 @@ const char* to_string(RatioGoal g) {
 
 namespace {
 
-std::vector<std::string> leaf_names(const Specification& spec) {
-  std::vector<std::string> out;
-  if (!spec.top) return out;
-  spec.top->for_each([&](const Behavior& b) {
-    if (b.is_leaf()) out.push_back(b.name);
-  });
-  return out;
-}
-
-Partition build_partition(const Specification& spec, const AccessGraph& graph,
-                          const Allocation& alloc,
-                          const std::vector<std::string>& leaves,
-                          const std::vector<size_t>& assign) {
-  Partition part(spec, alloc);
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    part.assign_behavior(leaves[i], assign[i]);
-  }
-  part.auto_assign_vars(graph);
-  return part;
-}
-
-double score_partition(const Partition& part, const AccessGraph& graph,
-                       const PartitionerOptions& opts,
-                       const std::vector<size_t>& assign, size_t n_comps,
-                       size_t* local_out, size_t* global_out) {
-  const auto [local, global] = part.local_global_counts(graph);
-  *local_out = local;
-  *global_out = global;
-
-  std::vector<size_t> load(n_comps, 0);
-  for (size_t c : assign) ++load[c];
-  size_t max_load = 0, min_load = SIZE_MAX;
-  for (size_t l : load) {
-    max_load = std::max(max_load, l);
-    min_load = std::min(min_load, l);
-  }
-  const double imbalance =
-      static_cast<double>(max_load - min_load) * opts.balance_weight;
-
+double goal_score(RatioGoal goal, size_t local, size_t global,
+                  double imbalance) {
   const double l = static_cast<double>(local);
   const double g = static_cast<double>(global);
-  switch (opts.goal) {
+  switch (goal) {
     case RatioGoal::Balanced:
       return -std::abs(l - g) - imbalance;
     case RatioGoal::MoreLocal:
@@ -72,25 +38,58 @@ double score_partition(const Partition& part, const AccessGraph& graph,
 
 }  // namespace
 
+AssignmentScorer::AssignmentScorer(const SpecIndex& index,
+                                   const AccessGraph& graph,
+                                   size_t components,
+                                   const PartitionerOptions& opts)
+    : table_(index, graph),
+      opts_(opts),
+      component_(index.size(), 0),
+      votes_(components),
+      load_(components) {
+  for (SpecIndex::Id id = 0; id < index.size(); ++id) {
+    if (index.behavior(id).is_leaf()) leaves_.push_back(id);
+  }
+}
+
+AssignmentScorer::Score AssignmentScorer::score(
+    std::span<const size_t> assign) {
+  // Only leaves are pinned, so every composite stays on component 0.
+  std::fill(load_.begin(), load_.end(), 0);
+  for (size_t i = 0; i < leaves_.size(); ++i) {
+    component_[leaves_[i]] = assign[i];
+    ++load_[assign[i]];
+  }
+  size_t local = 0, global = 0;
+  for (SpecIndex::Id v = 0; v < table_.var_count(); ++v) {
+    const size_t home = table_.majority_component(v, component_, votes_);
+    (table_.is_global(v, home, component_) ? global : local) += 1;
+  }
+
+  const auto [min_load, max_load] =
+      std::minmax_element(load_.begin(), load_.end());
+  const double imbalance =
+      static_cast<double>(*max_load - *min_load) * opts_.balance_weight;
+  return {goal_score(opts_.goal, local, global, imbalance), local, global};
+}
+
 PartitionerResult make_ratio_partition(const Specification& spec,
                                        const AccessGraph& graph,
                                        Allocation alloc,
                                        const PartitionerOptions& opts) {
-  const std::vector<std::string> leaves = leaf_names(spec);
-  const size_t n = leaves.size();
+  telemetry::Span span("partition", telemetry::Stability::Stable);
   const size_t p = alloc.size();
   if (p < 2) throw SpecError("ratio partitioner needs at least 2 components");
+  // The winner's partition; its index also serves the search.
+  Partition best(spec, std::move(alloc));
+  AssignmentScorer scorer(best.index(), graph, p, opts);
+  const std::vector<SpecIndex::Id>& leaves = scorer.leaves();
+  const size_t n = leaves.size();
   if (n < 2) throw SpecError("ratio partitioner needs at least 2 leaf behaviors");
 
-  auto evaluate = [&](const std::vector<size_t>& assign, double& score,
-                      size_t& local, size_t& global) {
-    Partition part = build_partition(spec, graph, alloc, leaves, assign);
-    score = score_partition(part, graph, opts, assign, p, &local, &global);
-  };
-
   std::vector<size_t> best_assign;
-  double best_score = -1e18;
-  size_t best_local = 0, best_global = 0;
+  AssignmentScorer::Score best_score{-1e18};
+  uint64_t candidates = 0;
 
   if (p == 2 && n <= opts.exhaustive_limit) {
     // Exhaustive over 2^n two-component assignments (both sides non-empty).
@@ -98,27 +97,19 @@ PartitionerResult make_ratio_partition(const Specification& spec,
     std::vector<size_t> assign(n, 0);
     for (uint64_t mask = 1; mask + 1 < limit; ++mask) {
       for (size_t i = 0; i < n; ++i) assign[i] = (mask >> i) & 1;
-      double score;
-      size_t local, global;
-      evaluate(assign, score, local, global);
-      if (score > best_score) {
-        best_score = score;
+      const AssignmentScorer::Score s = scorer.score(assign);
+      ++candidates;
+      if (s.score > best_score.score) {
+        best_score = s;
         best_assign = assign;
-        best_local = local;
-        best_global = global;
       }
     }
   } else {
     // Deterministic greedy: round-robin seed, then single-move hill climbing.
-    std::vector<size_t> assign(n);
-    for (size_t i = 0; i < n; ++i) assign[i] = i % p;
-    double score;
-    size_t local, global;
-    evaluate(assign, score, local, global);
-    best_assign = assign;
-    best_score = score;
-    best_local = local;
-    best_global = global;
+    best_assign.resize(n);
+    for (size_t i = 0; i < n; ++i) best_assign[i] = i % p;
+    best_score = scorer.score(best_assign);
+    ++candidates;
     bool improved = true;
     while (improved) {
       improved = false;
@@ -126,24 +117,30 @@ PartitionerResult make_ratio_partition(const Specification& spec,
         const size_t orig = best_assign[i];
         for (size_t c = 0; c < p; ++c) {
           if (c == orig) continue;
-          std::vector<size_t> trial = best_assign;
-          trial[i] = c;
-          double s;
-          size_t l, g;
-          evaluate(trial, s, l, g);
-          if (s > best_score) {
+          const size_t kept = best_assign[i];
+          best_assign[i] = c;
+          const AssignmentScorer::Score s = scorer.score(best_assign);
+          ++candidates;
+          if (s.score > best_score.score) {
             best_score = s;
-            best_assign = std::move(trial);
-            best_local = l;
-            best_global = g;
             improved = true;
+          } else {
+            best_assign[i] = kept;
           }
         }
       }
     }
   }
+  SPECSYN_TM_COUNT("partition.candidates", telemetry::Stability::Stable,
+                   candidates);
 
-  Partition best = build_partition(spec, graph, alloc, leaves, best_assign);
+  for (size_t i = 0; i < n; ++i) {
+    best.assign_behavior(best.index().behavior(leaves[i]).name,
+                         best_assign[i]);
+  }
+  best.auto_assign_vars(graph);
+  size_t best_local = best_score.local_vars;
+  size_t best_global = best_score.global_vars;
 
   // The behavior split alone cannot make a single-accessor variable global —
   // it is local wherever its accessor lives. The paper's Design3
@@ -177,9 +174,7 @@ PartitionerResult make_ratio_partition(const Specification& spec,
     best_global = counts.second;
   }
 
-  PartitionerResult result{std::move(best), best_local, best_global,
-                           best_score};
-  return result;
+  return {std::move(best), best_local, best_global, best_score.score};
 }
 
 }  // namespace specsyn

@@ -1,6 +1,8 @@
 // Unit tests for access-graph derivation.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "graph/access_graph.h"
 #include "printer/dot.h"
 #include "spec/builder.h"
@@ -118,9 +120,12 @@ TEST(AccessGraph, ImplicitFallThroughControl) {
 TEST(AccessGraph, AccessorSets) {
   Specification s = testing::abc_spec(3);
   AccessGraph g = build_access_graph(s);
-  auto acc = g.accessors_of("x");
+  std::set<std::string> acc, vars;
+  for (const DataChannel& c : g.data_channels()) {
+    if (c.var == "x") acc.insert(c.behavior);
+    if (c.behavior == "B") vars.insert(c.var);
+  }
   EXPECT_EQ(acc.size(), 4u);  // Main, A, B, C
-  auto vars = g.vars_accessed_by("B");
   EXPECT_EQ(vars.size(), 2u);  // x, r
 }
 

@@ -2,11 +2,15 @@
 // and the ratio-driven partitioner.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
+#include "fuzz/generator.h"
 #include "partition/partitioner.h"
 #include "spec/builder.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
+#include "workloads/medical.h"
 
 namespace specsyn {
 namespace {
@@ -201,6 +205,263 @@ TEST(Partitioner, RejectsDegenerateInputs) {
   EXPECT_THROW(make_ratio_partition(tiny, tg, Allocation::proc_plus_asic(),
                                     PartitionerOptions{}),
                SpecError);
+}
+
+// -- the candidate scorer against the Partition it replaces -------------------
+
+/// The partition a candidate got before the channel table: leaves pinned by
+/// name, every variable pinned by a name-keyed vote over the graph's
+/// channels.
+Partition reference_partition(const Specification& s, const AccessGraph& g,
+                              const Allocation& alloc,
+                              const std::vector<std::string>& leaves,
+                              const std::vector<size_t>& assign) {
+  Partition part(s, alloc);
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    part.assign_behavior(leaves[i], assign[i]);
+  }
+  for (const VarDecl* v : s.all_vars()) {
+    std::vector<size_t> votes(alloc.size(), 0);
+    for (const DataChannel& c : g.data_channels()) {
+      if (c.var == v->name) {
+        votes[part.component_of_behavior(c.behavior)] += c.sites;
+      }
+    }
+    size_t best = 0;
+    for (size_t i = 1; i < votes.size(); ++i) {
+      if (votes[i] > votes[best]) best = i;
+    }
+    part.assign_var(v->name, best);
+  }
+  return part;
+}
+
+/// The score a candidate got before the channel table: the reference
+/// partition, each variable classified by its accessors' components, then
+/// the goal formula.
+AssignmentScorer::Score reference_score(const Specification& s,
+                                        const AccessGraph& g,
+                                        const Allocation& alloc,
+                                        const PartitionerOptions& opts,
+                                        const std::vector<std::string>& leaves,
+                                        const std::vector<size_t>& assign) {
+  const Partition part = reference_partition(s, g, alloc, leaves, assign);
+  size_t local = 0, global = 0;
+  for (const VarDecl* v : s.all_vars()) {
+    bool is_global = false;
+    for (const DataChannel& c : g.data_channels()) {
+      is_global |= c.var == v->name && part.component_of_behavior(c.behavior) !=
+                                           part.component_of_var(v->name);
+    }
+    (is_global ? global : local) += 1;
+  }
+
+  std::vector<size_t> load(alloc.size(), 0);
+  for (size_t c : assign) ++load[c];
+  size_t max_load = 0, min_load = SIZE_MAX;
+  for (size_t l : load) {
+    max_load = std::max(max_load, l);
+    min_load = std::min(min_load, l);
+  }
+  const double imbalance =
+      static_cast<double>(max_load - min_load) * opts.balance_weight;
+  const double l = static_cast<double>(local);
+  const double gl = static_cast<double>(global);
+  double score = -1e9;
+  switch (opts.goal) {
+    case RatioGoal::Balanced:
+      score = -std::abs(l - gl) - imbalance;
+      break;
+    case RatioGoal::MoreLocal:
+      if (global != 0) {
+        score = (l - gl) - imbalance + (local > global ? 100.0 : 0.0);
+      }
+      break;
+    case RatioGoal::MoreGlobal:
+      score = (gl - l) - imbalance;
+      if (local != 0 && global > local) score += 100.0;
+      break;
+  }
+  return {score, local, global};
+}
+
+/// One specification and allocation under test, with the search's leaves.
+struct ScoringCase {
+  const Specification& spec;
+  const AccessGraph& graph;
+  Allocation alloc;
+  PartitionerOptions opts;
+  std::vector<std::string> leaves;
+
+  ScoringCase(const Specification& s, const AccessGraph& g, Allocation a,
+              PartitionerOptions o)
+      : spec(s), graph(g), alloc(std::move(a)), opts(o) {
+    s.top->for_each([&](const Behavior& b) {
+      if (b.is_leaf()) leaves.push_back(b.name);
+    });
+  }
+
+  /// Variables whose component differs between `part` and the reference
+  /// partition of `assign`.
+  size_t misplaced_vars(const Partition& part,
+                        const std::vector<size_t>& assign) const {
+    const Partition ref =
+        reference_partition(spec, graph, alloc, leaves, assign);
+    size_t misplaced = 0;
+    for (const VarDecl* v : spec.all_vars()) {
+      misplaced += part.component_of_var(v->name) !=
+                   ref.component_of_var(v->name);
+    }
+    return misplaced;
+  }
+
+  /// Scores `assign` with the scorer and the reference and checks that they
+  /// agree; also checks Partition's own placement and counts against the
+  /// reference. (A vote tie never changes a count: tied components both
+  /// host accessors, so the variable is global either way.)
+  AssignmentScorer::Score check(AssignmentScorer& scorer,
+                                const std::vector<size_t>& assign) const {
+    const AssignmentScorer::Score want =
+        reference_score(spec, graph, alloc, opts, leaves, assign);
+    const AssignmentScorer::Score got = scorer.score(assign);
+    EXPECT_EQ(got.score, want.score);
+    EXPECT_EQ(got.local_vars, want.local_vars);
+    EXPECT_EQ(got.global_vars, want.global_vars);
+    Partition part(spec, alloc);
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      part.assign_behavior(leaves[i], assign[i]);
+    }
+    part.auto_assign_vars(graph);
+    EXPECT_EQ(misplaced_vars(part, assign), 0u);
+    EXPECT_EQ(part.local_global_counts(graph),
+              std::make_pair(want.local_vars, want.global_vars));
+    return want;
+  }
+
+  /// The search make_ratio_partition ran before the channel table, scored
+  /// by the reference (and cross-checked against the scorer): exhaustive for
+  /// two components and few leaves, else round-robin plus hill climbing.
+  std::pair<std::vector<size_t>, double> reference_search() const {
+    const SpecIndex index(spec);
+    AssignmentScorer scorer(index, graph, alloc.size(), opts);
+    EXPECT_EQ(scorer.leaves().size(), leaves.size());
+    const size_t n = leaves.size(), p = alloc.size();
+    std::vector<size_t> best;
+    double best_score = -1e18;
+    if (p == 2 && n <= opts.exhaustive_limit) {
+      std::vector<size_t> assign(n);
+      for (uint64_t mask = 1; mask + 1 < (uint64_t{1} << n); ++mask) {
+        for (size_t i = 0; i < n; ++i) assign[i] = (mask >> i) & 1;
+        const double s = check(scorer, assign).score;
+        if (s > best_score) best_score = s, best = assign;
+      }
+      return {best, best_score};
+    }
+    for (size_t i = 0; i < n; ++i) best.push_back(i % p);
+    best_score = check(scorer, best).score;
+    for (bool improved = true; improved;) {
+      improved = false;
+      for (size_t i = 0; i < n; ++i) {
+        const size_t orig = best[i];
+        for (size_t c = 0; c < p; ++c) {
+          if (c == orig) continue;
+          std::vector<size_t> trial = best;
+          trial[i] = c;
+          const double s = check(scorer, trial).score;
+          if (s > best_score) best_score = s, best = trial, improved = true;
+        }
+      }
+    }
+    return {best, best_score};
+  }
+
+  /// Runs make_ratio_partition and checks its winner, score and counts.
+  void check_search() const {
+    const auto [want_assign, want_score] = reference_search();
+    const PartitionerResult r =
+        make_ratio_partition(spec, graph, alloc, opts);
+    std::vector<size_t> got_assign;
+    for (const std::string& l : leaves) {
+      got_assign.push_back(r.partition.component_of_behavior(l));
+    }
+    EXPECT_EQ(got_assign, want_assign);
+    EXPECT_EQ(r.score, want_score);
+    // The Design3 flip pass moves variables on purpose.
+    if (opts.goal != RatioGoal::MoreGlobal) {
+      EXPECT_EQ(misplaced_vars(r.partition, want_assign), 0u);
+    }
+    EXPECT_EQ(std::make_pair(r.local_vars, r.global_vars),
+              r.partition.local_global_counts(graph));
+  }
+};
+
+constexpr RatioGoal kGoals[] = {RatioGoal::Balanced, RatioGoal::MoreLocal,
+                                RatioGoal::MoreGlobal};
+
+TEST(Partitioner, TableScoresMatchPartitionScores) {
+  const Specification med = make_medical_system();
+  const AccessGraph mg = build_access_graph(med);
+  // Exhaustive: every one of the 2^11 - 2 masks, for each goal.
+  for (const RatioGoal goal : kGoals) {
+    PartitionerOptions opts;
+    opts.goal = goal;
+    opts.balance_weight = 2.0;  // make_medical_design's weight
+    const ScoringCase c(med, mg, Allocation::proc_plus_asic(), opts);
+    ASSERT_EQ(c.leaves.size(), 11u);
+    c.check_search();
+  }
+  for (int design = 1; design <= 3; ++design) {
+    const PartitionerResult r = make_medical_design(med, mg, design);
+    EXPECT_EQ(std::make_pair(r.local_vars, r.global_vars),
+              r.partition.local_global_counts(mg));
+  }
+  // Hill climbing: three and four components.
+  for (const size_t p : {3u, 4u}) {
+    for (const RatioGoal goal : kGoals) {
+      PartitionerOptions opts;
+      opts.goal = goal;
+      ScoringCase(med, mg, Allocation::asics(p), opts).check_search();
+    }
+  }
+  // Generated specifications, both search paths.
+  size_t checked = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    fuzz::GenOptions gen;
+    gen.seed = seed;
+    const Specification s = fuzz::generate_spec(gen);
+    const AccessGraph g = build_access_graph(s);
+    for (const RatioGoal goal : kGoals) {
+      PartitionerOptions opts;
+      opts.goal = goal;
+      const ScoringCase two(s, g, Allocation::proc_plus_asic(), opts);
+      if (two.leaves.size() < 2) break;
+      two.check_search();
+      ScoringCase(s, g, Allocation::asics(3), opts).check_search();
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 30u);
+}
+
+TEST(Partitioner, CountsCandidatesUnderOneSpan) {
+  const Specification med = make_medical_system();
+  const AccessGraph mg = build_access_graph(med);
+  for (int design = 1; design <= 3; ++design) {
+    telemetry::reset();
+    telemetry::enable(/*stats=*/true, /*trace=*/false);
+    (void)make_medical_design(med, mg, design);
+    const telemetry::Snapshot snap = telemetry::snapshot();
+    telemetry::enable(false, false);
+    telemetry::reset();
+    ASSERT_EQ(snap.counters.count("partition.candidates"), 1u);
+    EXPECT_EQ(snap.counters.at("partition.candidates").value, 2046u);
+    EXPECT_EQ(snap.counters.at("partition.candidates").stability,
+              telemetry::Stability::Stable);
+    ASSERT_EQ(snap.spans.count("partition"), 1u);
+    EXPECT_EQ(snap.spans.at("partition").count, 1u);
+    EXPECT_EQ(snap.spans.at("partition").stability,
+              telemetry::Stability::Stable);
+  }
 }
 
 // -- SpecIndex and Partition against brute-force references -------------------

@@ -347,7 +347,7 @@ struct Args {
   std::string replay_witness;
   std::vector<std::pair<std::string, size_t>> assigns;
   std::vector<std::pair<std::string, size_t>> var_pins;
-  std::string ratio;  // "", balanced, local, global
+  std::optional<RatioGoal> ratio;  // --ratio balanced|local|global
 };
 
 /// `--explore-schedules[=N]` (shared by check, sweep and fuzz). Returns 1
@@ -400,12 +400,24 @@ bool parse_jobs(const char* v, size_t& out) {
   return false;
 }
 
+/// `NAME=COMPONENT` with a decimal component index.
 bool parse_kv(const char* arg, std::pair<std::string, size_t>& out) {
   const char* eq = std::strchr(arg, '=');
   if (eq == nullptr || eq == arg) return false;
   out.first.assign(arg, eq);
-  out.second = static_cast<size_t>(std::strtoul(eq + 1, nullptr, 10));
-  return true;
+  return parse_count(eq + 1, SIZE_MAX, out.second);
+}
+
+/// `--max-cycles N`: a positive decimal cycle count. Prints the error and
+/// returns false on anything else.
+bool parse_max_cycles(const char* v, uint64_t& out) {
+  size_t n = 0;
+  if (parse_count(v, SIZE_MAX, n) && n > 0) {
+    out = n;
+    return true;
+  }
+  std::fprintf(stderr, "--max-cycles expects a positive cycle count\n");
+  return false;
 }
 
 int parse_args(int argc, char** argv, Args& a) {
@@ -434,11 +446,12 @@ int parse_args(int argc, char** argv, Args& a) {
     if (f == "--model") {
       const char* v = next();
       if (!v) return 2;
-      a.model = std::atoi(v);
-      if (a.model < 1 || a.model > 4) {
+      size_t model = 0;
+      if (!parse_count(v, 4, model) || model < 1) {
         std::fprintf(stderr, "--model must be 1..4\n");
         return 2;
       }
+      a.model = static_cast<int>(model);
     } else if (f == "--protocol") {
       const char* v = next();
       if (!v) return 2;
@@ -453,8 +466,14 @@ int parse_args(int argc, char** argv, Args& a) {
     } else if (f == "--scheme") {
       const char* v = next();
       if (!v) return 2;
-      a.scheme = std::string(v) == "wrapper" ? LeafScheme::WrapperSeq
-                                             : LeafScheme::LoopLeaf;
+      if (std::string(v) == "loop") {
+        a.scheme = LeafScheme::LoopLeaf;
+      } else if (std::string(v) == "wrapper") {
+        a.scheme = LeafScheme::WrapperSeq;
+      } else {
+        std::fprintf(stderr, "--scheme must be loop or wrapper\n");
+        return 2;
+      }
     } else if (f == "--no-inline") {
       a.inline_protocols = false;
     } else if (f == "--vhdl") {
@@ -483,12 +502,7 @@ int parse_args(int argc, char** argv, Args& a) {
       a.metrics_json_file = v;
     } else if (f == "--max-cycles") {
       const char* v = next();
-      if (!v) return 2;
-      a.max_cycles = std::strtoull(v, nullptr, 10);
-      if (a.max_cycles == 0) {
-        std::fprintf(stderr, "--max-cycles expects a positive cycle count\n");
-        return 2;
-      }
+      if (!v || !parse_max_cycles(v, a.max_cycles)) return 2;
     } else if (f == "--clock-hz") {
       const char* v = next();
       if (!v) return 2;
@@ -529,7 +543,16 @@ int parse_args(int argc, char** argv, Args& a) {
     } else if (f == "--ratio") {
       const char* v = next();
       if (!v) return 2;
-      a.ratio = v;
+      if (std::string(v) == "balanced") {
+        a.ratio = RatioGoal::Balanced;
+      } else if (std::string(v) == "local") {
+        a.ratio = RatioGoal::MoreLocal;
+      } else if (std::string(v) == "global") {
+        a.ratio = RatioGoal::MoreGlobal;
+      } else {
+        std::fprintf(stderr, "--ratio must be balanced, local or global\n");
+        return 2;
+      }
     } else if (f == "--replay-witness") {
       const char* v = next();
       if (!v) return 2;
@@ -567,17 +590,9 @@ Partition build_partition(const Args& a, const Specification& spec,
                           const AccessGraph& graph) {
   Allocation alloc = a.asics > 0 ? Allocation::asics(a.asics)
                                  : Allocation::proc_plus_asic();
-  if (!a.ratio.empty()) {
+  if (a.ratio) {
     PartitionerOptions opts;
-    if (a.ratio == "balanced") {
-      opts.goal = RatioGoal::Balanced;
-    } else if (a.ratio == "local") {
-      opts.goal = RatioGoal::MoreLocal;
-    } else if (a.ratio == "global") {
-      opts.goal = RatioGoal::MoreGlobal;
-    } else {
-      throw SpecError("--ratio must be balanced, local or global");
-    }
+    opts.goal = *a.ratio;
     return make_ratio_partition(spec, graph, std::move(alloc), opts).partition;
   }
   Partition part(spec, std::move(alloc));
@@ -820,15 +835,26 @@ int cmd_fuzz(int argc, char** argv) {
     if (f == "--seeds") {
       const char* v = next();
       if (!v) return 2;
-      opts.seeds = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!parse_count(v, SIZE_MAX, opts.seeds)) {
+        std::fprintf(stderr, "--seeds expects a positive count\n");
+        return 2;
+      }
     } else if (f == "--seed") {
       const char* v = next();
       if (!v) return 2;
-      opts.start_seed = std::strtoull(v, nullptr, 10);
+      size_t seed = 0;
+      if (!parse_count(v, SIZE_MAX, seed)) {
+        std::fprintf(stderr, "--seed expects a decimal seed\n");
+        return 2;
+      }
+      opts.start_seed = seed;
     } else if (f == "--budget") {
       const char* v = next();
       if (!v) return 2;
-      opts.stmt_budget = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!parse_count(v, SIZE_MAX, opts.stmt_budget)) {
+        std::fprintf(stderr, "--budget expects a statement count\n");
+        return 2;
+      }
     } else if (f == "--jobs") {
       const char* v = next();
       if (!v || !parse_jobs(v, opts.jobs)) return 2;
@@ -855,12 +881,7 @@ int cmd_fuzz(int argc, char** argv) {
       }
     } else if (f == "--max-cycles") {
       const char* v = next();
-      if (!v) return 2;
-      opts.max_cycles = std::strtoull(v, nullptr, 10);
-      if (opts.max_cycles == 0) {
-        std::fprintf(stderr, "--max-cycles expects a positive cycle count\n");
-        return 2;
-      }
+      if (!v || !parse_max_cycles(v, opts.max_cycles)) return 2;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", f.c_str());
       return 2;
@@ -948,7 +969,7 @@ int main(int argc, char** argv) {
       rc = cmd_simulate(a, spec);
     } else if (a.command == "graph") {
       AccessGraph graph = build_access_graph(spec);
-      if (!a.assigns.empty() || !a.ratio.empty()) {
+      if (!a.assigns.empty() || a.ratio) {
         Partition part = build_partition(a, spec, graph);
         rc = write_output(a, to_dot(graph, part));
       } else {
