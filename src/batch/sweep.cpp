@@ -146,8 +146,10 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
 std::string SweepPoint::label() const {
   std::string s = "model";
   s += std::to_string(static_cast<int>(config.model) + 1);
-  s += config.protocol == ProtocolStyle::FullHandshake ? "/hs" : "/bs";
-  s += config.leaf_scheme == LeafScheme::LoopLeaf ? "/loop" : "/wrapper";
+  s += '/';
+  s += kProtocolNames[static_cast<size_t>(config.protocol)];
+  s += '/';
+  s += kSchemeNames[static_cast<size_t>(config.leaf_scheme)];
   s += config.inline_protocols ? "/inline" : "/shared";
   return s;
 }
@@ -272,11 +274,9 @@ std::string SweepReport::json() const {
     appendf(out, "\"model\": %d, ",
             static_cast<int>(r.point.config.model) + 1);
     appendf(out, "\"protocol\": \"%s\", ",
-            r.point.config.protocol == ProtocolStyle::FullHandshake ? "hs"
-                                                                    : "bs");
+            kProtocolNames[static_cast<size_t>(r.point.config.protocol)]);
     appendf(out, "\"scheme\": \"%s\", ",
-            r.point.config.leaf_scheme == LeafScheme::LoopLeaf ? "loop"
-                                                               : "wrapper");
+            kSchemeNames[static_cast<size_t>(r.point.config.leaf_scheme)]);
     appendf(out, "\"inline\": %s, ",
             r.point.config.inline_protocols ? "true" : "false");
     appendf(out, "\"refine_ok\": %s, ", r.refine_ok ? "true" : "false");

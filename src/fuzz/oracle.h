@@ -27,6 +27,7 @@
 // refinement procedure would, to prove the oracles and the reducer are live.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -71,9 +72,10 @@ enum class InjectedBug : uint8_t {
   CorruptDataUpdate,
 };
 
+/// Bug names, indexed by value: the CLI's `--inject-bug` spellings.
+inline constexpr std::array<const char*, 3> kInjectedBugNames = {"none", "done",
+                                                                 "data"};
 [[nodiscard]] const char* to_string(InjectedBug b);
-/// Parses "done" / "data" / "none"; returns false on anything else.
-bool parse_injected_bug(const std::string& name, InjectedBug& out);
 
 struct FuzzIssue {
   std::string oracle;  // which oracle fired (names above)

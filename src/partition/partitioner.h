@@ -23,6 +23,7 @@
 // setups.
 #pragma once
 
+#include <array>
 #include <span>
 
 #include "partition/channel_table.h"
@@ -37,6 +38,10 @@ enum class RatioGoal : uint8_t {
 };
 
 [[nodiscard]] const char* to_string(RatioGoal g);
+
+/// The CLI's `--ratio` spellings, indexed by value.
+inline constexpr std::array<const char*, 3> kRatioGoalNames = {
+    "balanced", "local", "global"};
 
 struct PartitionerOptions {
   RatioGoal goal = RatioGoal::Balanced;

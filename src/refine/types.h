@@ -1,6 +1,7 @@
 // Shared enums and configuration for the refinement passes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -27,6 +28,10 @@ enum class ProtocolStyle : uint8_t {
 
 [[nodiscard]] const char* to_string(ProtocolStyle s);
 
+/// Short names, indexed by value: the CLI's `--protocol` spellings and the
+/// sweep and fuzz labels.
+inline constexpr std::array<const char*, 2> kProtocolNames = {"hs", "bs"};
+
 /// Control-refinement scheme for *leaf* behaviors (Fig. 4(b) vs 4(c)).
 /// Non-leaf behaviors always use the wrapper scheme (4(c)), as the paper
 /// prescribes.
@@ -36,6 +41,11 @@ enum class LeafScheme : uint8_t {
 };
 
 [[nodiscard]] const char* to_string(LeafScheme s);
+
+/// Short names, indexed by value: the CLI's `--scheme` spellings and the
+/// sweep and fuzz labels.
+inline constexpr std::array<const char*, 2> kSchemeNames = {"loop",
+                                                            "wrapper"};
 
 /// Bus-master identity granularity, which decides where arbiters are needed
 /// (a bus with more than one master identity gets one).

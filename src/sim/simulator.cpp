@@ -17,28 +17,17 @@
 namespace specsyn {
 
 bool parse_exec_tier(const std::string& name, ExecTier* out) {
-  if (name == "tree") {
-    *out = ExecTier::Tree;
-  } else if (name == "lowered") {
-    *out = ExecTier::Lowered;
-  } else if (name == "bytecode") {
-    *out = ExecTier::Bytecode;
-  } else {
-    return false;
+  for (size_t i = 0; i < kExecTierNames.size(); ++i) {
+    if (name == kExecTierNames[i]) {
+      *out = static_cast<ExecTier>(i);
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
 const char* exec_tier_name(ExecTier tier) {
-  switch (tier) {
-    case ExecTier::Tree:
-      return "tree";
-    case ExecTier::Lowered:
-      return "lowered";
-    case ExecTier::Bytecode:
-      return "bytecode";
-  }
-  return "?";
+  return kExecTierNames[static_cast<size_t>(tier)];
 }
 
 ExecTier default_exec_tier() {

@@ -23,6 +23,7 @@
 // the input).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -45,7 +46,11 @@ enum class ExecTier : uint8_t {
   Bytecode,  // flat threaded-code bytecode (sim/bytecode.h)
 };
 
-/// Parses an exec-tier name ("tree", "lowered", "bytecode"); returns false on
+/// Tier names, indexed by value.
+inline constexpr std::array<const char*, 3> kExecTierNames = {
+    "tree", "lowered", "bytecode"};
+
+/// Parses an exec-tier name (one of kExecTierNames); returns false on
 /// anything else.
 bool parse_exec_tier(const std::string& name, ExecTier* out);
 

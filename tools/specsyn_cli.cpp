@@ -1,88 +1,24 @@
 // specsyn — command-line front end to the model-refinement library.
 //
-//   specsyn check    <file.spec> [--json]            parse + validate + stats
-//                                                    + static verifier (SA0xx)
-//                    [--explore-schedules[=N]]       + bounded schedule
-//                    [--jobs N]                      exploration (SA021 with
-//                                                    replayable witnesses)
-//   specsyn print    <file.spec>                     canonical pretty-print
-//   specsyn simulate <file.spec> [options]           run and report results
-//   specsyn graph    <file.spec> [partition opts]    Graphviz DOT export
-//   specsyn refine   <file.spec> [options]           full model refinement
-//   specsyn sweep    <file.spec> [options]           parallel design-space
-//                                                    sweep over the model x
-//                                                    protocol x scheme matrix
-//   specsyn fuzz     [options]                       differential fuzzing
+//   specsyn <check|print|simulate|graph|refine|sweep> <file.spec> [options]
+//   specsyn fuzz [options]
 //
-// simulate options:
-//   --trace FILE           write a Perfetto-loadable Chrome trace-event JSON
-//                          (behavior tracks + decoded bus transactions)
-//   --metrics              print the per-bus utilization/contention table
-//   --metrics-json FILE    write the same bus metrics as JSON
-//   --max-cycles N         stop the run after N cycles (default 50M)
-//   --clock-hz HZ          nominal clock for cycle->time conversion (100e6)
-//   --vcd FILE             dump a VCD waveform of every signal
-//   --exec-tier T          execution tier: tree | lowered | bytecode
-//                          (default bytecode, or $SPECSYN_EXEC_TIER)
-//   --replay-witness W     replay a schedule witness ("picks:1,0,2")
-//                          attached to an SA020/SA021 diagnostic; reproduces
-//                          the diverging run byte-for-byte
-//
-// refine options:
-//   --model N              implementation model 1..4 (default 1)
-//   --protocol hs|bs       full-handshake / byte-serial (default hs)
-//   --scheme loop|wrapper  leaf control-refinement scheme (default loop)
-//   --no-inline            emit shared MST_* procedures instead of inlining
-//   --assign B=C           pin behavior B to component index C (repeatable)
-//   --pin-var V=C          pin variable V to component index C (repeatable)
-//   --ratio balanced|local|global   auto-partition to a ratio goal instead
-//   --asics N              allocate N ASICs instead of PROC+ASIC, 0..256
-//                          (default 0 = PROC+ASIC)
-//   --vhdl                 emit VHDL-93 instead of SpecLang
-//   --report               emit the architecture report instead of the spec
-//   --rates                print the per-bus transfer-rate table
-//   --verify               check functional equivalence (exit 1 on mismatch)
-//   -o FILE                write primary output to FILE (default stdout)
-//
-// sweep options:
-//   partition options as for refine (--assign/--pin-var/--ratio/--asics),
-//   --jobs N               worker threads, 0..256 (default 1; 0 = one per
-//                          core); output is byte-identical for any value
-//   --verify               also check functional equivalence per point
-//   --explore-schedules[=N] partition-consistency check per point
-//   --json                 emit the ranked rows as JSON instead of the table
-//   --max-cycles N ; --clock-hz HZ ; --exec-tier T ; -o FILE
-//
-// fuzz options:
-//   --seeds N              number of seeds to run (default 100)
-//   --seed S               first seed (default 1)
-//   --jobs N               worker threads for the seed sweep, 0..256
-//                          (default 1; 0 = one per core); output is
-//                          byte-identical
-//   --budget B             generator statement budget per spec (default 40)
-//   --reduce               shrink failing specs before writing reproducers
-//   --out DIR              reproducer directory (default fuzz-failures)
-//   --dump DIR             also dump every generated spec (corpus mining)
-//   --json FILE            write the machine-readable report to FILE
-//   --inject-bug done|data plant a known refiner bug (oracle self-test)
-//   --max-cycles N         per-simulation bound (default 5000000)
-//   --explore-schedules[=N] schedule-inclusion oracle depth (default 4)
-//   --exec-tier T          as for simulate (equivalence oracle)
-//
-// global options (every subcommand):
-//   --stats                print the telemetry summary table on stderr
-//   --stats-json FILE      write the telemetry stats JSON (specsyn-stats-v2)
-//   --pipeline-trace FILE  write a Perfetto-loadable Chrome trace of the
-//                          tool's own pipeline phases (one lane per worker)
+// Every option is one row of kOptions below: the parser, its error messages
+// and `specsyn help` all read the rows, so run `specsyn help` for the list.
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <memory>
-#include <optional>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "analysis/context.h"
@@ -91,18 +27,18 @@
 #include "batch/sweep.h"
 #include "batch/thread_pool.h"
 #include "estimate/profile.h"
-#include "fuzz/fuzzer.h"
 #include "estimate/rates.h"
+#include "fuzz/fuzzer.h"
 #include "graph/access_graph.h"
+#include "obs/bus_trace.h"
+#include "obs/metrics.h"
+#include "obs/trace_export.h"
 #include "parser/parser.h"
 #include "partition/partitioner.h"
 #include "printer/dot.h"
 #include "printer/printer.h"
 #include "printer/report.h"
 #include "printer/vhdl.h"
-#include "obs/bus_trace.h"
-#include "obs/metrics.h"
-#include "obs/trace_export.h"
 #include "refine/refiner.h"
 #include "sim/equivalence.h"
 #include "sim/sched.h"
@@ -113,121 +49,358 @@ using namespace specsyn;
 
 namespace {
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: specsyn <check|print|simulate|graph|refine|sweep> "
-               "<file.spec> [options]\n"
-               "       specsyn fuzz [options]\n"
-               "run `specsyn help` for the full option list\n");
-  return 2;
+/// One bit per command; an option row holds the set of commands that read it.
+enum : unsigned {
+  kCheck = 1u << 0,
+  kPrint = 1u << 1,
+  kSimulate = 1u << 2,
+  kGraph = 1u << 3,
+  kRefine = 1u << 4,
+  kSweep = 1u << 5,
+  kFuzz = 1u << 6,
+  kEvery = (1u << 7) - 1,
+  kPartitioned = kGraph | kRefine | kSweep,
+};
+
+using Pins = std::vector<std::pair<std::string, size_t>>;
+
+/// Every option's destination. An unset optional (or an empty path) leaves
+/// the command's own default: SimConfig, SweepOptions, FuzzOptions, ...
+struct Opts {
+  bool stats = false, json = false, metrics = false, no_inline = false,
+       vhdl = false, report = false, rates = false, verify = false,
+       reduce = false;
+  std::optional<size_t> model, protocol, scheme, ratio, asics, jobs,
+      max_cycles, explore, exec_tier, seeds, seed, budget, inject;
+  std::optional<double> clock_hz;
+  std::string out_file, stats_json, pipeline_trace, vcd, trace, metrics_json,
+      replay_witness, json_file, out_dir, dump_dir;
+  Pins assigns, var_pins;
+};
+
+enum class Kind : uint8_t {
+  Switch,     // no value
+  Count,      // decimal min..max, through parse_count
+  Real,       // positive finite real
+  Enum,       // one of `names`; stores the index
+  Pin,        // NAME=COMPONENT, repeatable
+  Path,       // a file or directory
+  Schedules,  // --explore-schedules (16) or --explore-schedules=N
+};
+
+using Dest = std::variant<bool Opts::*, std::optional<size_t> Opts::*,
+                          std::optional<double> Opts::*, std::string Opts::*,
+                          Pins Opts::*>;
+
+struct Option {
+  const char* flag;
+  unsigned commands;
+  Kind kind;
+  Dest dest;
+  const char* arg = "";   // value placeholder in `specsyn help`
+  const char* what = "";  // Count/Real/Schedules: the value, in errors
+  size_t min = 0, max = SIZE_MAX;           // Count/Schedules bounds
+  std::span<const char* const> names = {};  // Enum spellings
+  const char* help = "";  // lines after the first start with '\n'
+};
+
+/// Upper bound on --jobs. Each worker is a thread, so a larger count buys
+/// nothing on any realistic host and can exhaust the process's thread limit.
+constexpr size_t kMaxJobs = 256;
+
+/// Upper bound on --asics: one component per ASIC, far beyond any partition
+/// the refiner has a use for.
+constexpr size_t kMaxAsics = 256;
+
+// Rows print in this order under each command of `specsyn help`; kEvery rows
+// print once, under "every command".
+const Option kOptions[] = {
+    {.flag = "--json", .commands = kCheck | kSweep, .kind = Kind::Switch,
+     .dest = &Opts::json,
+     .help = "emit JSON instead of text"},
+    {.flag = "--explore-schedules", .commands = kCheck | kSweep | kFuzz,
+     .kind = Kind::Schedules, .dest = &Opts::explore,
+     .what = "schedule count",
+     .help = "explore up to N schedules (bare flag: 16), branching\n"
+             "only at SA020-racing ready sets; =0 disables"},
+    {.flag = "--jobs", .commands = kCheck | kSweep | kFuzz,
+     .kind = Kind::Count, .dest = &Opts::jobs, .what = "worker count",
+     .max = kMaxJobs,
+     .help = "worker threads (default 1; 0 = one per core); the\n"
+             "output is byte-identical for any value"},
+    {.flag = "--max-cycles", .commands = kCheck | kSimulate | kSweep | kFuzz,
+     .kind = Kind::Count, .dest = &Opts::max_cycles, .arg = "N",
+     .what = "cycle count", .min = 1,
+     .help = "stop each simulation after N cycles (default\n"
+             "50000000; fuzz 5000000)"},
+    {.flag = "-o", .commands = kCheck | kPrint | kGraph | kRefine | kSweep,
+     .kind = Kind::Path, .dest = &Opts::out_file, .arg = "FILE",
+     .help = "write the primary output to FILE (default stdout)"},
+    {.flag = "--trace", .commands = kSimulate, .kind = Kind::Path,
+     .dest = &Opts::trace, .arg = "FILE",
+     .help = "Perfetto-loadable Chrome trace-event JSON: behavior\n"
+             "tracks plus decoded bus transactions and counters"},
+    {.flag = "--metrics", .commands = kSimulate, .kind = Kind::Switch,
+     .dest = &Opts::metrics,
+     .help = "per-bus utilization / contention / grant table"},
+    {.flag = "--metrics-json", .commands = kSimulate, .kind = Kind::Path,
+     .dest = &Opts::metrics_json, .arg = "FILE",
+     .help = "the same bus metrics as JSON"},
+    {.flag = "--clock-hz", .commands = kSimulate | kSweep, .kind = Kind::Real,
+     .dest = &Opts::clock_hz, .arg = "HZ", .what = "frequency in Hz",
+     .help = "nominal clock for cycle->time conversion (default\n"
+             "100e6)"},
+    {.flag = "--vcd", .commands = kSimulate, .kind = Kind::Path,
+     .dest = &Opts::vcd, .arg = "FILE",
+     .help = "dump a VCD waveform of every signal"},
+    {.flag = "--replay-witness", .commands = kSimulate, .kind = Kind::Path,
+     .dest = &Opts::replay_witness, .arg = "W",
+     .help = "replay a schedule witness from an SA020/SA021\n"
+             "diagnostic (\"picks:1,0,2\": the ready-set index taken\n"
+             "at each instant where several processes are runnable);\n"
+             "reproduces the diverging run byte-for-byte on any\n"
+             "--exec-tier"},
+    {.flag = "--assign", .commands = kPartitioned, .kind = Kind::Pin,
+     .dest = &Opts::assigns, .arg = "B=C",
+     .help = "pin behavior B to component index C (repeatable)"},
+    {.flag = "--pin-var", .commands = kPartitioned, .kind = Kind::Pin,
+     .dest = &Opts::var_pins, .arg = "V=C",
+     .help = "pin variable V to component index C (repeatable)"},
+    {.flag = "--ratio", .commands = kPartitioned, .kind = Kind::Enum,
+     .dest = &Opts::ratio, .names = kRatioGoalNames,
+     .help = "auto-partition to a local/global variable ratio goal\n"
+             "(not with --assign or --pin-var)"},
+    {.flag = "--asics", .commands = kPartitioned, .kind = Kind::Count,
+     .dest = &Opts::asics, .what = "ASIC count", .max = kMaxAsics,
+     .help = "allocate that many ASICs instead of PROC+ASIC\n"
+             "(default 0 = PROC+ASIC)"},
+    {.flag = "--model", .commands = kRefine, .kind = Kind::Count,
+     .dest = &Opts::model, .what = "implementation model", .min = 1,
+     .max = 4, .help = "implementation model (default 1)"},
+    {.flag = "--protocol", .commands = kRefine, .kind = Kind::Enum,
+     .dest = &Opts::protocol, .names = kProtocolNames,
+     .help = "full-handshake / byte-serial protocol (default hs)"},
+    {.flag = "--scheme", .commands = kRefine, .kind = Kind::Enum,
+     .dest = &Opts::scheme, .names = kSchemeNames,
+     .help = "leaf control-refinement scheme (default loop)"},
+    {.flag = "--no-inline", .commands = kRefine, .kind = Kind::Switch,
+     .dest = &Opts::no_inline,
+     .help = "emit shared MST_* procedures instead of inlining"},
+    {.flag = "--vhdl", .commands = kRefine, .kind = Kind::Switch,
+     .dest = &Opts::vhdl, .help = "emit VHDL-93 instead of SpecLang"},
+    {.flag = "--report", .commands = kRefine, .kind = Kind::Switch,
+     .dest = &Opts::report,
+     .help = "emit the architecture report instead of the spec"},
+    {.flag = "--rates", .commands = kRefine, .kind = Kind::Switch,
+     .dest = &Opts::rates,
+     .help = "print the per-bus transfer-rate table on stderr"},
+    {.flag = "--verify", .commands = kRefine | kSweep, .kind = Kind::Switch,
+     .dest = &Opts::verify,
+     .help = "check functional equivalence (refine: exit 1 on a\n"
+             "mismatch; sweep: per point)"},
+    {.flag = "--seeds", .commands = kFuzz, .kind = Kind::Count,
+     .dest = &Opts::seeds, .arg = "N", .what = "seed count", .min = 1,
+     .help = "number of seeds to run (default 100)"},
+    {.flag = "--seed", .commands = kFuzz, .kind = Kind::Count,
+     .dest = &Opts::seed, .arg = "S", .what = "seed",
+     .help = "first seed (default 1)"},
+    {.flag = "--budget", .commands = kFuzz, .kind = Kind::Count,
+     .dest = &Opts::budget, .arg = "B", .what = "statement count",
+     .help = "generator statement budget per spec (default 40)"},
+    {.flag = "--reduce", .commands = kFuzz, .kind = Kind::Switch,
+     .dest = &Opts::reduce,
+     .help = "shrink failing specs before writing reproducers"},
+    {.flag = "--out", .commands = kFuzz, .kind = Kind::Path,
+     .dest = &Opts::out_dir, .arg = "DIR",
+     .help = "reproducer directory (default fuzz-failures)"},
+    {.flag = "--dump", .commands = kFuzz, .kind = Kind::Path,
+     .dest = &Opts::dump_dir, .arg = "DIR",
+     .help = "also dump every generated spec (corpus mining)"},
+    {.flag = "--json", .commands = kFuzz, .kind = Kind::Path,
+     .dest = &Opts::json_file, .arg = "FILE",
+     .help = "write the machine-readable report to FILE"},
+    {.flag = "--inject-bug", .commands = kFuzz, .kind = Kind::Enum,
+     .dest = &Opts::inject, .names = fuzz::kInjectedBugNames,
+     .help = "plant a known refiner bug (oracle self-test)"},
+    {.flag = "--stats", .commands = kEvery, .kind = Kind::Switch,
+     .dest = &Opts::stats,
+     .help = "print the telemetry summary table (per-phase span\n"
+             "totals, counters) on stderr"},
+    {.flag = "--stats-json", .commands = kEvery, .kind = Kind::Path,
+     .dest = &Opts::stats_json, .arg = "FILE",
+     .help = "write the telemetry stats as JSON (schema\n"
+             "specsyn-stats-v2; the \"stable\" counters and span\n"
+             "counts are byte-identical across --jobs values, see\n"
+             "tools/check_stats_json.py --strip)"},
+    {.flag = "--pipeline-trace", .commands = kEvery, .kind = Kind::Path,
+     .dest = &Opts::pipeline_trace, .arg = "FILE",
+     .help = "write a Perfetto-loadable Chrome trace of the tool's\n"
+             "own pipeline phases (parse, refine, price, check,\n"
+             "lower, simulate, equivalence ...), one lane per worker\n"
+             "thread"},
+    {.flag = "--exec-tier", .commands = kEvery, .kind = Kind::Enum,
+     .dest = &Opts::exec_tier, .names = kExecTierNames,
+     .help = "execution tier: tree (tree-walking reference),\n"
+             "lowered (flattened statement plans) or bytecode\n"
+             "(threaded register bytecode); default bytecode, or\n"
+             "$SPECSYN_EXEC_TIER. Every output is identical on all\n"
+             "tiers"},
+};
+
+/// A decimal count from 0 to `max`: digits only, no sign. Returns false on
+/// anything else, leaving `out` untouched.
+bool parse_count(const char* v, size_t max, size_t& out) {
+  const char* end = v + std::strlen(v);
+  size_t n = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc() || ptr == v || ptr != end || n > max) return false;
+  out = n;
+  return true;
 }
 
-int help() {
-  std::printf(R"(specsyn — model refinement for hardware-software codesign
+/// `NAME=COMPONENT` with a decimal component index.
+bool parse_pin(const char* arg, std::pair<std::string, size_t>& out) {
+  const char* eq = std::strchr(arg, '=');
+  if (eq == nullptr || eq == arg) return false;
+  out.first.assign(arg, eq);
+  return parse_count(eq + 1, SIZE_MAX, out.second);
+}
 
-commands:
-  check    <file.spec>   parse, validate, print summary statistics, then run
-                         the static refinement verifier (protocol, deadlock,
-                         race, address-map, arbiter and control-order checks;
-                         exit 1 on any SA0xx error)
-                         --json    emit the verifier report as JSON instead
-                                   (schema specsyn-check-v1; see
-                                   tools/check_diag_json.py)
-                         --explore-schedules[=N]  additionally simulate up to
-                                   N schedules (default 16), branching only at
-                                   SA020-racing ready sets; a divergent
-                                   observable outcome becomes an SA021 error
-                                   with a replayable witness
-                         --jobs N  worker threads for the exploration waves,
-                                   0..256 (default 1; 0 = one per core);
-                                   output is byte-identical for any value
-  print    <file.spec>   canonical pretty-print
-  simulate <file.spec>   run the discrete-event simulator, report results
-  graph    <file.spec>   Graphviz DOT of the access graph
-  refine   <file.spec>   transform into an implementation model
-  sweep    <file.spec>   refine, statically verify, price and simulate every
-                         point of the model x protocol x scheme x inline
-                         matrix (32 configurations) on a worker pool; print
-                         the ranked comparison (the paper's Section 5
-                         experiment as one command)
-  fuzz                   generate random specs, refine each under a sampled
-                         config, and cross-check every pipeline layer
-                         (round-trip, interpreter diff, equivalence, static
-                         verifier); exit 1 if any seed fails
+/// Parses `v` into the row's destination; false on a malformed value.
+bool set_value(const Option& opt, const char* v, Opts& o) {
+  const char* end = v == nullptr ? nullptr : v + std::strlen(v);
+  size_t n = 0;
+  switch (opt.kind) {
+    case Kind::Switch:
+      o.*std::get<bool Opts::*>(opt.dest) = true;
+      return true;
+    case Kind::Path:
+      o.*std::get<std::string Opts::*>(opt.dest) = v;
+      return true;
+    case Kind::Pin: {
+      std::pair<std::string, size_t> pin;
+      if (!parse_pin(v, pin)) return false;
+      (o.*std::get<Pins Opts::*>(opt.dest)).push_back(std::move(pin));
+      return true;
+    }
+    case Kind::Real: {
+      double x = 0.0;
+      const auto [ptr, ec] = std::from_chars(v, end, x);
+      if (ec != std::errc() || ptr != end || !std::isfinite(x) || x <= 0.0) {
+        return false;
+      }
+      o.*std::get<std::optional<double> Opts::*>(opt.dest) = x;
+      return true;
+    }
+    case Kind::Enum: {
+      const auto it = std::find_if(
+          opt.names.begin(), opt.names.end(),
+          [&](const char* name) { return std::strcmp(name, v) == 0; });
+      if (it == opt.names.end()) return false;
+      n = static_cast<size_t>(it - opt.names.begin());
+      break;
+    }
+    case Kind::Count:
+    case Kind::Schedules:
+      if (!parse_count(v, opt.max, n) || n < opt.min) return false;
+      break;
+  }
+  o.*std::get<std::optional<size_t> Opts::*>(opt.dest) = n;
+  return true;
+}
 
-simulate options:
-  --trace FILE           Perfetto-loadable Chrome trace-event JSON: behavior
-                         tracks plus decoded bus transactions and counters
-  --metrics              per-bus utilization / contention / grant table
-  --metrics-json FILE    the same bus metrics as JSON
-  --max-cycles N         stop after N cycles (default 50000000)
-  --clock-hz HZ          nominal clock for cycle->time conversion (100e6)
-  --vcd FILE             dump a VCD waveform of every signal
-  --exec-tier T          execution tier: tree (legacy tree-walking), lowered
-                         (flattened statement plans), or bytecode (threaded
-                         register bytecode). Default bytecode, overridable
-                         via $SPECSYN_EXEC_TIER. Every output (--vcd,
-                         --trace, --metrics) is identical on all tiers.
-  --replay-witness W     replay a schedule witness from an SA020/SA021
-                         diagnostic ("picks:1,0,2"): the ready-set index
-                         taken at each instant where several processes are
-                         runnable; the run reproduces the diverging schedule
-                         byte-for-byte on any --exec-tier
+/// "a|b|c" or "a, b or c".
+std::string join_names(std::span<const char* const> names, bool prose) {
+  std::string s;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) s += !prose ? "|" : i + 1 == names.size() ? " or " : ", ";
+    s += names[i];
+  }
+  return s;
+}
 
-refine options:
-  --model N ; --protocol hs|bs ; --scheme loop|wrapper ; --no-inline
-  --assign B=C ; --pin-var V=C ; --ratio balanced|local|global ; --asics N
-  --vhdl ; --report ; --rates ; --verify ; --exec-tier T ; -o FILE
+void print_value_error(const Option& opt) {
+  switch (opt.kind) {
+    case Kind::Enum:
+      std::fprintf(stderr, "%s must be %s\n", opt.flag,
+                   join_names(opt.names, true).c_str());
+      return;
+    case Kind::Pin:
+      std::fprintf(stderr, "%s expects NAME=COMPONENT\n", opt.flag);
+      return;
+    case Kind::Real:
+      std::fprintf(stderr, "%s expects a positive finite %s\n", opt.flag,
+                   opt.what);
+      return;
+    default:
+      break;
+  }
+  if (opt.max == SIZE_MAX) {
+    std::fprintf(stderr, "%s expects a %s %s\n", opt.flag,
+                 opt.min == 0 ? "decimal" : "positive", opt.what);
+  } else {
+    std::fprintf(stderr, "%s expects %s %s from %zu to %zu\n", opt.flag,
+                 std::strchr("AEIOUaeiou", opt.what[0]) ? "an" : "a",
+                 opt.what, opt.min, opt.max);
+  }
+}
 
-sweep options:
-  --jobs N               worker threads, 0..256 (default 1; 0 = one per
-                         core); the ranked output is byte-identical for any
-                         value
-  --verify               also check per-point functional equivalence
-  --explore-schedules[=N]  with --verify (implied): per point, check that
-                         every refined outcome over up to N explored
-                         schedules (default 16) is one the original spec
-                         permits (partition consistency); inconsistent
-                         points rank last and show RACE in the sched column
-  --json                 emit the ranked rows as JSON instead of the table
-  partition options as for refine ; --max-cycles N ; --clock-hz HZ ;
-  --exec-tier T ; -o FILE
-
-fuzz options:
-  --seeds N              number of seeds to run (default 100)
-  --seed S               first seed (default 1)
-  --jobs N               worker threads for the seed sweep, 0..256
-                         (default 1; 0 = one per core); report, reproducers
-                         and log are byte-identical for any value
-  --budget B             generator statement budget per spec (default 40)
-  --reduce               shrink failing specs before writing reproducers
-  --out DIR              reproducer directory (default fuzz-failures)
-  --dump DIR             also dump every generated spec (corpus mining)
-  --json FILE            write the machine-readable report to FILE
-  --inject-bug done|data plant a known refiner bug (oracle self-test)
-  --max-cycles N         per-simulation bound (default 5000000)
-  --explore-schedules[=N]  schedules per side for the schedule-inclusion
-                         oracle (default 4; =0 disables)
-  --exec-tier T          as for simulate (selects the tier whose runs
-                         the equivalence oracle compares)
-
-global options (accepted by every subcommand):
-  --stats                print the telemetry summary table (per-phase
-                         span totals, counters) on stderr
-  --stats-json FILE      write the telemetry stats as JSON (schema
-                         specsyn-stats-v2; the "stable" counters and span
-                         counts are byte-identical across --jobs values —
-                         see tools/check_stats_json.py --strip)
-  --pipeline-trace FILE  write a Perfetto-loadable Chrome trace of the
-                         tool's own pipeline phases (parse, refine, price,
-                         check, lower, simulate, equivalence ...) with one
-                         lane per worker thread
-  --exec-tier T          execution tier (tree | lowered | bytecode)
-
-telemetry never changes the bytes of any primary output: stats go to stderr
-or to the named files only.
-)");
+/// Parses argv[first..] into `o` for the command `cmd` (named `name`).
+/// Returns 0, or 2 after printing the usage error.
+int parse_options(int argc, char** argv, int first, unsigned cmd,
+                  const char* name, Opts& o) {
+  for (int i = first; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::string_view flag = arg.substr(0, arg.find('='));
+    const Option* named = nullptr;  // a row with this flag, for any command
+    const Option* row = nullptr;    // the row `cmd` reads
+    for (const Option& opt : kOptions) {
+      if ((opt.kind == Kind::Schedules ? flag : arg) != opt.flag) continue;
+      named = &opt;
+      if ((opt.commands & cmd) != 0) {
+        row = &opt;
+        break;
+      }
+    }
+    if (named == nullptr) {
+      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+      return 2;
+    }
+    if (row == nullptr) {
+      std::fprintf(stderr, "%s does not apply to %s\n", named->flag, name);
+      return 2;
+    }
+    const char* v = nullptr;
+    if (row->kind == Kind::Schedules) {  // the bare flag means 16
+      v = flag.size() < arg.size() ? argv[i] + flag.size() + 1 : "16";
+    } else if (row->kind != Kind::Switch) {
+      if (++i == argc) {
+        std::fprintf(stderr, "missing value for %s\n", row->flag);
+        return 2;
+      }
+      v = argv[i];
+    }
+    if (!set_value(*row, v, o)) {
+      print_value_error(*row);
+      return 2;
+    }
+  }
+  if (o.ratio && (!o.assigns.empty() || !o.var_pins.empty())) {
+    std::fprintf(stderr,
+                 "--ratio cannot be combined with --assign or --pin-var\n");
+    return 2;
+  }
   return 0;
+}
+
+ExecTier exec_tier(const Opts& o) {
+  return o.exec_tier ? static_cast<ExecTier>(*o.exec_tier)
+                     : default_exec_tier();
+}
+
+size_t workers(const Opts& o) {
+  const size_t jobs = o.jobs.value_or(1);
+  return jobs == 0 ? batch::ThreadPool::default_workers() : jobs;
 }
 
 bool read_file(const std::string& path, std::string& out) {
@@ -239,66 +412,14 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-/// Options accepted uniformly by every subcommand (including `fuzz`, which
-/// runs its own option loop). One parser, two call sites — the help text and
-/// the behavior cannot drift apart per subcommand again.
-struct GlobalOpts {
-  bool stats = false;
-  std::string stats_json_file;
-  std::string pipeline_trace_file;
-  std::optional<ExecTier> exec_tier;  // unset = process default
-
-  [[nodiscard]] bool stats_requested() const {
-    return stats || !stats_json_file.empty();
-  }
-  [[nodiscard]] bool trace_requested() const {
-    return !pipeline_trace_file.empty();
-  }
-};
-
-/// Tries to consume `f` as a global option. Returns 1 when consumed, 0 when
-/// `f` is not a global option, -1 on a malformed value (error already
-/// printed). `next` yields the following argv word or nullptr.
-template <typename NextFn>
-int parse_global_flag(const std::string& f, NextFn&& next, GlobalOpts& g) {
-  if (f == "--stats") {
-    g.stats = true;
-    return 1;
-  }
-  if (f == "--stats-json") {
-    const char* v = next();
-    if (!v) return -1;
-    g.stats_json_file = v;
-    return 1;
-  }
-  if (f == "--pipeline-trace") {
-    const char* v = next();
-    if (!v) return -1;
-    g.pipeline_trace_file = v;
-    return 1;
-  }
-  if (f == "--exec-tier") {
-    const char* v = next();
-    if (!v) return -1;
-    ExecTier tier;
-    if (!parse_exec_tier(v, &tier)) {
-      std::fprintf(stderr, "--exec-tier must be tree, lowered or bytecode\n");
-      return -1;
-    }
-    g.exec_tier = tier;
-    return 1;
-  }
-  return 0;
-}
-
-/// Emits the requested telemetry outputs. Called once, after the subcommand
+/// Emits the requested telemetry outputs. Called once, after the command
 /// finished — the summary table goes to stderr, JSON documents to their
 /// files, so primary stdout/-o output is never touched. Returns nonzero if
 /// a requested file could not be written.
-int finish_telemetry(const GlobalOpts& g, const std::string& command) {
+int finish_telemetry(const Opts& o, const std::string& command) {
   if (!telemetry::enabled()) return 0;
   const telemetry::Snapshot snap = telemetry::snapshot();
-  if (g.stats) std::fputs(telemetry::render_stats_table(snap).c_str(), stderr);
+  if (o.stats) std::fputs(telemetry::render_stats_table(snap).c_str(), stderr);
   int rc = 0;
   const auto write_doc = [&](const std::string& path, std::string doc,
                              const char* what) {
@@ -313,314 +434,80 @@ int finish_telemetry(const GlobalOpts& g, const std::string& command) {
     std::fprintf(stderr, "wrote %s (%s, %zu bytes)\n", path.c_str(), what,
                  doc.size());
   };
-  write_doc(g.stats_json_file, telemetry::stats_to_json(snap, command),
-            "stats");
-  write_doc(g.pipeline_trace_file, telemetry::trace_to_chrome_json(snap),
+  write_doc(o.stats_json, telemetry::stats_to_json(snap, command), "stats");
+  write_doc(o.pipeline_trace, telemetry::trace_to_chrome_json(snap),
             "pipeline trace");
   return rc;
 }
 
-struct Args {
-  std::string command;
-  std::string file;
-  std::string out_file;
-  int model = 1;
-  ProtocolStyle protocol = ProtocolStyle::FullHandshake;
-  LeafScheme scheme = LeafScheme::LoopLeaf;
-  bool inline_protocols = true;
-  bool vhdl = false;
-  bool report = false;
-  bool rates = false;
-  bool verify = false;
-  bool json = false;
-  ExecTier exec_tier = default_exec_tier();
-  GlobalOpts global;
-  bool metrics = false;
-  uint64_t max_cycles = 0;  // 0 => SimConfig default
-  double clock_hz = 0.0;    // 0 => SimConfig default
-  std::string vcd_file;
-  std::string trace_file;
-  std::string metrics_json_file;
-  size_t asics = 0;  // 0 => PROC+ASIC
-  size_t jobs = 1;   // sweep/check workers; 0 => one per core
-  size_t explore_schedules = 0;  // --explore-schedules[=N]; 0 => off
-  std::string replay_witness;
-  std::vector<std::pair<std::string, size_t>> assigns;
-  std::vector<std::pair<std::string, size_t>> var_pins;
-  std::optional<RatioGoal> ratio;  // --ratio balanced|local|global
-};
-
-/// `--explore-schedules[=N]` (shared by check, sweep and fuzz). Returns 1
-/// when consumed, 0 when `f` is some other flag, -1 on a malformed count
-/// (error already printed). The bare form means N=16; `=0` disables.
-int parse_explore_flag(const std::string& f, size_t& out) {
-  static const std::string kFlag = "--explore-schedules";
-  if (f == kFlag) {
-    out = 16;
-    return 1;
-  }
-  if (f.rfind(kFlag + "=", 0) != 0) return 0;
-  const std::string v = f.substr(kFlag.size() + 1);
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-    std::fprintf(stderr, "--explore-schedules expects a schedule count\n");
-    return -1;
-  }
-  out = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
-  return 1;
-}
-
-/// Upper bound on --jobs (check, sweep, fuzz). Each worker is a thread, so a
-/// larger count buys nothing on any realistic host and can exhaust the
-/// process's thread limit.
-constexpr size_t kMaxJobs = 256;
-
-/// Upper bound on --asics: one component per ASIC, far beyond any partition
-/// the refiner has a use for.
-constexpr size_t kMaxAsics = 256;
-
-/// A decimal count from 0 to `max`: digits only, no sign. Returns false on
-/// anything else, leaving `out` untouched.
-bool parse_count(const char* v, size_t max, size_t& out) {
-  const char* end = v + std::strlen(v);
-  size_t n = 0;
-  const auto [ptr, ec] = std::from_chars(v, end, n);
-  if (ec != std::errc() || ptr == v || ptr != end || n > max) return false;
-  out = n;
-  return true;
-}
-
-/// `--jobs N`: a decimal worker count from 0 (one per core) to kMaxJobs.
-/// Prints the error and returns false on anything else.
-bool parse_jobs(const char* v, size_t& out) {
-  if (parse_count(v, kMaxJobs, out)) return true;
-  std::fprintf(stderr,
-               "--jobs expects a worker count from 0 to %zu "
-               "(0 = one per core)\n",
-               kMaxJobs);
-  return false;
-}
-
-/// `NAME=COMPONENT` with a decimal component index.
-bool parse_kv(const char* arg, std::pair<std::string, size_t>& out) {
-  const char* eq = std::strchr(arg, '=');
-  if (eq == nullptr || eq == arg) return false;
-  out.first.assign(arg, eq);
-  return parse_count(eq + 1, SIZE_MAX, out.second);
-}
-
-/// `--max-cycles N`: a positive decimal cycle count. Prints the error and
-/// returns false on anything else.
-bool parse_max_cycles(const char* v, uint64_t& out) {
-  size_t n = 0;
-  if (parse_count(v, SIZE_MAX, n) && n > 0) {
-    out = n;
-    return true;
-  }
-  std::fprintf(stderr, "--max-cycles expects a positive cycle count\n");
-  return false;
-}
-
-int parse_args(int argc, char** argv, Args& a) {
-  if (argc < 2) return usage();
-  a.command = argv[1];
-  if (a.command == "help" || a.command == "--help") return -1;
-  if (argc < 3) return usage();
-  a.file = argv[2];
-  for (int i = 3; i < argc; ++i) {
-    const std::string f = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", f.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (const int g = parse_global_flag(f, next, a.global); g != 0) {
-      if (g < 0) return 2;
-      continue;
-    }
-    if (const int x = parse_explore_flag(f, a.explore_schedules); x != 0) {
-      if (x < 0) return 2;
-      continue;
-    }
-    if (f == "--model") {
-      const char* v = next();
-      if (!v) return 2;
-      size_t model = 0;
-      if (!parse_count(v, 4, model) || model < 1) {
-        std::fprintf(stderr, "--model must be 1..4\n");
-        return 2;
-      }
-      a.model = static_cast<int>(model);
-    } else if (f == "--protocol") {
-      const char* v = next();
-      if (!v) return 2;
-      if (std::string(v) == "hs") {
-        a.protocol = ProtocolStyle::FullHandshake;
-      } else if (std::string(v) == "bs") {
-        a.protocol = ProtocolStyle::ByteSerial;
-      } else {
-        std::fprintf(stderr, "--protocol must be hs or bs\n");
-        return 2;
-      }
-    } else if (f == "--scheme") {
-      const char* v = next();
-      if (!v) return 2;
-      if (std::string(v) == "loop") {
-        a.scheme = LeafScheme::LoopLeaf;
-      } else if (std::string(v) == "wrapper") {
-        a.scheme = LeafScheme::WrapperSeq;
-      } else {
-        std::fprintf(stderr, "--scheme must be loop or wrapper\n");
-        return 2;
-      }
-    } else if (f == "--no-inline") {
-      a.inline_protocols = false;
-    } else if (f == "--vhdl") {
-      a.vhdl = true;
-    } else if (f == "--report") {
-      a.report = true;
-    } else if (f == "--rates") {
-      a.rates = true;
-    } else if (f == "--verify") {
-      a.verify = true;
-    } else if (f == "--json") {
-      a.json = true;
-    } else if (f == "--vcd") {
-      const char* v = next();
-      if (!v) return 2;
-      a.vcd_file = v;
-    } else if (f == "--trace") {
-      const char* v = next();
-      if (!v) return 2;
-      a.trace_file = v;
-    } else if (f == "--metrics") {
-      a.metrics = true;
-    } else if (f == "--metrics-json") {
-      const char* v = next();
-      if (!v) return 2;
-      a.metrics_json_file = v;
-    } else if (f == "--max-cycles") {
-      const char* v = next();
-      if (!v || !parse_max_cycles(v, a.max_cycles)) return 2;
-    } else if (f == "--clock-hz") {
-      const char* v = next();
-      if (!v) return 2;
-      a.clock_hz = std::strtod(v, nullptr);
-      if (a.clock_hz <= 0.0) {
-        std::fprintf(stderr, "--clock-hz expects a positive frequency\n");
-        return 2;
-      }
-    } else if (f == "--asics") {
-      const char* v = next();
-      if (!v) return 2;
-      if (!parse_count(v, kMaxAsics, a.asics)) {
-        std::fprintf(stderr,
-                     "--asics expects an ASIC count from 0 to %zu "
-                     "(0 = PROC+ASIC)\n",
-                     kMaxAsics);
-        return 2;
-      }
-    } else if (f == "--jobs") {
-      const char* v = next();
-      if (!v || !parse_jobs(v, a.jobs)) return 2;
-    } else if (f == "--assign") {
-      const char* v = next();
-      std::pair<std::string, size_t> kv;
-      if (!v || !parse_kv(v, kv)) {
-        std::fprintf(stderr, "--assign expects NAME=COMPONENT\n");
-        return 2;
-      }
-      a.assigns.push_back(std::move(kv));
-    } else if (f == "--pin-var") {
-      const char* v = next();
-      std::pair<std::string, size_t> kv;
-      if (!v || !parse_kv(v, kv)) {
-        std::fprintf(stderr, "--pin-var expects NAME=COMPONENT\n");
-        return 2;
-      }
-      a.var_pins.push_back(std::move(kv));
-    } else if (f == "--ratio") {
-      const char* v = next();
-      if (!v) return 2;
-      if (std::string(v) == "balanced") {
-        a.ratio = RatioGoal::Balanced;
-      } else if (std::string(v) == "local") {
-        a.ratio = RatioGoal::MoreLocal;
-      } else if (std::string(v) == "global") {
-        a.ratio = RatioGoal::MoreGlobal;
-      } else {
-        std::fprintf(stderr, "--ratio must be balanced, local or global\n");
-        return 2;
-      }
-    } else if (f == "--replay-witness") {
-      const char* v = next();
-      if (!v) return 2;
-      a.replay_witness = v;
-    } else if (f == "-o") {
-      const char* v = next();
-      if (!v) return 2;
-      a.out_file = v;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", f.c_str());
-      return 2;
-    }
-  }
-  if (a.global.exec_tier) a.exec_tier = *a.global.exec_tier;
-  return 0;
-}
-
-int write_output(const Args& a, const std::string& text) {
-  if (a.out_file.empty()) {
+int write_output(const Opts& o, const std::string& text) {
+  if (o.out_file.empty()) {
     std::fputs(text.c_str(), stdout);
     return 0;
   }
-  std::ofstream out(a.out_file);
+  std::ofstream out(o.out_file);
   if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", a.out_file.c_str());
+    std::fprintf(stderr, "cannot write %s\n", o.out_file.c_str());
     return 1;
   }
   out << text;
-  std::fprintf(stderr, "wrote %s (%zu bytes)\n", a.out_file.c_str(),
+  std::fprintf(stderr, "wrote %s (%zu bytes)\n", o.out_file.c_str(),
                text.size());
   return 0;
 }
 
-Partition build_partition(const Args& a, const Specification& spec,
-                          const AccessGraph& graph) {
-  Allocation alloc = a.asics > 0 ? Allocation::asics(a.asics)
-                                 : Allocation::proc_plus_asic();
-  if (a.ratio) {
-    PartitionerOptions opts;
-    opts.goal = *a.ratio;
-    return make_ratio_partition(spec, graph, std::move(alloc), opts).partition;
+/// The partition the options ask for; refine and sweep `announce` its
+/// variable split on stderr. Options that do not fit the spec (an unknown
+/// name, a component out of range, too few leaves for a ratio goal) are
+/// usage errors: the message is printed and nullopt returned.
+std::optional<Partition> build_partition(const Opts& o,
+                                         const Specification& spec,
+                                         const AccessGraph& graph,
+                                         bool announce) {
+  std::optional<Partition> part;
+  try {
+    Allocation alloc = o.asics.value_or(0) > 0 ? Allocation::asics(*o.asics)
+                                               : Allocation::proc_plus_asic();
+    if (o.ratio) {
+      PartitionerOptions opts;
+      opts.goal = static_cast<RatioGoal>(*o.ratio);
+      part = make_ratio_partition(spec, graph, std::move(alloc), opts)
+                 .partition;
+    } else {
+      part.emplace(spec, std::move(alloc));
+      for (const auto& [name, c] : o.assigns) part->assign_behavior(name, c);
+      for (const auto& [name, c] : o.var_pins) part->assign_var(name, c);
+      part->auto_assign_vars(graph);
+    }
+  } catch (const SpecError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return std::nullopt;
   }
-  Partition part(spec, std::move(alloc));
-  for (const auto& [name, comp] : a.assigns) part.assign_behavior(name, comp);
-  for (const auto& [name, comp] : a.var_pins) part.assign_var(name, comp);
-  part.auto_assign_vars(graph);
+  if (announce) {
+    auto [local_v, global_v] = part->local_global_counts(graph);
+    std::fprintf(stderr, "partition: %zu local / %zu global variables\n",
+                 local_v, global_v);
+  }
   return part;
 }
 
-int cmd_check(const Args& a, const Specification& spec) {
+int cmd_check(const Opts& o, const Specification& spec) {
   // One Context serves the static checkers and the exploration's pruning.
   const analysis::Context ctx(spec);
   analysis::Report rep = analysis::analyze(ctx);
-  if (a.explore_schedules > 0) {
+  if (o.explore.value_or(0) > 0) {
     analysis::schedules::ExploreOptions sopts;
-    sopts.max_schedules = a.explore_schedules;
-    sopts.config.exec_tier = a.exec_tier;
-    if (a.max_cycles != 0) sopts.config.max_cycles = a.max_cycles;
-    const size_t workers =
-        a.jobs == 0 ? batch::ThreadPool::default_workers() : a.jobs;
+    sopts.max_schedules = *o.explore;
+    sopts.config.exec_tier = exec_tier(o);
+    if (o.max_cycles) sopts.config.max_cycles = *o.max_cycles;
     // Always through a pool (even --jobs 1): exploration waves then take the
     // same code path and emit the same stable telemetry for any job count.
-    batch::ThreadPool pool(workers);
+    batch::ThreadPool pool(workers(o));
     sopts.pool = &pool;
     analysis::check_schedules(ctx, rep, sopts);
   }
-  if (a.json) {
-    const int rc = write_output(a, rep.json(spec.name));
+  if (o.json) {
+    const int rc = write_output(o, rep.json(spec.name));
     return rc != 0 ? rc : (rep.has_errors() ? 1 : 0);
   }
   AccessGraph graph = build_access_graph(spec);
@@ -651,58 +538,61 @@ int cmd_check(const Args& a, const Specification& spec) {
   return rep.has_errors() ? 1 : 0;
 }
 
-int cmd_simulate(const Args& a, const Specification& spec) {
+int cmd_print(const Opts& o, const Specification& spec) {
+  return write_output(o, print(spec));
+}
+
+int cmd_simulate(const Opts& o, const Specification& spec) {
   SimConfig cfg;
-  cfg.exec_tier = a.exec_tier;
-  if (a.max_cycles != 0) cfg.max_cycles = a.max_cycles;
-  if (a.clock_hz > 0.0) cfg.clock_hz = a.clock_hz;
-  if (!a.replay_witness.empty() &&
-      !apply_witness(a.replay_witness, &cfg)) {
+  cfg.exec_tier = exec_tier(o);
+  if (o.max_cycles) cfg.max_cycles = *o.max_cycles;
+  if (o.clock_hz) cfg.clock_hz = *o.clock_hz;
+  if (!o.replay_witness.empty() && !apply_witness(o.replay_witness, &cfg)) {
     std::fprintf(stderr,
                  "malformed --replay-witness '%s' (expected picks:N,N,...)\n",
-                 a.replay_witness.c_str());
+                 o.replay_witness.c_str());
     return 2;
   }
   Simulator sim(spec, cfg);
   std::unique_ptr<VcdRecorder> vcd;
-  if (!a.vcd_file.empty()) {
+  if (!o.vcd.empty()) {
     vcd = std::make_unique<VcdRecorder>(spec);
     sim.add_slot_observer(vcd.get());
   }
   std::unique_ptr<BusTracer> tracer;
   std::unique_ptr<TraceExporter> exporter;
-  if (!a.trace_file.empty() || a.metrics || !a.metrics_json_file.empty()) {
+  if (!o.trace.empty() || o.metrics || !o.metrics_json.empty()) {
     tracer = std::make_unique<BusTracer>(spec);
     sim.add_slot_observer(tracer.get());
   }
-  if (!a.trace_file.empty()) {
+  if (!o.trace.empty()) {
     exporter = std::make_unique<TraceExporter>(cfg.clock_hz);
     sim.add_slot_observer(exporter.get());
   }
   SimResult r = sim.run();
   if (vcd) {
-    std::ofstream out(a.vcd_file);
+    std::ofstream out(o.vcd);
     out << vcd->str();
-    std::fprintf(stderr, "wrote %s (%zu value changes)\n", a.vcd_file.c_str(),
+    std::fprintf(stderr, "wrote %s (%zu value changes)\n", o.vcd.c_str(),
                  vcd->change_count());
   }
   if (exporter) {
-    exporter->write(a.trace_file, tracer.get());
+    exporter->write(o.trace, tracer.get());
     std::fprintf(stderr, "wrote %s (%zu spans, %zu bus transactions)\n",
-                 a.trace_file.c_str(), exporter->spans().size(),
+                 o.trace.c_str(), exporter->spans().size(),
                  tracer->transactions().size());
   }
-  if (tracer && (a.metrics || !a.metrics_json_file.empty())) {
+  if (tracer && (o.metrics || !o.metrics_json.empty())) {
     const MetricsReport m = MetricsReport::from(*tracer);
-    if (a.metrics) std::fputs(m.table().c_str(), stdout);
-    if (!a.metrics_json_file.empty()) {
-      std::ofstream out(a.metrics_json_file);
+    if (o.metrics) std::fputs(m.table().c_str(), stdout);
+    if (!o.metrics_json.empty()) {
+      std::ofstream out(o.metrics_json);
       if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", a.metrics_json_file.c_str());
+        std::fprintf(stderr, "cannot write %s\n", o.metrics_json.c_str());
         return 1;
       }
       out << m.to_json() << "\n";
-      std::fprintf(stderr, "wrote %s\n", a.metrics_json_file.c_str());
+      std::fprintf(stderr, "wrote %s\n", o.metrics_json.c_str());
     }
   }
   if (!r.blocked.empty() && !r.root_completed) {
@@ -735,19 +625,26 @@ int cmd_simulate(const Args& a, const Specification& spec) {
   return 0;
 }
 
-int cmd_refine(const Args& a, const Specification& spec) {
+int cmd_graph(const Opts& o, const Specification& spec) {
+  const AccessGraph graph = build_access_graph(spec);
+  if (!o.ratio && !o.asics && o.assigns.empty() && o.var_pins.empty()) {
+    return write_output(o, to_dot(graph));
+  }
+  const std::optional<Partition> part = build_partition(o, spec, graph, false);
+  return part ? write_output(o, to_dot(graph, *part)) : 2;
+}
+
+int cmd_refine(const Opts& o, const Specification& spec) {
   AccessGraph graph = build_access_graph(spec);
-  Partition part = build_partition(a, spec, graph);
-  auto [local_v, global_v] = part.local_global_counts(graph);
-  std::fprintf(stderr, "partition: %zu local / %zu global variables\n",
-               local_v, global_v);
+  const std::optional<Partition> part = build_partition(o, spec, graph, true);
+  if (!part) return 2;
 
   RefineConfig cfg;
-  cfg.model = static_cast<ImplModel>(a.model - 1);
-  cfg.protocol = a.protocol;
-  cfg.leaf_scheme = a.scheme;
-  cfg.inline_protocols = a.inline_protocols;
-  RefineResult r = refine(part, graph, cfg);
+  cfg.model = static_cast<ImplModel>(o.model.value_or(1) - 1);
+  cfg.protocol = static_cast<ProtocolStyle>(o.protocol.value_or(0));
+  cfg.leaf_scheme = static_cast<LeafScheme>(o.scheme.value_or(0));
+  cfg.inline_protocols = !o.no_inline;
+  RefineResult r = refine(*part, graph, cfg);
   std::fprintf(stderr,
                "%s: %zu buses, %zu memories (%zu ports), %zu arbiters, "
                "%zu interfaces, %zu protocol sites\n",
@@ -755,188 +652,95 @@ int cmd_refine(const Args& a, const Specification& spec) {
                r.stats.memory_ports, r.stats.arbiters, r.stats.interfaces,
                r.stats.inlined_sites);
 
-  if (a.rates) {
+  if (o.rates) {
     ProfileResult prof = profile_spec(spec);
-    BusRateReport rates = bus_rates(prof, part, r.plan, 100e6);
+    BusRateReport rates = bus_rates(prof, *part, r.plan, 100e6);
     std::fprintf(stderr, "bus transfer rates (Mbit/s):\n");
     for (const auto& [bus, mbps] : rates.bus_mbps) {
       std::fprintf(stderr, "  %-18s %10.1f\n", bus.c_str(), mbps);
     }
   }
-  if (a.report) {
+  if (o.report) {
     ProfileResult prof = profile_spec(spec);
-    BusRateReport rates = bus_rates(prof, part, r.plan, 100e6);
-    return write_output(a, architecture_report(r, part, &rates));
+    BusRateReport rates = bus_rates(prof, *part, r.plan, 100e6);
+    return write_output(o, architecture_report(r, *part, &rates));
   }
-  if (a.verify) {
+  if (o.verify) {
     EquivalenceOptions eo;
-    eo.config.exec_tier = a.exec_tier;
-    eo.compare_write_traces = a.protocol == ProtocolStyle::FullHandshake;
+    eo.config.exec_tier = exec_tier(o);
+    eo.compare_write_traces = cfg.protocol == ProtocolStyle::FullHandshake;
     eo.parallel = true;  // overlap the two runs; the report is unaffected
     EquivalenceReport rep = check_equivalence(spec, r.refined, eo);
     std::fprintf(stderr, "equivalence: %s\n", rep.summary().c_str());
     if (!rep.equivalent) return 1;
   }
-  return write_output(a, a.vhdl ? to_vhdl(r.refined) : print(r.refined));
+  return write_output(o, o.vhdl ? to_vhdl(r.refined) : print(r.refined));
 }
 
-int cmd_sweep(const Args& a, const Specification& spec) {
+int cmd_sweep(const Opts& o, const Specification& spec) {
   AccessGraph graph = build_access_graph(spec);
-  Partition part = build_partition(a, spec, graph);
-  auto [local_v, global_v] = part.local_global_counts(graph);
-  std::fprintf(stderr, "partition: %zu local / %zu global variables\n",
-               local_v, global_v);
+  const std::optional<Partition> part = build_partition(o, spec, graph, true);
+  if (!part) return 2;
   ProfileResult prof = profile_spec(spec);
 
   batch::SweepOptions so;
-  so.exec_tier = a.exec_tier;
-  so.verify = a.verify;
-  so.explore_schedules = a.explore_schedules;
+  so.exec_tier = exec_tier(o);
+  so.verify = o.verify;
+  so.explore_schedules = o.explore.value_or(0);
   if (so.explore_schedules > 0 && !so.verify) {
     std::fprintf(stderr,
                  "note: --explore-schedules implies --verify for sweep\n");
     so.verify = true;
   }
-  if (a.max_cycles != 0) so.max_cycles = a.max_cycles;
-  if (a.clock_hz > 0.0) so.clock_hz = a.clock_hz;
+  if (o.max_cycles) so.max_cycles = *o.max_cycles;
+  if (o.clock_hz) so.clock_hz = *o.clock_hz;
 
-  const size_t workers =
-      a.jobs == 0 ? batch::ThreadPool::default_workers() : a.jobs;
-  batch::ThreadPool pool(workers);
+  batch::ThreadPool pool(workers(o));
   const batch::SweepReport rep = batch::run_sweep(
-      spec, part, graph, prof, batch::full_matrix(), so, pool);
-  return write_output(a, a.json ? rep.json() : rep.table());
+      spec, *part, graph, prof, batch::full_matrix(), so, pool);
+  return write_output(o, o.json ? rep.json() : rep.table());
 }
 
-// `fuzz` takes no input file, so it parses its own options. Global options
-// (--stats*, --pipeline-trace, --exec-tier) go through the same
-// parse_global_flag as every other subcommand.
-int cmd_fuzz(int argc, char** argv) {
-  fuzz::FuzzOptions opts;
-  GlobalOpts global;
-  std::string json_file;
-  for (int i = 2; i < argc; ++i) {
-    const std::string f = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", f.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (const int g = parse_global_flag(f, next, global); g != 0) {
-      if (g < 0) return 2;
-      continue;
-    }
-    if (const int x = parse_explore_flag(f, opts.explore_schedules); x != 0) {
-      if (x < 0) return 2;
-      continue;
-    }
-    if (f == "--seeds") {
-      const char* v = next();
-      if (!v) return 2;
-      if (!parse_count(v, SIZE_MAX, opts.seeds)) {
-        std::fprintf(stderr, "--seeds expects a positive count\n");
-        return 2;
-      }
-    } else if (f == "--seed") {
-      const char* v = next();
-      if (!v) return 2;
-      size_t seed = 0;
-      if (!parse_count(v, SIZE_MAX, seed)) {
-        std::fprintf(stderr, "--seed expects a decimal seed\n");
-        return 2;
-      }
-      opts.start_seed = seed;
-    } else if (f == "--budget") {
-      const char* v = next();
-      if (!v) return 2;
-      if (!parse_count(v, SIZE_MAX, opts.stmt_budget)) {
-        std::fprintf(stderr, "--budget expects a statement count\n");
-        return 2;
-      }
-    } else if (f == "--jobs") {
-      const char* v = next();
-      if (!v || !parse_jobs(v, opts.jobs)) return 2;
-    } else if (f == "--json") {
-      const char* v = next();
-      if (!v) return 2;
-      json_file = v;
-    } else if (f == "--reduce") {
-      opts.reduce = true;
-    } else if (f == "--out") {
-      const char* v = next();
-      if (!v) return 2;
-      opts.out_dir = v;
-    } else if (f == "--dump") {
-      const char* v = next();
-      if (!v) return 2;
-      opts.dump_dir = v;
-    } else if (f == "--inject-bug") {
-      const char* v = next();
-      if (!v) return 2;
-      if (!fuzz::parse_injected_bug(v, opts.inject)) {
-        std::fprintf(stderr, "--inject-bug must be done, data or none\n");
-        return 2;
-      }
-    } else if (f == "--max-cycles") {
-      const char* v = next();
-      if (!v || !parse_max_cycles(v, opts.max_cycles)) return 2;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", f.c_str());
-      return 2;
-    }
-  }
-  if (opts.seeds == 0) {
-    std::fprintf(stderr, "--seeds expects a positive count\n");
-    return 2;
-  }
-  opts.exec_tier = global.exec_tier;
-  telemetry::enable(global.stats_requested(), global.trace_requested());
-  const fuzz::FuzzReport report = fuzz::run_fuzz(opts, std::cout);
+int cmd_fuzz(const Opts& o) {
+  fuzz::FuzzOptions f;
+  f.start_seed = o.seed.value_or(f.start_seed);
+  f.seeds = o.seeds.value_or(f.seeds);
+  f.stmt_budget = o.budget.value_or(f.stmt_budget);
+  f.max_cycles = o.max_cycles.value_or(f.max_cycles);
+  f.explore_schedules = o.explore.value_or(f.explore_schedules);
+  f.jobs = o.jobs.value_or(f.jobs);
+  f.reduce = o.reduce;
+  if (!o.out_dir.empty()) f.out_dir = o.out_dir;
+  f.dump_dir = o.dump_dir;
+  if (o.inject) f.inject = static_cast<fuzz::InjectedBug>(*o.inject);
+  if (o.exec_tier) f.exec_tier = static_cast<ExecTier>(*o.exec_tier);
+  const fuzz::FuzzReport report = fuzz::run_fuzz(f, std::cout);
   int rc = report.ok() ? 0 : 1;
-  if (!json_file.empty()) {
-    std::ofstream out(json_file, std::ios::binary | std::ios::trunc);
+  if (!o.json_file.empty()) {
+    std::ofstream out(o.json_file, std::ios::binary | std::ios::trunc);
     if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_file.c_str());
+      std::fprintf(stderr, "cannot write %s\n", o.json_file.c_str());
       rc = 1;
     } else {
       out << report.json();
-      std::fprintf(stderr, "wrote %s\n", json_file.c_str());
+      std::fprintf(stderr, "wrote %s\n", o.json_file.c_str());
     }
   }
-  if (opts.inject != fuzz::InjectedBug::None &&
-      report.injections_applied == 0) {
+  if (f.inject != fuzz::InjectedBug::None && report.injections_applied == 0) {
     std::fprintf(stderr,
                  "fuzz: --inject-bug %s never found an applicable site\n",
-                 fuzz::to_string(opts.inject));
+                 fuzz::to_string(f.inject));
     rc = 1;
   }
-  if (const int trc = finish_telemetry(global, "fuzz"); rc == 0) rc = trc;
   return rc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc >= 2 && std::string(argv[1]) == "fuzz") {
-    try {
-      return cmd_fuzz(argc, argv);
-    } catch (const SpecError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  Args a;
-  const int prc = parse_args(argc, argv, a);
-  if (prc == -1) return help();
-  if (prc != 0) return prc;
-
-  telemetry::enable(a.global.stats_requested(), a.global.trace_requested());
-
+/// Reads, parses and validates the spec, then runs the command on it.
+int run_on_file(const char* path, const Opts& o,
+                int (*run)(const Opts&, const Specification&)) {
   std::string text;
-  if (!read_file(a.file, text)) {
-    std::fprintf(stderr, "cannot read %s\n", a.file.c_str());
+  if (!read_file(path, text)) {
+    std::fprintf(stderr, "cannot read %s\n", path);
     return 1;
   }
   DiagnosticSink diags;
@@ -945,50 +749,145 @@ int main(int argc, char** argv) {
     telemetry::Span span("parse", telemetry::Stability::Stable);
     parsed = parse_spec(text, diags);
   }
-  if (!parsed) {
-    std::fprintf(stderr, "%s", diags.str().c_str());
-    return 1;
-  }
-  Specification spec = std::move(*parsed);
-  if (!validate(spec, diags)) {
+  if (!parsed || !validate(*parsed, diags)) {
     std::fprintf(stderr, "%s", diags.str().c_str());
     return 1;
   }
   if (diags.all().size() > diags.error_count()) {
     std::fprintf(stderr, "%s", diags.str().c_str());  // warnings
   }
+  return run(o, *parsed);
+}
 
-  int rc = 2;
-  bool dispatched = true;
-  try {
-    if (a.command == "check") {
-      rc = cmd_check(a, spec);
-    } else if (a.command == "print") {
-      rc = write_output(a, print(spec));
-    } else if (a.command == "simulate") {
-      rc = cmd_simulate(a, spec);
-    } else if (a.command == "graph") {
-      AccessGraph graph = build_access_graph(spec);
-      if (!a.assigns.empty() || a.ratio) {
-        Partition part = build_partition(a, spec, graph);
-        rc = write_output(a, to_dot(graph, part));
-      } else {
-        rc = write_output(a, to_dot(graph));
-      }
-    } else if (a.command == "refine") {
-      rc = cmd_refine(a, spec);
-    } else if (a.command == "sweep") {
-      rc = cmd_sweep(a, spec);
-    } else {
-      dispatched = false;
+struct Command {
+  const char* name;
+  unsigned bit;
+  int (*run)(const Opts&, const Specification&);  // null: takes no file
+  const char* help;
+};
+
+const Command kCommands[] = {
+    {"check", kCheck, cmd_check,
+     "parse, validate, print summary statistics, then run the static\n"
+     "refinement verifier (protocol, deadlock, race, address-map, arbiter\n"
+     "and control-order checks); exit 1 on any SA0xx error. --json writes\n"
+     "the report as JSON (schema specsyn-check-v1, see\n"
+     "tools/check_diag_json.py) to stdout or -o FILE. With\n"
+     "--explore-schedules, a divergent observable outcome is an SA021\n"
+     "error with a replayable witness"},
+    {"print", kPrint, cmd_print, "canonical pretty-print"},
+    {"simulate", kSimulate, cmd_simulate,
+     "run the discrete-event simulator, report results"},
+    {"graph", kGraph, cmd_graph,
+     "Graphviz DOT of the access graph, partitioned when any partition\n"
+     "option is given"},
+    {"refine", kRefine, cmd_refine, "transform into an implementation model"},
+    {"sweep", kSweep, cmd_sweep,
+     "refine, statically verify, price and simulate every point of the\n"
+     "model x protocol x scheme x inline matrix (32 configurations) on a\n"
+     "worker pool; print the ranked comparison (the paper's Section 5\n"
+     "experiment as one command). --explore-schedules implies --verify\n"
+     "and ranks last, RACE in the sched column, each point with a refined\n"
+     "outcome the original spec does not permit"},
+    {"fuzz", kFuzz, nullptr,
+     "generate random specs, refine each under a sampled config, and\n"
+     "cross-check every pipeline layer (round-trip, interpreter diff,\n"
+     "equivalence, static verifier); exit 1 if any seed fails.\n"
+     "--explore-schedules sets the schedules per side of the\n"
+     "schedule-inclusion oracle (default 4)"},
+};
+
+constexpr const char* kUsage =
+    "usage: specsyn <check|print|simulate|graph|refine|sweep> <file.spec> "
+    "[options]\n"
+    "       specsyn fuzz [options]\n";
+
+int usage() {
+  std::fprintf(stderr, "%srun `specsyn help` for the full option list\n",
+               kUsage);
+  return 2;
+}
+
+/// Prints `text` with every line after the first indented by `indent`.
+void print_indented(const char* text, int indent) {
+  for (const char* p = text; *p != '\0'; ++p) {
+    std::putchar(*p);
+    if (*p == '\n') std::printf("%*s", indent, "");
+  }
+  std::putchar('\n');
+}
+
+/// Lists the rows whose command set is exactly `kEvery` (when `bit` is
+/// kEvery) or includes the command `bit` (otherwise).
+void print_rows(unsigned bit) {
+  constexpr int kHelpColumn = 25;
+  for (const Option& opt : kOptions) {
+    if ((opt.commands == kEvery) != (bit == kEvery) ||
+        (opt.commands & bit) == 0) {
+      continue;
     }
+    std::string use = opt.flag;
+    if (opt.kind == Kind::Schedules) {
+      use += "[=N]";
+    } else if (opt.kind == Kind::Enum) {
+      use += ' ' + join_names(opt.names, false);
+    } else if (opt.kind == Kind::Count && opt.max != SIZE_MAX) {
+      use += ' ' + std::to_string(opt.min) + ".." + std::to_string(opt.max);
+    } else if (opt.kind != Kind::Switch) {
+      use += ' ';
+      use += opt.arg;
+    }
+    if (use.size() + 3 > kHelpColumn) {
+      std::printf("  %s\n%*s", use.c_str(), kHelpColumn, "");
+    } else {
+      std::printf("  %-*s ", kHelpColumn - 3, use.c_str());
+    }
+    print_indented(opt.help, kHelpColumn);
+  }
+}
+
+int help() {
+  std::printf("specsyn — model refinement for hardware-software codesign\n\n%s",
+              kUsage);
+  for (const Command& c : kCommands) {
+    std::printf("\n%s%s\n  ", c.name, c.run ? " <file.spec>" : "");
+    print_indented(c.help, 2);
+    print_rows(c.bit);
+  }
+  std::printf("\nevery command:\n");
+  print_rows(kEvery);
+  std::printf(
+      "\na flag that a command does not read is a usage error (exit 2).\n"
+      "telemetry never changes the bytes of any primary output: stats go to\n"
+      "stderr or to the named files only.\n");
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) return usage();
+  const std::string_view name = argv[1];
+  if (name == "help" || name == "--help") return help();
+  const Command* cmd = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const Command& c) { return name == c.name; });
+  if (cmd == std::end(kCommands)) return usage();
+  const int first = cmd->run ? 3 : 2;
+  if (argc < first) return usage();
+  Opts o;
+  if (const int prc = parse_options(argc, argv, first, cmd->bit, cmd->name, o);
+      prc != 0) {
+    return prc;
+  }
+  telemetry::enable(o.stats || !o.stats_json.empty(),
+                    !o.pipeline_trace.empty());
+  int rc = 1;
+  try {
+    rc = cmd->run ? run_on_file(argv[2], o, cmd->run) : cmd_fuzz(o);
   } catch (const SpecError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    rc = 1;
   }
-  if (!dispatched) return usage();
-  if (const int trc = finish_telemetry(a.global, a.command); rc == 0) {
-    rc = trc;
-  }
+  if (const int trc = finish_telemetry(o, cmd->name); rc == 0) rc = trc;
   return rc;
 }
