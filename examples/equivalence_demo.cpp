@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
         cfg.protocol = p;
         RefineResult r = refine(part, graph, cfg);
         EquivalenceOptions eo;
-        eo.compare_write_traces = p == ProtocolStyle::FullHandshake;
+        eo.compare_write_traces = keeps_write_sequences(p);
         EquivalenceReport rep = check_equivalence(spec, r.refined, eo);
         std::printf(" %s", rep.equivalent ? "ok" : "FAIL");
         if (!rep.equivalent) {

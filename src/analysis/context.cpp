@@ -154,10 +154,6 @@ Context::Context(const Specification& spec)
   find_races();
 }
 
-bool Context::concurrent(const Behavior* a, const Behavior* b) const {
-  return concurrent(index_.id_of(a), index_.id_of(b));
-}
-
 bool Context::concurrent(SpecIndex::Id ia, SpecIndex::Id ib) const {
   if (ia == SpecIndex::kNone || ib == SpecIndex::kNone ||
       index_.is_ancestor(ia, ib) || index_.is_ancestor(ib, ia)) {

@@ -153,9 +153,6 @@ class Context {
   [[nodiscard]] const Specification& spec() const { return index_.spec(); }
   [[nodiscard]] const BusTopology& topology() const { return topo_; }
 
-  /// True when `a` and `b` can be simultaneously active.
-  [[nodiscard]] bool concurrent(const Behavior* a, const Behavior* b) const;
-
   /// "SYS/PROC_top/B3_NEW"-style hierarchy path ("" for unknown behaviors).
   [[nodiscard]] std::string path_of(const Behavior* b) const;
 
@@ -221,6 +218,7 @@ class Context {
   [[nodiscard]] BusTopology::SignalRole role_of(std::string_view name) const;
   SignalUse& use_of(Symbol& sym);
 
+  /// True when behaviors `a` and `b` can be simultaneously active.
   [[nodiscard]] bool concurrent(SpecIndex::Id a, SpecIndex::Id b) const;
 
   void walk_spec();

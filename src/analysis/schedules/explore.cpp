@@ -58,102 +58,8 @@ RunResult run_one(const std::shared_ptr<const SimPlan>& plan, SimConfig cfg,
   return out;
 }
 
-/// First point of disagreement between two outcomes, for report text.
-std::string describe_divergence(const Outcome& base, const Outcome& other) {
-  if (base.status != other.status) {
-    return std::string("baseline ") +
-           (base.status == SimResult::Status::Quiescent ? "quiesces"
-                                                        : "hits max-cycles") +
-           " but the witness schedule " +
-           (other.status == SimResult::Status::Quiescent ? "quiesces"
-                                                         : "hits max-cycles");
-  }
-  if (base.root_completed != other.root_completed) {
-    return std::string("root behavior ") +
-           (base.root_completed ? "completes" : "does not complete") +
-           " under the baseline but " +
-           (other.root_completed ? "completes" : "does not complete") +
-           " under the witness schedule";
-  }
-  for (const auto& [name, value] : base.final_vars) {
-    auto it = other.final_vars.find(name);
-    if (it != other.final_vars.end() && it->second != value) {
-      return "final value of '" + name + "' is " + std::to_string(value) +
-             " under the baseline schedule but " + std::to_string(it->second) +
-             " under the witness";
-    }
-  }
-  for (const auto& [name, seq] : base.writes) {
-    auto it = other.writes.find(name);
-    if (it == other.writes.end() || it->second != seq) {
-      return "observable write sequence of '" + name +
-             "' differs between the baseline and the witness schedule";
-    }
-  }
-  for (const auto& [name, seq] : other.writes) {
-    (void)seq;
-    if (base.writes.find(name) == base.writes.end()) {
-      return "observable write sequence of '" + name +
-             "' differs between the baseline and the witness schedule";
-    }
-  }
-  return "observable outcomes differ";
-}
-
-}  // namespace
-
-Outcome outcome_of(const SimResult& r, const Specification* original) {
-  Outcome o;
-  o.status = r.status;
-  o.root_completed =
-      original != nullptr ? top_completed(*original, r) : r.root_completed;
-  o.final_vars = r.final_vars;
-  for (const WriteEvent& w : r.observable_writes) {
-    o.writes[w.var].push_back(w.value);
-  }
-  return o;
-}
-
-Outcome Outcome::project(const std::set<std::string>& vars) const {
-  Outcome out;
-  out.status = status;
-  out.root_completed = root_completed;
-  for (const auto& [name, value] : final_vars) {
-    if (vars.count(name) != 0) out.final_vars.emplace(name, value);
-  }
-  for (const auto& [name, seq] : writes) {
-    if (vars.count(name) != 0) out.writes.emplace(name, seq);
-  }
-  return out;
-}
-
-std::string Outcome::digest() const {
-  std::string out =
-      status == SimResult::Status::Quiescent ? "quiescent" : "max-cycles";
-  out += root_completed ? " root-done" : " root-incomplete";
-  for (const auto& [name, value] : final_vars) {
-    out += ' ';
-    out += name;
-    out += '=';
-    out += std::to_string(value);
-  }
-  for (const auto& [name, seq] : writes) {
-    out += ' ';
-    out += name;
-    out += ":[";
-    for (size_t i = 0; i < seq.size(); ++i) {
-      if (i != 0) out += ',';
-      out += std::to_string(seq[i]);
-    }
-    out += ']';
-  }
-  return out;
-}
-
-namespace {
-
 /// explore() proper; a non-null `original` marks ctx.spec() as its
-/// refinement, for outcome_of's liveness criterion.
+/// refinement, whose outcomes outcome_of projects onto the original.
 ExploreResult explore_runs(const Context& ctx,
                            const std::shared_ptr<const SimPlan>& plan,
                            const ExploreOptions& opts,
@@ -245,7 +151,12 @@ ExploreResult explore_runs(const Context& ctx,
         ++result.divergent;
         if (result.witness.empty()) {
           result.witness = format_witness(run.taken);
-          result.divergence = describe_divergence(base_outcome, run.outcome);
+          result.divergence =
+              describe_differences(original != nullptr ? *original
+                                                       : ctx.spec(),
+                                   base_outcome, run.outcome, "baseline",
+                                   "witness")
+                  .front();
         }
       }
       result.schedules.push_back(
@@ -283,41 +194,31 @@ ExploreResult explore(const Specification& spec, const Context& ctx,
 }
 
 InclusionResult check_inclusion(
-    const Context& original_ctx,
-    const std::shared_ptr<const SimPlan>& original_plan,
+    const Specification& original, const ExploreResult& original_runs,
     const Context& refined_ctx,
     const std::shared_ptr<const SimPlan>& refined_plan,
     const ExploreOptions& opts) {
-  const Specification& original = original_ctx.spec();
-  ExploreResult orig = explore(original_ctx, original_plan, opts);
-  ExploreResult refd =
+  // Refined outcomes come out of outcome_of already projected onto the
+  // original's variables.
+  const ExploreResult refined =
       explore_runs(refined_ctx, refined_plan, opts, &original);
 
   InclusionResult result;
-  result.original_explored = orig.explored;
-  result.refined_explored = refd.explored;
+  result.original_explored = original_runs.explored;
+  result.refined_explored = refined.explored;
 
-  // Partition consistency is stated over the original specification's
-  // observables; the refined runs are projected onto them (bus registers and
-  // handshake scratch introduced by refinement are not outcomes). Status and
-  // root-completion stay part of the projected outcome: a schedule that
-  // deadlocks where the original terminated is a real divergence.
-  std::set<std::string> vars;
-  for (const VarDecl* v : original.all_vars()) vars.insert(v->name);
-
-  const auto digest_of = [&](const Schedule& s) {
-    Outcome p = s.outcome.project(vars);
-    if (!opts.compare_write_traces) p.writes.clear();
-    return p.digest();
+  const auto digest_of = [&](Outcome o) {
+    if (!opts.compare_write_traces) o.writes.clear();
+    return o.digest();
   };
   std::set<std::string> permitted;
-  for (const Schedule& s : orig.schedules) {
-    permitted.insert(digest_of(s));
+  for (const Schedule& s : original_runs.schedules) {
+    permitted.insert(digest_of(s.outcome));
   }
-  for (const Schedule& s : refd.schedules) {
-    const std::string digest = digest_of(s);
+  for (const Schedule& s : refined.schedules) {
+    const std::string digest = digest_of(s.outcome);
     if (permitted.count(digest) != 0) continue;
-    if (!orig.complete) {
+    if (!original_runs.complete) {
       // The escaping outcome may simply be missing from a truncated
       // enumeration of the original; don't call that a bug.
       result.inconclusive = true;
@@ -327,7 +228,7 @@ InclusionResult check_inclusion(
     result.violation = "refined outcome under schedule '" +
                        format_witness(s.picks) +
                        "' is not an outcome the original permits over " +
-                       std::to_string(orig.explored) +
+                       std::to_string(original_runs.explored) +
                        " explored original schedules: " + digest;
     break;
   }
@@ -338,9 +239,9 @@ InclusionResult check_inclusion(const Specification& original,
                                 const Specification& refined,
                                 const ExploreOptions& opts) {
   const ExecTier tier = opts.config.exec_tier;
-  return check_inclusion(Context(original), SimPlan::build(original, tier),
-                         Context(refined), SimPlan::build(refined, tier),
-                         opts);
+  return check_inclusion(
+      original, explore(original, Context(original), opts), Context(refined),
+      SimPlan::build(refined, tier), opts);
 }
 
 }  // namespace specsyn::analysis::schedules

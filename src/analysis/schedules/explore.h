@@ -21,9 +21,8 @@
 //     (Context::races, the SA020 relation) with another member of the ready
 //     set — reordering independent behaviors cannot change the outcome, so
 //     those branches are counted as pruned, not explored,
-//   * outcomes are compared timing-free (final variables + per-variable
-//     observable write value sequences + termination status); two schedules
-//     that disagree yield a replayable witness ("picks:..." — sim/sched.h).
+//   * two schedules whose outcomes (sim/equivalence.h) differ yield a
+//     replayable witness ("picks:..." — sim/sched.h).
 //
 // The same machinery backs the partition-consistency fuzz oracle
 // (check_inclusion): every outcome the refined specification can exhibit
@@ -31,12 +30,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "sim/equivalence.h"
 #include "sim/simulator.h"
 #include "spec/specification.h"
 
@@ -53,33 +51,6 @@ namespace specsyn::analysis {
 class Context;
 
 namespace schedules {
-
-/// Timing-free observable outcome of one simulated schedule. Write times are
-/// deliberately dropped: permuting same-instant ties shifts timestamps
-/// without changing what the environment can observe.
-struct Outcome {
-  SimResult::Status status = SimResult::Status::Quiescent;
-  bool root_completed = false;
-  /// Final value of every variable (by unique name).
-  std::map<std::string, uint64_t> final_vars;
-  /// Observable write value sequences, per variable.
-  std::map<std::string, std::vector<uint64_t>> writes;
-
-  friend bool operator==(const Outcome&, const Outcome&) = default;
-
-  /// Restriction to the named variables (inclusion checks project the
-  /// refined outcome onto the original specification's variables).
-  [[nodiscard]] Outcome project(const std::set<std::string>& vars) const;
-
-  /// Canonical one-line rendering, for set membership and report text.
-  [[nodiscard]] std::string digest() const;
-};
-
-/// Extracts the timing-free outcome of a finished run. When `original` is
-/// given, `r` is a run of its refinement and root completion is
-/// sim/equivalence's liveness criterion (top_completed).
-Outcome outcome_of(const SimResult& r,
-                   const Specification* original = nullptr);
 
 /// One explored interleaving.
 struct Schedule {
@@ -104,9 +75,9 @@ struct ExploreOptions {
   /// Results are byte-identical for any worker count.
   batch::ThreadPool* pool = nullptr;
   /// check_inclusion only: compare per-variable observable write value
-  /// sequences. Callers disable this for byte-serial protocols, whose beat
-  /// splitting legitimately changes the sequences (the same policy as
-  /// EquivalenceOptions::compare_write_traces).
+  /// sequences. Callers set it from keeps_write_sequences(protocol)
+  /// (refine/types.h); the field stays only because perfbench sets it, as
+  /// EquivalenceOptions::compare_write_traces does.
   bool compare_write_traces = true;
 };
 
@@ -122,7 +93,7 @@ struct ExploreResult {
   /// Witness of the first divergent schedule ("" when none): the "picks:..."
   /// string `specsyn simulate --replay-witness` consumes.
   std::string witness;
-  /// Human-readable first point of disagreement (baseline vs witness).
+  /// First line of describe_differences(baseline, witness).
   std::string divergence;
 
   [[nodiscard]] bool diverged() const { return divergent != 0; }
@@ -143,8 +114,8 @@ ExploreResult explore(const Specification& spec, const Context& ctx,
 /// Partition-consistency check (the schedule-inclusion fuzz oracle): every
 /// outcome `refined` exhibits over the explored schedules, projected onto
 /// the original specification's variables, must be an outcome `original`
-/// exhibits too. Termination status is compared only between the baselines;
-/// the projection compares variable state and observable write sequences.
+/// exhibits too. Status and liveness are part of every outcome: a schedule
+/// that deadlocks where the original terminated is a real divergence.
 struct InclusionResult {
   bool holds = true;
   /// Set when a refined outcome escapes the original's explored set but the
@@ -157,15 +128,16 @@ struct InclusionResult {
   uint64_t refined_explored = 0;
 };
 
-/// Each side brings its Context and a plan built from the same spec for
-/// opts.config.exec_tier; nothing is validated, walked or compiled here.
+/// `original_runs` is explore() of `original` under the same options, made
+/// once by a caller that checks several refinements against it (the sweep).
+/// The refined side brings its Context and a plan built from the same spec
+/// for opts.config.exec_tier; nothing is validated, walked or compiled here.
 InclusionResult check_inclusion(
-    const Context& original_ctx,
-    const std::shared_ptr<const SimPlan>& original_plan,
+    const Specification& original, const ExploreResult& original_runs,
     const Context& refined_ctx,
     const std::shared_ptr<const SimPlan>& refined_plan,
     const ExploreOptions& opts);
-/// check_inclusion() with each side's Context and plan built here.
+/// check_inclusion() with both sides explored here.
 InclusionResult check_inclusion(const Specification& original,
                                 const Specification& refined,
                                 const ExploreOptions& opts);

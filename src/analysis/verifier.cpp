@@ -578,29 +578,6 @@ bool Report::has(const std::string& code) const {
   return false;
 }
 
-void Report::to_sink(DiagnosticSink& sink) const {
-  for (const Finding& f : findings) {
-    std::string msg = f.code;
-    if (!f.behavior.empty()) {
-      msg += " [";
-      msg += f.behavior;
-      msg += ']';
-    }
-    msg += ": ";
-    msg += f.message;
-    if (!f.witness.empty()) {
-      msg += " [witness: ";
-      msg += f.witness;
-      msg += ']';
-    }
-    switch (f.severity) {
-      case Severity::Note: sink.note(std::move(msg)); break;
-      case Severity::Warning: sink.warning(std::move(msg)); break;
-      case Severity::Error: sink.error(std::move(msg)); break;
-    }
-  }
-}
-
 std::string Report::json(const std::string& spec_name) const {
   std::string out = "{\n  \"schema\": \"specsyn-check-v1\",\n  \"spec\": \"";
   append_json_escaped(out, spec_name);

@@ -82,7 +82,6 @@ struct Report {
   /// True when some finding carries the given code.
   [[nodiscard]] bool has(const std::string& code) const;
 
-  void to_sink(DiagnosticSink& sink) const;
   /// Machine-readable report for `specsyn check --json`
   /// (schema "specsyn-check-v1"; validated by tools/check_diag_json.py).
   [[nodiscard]] std::string json(const std::string& spec_name) const;

@@ -43,15 +43,13 @@ SimConfig sim_config(const SweepOptions& opts) {
   return sc;
 }
 
-/// The original spec's run under the sweep's SimConfig, made once per sweep
-/// and shared read-only by every point's equivalence check. Under
-/// --explore-schedules the plan and Context it was run from also serve every
-/// point's schedule-inclusion check.
+/// The original spec's outcome under the sweep's SimConfig and, under
+/// --explore-schedules, its explored schedules: made once per sweep and
+/// shared read-only by every point's equivalence and inclusion checks.
 struct OriginalRun {
-  SimResult result;
-  std::optional<std::string> error;  ///< what simulating the original threw
-  std::shared_ptr<const SimPlan> plan;
-  std::optional<analysis::Context> ctx;  ///< set only when exploring
+  Outcome outcome;
+  std::optional<analysis::schedules::ExploreResult> explored;
+  std::optional<std::string> error;  ///< what simulating or exploring threw
 };
 
 /// Refine + verify + price + simulate one matrix point. Everything this
@@ -107,26 +105,23 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
     }
 
     if (opts.verify) {
-      // Byte-serial transfers split wide writes into beats, so observable
-      // write traces legitimately differ (same policy as `refine --verify`
-      // and the fuzz oracles).
       const bool compare_write_traces =
-          point.config.protocol == ProtocolStyle::FullHandshake;
+          keeps_write_sequences(point.config.protocol);
       row.verified = true;
       if (original.error) throw SpecError(*original.error);
       // The measured run doubles as the refined side: observers never
       // change a SimResult, and both runs used the same SimConfig.
-      row.equivalent = compare_results(spec, original.result, res,
+      row.equivalent = compare_results(spec, original.outcome, res,
                                        compare_write_traces)
                            .equivalent;
 
-      if (opts.explore_schedules > 0) {
+      if (original.explored) {
         analysis::schedules::ExploreOptions xo;
         xo.max_schedules = opts.explore_schedules;
         xo.config = sc;
         xo.compare_write_traces = compare_write_traces;
         const analysis::schedules::InclusionResult inc =
-            analysis::schedules::check_inclusion(*original.ctx, original.plan,
+            analysis::schedules::check_inclusion(spec, *original.explored,
                                                  rctx, plan, xo);
         row.sched_checked = true;
         row.sched_consistent = inc.holds;
@@ -198,9 +193,16 @@ SweepReport run_sweep(const Specification& spec, const Partition& part,
   if (opts.verify) {
     try {
       const SimConfig sc = sim_config(opts);
-      original.plan = SimPlan::build(spec, sc.exec_tier);
-      original.result = Simulator(original.plan, sc).run();
-      if (opts.explore_schedules > 0) original.ctx.emplace(spec);
+      const std::shared_ptr<const SimPlan> plan =
+          SimPlan::build(spec, sc.exec_tier);
+      original.outcome = outcome_of(Simulator(plan, sc).run());
+      if (opts.explore_schedules > 0) {
+        analysis::schedules::ExploreOptions xo;
+        xo.max_schedules = opts.explore_schedules;
+        xo.config = sc;
+        original.explored =
+            analysis::schedules::explore(analysis::Context(spec), plan, xo);
+      }
     } catch (const SpecError& e) {
       original.error = e.what();  // lands in every verified row
     }

@@ -5,8 +5,9 @@
 // configuration is refined, statically verified, priced (estimate/cost),
 // simulated with a BusTracer, and optionally checked for functional
 // equivalence — each point an independent job on the pool. The original
-// spec is simulated once per sweep and each refined spec once per point:
-// the measured run is also the refined side of the equivalence check. The
+// spec is simulated (and, with schedule exploration, explored) once per
+// sweep and each refined spec once per point: the measured run is also the
+// refined side of the equivalence check. The
 // ranked table/JSON is bit-identical for any
 // worker count: jobs write only their own row, and ranking is a pure sort
 // over deterministic per-row data (matrix index breaks all ties).
@@ -52,7 +53,9 @@ struct SweepOptions {
   bool verify = false;
   /// With `verify`, additionally run the partition-consistency check over up
   /// to this many explored schedules per side (analysis/schedules): every
-  /// refined outcome must be one the original permits. 0 disables.
+  /// refined outcome must be one the original permits. The original is
+  /// explored once, before the batch; an original that fails to explore
+  /// fails every row. 0 disables.
   size_t explore_schedules = 0;
 };
 

@@ -47,15 +47,6 @@ const char* to_string(InjectedBug b) {
   return kInjectedBugNames[static_cast<size_t>(b)];
 }
 
-std::string OracleOutcome::summary() const {
-  if (issues.empty()) return "ok";
-  std::ostringstream os;
-  for (const FuzzIssue& i : issues) {
-    os << "[" << i.oracle << "] " << i.detail << "\n";
-  }
-  return os.str();
-}
-
 namespace {
 
 void add_issue(OracleOutcome& out, std::string oracle, std::string detail) {
@@ -296,9 +287,10 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   // oracle's SimConfig; compare the configured tier's runs.
   const ExecTier tier = opts.exec_tier.value_or(default_exec_tier());
   before = out.issues.size();
-  const EquivalenceReport rep = compare_results(
-      spec, original_runs.at(tier), refined_runs.at(tier),
-      cfg.protocol == ProtocolStyle::FullHandshake);
+  const bool compare_write_traces = keeps_write_sequences(cfg.protocol);
+  const EquivalenceReport rep =
+      compare_results(spec, outcome_of(original_runs.at(tier)),
+                      refined_runs.at(tier), compare_write_traces);
   if (!rep.equivalent) add_issue(out, "equivalence", rep.summary());
   tally("equivalence", before);
 
@@ -321,11 +313,11 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
       xo.max_schedules = opts.explore_schedules;
       xo.config.max_cycles = opts.max_cycles;
       xo.config.exec_tier = tier;
-      xo.compare_write_traces =
-          cfg.protocol == ProtocolStyle::FullHandshake;
+      xo.compare_write_traces = compare_write_traces;
       const analysis::schedules::InclusionResult inc =
-          analysis::schedules::check_inclusion(ctx, plan, refined_ctx,
-                                               refined_plan, xo);
+          analysis::schedules::check_inclusion(
+              spec, analysis::schedules::explore(ctx, plan, xo), refined_ctx,
+              refined_plan, xo);
       if (!inc.holds) {
         add_issue(out, "schedule-inclusion", inc.violation);
       }

@@ -89,7 +89,6 @@ struct OracleOutcome {
   bool injection_applied = true;
 
   [[nodiscard]] bool ok() const { return issues.empty(); }
-  [[nodiscard]] std::string summary() const;
 };
 
 struct OracleOptions {

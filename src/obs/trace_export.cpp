@@ -1,6 +1,5 @@
 #include "obs/trace_export.h"
 
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -166,13 +165,6 @@ std::string TraceExporter::to_chrome_json(const BusTracer* bus) const {
 
   os << "\n]}\n";
   return os.str();
-}
-
-void TraceExporter::write(const std::string& path, const BusTracer* bus) const {
-  std::ofstream out(path);
-  if (!out) throw SpecError("TraceExporter: cannot open " + path);
-  out << to_chrome_json(bus);
-  if (!out) throw SpecError("TraceExporter: write failed for " + path);
 }
 
 }  // namespace specsyn

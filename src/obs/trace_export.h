@@ -22,7 +22,7 @@
 //   sim.add_slot_observer(&tracer);
 //   sim.add_slot_observer(&exp);
 //   sim.run();
-//   exp.write("trace.json", &tracer);
+//   const std::string json = exp.to_chrome_json(&tracer);
 #pragma once
 
 #include <cstdint>
@@ -64,9 +64,6 @@ class TraceExporter : public SlotObserver {
   /// The complete trace JSON. Pass the (finished) BusTracer from the same
   /// run to add bus tracks, or nullptr for behavior tracks only.
   [[nodiscard]] std::string to_chrome_json(const BusTracer* bus) const;
-
-  /// to_chrome_json written to `path`. Throws SpecError on I/O failure.
-  void write(const std::string& path, const BusTracer* bus) const;
 
  private:
   struct Event {

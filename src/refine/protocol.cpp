@@ -142,13 +142,6 @@ BusTopology::SignalRole BusTopology::role_of(const std::string& signal) const {
   return it == roles.end() ? SignalRole{} : it->second;
 }
 
-size_t BusTopology::find_bus(const std::string& name) const {
-  for (size_t i = 0; i < buses.size(); ++i) {
-    if (buses[i].name == name) return i;
-  }
-  return SIZE_MAX;
-}
-
 ProtocolGen::ProtocolGen(ProtocolStyle style, Type addr_t, Type data_t,
                          Type word_t)
     : style_(style), addr_t_(addr_t), data_t_(data_t), word_t_(word_t) {}

@@ -94,8 +94,6 @@ struct BusTopology {
 
   /// Role of `signal`, or a None entry.
   [[nodiscard]] SignalRole role_of(const std::string& signal) const;
-  /// Bus index by name, or SIZE_MAX.
-  [[nodiscard]] size_t find_bus(const std::string& name) const;
 };
 
 /// Per-master arbitration line names on an arbitrated bus.

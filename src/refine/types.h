@@ -28,6 +28,16 @@ enum class ProtocolStyle : uint8_t {
 
 [[nodiscard]] const char* to_string(ProtocolStyle s);
 
+/// Whether refinement under `p` keeps each variable's sequence of observable
+/// writes, so equivalence and inclusion checks may compare write traces.
+/// ByteSerial does not: a wide value crosses the bus in 8-bit beats, and
+/// each beat commits a partial write, so only final values are comparable.
+/// This is the one exemption every check takes; it goes with the Model4 x bs
+/// atomicity fix (ROADMAP).
+[[nodiscard]] constexpr bool keeps_write_sequences(ProtocolStyle p) {
+  return p != ProtocolStyle::ByteSerial;
+}
+
 /// Short names, indexed by value: the CLI's `--protocol` spellings and the
 /// sweep and fuzz labels.
 inline constexpr std::array<const char*, 2> kProtocolNames = {"hs", "bs"};

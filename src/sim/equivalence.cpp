@@ -1,7 +1,7 @@
 #include "sim/equivalence.h"
 
+#include <algorithm>
 #include <exception>
-#include <map>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -11,17 +11,99 @@
 
 namespace specsyn {
 
-namespace {
+Outcome outcome_of(const SimResult& r, const Specification* original) {
+  Outcome o;
+  o.status = r.status;
+  o.root_completed =
+      original != nullptr ? top_completed(*original, r) : r.root_completed;
+  if (original == nullptr) {
+    o.final_vars = r.final_vars;
+  } else {
+    for (const VarDecl* v : original->all_vars()) {
+      const auto it = r.final_vars.find(v->name);
+      if (it != r.final_vars.end()) o.final_vars.insert(*it);
+    }
+  }
+  for (const WriteEvent& w : r.observable_writes) {
+    if (o.final_vars.count(w.var) != 0) o.writes[w.var].push_back(w.value);
+  }
+  return o;
+}
 
-// Splits a chronological write trace into per-variable value sequences.
-std::map<std::string, std::vector<uint64_t>> per_var(
-    const std::vector<WriteEvent>& writes) {
-  std::map<std::string, std::vector<uint64_t>> out;
-  for (const auto& w : writes) out[w.var].push_back(w.value);
+std::string Outcome::digest() const {
+  std::string out =
+      status == SimResult::Status::Quiescent ? "quiescent" : "max-cycles";
+  out += root_completed ? " root-done" : " root-incomplete";
+  for (const auto& [name, value] : final_vars) {
+    out += ' ' + name + '=' + std::to_string(value);
+  }
+  for (const auto& [name, seq] : writes) {
+    out += ' ' + name + ":[";
+    for (size_t i = 0; i < seq.size(); ++i) {
+      out += (i != 0 ? "," : "") + std::to_string(seq[i]);
+    }
+    out += ']';
+  }
   return out;
 }
 
-}  // namespace
+std::vector<std::string> describe_differences(const Specification& spec,
+                                              const Outcome& a,
+                                              const Outcome& b,
+                                              std::string_view a_name,
+                                              std::string_view b_name) {
+  std::vector<std::string> out;
+  if (a == b) return out;
+  const std::string an(a_name);
+  const std::string bn(b_name);
+  if (a.status != b.status) {
+    out.push_back((a.status == SimResult::Status::Quiescent ? bn : an) +
+                  " simulation did not quiesce");
+  }
+  if (a.root_completed != b.root_completed) {
+    const std::string top =
+        "the original top behavior '" + (spec.top ? spec.top->name : "") + "'";
+    out.push_back(a.root_completed
+                      ? bn + " spec never completed " + top +
+                            " (deadlock or starvation in inserted interfaces)"
+                      : an + " spec never completed " + top + ", the " + bn +
+                            " spec did");
+  }
+  for (const VarDecl* v : spec.all_vars()) {
+    const auto ia = a.final_vars.find(v->name);
+    const auto ib = b.final_vars.find(v->name);
+    const bool in_a = ia != a.final_vars.end();
+    const bool in_b = ib != b.final_vars.end();
+    if (in_a != in_b) {
+      out.push_back("variable '" + v->name + "' missing from " +
+                    (in_a ? bn : an) + " spec");
+    } else if (in_a && ia->second != ib->second) {
+      out.push_back("variable '" + v->name + "': " + an + " final value " +
+                    std::to_string(ia->second) + ", " + bn + " " +
+                    std::to_string(ib->second));
+    }
+  }
+  static const std::vector<uint64_t> kNoWrites;
+  for (const auto& [name, seq_a] : a.writes) {
+    const auto it = b.writes.find(name);
+    const auto& seq_b = it == b.writes.end() ? kNoWrites : it->second;
+    if (seq_a == seq_b) continue;
+    const auto [diff, _] = std::mismatch(seq_a.begin(), seq_a.end(),
+                                         seq_b.begin(), seq_b.end());
+    out.push_back("observable '" + name + "': write sequence differs (" +
+                  std::to_string(seq_a.size()) + " vs " +
+                  std::to_string(seq_b.size()) +
+                  " writes; first divergence at index " +
+                  std::to_string(diff - seq_a.begin()) + ")");
+  }
+  for (const auto& [name, seq] : b.writes) {
+    if (a.writes.count(name) == 0) {
+      out.push_back("observable '" + name + "' written only in " + bn +
+                    " spec");
+    }
+  }
+  return out;
+}
 
 std::string EquivalenceReport::summary() const {
   if (equivalent) return "equivalent";
@@ -67,8 +149,9 @@ EquivalenceReport check_equivalence(const Specification& original,
     refined_result = run_one(refined);
   }
 
-  EquivalenceReport report = compare_results(
-      original, original_result, refined_result, opts.compare_write_traces);
+  EquivalenceReport report =
+      compare_results(original, outcome_of(original_result), refined_result,
+                      opts.compare_write_traces);
   report.original_result = std::move(original_result);
   report.refined_result = std::move(refined_result);
   return report;
@@ -81,68 +164,25 @@ bool top_completed(const Specification& original, const SimResult& r) {
 }
 
 EquivalenceReport compare_results(const Specification& original,
-                                  const SimResult& a, const SimResult& b,
+                                  const Outcome& original_outcome,
+                                  const SimResult& refined_result,
                                   bool compare_write_traces) {
   EquivalenceReport report;
-  if (a.status != SimResult::Status::Quiescent) {
-    report.mismatches.push_back("original simulation did not quiesce");
+  const Outcome& a = original_outcome;
+  Outcome b = outcome_of(refined_result, &original);
+  // Without write traces the refined side takes the original's, so only the
+  // rest of the outcome can differ.
+  if (!compare_write_traces) b.writes = a.writes;
+  // Both runs must quiesce. When only one does, the status difference names
+  // it; when neither does, the outcomes may still agree, so name both.
+  if (a.status != SimResult::Status::Quiescent &&
+      b.status != SimResult::Status::Quiescent) {
+    report.mismatches = {"original simulation did not quiesce",
+                         "refined simulation did not quiesce"};
   }
-  if (b.status != SimResult::Status::Quiescent) {
-    report.mismatches.push_back("refined simulation did not quiesce");
+  for (std::string& m : describe_differences(original, a, b)) {
+    report.mismatches.push_back(std::move(m));
   }
-  if (a.root_completed && !top_completed(original, b)) {
-    const std::string top_name = original.top ? original.top->name : "";
-    report.mismatches.push_back(
-        "refined spec never completed the original top behavior '" +
-        top_name + "' (deadlock or starvation in inserted interfaces)");
-  }
-
-  // (1) Final values of every original variable.
-  for (const VarDecl* v : original.all_vars()) {
-    auto ita = a.final_vars.find(v->name);
-    auto itb = b.final_vars.find(v->name);
-    if (itb == b.final_vars.end()) {
-      report.mismatches.push_back("variable '" + v->name +
-                                  "' missing from refined spec");
-      continue;
-    }
-    if (ita->second != itb->second) {
-      std::ostringstream os;
-      os << "variable '" << v->name << "': original final value "
-         << ita->second << ", refined " << itb->second;
-      report.mismatches.push_back(os.str());
-    }
-  }
-
-  // (2) Observable write traces, per variable.
-  if (compare_write_traces) {
-    auto ta = per_var(a.observable_writes);
-    auto tb = per_var(b.observable_writes);
-    for (const auto& [var, seq_a] : ta) {
-      auto it = tb.find(var);
-      const std::vector<uint64_t> empty;
-      const std::vector<uint64_t>& seq_b = it == tb.end() ? empty : it->second;
-      if (seq_a != seq_b) {
-        std::ostringstream os;
-        os << "observable '" << var << "': write sequence differs ("
-           << seq_a.size() << " vs " << seq_b.size() << " writes";
-        size_t i = 0;
-        while (i < seq_a.size() && i < seq_b.size() && seq_a[i] == seq_b[i]) ++i;
-        if (i < seq_a.size() || i < seq_b.size()) {
-          os << "; first divergence at index " << i;
-        }
-        os << ")";
-        report.mismatches.push_back(os.str());
-      }
-    }
-    for (const auto& [var, seq_b] : tb) {
-      if (ta.count(var) == 0) {
-        report.mismatches.push_back("observable '" + var +
-                                    "' written only in refined spec");
-      }
-    }
-  }
-
   report.equivalent = report.mismatches.empty();
   return report;
 }

@@ -286,7 +286,7 @@ TEST(Sweep, VerifyReusesRunsWithoutChangingVerdicts) {
         EquivalenceOptions eo;
         eo.config = sc;
         eo.compare_write_traces =
-            row.point.config.protocol == ProtocolStyle::FullHandshake;
+            keeps_write_sequences(row.point.config.protocol);
         EXPECT_EQ(row.equivalent,
                   check_equivalence(spec, r.refined, eo).equivalent);
 
@@ -303,7 +303,8 @@ TEST(Sweep, VerifyReusesRunsWithoutChangingVerdicts) {
 
 // Every validation shows in --stats: a verified point validates three
 // times (refine's input, refine's output, the refined spec's SimPlan), and
-// the original's SimPlan adds one.
+// the original's SimPlan adds one. Schedule exploration validates nothing
+// more, and the original is explored once per sweep, not once per point.
 TEST(Sweep, VerifiedSweepCountsEveryValidation) {
   const Specification spec = make_medical_system();
   const AccessGraph graph = build_access_graph(spec);
@@ -312,6 +313,7 @@ TEST(Sweep, VerifiedSweepCountsEveryValidation) {
   ThreadPool pool(2);
   SweepOptions opts;
   opts.verify = true;
+  opts.explore_schedules = 4;
   telemetry::enable(/*stats=*/true, /*trace=*/false);
   telemetry::reset();
   const SweepReport rep =
@@ -322,6 +324,12 @@ TEST(Sweep, VerifiedSweepCountsEveryValidation) {
   ASSERT_EQ(rep.rows.size(), 32u);
   ASSERT_EQ(snap.spans.count("validate"), 1u);
   EXPECT_EQ(snap.spans.at("validate").count, 97u);
+  ASSERT_EQ(snap.spans.count("explore"), 1u);
+  EXPECT_EQ(snap.spans.at("explore").count, rep.rows.size() + 1);
+  for (const SweepRow& row : rep.rows) {
+    EXPECT_TRUE(row.sched_checked && row.sched_consistent)
+        << row.point.label();
+  }
 }
 
 TEST(Sweep, OriginalThatFailsToSimulateFailsEveryRow) {

@@ -101,7 +101,9 @@ TEST(FuzzOracle, CleanSweepOverSeeds) {
     g.seed = seed;
     const Specification spec = generate_spec(g);
     const OracleOutcome out = run_oracles(spec, sample_config(seed));
-    EXPECT_TRUE(out.ok()) << "seed " << seed << ":\n" << out.summary();
+    EXPECT_TRUE(out.ok()) << "seed " << seed << ": ["
+                          << out.issues.front().oracle << "] "
+                          << out.issues.front().detail;
   }
 }
 

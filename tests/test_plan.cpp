@@ -195,7 +195,9 @@ TEST(SimPlan, InclusionOverloadsAgreeWitnessIncluded) {
     const auto rplan = SimPlan::build(refined, tier);
     opts.pool = &pool;  // pooled waves all read the one refined plan
     const InclusionResult by_plan =
-        analysis::schedules::check_inclusion(octx, oplan, rctx, rplan, opts);
+        analysis::schedules::check_inclusion(
+            original, analysis::schedules::explore(octx, oplan, opts), rctx,
+            rplan, opts);
 
     EXPECT_FALSE(by_spec.holds);
     EXPECT_NE(by_spec.violation.find("picks:"), std::string::npos);
@@ -234,7 +236,7 @@ TEST(SimPlan, RunOraclesLowersAndCompilesEachSpecOnce) {
 
   // Both specs were planned: the refiner passed and every oracle ran.
   ASSERT_EQ(snap.counters.count("fuzz.oracle.refiner.pass"), 1u)
-      << out.summary();
+      << out.issues.front().detail;
   ASSERT_EQ(snap.counters.count("fuzz.oracle.schedule-inclusion.pass") +
                 snap.counters.count("fuzz.oracle.schedule-inclusion.fail"),
             1u);

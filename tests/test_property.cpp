@@ -81,7 +81,7 @@ TEST_P(RefinePropertyP3, EquivalenceHolds) {
   cfg.protocol = pc.protocol;
   RefineResult r = refine(part, graph, cfg);
   EquivalenceOptions eq_opts;
-  eq_opts.compare_write_traces = pc.protocol == ProtocolStyle::FullHandshake;
+  eq_opts.compare_write_traces = keeps_write_sequences(pc.protocol);
   EquivalenceReport rep = check_equivalence(spec, r.refined, eq_opts);
   EXPECT_TRUE(rep.equivalent)
       << "p3 seed=" << pc.seed << " model=" << to_string(pc.model) << "\n"
@@ -144,7 +144,7 @@ TEST_P(RefineProperty, EquivalenceHolds) {
   EquivalenceOptions eq_opts;
   // Byte-serial commits per beat; write traces are only comparable for the
   // full-handshake protocol.
-  eq_opts.compare_write_traces = pc.protocol == ProtocolStyle::FullHandshake;
+  eq_opts.compare_write_traces = keeps_write_sequences(pc.protocol);
   EquivalenceReport rep = check_equivalence(spec, r.refined, eq_opts);
   EXPECT_TRUE(rep.equivalent)
       << "seed=" << pc.seed << " model=" << to_string(pc.model) << "\n"

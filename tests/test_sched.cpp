@@ -28,8 +28,6 @@ using analysis::Context;
 using analysis::schedules::ExploreOptions;
 using analysis::schedules::ExploreResult;
 using analysis::schedules::InclusionResult;
-using analysis::schedules::Outcome;
-using analysis::schedules::outcome_of;
 using namespace specsyn::build;
 using specsyn::testing::parse_or_die;
 using specsyn::testing::racy_spec;

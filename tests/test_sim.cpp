@@ -405,5 +405,87 @@ TEST(Equivalence, DetectsMissingVariable) {
   EXPECT_FALSE(rep.equivalent);
 }
 
+// One line per kind of difference, in the equivalence report's wording; the
+// explorer relabels the two sides.
+TEST(Equivalence, DescribesEachKindOfDifference) {
+  const Specification spec = testing::abc_spec(3);
+  Outcome base;
+  base.root_completed = true;
+  base.final_vars = {{"r", 13}, {"x", 3}};
+  base.writes = {{"x", {1, 3}}};
+  struct Case {
+    const char* kind;
+    void (*change)(Outcome&);
+    const char* line;
+  };
+  const Case cases[] = {
+      {"status", [](Outcome& o) { o.status = SimResult::Status::MaxCycles; },
+       "refined simulation did not quiesce"},
+      {"liveness", [](Outcome& o) { o.root_completed = false; },
+       "refined spec never completed the original top behavior 'Main' "
+       "(deadlock or starvation in inserted interfaces)"},
+      {"missing variable", [](Outcome& o) { o.final_vars.erase("r"); },
+       "variable 'r' missing from refined spec"},
+      {"final value", [](Outcome& o) { o.final_vars["x"] = 4; },
+       "variable 'x': original final value 3, refined 4"},
+      {"write sequence", [](Outcome& o) { o.writes["x"] = {1, 2, 3}; },
+       "observable 'x': write sequence differs (2 vs 3 writes; first "
+       "divergence at index 1)"},
+      {"writes on one side", [](Outcome& o) { o.writes["r"] = {13}; },
+       "observable 'r' written only in refined spec"},
+  };
+  EXPECT_TRUE(describe_differences(spec, base, base).empty());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.kind);
+    Outcome other = base;
+    c.change(other);
+    EXPECT_FALSE(other == base);
+    EXPECT_EQ(describe_differences(spec, base, other),
+              std::vector<std::string>{c.line});
+  }
+
+  // The reverse of the one-sided kinds.
+  Outcome incomplete = base;
+  incomplete.root_completed = false;
+  incomplete.final_vars.erase("r");
+  EXPECT_EQ(describe_differences(spec, incomplete, base),
+            (std::vector<std::string>{
+                "original spec never completed the original top behavior "
+                "'Main', the refined spec did",
+                "variable 'r' missing from original spec"}));
+  // Final values follow the spec's declaration order (x before r).
+  Outcome both = base;
+  both.final_vars = {{"r", 14}, {"x", 4}};
+  EXPECT_EQ(describe_differences(spec, base, both),
+            (std::vector<std::string>{
+                "variable 'x': original final value 3, refined 4",
+                "variable 'r': original final value 13, refined 14"}));
+  Outcome witness = base;
+  witness.status = SimResult::Status::MaxCycles;
+  witness.final_vars["x"] = 4;
+  EXPECT_EQ(describe_differences(spec, base, witness, "baseline", "witness"),
+            (std::vector<std::string>{
+                "witness simulation did not quiesce",
+                "variable 'x': baseline final value 3, witness 4"}));
+}
+
+// Equivalence needs both runs to quiesce, even when their outcomes agree.
+TEST(Equivalence, BothRunsMustQuiesce) {
+  const Specification spec = testing::abc_spec(3);
+  SimResult run = testing::run(spec);
+  ASSERT_EQ(run.status, SimResult::Status::Quiescent);
+  EXPECT_TRUE(compare_results(spec, outcome_of(run), run, true).equivalent);
+
+  SimResult stuck = run;
+  stuck.status = SimResult::Status::MaxCycles;
+  EXPECT_EQ(compare_results(spec, outcome_of(run), stuck, true).mismatches,
+            std::vector<std::string>{"refined simulation did not quiesce"});
+  EXPECT_EQ(compare_results(spec, outcome_of(stuck), run, true).mismatches,
+            std::vector<std::string>{"original simulation did not quiesce"});
+  EXPECT_EQ(compare_results(spec, outcome_of(stuck), stuck, true).mismatches,
+            (std::vector<std::string>{"original simulation did not quiesce",
+                                      "refined simulation did not quiesce"}));
+}
+
 }  // namespace
 }  // namespace specsyn

@@ -412,6 +412,23 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
+/// Writes `text` to `path` and reports it on stderr: "wrote PATH (NOTE)",
+/// or "cannot write PATH" when the file cannot be opened or written. Every
+/// file a command writes goes through here. Returns the exit status, 0 or 1.
+int write_file(const std::string& path, const std::string& text,
+               const std::string& note) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::fprintf(stderr, note.empty() ? "wrote %s\n" : "wrote %s (%s)\n",
+               path.c_str(), note.c_str());
+  return 0;
+}
+
 /// Emits the requested telemetry outputs. Called once, after the command
 /// finished — the summary table goes to stderr, JSON documents to their
 /// files, so primary stdout/-o output is never touched. Returns nonzero if
@@ -421,18 +438,11 @@ int finish_telemetry(const Opts& o, const std::string& command) {
   const telemetry::Snapshot snap = telemetry::snapshot();
   if (o.stats) std::fputs(telemetry::render_stats_table(snap).c_str(), stderr);
   int rc = 0;
-  const auto write_doc = [&](const std::string& path, std::string doc,
+  const auto write_doc = [&](const std::string& path, const std::string& doc,
                              const char* what) {
     if (path.empty()) return;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      rc = 1;
-      return;
-    }
-    out << doc;
-    std::fprintf(stderr, "wrote %s (%s, %zu bytes)\n", path.c_str(), what,
-                 doc.size());
+    rc |= write_file(path, doc,
+                     what + (", " + std::to_string(doc.size()) + " bytes"));
   };
   write_doc(o.stats_json, telemetry::stats_to_json(snap, command), "stats");
   write_doc(o.pipeline_trace, telemetry::trace_to_chrome_json(snap),
@@ -445,15 +455,7 @@ int write_output(const Opts& o, const std::string& text) {
     std::fputs(text.c_str(), stdout);
     return 0;
   }
-  std::ofstream out(o.out_file);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", o.out_file.c_str());
-    return 1;
-  }
-  out << text;
-  std::fprintf(stderr, "wrote %s (%zu bytes)\n", o.out_file.c_str(),
-               text.size());
-  return 0;
+  return write_file(o.out_file, text, std::to_string(text.size()) + " bytes");
 }
 
 /// The partition the options ask for; refine and sweep `announce` its
@@ -491,6 +493,34 @@ std::optional<Partition> build_partition(const Opts& o,
   return part;
 }
 
+/// `check`'s text report: spec statistics, then the findings.
+std::string check_text(const Specification& spec,
+                       const analysis::Report& rep) {
+  const AccessGraph graph = build_access_graph(spec);
+  std::ostringstream os;
+  os << "spec " << spec.name << ": OK\n"
+     << "  behaviors:     " << spec.all_behaviors().size() << '\n'
+     << "  variables:     " << spec.all_vars().size() << '\n'
+     << "  signals:       " << spec.all_signals().size() << '\n'
+     << "  procedures:    " << spec.procedures.size() << '\n'
+     << "  statements:    " << spec.stmt_count() << '\n'
+     << "  lines:         " << count_lines(spec) << '\n'
+     << "  data channels: " << graph.data_channel_pairs() << '\n'
+     << "  control arcs:  " << graph.control_channels().size() << '\n'
+     << "  sequential:    " << (spec.is_fully_sequential() ? "yes" : "no")
+     << '\n';
+  for (const analysis::Finding& f : rep.findings) os << f.str() << '\n';
+  if (rep.schedules.ran) {
+    os << "schedule exploration: " << rep.schedules.explored << " explored, "
+       << rep.schedules.pruned << " pruned, " << rep.schedules.divergent
+       << " divergent" << (rep.schedules.complete ? "" : " (bound reached)")
+       << '\n';
+  }
+  os << "static verifier: " << rep.count(Severity::Error) << " error(s), "
+     << rep.count(Severity::Warning) << " warning(s)\n";
+  return os.str();
+}
+
 int cmd_check(const Opts& o, const Specification& spec) {
   // One Context serves the static checkers and the exploration's pruning.
   const analysis::Context ctx(spec);
@@ -506,36 +536,9 @@ int cmd_check(const Opts& o, const Specification& spec) {
     sopts.pool = &pool;
     analysis::check_schedules(ctx, rep, sopts);
   }
-  if (o.json) {
-    const int rc = write_output(o, rep.json(spec.name));
-    return rc != 0 ? rc : (rep.has_errors() ? 1 : 0);
-  }
-  AccessGraph graph = build_access_graph(spec);
-  std::printf("spec %s: OK\n", spec.name.c_str());
-  std::printf("  behaviors:     %zu\n", spec.all_behaviors().size());
-  std::printf("  variables:     %zu\n", spec.all_vars().size());
-  std::printf("  signals:       %zu\n", spec.all_signals().size());
-  std::printf("  procedures:    %zu\n", spec.procedures.size());
-  std::printf("  statements:    %zu\n", spec.stmt_count());
-  std::printf("  lines:         %zu\n", count_lines(spec));
-  std::printf("  data channels: %zu\n", graph.data_channel_pairs());
-  std::printf("  control arcs:  %zu\n", graph.control_channels().size());
-  std::printf("  sequential:    %s\n",
-              spec.is_fully_sequential() ? "yes" : "no");
-  for (const analysis::Finding& f : rep.findings) {
-    std::printf("%s\n", f.str().c_str());
-  }
-  if (rep.schedules.ran) {
-    std::printf("schedule exploration: %llu explored, %llu pruned, "
-                "%llu divergent%s\n",
-                static_cast<unsigned long long>(rep.schedules.explored),
-                static_cast<unsigned long long>(rep.schedules.pruned),
-                static_cast<unsigned long long>(rep.schedules.divergent),
-                rep.schedules.complete ? "" : " (bound reached)");
-  }
-  std::printf("static verifier: %zu error(s), %zu warning(s)\n",
-              rep.count(Severity::Error), rep.count(Severity::Warning));
-  return rep.has_errors() ? 1 : 0;
+  const int rc =
+      write_output(o, o.json ? rep.json(spec.name) : check_text(spec, rep));
+  return rc != 0 ? rc : (rep.has_errors() ? 1 : 0);
 }
 
 int cmd_print(const Opts& o, const Specification& spec) {
@@ -570,29 +573,22 @@ int cmd_simulate(const Opts& o, const Specification& spec) {
     sim.add_slot_observer(exporter.get());
   }
   SimResult r = sim.run();
+  int rc = 0;  // 1 once an output file could not be written
   if (vcd) {
-    std::ofstream out(o.vcd);
-    out << vcd->str();
-    std::fprintf(stderr, "wrote %s (%zu value changes)\n", o.vcd.c_str(),
-                 vcd->change_count());
+    rc |= write_file(o.vcd, vcd->str(),
+                     std::to_string(vcd->change_count()) + " value changes");
   }
   if (exporter) {
-    exporter->write(o.trace, tracer.get());
-    std::fprintf(stderr, "wrote %s (%zu spans, %zu bus transactions)\n",
-                 o.trace.c_str(), exporter->spans().size(),
-                 tracer->transactions().size());
+    rc |= write_file(o.trace, exporter->to_chrome_json(tracer.get()),
+                     std::to_string(exporter->spans().size()) + " spans, " +
+                         std::to_string(tracer->transactions().size()) +
+                         " bus transactions");
   }
   if (tracer && (o.metrics || !o.metrics_json.empty())) {
     const MetricsReport m = MetricsReport::from(*tracer);
     if (o.metrics) std::fputs(m.table().c_str(), stdout);
     if (!o.metrics_json.empty()) {
-      std::ofstream out(o.metrics_json);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", o.metrics_json.c_str());
-        return 1;
-      }
-      out << m.to_json() << "\n";
-      std::fprintf(stderr, "wrote %s\n", o.metrics_json.c_str());
+      rc |= write_file(o.metrics_json, m.to_json() + "\n", "");
     }
   }
   if (!r.blocked.empty() && !r.root_completed) {
@@ -622,7 +618,7 @@ int cmd_simulate(const Opts& o, const Specification& spec) {
                   static_cast<unsigned long long>(w.value));
     }
   }
-  return 0;
+  return rc;
 }
 
 int cmd_graph(const Opts& o, const Specification& spec) {
@@ -668,7 +664,7 @@ int cmd_refine(const Opts& o, const Specification& spec) {
   if (o.verify) {
     EquivalenceOptions eo;
     eo.config.exec_tier = exec_tier(o);
-    eo.compare_write_traces = cfg.protocol == ProtocolStyle::FullHandshake;
+    eo.compare_write_traces = keeps_write_sequences(cfg.protocol);
     eo.parallel = true;  // overlap the two runs; the report is unaffected
     EquivalenceReport rep = check_equivalence(spec, r.refined, eo);
     std::fprintf(stderr, "equivalence: %s\n", rep.summary().c_str());
@@ -716,16 +712,7 @@ int cmd_fuzz(const Opts& o) {
   if (o.exec_tier) f.exec_tier = static_cast<ExecTier>(*o.exec_tier);
   const fuzz::FuzzReport report = fuzz::run_fuzz(f, std::cout);
   int rc = report.ok() ? 0 : 1;
-  if (!o.json_file.empty()) {
-    std::ofstream out(o.json_file, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", o.json_file.c_str());
-      rc = 1;
-    } else {
-      out << report.json();
-      std::fprintf(stderr, "wrote %s\n", o.json_file.c_str());
-    }
-  }
+  if (!o.json_file.empty()) rc |= write_file(o.json_file, report.json(), "");
   if (f.inject != fuzz::InjectedBug::None && report.injections_applied == 0) {
     std::fprintf(stderr,
                  "fuzz: --inject-bug %s never found an applicable site\n",
