@@ -523,7 +523,7 @@ class Checker {
   /// Nearest ancestor named `<stem>_NEW`, else the behavior itself.
   [[nodiscard]] const Behavior* server_root(const Behavior* b,
                                             const std::string& stem) const {
-    const std::string want = stem + "_NEW";
+    const std::string want = stem + control_naming::kServer;
     const Behavior* cur = b;
     while (cur != nullptr) {
       if (cur->name == want) return cur;

@@ -79,8 +79,8 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
     row.cost = cost.total;
 
     // One Context and one plan per refined spec: the Context serves the
-    // verifier and schedule-inclusion pruning, the plan the measured run and
-    // every explored schedule.
+    // verifier, the bus tracer and schedule-inclusion pruning, the plan the
+    // measured run and every explored schedule.
     const analysis::Context rctx(r.refined);
     const analysis::Report rep = analysis::analyze(rctx);
     row.sa_errors = rep.count(Severity::Error);
@@ -90,7 +90,7 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
     const std::shared_ptr<const SimPlan> plan =
         SimPlan::build(r.refined, sc.exec_tier);
     Simulator sim(plan, sc);
-    BusTracer tracer(r.refined);
+    BusTracer tracer(rctx);
     sim.add_slot_observer(&tracer);
     const SimResult res = sim.run();
     row.cycles = res.end_time;

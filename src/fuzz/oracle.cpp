@@ -181,14 +181,14 @@ bool inject_bug(Specification& refined, InjectedBug bug) {
     case InjectedBug::DropDoneUpdate:
       return remove_first_matching_stmt(refined, [](const Stmt& s) {
         return s.kind == Stmt::Kind::SignalAssign &&
-               s.target.ends_with("_done") &&
+               s.target.ends_with(bus_naming::kDone) &&
                s.expr->kind == Expr::Kind::IntLit && s.expr->int_value == 1;
       });
     case InjectedBug::CorruptDataUpdate: {
       bool done = false;
       for_each_stmt(refined, [&](Stmt& s) {
         if (done || s.kind != Stmt::Kind::SignalAssign ||
-            s.target.find("_data") == std::string::npos) {
+            s.target.find(bus_naming::kData) == std::string::npos) {
           return;
         }
         s.expr = build::add(std::move(s.expr), Expr::lit(1));

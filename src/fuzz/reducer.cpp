@@ -182,6 +182,7 @@ class Reducer {
                              static_cast<ptrdiff_t>(ti));
         if (accept(std::move(cand))) {
           any = true;
+          all = current_.top->all_behaviors();  // accept() freed the old tree
           continue;  // same index now names the next arc
         }
         ++ti;
@@ -199,7 +200,10 @@ class Reducer {
         if (all[bi]->transitions[ti].guard == nullptr) continue;
         Specification cand = current_.clone();
         cand.top->all_behaviors()[bi]->transitions[ti].guard = nullptr;
-        if (accept(std::move(cand))) any = true;
+        if (accept(std::move(cand))) {
+          any = true;
+          all = current_.top->all_behaviors();  // accept() freed the old tree
+        }
       }
     }
     return any;

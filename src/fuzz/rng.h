@@ -23,11 +23,6 @@ class Rng {
   /// Uniform in [0, n); 0 when n == 0.
   size_t below(size_t n) { return n == 0 ? 0 : next() % n; }
 
-  /// Uniform in [lo, hi] (inclusive).
-  uint64_t in_range(uint64_t lo, uint64_t hi) {
-    return lo + next() % (hi - lo + 1);
-  }
-
   /// True with the given percent probability.
   bool chance(unsigned percent) { return below(100) < percent; }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "refine/protocol.h"
+#include "analysis/context.h"
 #include "sim/program.h"
 
 namespace specsyn {
@@ -23,101 +23,27 @@ double BusTracer::Bus::utilization_pct(uint64_t end_time) const {
          static_cast<double>(end_time);
 }
 
-BusTracer::BusTracer(const Specification& spec) {
-  discover_buses(spec);
-  scan_address_map(spec);
-}
+BusTracer::BusTracer(const Specification& spec)
+    : BusTracer(analysis::Context(spec)) {}
 
-void BusTracer::discover_buses(const Specification& spec) {
-  // Bus/master discovery follows the shared bus_naming contract decoder; the
-  // tracer only keeps the roles its runtime edge-following consumes (Wr and
-  // Data levels are irrelevant to transaction decoding).
-  const BusTopology topo = BusTopology::discover(spec);
-  for (const BusTopology::BusEntry& bus : topo.buses) {
-    bus_index_.emplace(bus.name, buses_.size());
+BusTracer::BusTracer(const analysis::Context& ctx)
+    : name_roles_(ctx.topology().roles) {
+  for (const BusTopology::BusEntry& bus : ctx.topology().buses) {
     buses_.push_back({bus.name, {}, 0, 0, 0, 0, {}});
     for (const std::string& m : bus.masters) {
       buses_.back().masters.push_back({m, 0, 0, 0, 0});
     }
   }
-  for (const auto& [name, role] : topo.roles) {
-    switch (role.role) {
-      case BusSignalRole::Start:
-        name_roles_[name] = {Role::Start, role.bus, -1};
-        break;
-      case BusSignalRole::Done:
-        name_roles_[name] = {Role::Done, role.bus, -1};
-        break;
-      case BusSignalRole::Rd:
-        name_roles_[name] = {Role::Rd, role.bus, -1};
-        break;
-      case BusSignalRole::Addr:
-        name_roles_[name] = {Role::Addr, role.bus, -1};
-        break;
-      case BusSignalRole::Req:
-        name_roles_[name] = {Role::Req, role.bus, role.master};
-        break;
-      case BusSignalRole::Ack:
-        name_roles_[name] = {Role::Ack, role.bus, role.master};
-        break;
-      case BusSignalRole::None:
-      case BusSignalRole::Wr:
-      case BusSignalRole::Data:
-        break;
-    }
-  }
-
   rt_.resize(buses_.size());
   for (size_t i = 0; i < buses_.size(); ++i) {
     rt_[i].masters.resize(buses_[i].masters.size());
   }
-}
-
-void BusTracer::scan_address_map(const Specification& spec) {
-  const SpecIndex index(spec);
-  for (SpecIndex::Id id = 0; id < index.size(); ++id) {
-    const Behavior& b = index.behavior(id);
-    if (b.is_leaf()) scan_stmts(b.body, index);
-  }
-  for (const Procedure& p : spec.procedures) scan_stmts(p.body, index);
-}
-
-void BusTracer::scan_stmts(const StmtList& stmts, const SpecIndex& index) {
-  for (const StmtPtr& s : stmts) {
-    if (s->kind == Stmt::Kind::If && s->expr != nullptr &&
-        s->expr->kind == Expr::Kind::Binary &&
-        s->expr->bin_op == BinOp::Eq &&
-        s->expr->args[0]->kind == Expr::Kind::NameRef &&
-        s->expr->args[1]->kind == Expr::Kind::IntLit) {
-      const auto role = name_roles_.find(s->expr->args[0]->name);
-      if (role != name_roles_.end() && role->second.role == Role::Addr) {
-        const uint64_t addr = s->expr->args[1]->int_value;
-        // The guarded block is a slave port: the stored variable is either
-        // assigned (write port) or drives the data bus (read port).
-        for (const StmtPtr& inner : s->then_block) {
-          if (inner->kind == Stmt::Kind::Assign &&
-              index.find_var(inner->target) != nullptr) {
-            addr_to_var_.emplace(addr, inner->target);
-            break;
-          }
-          if (inner->kind == Stmt::Kind::SignalAssign &&
-              inner->expr != nullptr) {
-            std::vector<std::string> refs;
-            inner->expr->collect_names(refs);
-            const auto var = std::find_if(
-                refs.begin(), refs.end(), [&](const std::string& n) {
-                  return index.find_var(n) != nullptr;
-                });
-            if (var != refs.end()) {
-              addr_to_var_.emplace(addr, *var);
-              break;
-            }
-          }
-        }
-      }
+  // A port's read and write cases name the variable it serves at each
+  // address; the first port to decode an address names it.
+  for (const analysis::SlavePort& port : ctx.slaves()) {
+    for (const auto* cases : {&port.read_cases, &port.write_cases}) {
+      for (const auto& [addr, var] : *cases) addr_to_var_.emplace(addr, var);
     }
-    if (!s->then_block.empty()) scan_stmts(s->then_block, index);
-    if (!s->else_block.empty()) scan_stmts(s->else_block, index);
   }
 }
 
@@ -125,54 +51,58 @@ void BusTracer::on_bind(const Binding& b) {
   // Copy the interned behavior names out of the binding: the tracer is
   // routinely consulted after the Simulator (which owns them) is gone.
   behavior_names_ = *b.behavior_names;
-  slot_roles_.assign(b.signals->size(), SlotRole{});
+  slot_roles_.assign(b.signals->size(), BusTopology::SignalRole{});
   for (const auto& [name, role] : name_roles_) {
     const size_t slot = b.signals->find(name);
     if (slot != SIZE_MAX) slot_roles_[slot] = role;
   }
   // Seed the tracked level/value state from the initial signal values.
   for (size_t slot = 0; slot < slot_roles_.size(); ++slot) {
-    const SlotRole& r = slot_roles_[slot];
-    if (r.role == Role::Addr) rt_[r.bus].addr_val = b.signals->get(slot);
-    if (r.role == Role::Rd) rt_[r.bus].rd_val = b.signals->get(slot) != 0;
+    const BusTopology::SignalRole& r = slot_roles_[slot];
+    if (r.role == BusSignalRole::Addr) {
+      rt_[r.bus].addr_val = b.signals->get(slot);
+    }
+    if (r.role == BusSignalRole::Rd) {
+      rt_[r.bus].rd_val = b.signals->get(slot) != 0;
+    }
   }
 }
 
 void BusTracer::on_signal_schedule(uint32_t slot, uint32_t behavior,
                                    uint64_t /*time*/, uint64_t value) {
-  const SlotRole& r = slot_roles_[slot];
+  const BusTopology::SignalRole& r = slot_roles_[slot];
   if (value == 0) return;
-  if (r.role == Role::Start) {
+  if (r.role == BusSignalRole::Start) {
     rt_[r.bus].last_start_behavior = behavior;
-  } else if (r.role == Role::Req) {
+  } else if (r.role == BusSignalRole::Req) {
     rt_[r.bus].masters[r.master].last_req_behavior = behavior;
   }
 }
 
 void BusTracer::on_signal_commit(uint32_t slot, uint64_t time,
                                  uint64_t value) {
-  const SlotRole& r = slot_roles_[slot];
+  const BusTopology::SignalRole& r = slot_roles_[slot];
   switch (r.role) {
-    case Role::None:
-    case Role::Wr:
-    case Role::Data:
+    case BusSignalRole::None:
+    case BusSignalRole::Wr:
+    case BusSignalRole::Data:
       break;
-    case Role::Addr:
+    case BusSignalRole::Addr:
       rt_[r.bus].addr_val = value;
       break;
-    case Role::Rd:
+    case BusSignalRole::Rd:
       rt_[r.bus].rd_val = value != 0;
       break;
-    case Role::Start:
+    case BusSignalRole::Start:
       if (value != 0) start_rise(r.bus, time);
       break;
-    case Role::Done:
+    case BusSignalRole::Done:
       done_edge(r.bus, time, value != 0);
       break;
-    case Role::Req:
+    case BusSignalRole::Req:
       req_edge(r.bus, r.master, time, value != 0);
       break;
-    case Role::Ack:
+    case BusSignalRole::Ack:
       ack_edge(r.bus, r.master, time, value != 0);
       break;
   }
@@ -334,11 +264,6 @@ void BusTracer::on_run_end(uint64_t end_time) {
       transactions_[static_cast<size_t>(s.open_txn)].end_time = end_time;
     }
   }
-}
-
-size_t BusTracer::find_bus(const std::string& name) const {
-  const auto it = bus_index_.find(name);
-  return it == bus_index_.end() ? SIZE_MAX : it->second;
 }
 
 const std::string& BusTracer::var_at(uint64_t addr) const {

@@ -5,17 +5,17 @@
 // start/done handshakes per transfer and req/ack arbitration per master.
 // BusTracer reconstructs that protocol level from raw slot events:
 //
-//   * Buses are discovered by name: any stem B with the complete bundle
-//     B_start/B_done/B_rd/B_wr/B_addr/B_data (refine/protocol.h's
-//     bus_naming contract) is a bus; B_req_<M>/B_ack_<M> pairs name its
-//     masters in arbiter priority order.
-//   * The (address -> variable) map is recovered statically from the slave
-//     server loops: every generated server guards its ports with
-//     `if (B_addr == <literal>)` around a data-bus drive (read) or a
-//     variable assignment (write), so the literal/variable pairs in those
-//     guards *are* the address map — no BusPlan or AddressMap needed, which
-//     is what lets `specsyn simulate refined.spec --trace` work on a bare
-//     .spec file.
+//   * Buses, masters and signal roles come from the refiner's naming
+//     contract as decoded by analysis::Context's BusTopology: any stem B
+//     with the complete bundle B_start/B_done/B_rd/B_wr/B_addr/B_data
+//     (refine/protocol.h's bus_naming) is a bus, and B_req_<M>/B_ack_<M>
+//     pairs name its masters in arbiter priority order.
+//   * The (address -> variable) map is the Context's serve-loop decode: the
+//     read and write cases of every recognized slave port, the same decode
+//     the static verifier's SA030-SA032 check. A master-side branch on an
+//     address serves nothing and maps nothing. No BusPlan or AddressMap is
+//     needed, which is what lets `specsyn simulate refined.spec --trace`
+//     work on a bare .spec file.
 //   * At run time the tracer follows edges: req rise opens a transaction
 //     (request_time), ack rise grants it (grant_latency), each start/done
 //     handshake is one transfer (beat), req fall closes the tenure. On a
@@ -42,17 +42,21 @@
 #include <string>
 #include <vector>
 
+#include "refine/protocol.h"
 #include "sim/simulator.h"
-#include "spec/index.h"
 
 namespace specsyn {
+
+namespace analysis {
+class Context;
+}  // namespace analysis
 
 /// One decoded bus transaction: a tenure on an arbitrated bus (req rise to
 /// req fall, covering 1..N transfers) or a single start/done handshake on an
 /// unarbitrated bus. Times are simulation cycles.
 struct BusTransaction {
   uint32_t bus = 0;                       ///< index into BusTracer::buses()
-  int32_t master = -1;                    ///< index into TracedBus::masters, -1 = sole master
+  int32_t master = -1;                    ///< index into Bus::masters, -1 = sole master
   uint32_t master_behavior = UINT32_MAX;  ///< interned behavior id, or UINT32_MAX
   uint64_t addr = 0;                      ///< bus address of the first beat
   bool is_read = false;                   ///< direction of the first beat
@@ -99,8 +103,11 @@ class BusTracer : public SlotObserver {
     [[nodiscard]] double utilization_pct(uint64_t end_time) const;
   };
 
-  /// Scans `spec` (must outlive the tracer) for bus bundles and slave
-  /// address maps. The same spec must be the one simulated.
+  /// Reads the buses, masters, signal roles and slave address map that
+  /// `ctx` decoded. Its spec must be the one simulated; the tracer keeps no
+  /// reference to either.
+  explicit BusTracer(const analysis::Context& ctx);
+  /// Same, through a temporary Context over `spec`.
   explicit BusTracer(const Specification& spec);
 
   // SlotObserver
@@ -116,9 +123,6 @@ class BusTracer : public SlotObserver {
   }
   /// Final simulation time (0 until the run ends).
   [[nodiscard]] uint64_t end_time() const { return end_time_; }
-
-  /// Bus index by name, or SIZE_MAX.
-  [[nodiscard]] size_t find_bus(const std::string& name) const;
 
   /// Variable stored at bus address `addr` per the recovered slave address
   /// map, or empty when unknown.
@@ -139,14 +143,6 @@ class BusTracer : public SlotObserver {
   }
 
  private:
-  /// What one signal slot means to the decoder.
-  enum class Role : uint8_t { None, Start, Done, Rd, Wr, Addr, Data, Req, Ack };
-  struct SlotRole {
-    Role role = Role::None;
-    uint32_t bus = 0;
-    int32_t master = -1;  // Req/Ack
-  };
-
   /// Mutable per-bus decoder state, index-parallel with buses_.
   struct MasterState {
     bool waiting = false;
@@ -169,10 +165,6 @@ class BusTracer : public SlotObserver {
     std::vector<std::pair<uint64_t, uint32_t>> waiting_samples;
   };
 
-  void discover_buses(const Specification& spec);
-  void scan_address_map(const Specification& spec);
-  void scan_stmts(const StmtList& stmts, const SpecIndex& index);
-
   void start_rise(uint32_t bus, uint64_t time);
   void done_edge(uint32_t bus, uint64_t time, bool rising);
   void req_edge(uint32_t bus, int32_t master, uint64_t time, bool rising);
@@ -181,12 +173,11 @@ class BusTracer : public SlotObserver {
   std::vector<Bus> buses_;
   std::vector<BusState> rt_;
   std::vector<BusTransaction> transactions_;
-  std::map<std::string, size_t> bus_index_;
   std::map<uint64_t, std::string> addr_to_var_;
-  /// Signal *name* -> role, from the constructor's static scan; resolved to
+  /// Signal *name* -> role, copied from the Context's topology; resolved to
   /// slots (slot_roles_) once at on_bind.
-  std::map<std::string, SlotRole> name_roles_;
-  std::vector<SlotRole> slot_roles_;
+  std::map<std::string, BusTopology::SignalRole> name_roles_;
+  std::vector<BusTopology::SignalRole> slot_roles_;
   /// Interned behavior id -> name, copied from the Program at bind time so
   /// lookups stay valid after the Simulator is destroyed.
   std::vector<std::string> behavior_names_;

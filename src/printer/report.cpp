@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "refine/protocol.h"
+
 namespace specsyn {
 
 namespace {
@@ -118,16 +120,13 @@ std::string architecture_report(const RefineResult& result,
   // -- control signals ------------------------------------------------------------
   if (result.stats.control_signals != 0) {
     os << "## Control handshakes\n\n";
-    for (const SignalDecl* s : spec.all_signals()) {
-      const std::string& n = s->name;
-      if (n.size() > 6 && n.compare(n.size() - 6, 6, "_start") == 0) {
-        const std::string base = n.substr(0, n.size() - 6);
-        if (index.signal(base + "_done").decl != nullptr &&
-            index.id_of(base + "_CTRL") != SpecIndex::kNone) {
-          os << "* " << base << ": " << base << "_CTRL -> " << base
-             << "_NEW via " << base << "_start / " << base << "_done\n";
-        }
+    for (const std::string& base : BusTopology::discover(spec).control_pairs) {
+      if (index.id_of(base + control_naming::kStub) == SpecIndex::kNone) {
+        continue;
       }
+      os << "* " << base << ": " << base << control_naming::kStub << " -> "
+         << base << control_naming::kServer << " via " << base
+         << bus_naming::kStart << " / " << base << bus_naming::kDone << "\n";
     }
     os << "\n";
   }

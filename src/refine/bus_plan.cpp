@@ -285,13 +285,6 @@ const MemoryModule* BusPlan::module_of(const std::string& var) const {
   return nullptr;
 }
 
-const BusDecl* BusPlan::find_bus(const std::string& name) const {
-  for (const BusDecl& b : buses_) {
-    if (b.name == name) return &b;
-  }
-  return nullptr;
-}
-
 size_t BusPlan::max_buses(ImplModel model, size_t p) {
   switch (model) {
     case ImplModel::Model1: return 1;

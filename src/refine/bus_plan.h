@@ -101,8 +101,6 @@ class BusPlan {
   /// Memory module storing `var`, or nullptr for unknown names.
   [[nodiscard]] const MemoryModule* module_of(const std::string& var) const;
 
-  [[nodiscard]] const BusDecl* find_bus(const std::string& name) const;
-
   /// Paper upper bound on the bus count for this model with p partitions
   /// (Section 3): 1, p+1, p+p*p, 2p+1.
   [[nodiscard]] static size_t max_buses(ImplModel model, size_t p);

@@ -1,5 +1,6 @@
 #include "refine/control_refine.h"
 
+#include "refine/protocol.h"
 #include "spec/builder.h"
 
 namespace specsyn {
@@ -50,7 +51,7 @@ class ControlRefiner {
       // Cut: stub here, server there.
       make_server(*child, child_comp);
       out->children.push_back(make_stub(child->name));
-      const std::string stub_name = child->name + "_CTRL";
+      const std::string stub_name = child->name + control_naming::kStub;
       for (Transition& t : out->transitions) {
         if (t.from == child->name) t.from = stub_name;
         if (t.to == child->name) t.to = stub_name;
@@ -60,19 +61,21 @@ class ControlRefiner {
   }
 
   BehaviorPtr make_stub(const std::string& b) {
-    return leaf(b + "_CTRL",
-                block(set(b + "_start", 1), wait_eq(b + "_done", 1),
-                      set(b + "_start", 0), wait_eq(b + "_done", 0)));
+    const std::string start = b + bus_naming::kStart;
+    const std::string done_sig = b + bus_naming::kDone;
+    return leaf(b + control_naming::kStub,
+                block(set(start, 1), wait_eq(done_sig, 1), set(start, 0),
+                      wait_eq(done_sig, 0)));
   }
 
   void make_server(const Behavior& b, size_t target) {
-    result_.signals.push_back(signal(b.name + "_start"));
-    result_.signals.push_back(signal(b.name + "_done"));
+    const std::string start = b.name + bus_naming::kStart;
+    const std::string done_sig = b.name + bus_naming::kDone;
+    result_.signals.push_back(signal(start));
+    result_.signals.push_back(signal(done_sig));
     result_.moved_behaviors.push_back(b.name);
 
     BehaviorPtr inner = transform(b, target);
-    const std::string start = b.name + "_start";
-    const std::string done_sig = b.name + "_done";
 
     BehaviorPtr server;
     if (inner->is_leaf() && scheme_ == LeafScheme::LoopLeaf) {
@@ -82,7 +85,8 @@ class ControlRefiner {
       StmtList tail = block(set(done_sig, 1), wait_eq(start, 0),
                             set(done_sig, 0));
       for (auto& s : tail) body.push_back(std::move(s));
-      server = leaf(b.name + "_NEW", block(loop(std::move(body))));
+      server = leaf(b.name + control_naming::kServer,
+                    block(loop(std::move(body))));
       server->signals = std::move(inner->signals);
     } else {
       // Figure 4(c): wrapper sequential composite looping forever.
@@ -90,7 +94,7 @@ class ControlRefiner {
       auto setter = leaf(b.name + "_SETDONE",
                          block(set(done_sig, 1), wait_eq(start, 0),
                                set(done_sig, 0)));
-      server = seq(b.name + "_NEW",
+      server = seq(b.name + control_naming::kServer,
                    behaviors(std::move(waiter), std::move(inner),
                              std::move(setter)),
                    arcs(on(b.name + "_SETDONE", b.name + "_WAIT")));

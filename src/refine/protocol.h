@@ -32,9 +32,11 @@ namespace specsyn {
 /// six-signal bundle `B_start/B_done/B_rd/B_wr/B_addr/B_data`; an arbitrated
 /// bus additionally owns one `B_req_<master>`/`B_ack_<master>` pair per
 /// master (see arbiter_gen.h). These suffixes are the *only* coupling between
-/// the refiner's generated protocols and the observability layer
-/// (src/obs/bus_trace.h), which reconstructs buses, masters and transactions
-/// from signal names alone — change them here and both sides follow.
+/// the refiner's generated protocols and the layers that read them back:
+/// BusTopology (below) decodes them once for the static verifier and the
+/// bus tracer (src/obs/bus_trace.h), which reconstructs buses, masters and
+/// transactions from signal names alone — change them here and both sides
+/// follow.
 namespace bus_naming {
 inline constexpr const char* kStart = "_start";
 inline constexpr const char* kDone = "_done";
@@ -46,6 +48,15 @@ inline constexpr const char* kData = "_data";
 inline constexpr const char* kReq = "_req_";
 inline constexpr const char* kAck = "_ack_";
 }  // namespace bus_naming
+
+/// The naming contract of control refinement (control_refine.h, Figure 4):
+/// a behavior `B` moved to another component leaves a `B_CTRL` stub in its
+/// parent and runs as a `B_NEW` server there. The two handshake over the
+/// `B_start`/`B_done` pair, spelled with bus_naming's kStart/kDone.
+namespace control_naming {
+inline constexpr const char* kStub = "_CTRL";
+inline constexpr const char* kServer = "_NEW";
+}  // namespace control_naming
 
 /// Signal names of one bus's bundle.
 struct BusSignals {
@@ -116,7 +127,6 @@ class ProtocolGen {
   ProtocolGen(ProtocolStyle style, Type addr_t, Type data_t, Type word_t);
 
   [[nodiscard]] ProtocolStyle style() const { return style_; }
-  [[nodiscard]] Type word_type() const { return word_t_; }
 
   /// Declares the start/done/rd/wr/addr/data signals of `bus`.
   void declare_bus_signals(const std::string& bus,

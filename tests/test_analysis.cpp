@@ -8,6 +8,7 @@
 //    bus, ...) fires exactly the documented diagnostic code.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <tuple>
 #include <type_traits>
@@ -29,6 +30,16 @@ std::string dump(const analysis::Report& rep) {
   std::string out;
   for (const analysis::Finding& f : rep.findings) out += f.str() + "\n";
   return out;
+}
+
+/// True when some `code` finding's message contains `text`.
+bool has_message(const analysis::Report& rep, const std::string& code,
+                 const std::string& text) {
+  return std::any_of(rep.findings.begin(), rep.findings.end(),
+                     [&](const analysis::Finding& f) {
+                       return f.code == code &&
+                              f.message.find(text) != std::string::npos;
+                     });
 }
 
 /// Medical workload, design 1, refined to the given configuration.
@@ -527,6 +538,51 @@ TEST(AnalysisMutation, DroppedAckWaitFiresSA003) {
   ASSERT_FALSE(leaf_name.empty());
   const analysis::Report rep = analysis::analyze(spec);
   EXPECT_TRUE(rep.has("SA003")) << dump(rep);
+}
+
+// The other two SA003 shapes: a master that transfers without raising its
+// request line, and one that raises it but never drops it.
+TEST(AnalysisMutation, DroppedRequestAssertFiresSA003) {
+  Specification spec = refined_medical(ImplModel::Model2);
+  const BusTopology topo = BusTopology::discover(spec);
+  const std::string leaf_name = erase_in_first_leaf(spec, [&](const Stmt& s) {
+    return s.kind == Stmt::Kind::SignalAssign && s.expr &&
+           s.expr->kind == Expr::Kind::IntLit && s.expr->int_value == 1 &&
+           topo.role_of(s.target).role == BusSignalRole::Req;
+  });
+  ASSERT_FALSE(leaf_name.empty());
+  const analysis::Report rep = analysis::analyze(spec);
+  EXPECT_TRUE(has_message(rep, "SA003",
+                          "' without asserting any request line"))
+      << dump(rep);
+}
+
+TEST(AnalysisMutation, DroppedRequestReleaseFiresSA003) {
+  Specification spec = refined_medical(ImplModel::Model2);
+  const BusTopology topo = BusTopology::discover(spec);
+  const std::string leaf_name = erase_in_first_leaf(spec, [&](const Stmt& s) {
+    return s.kind == Stmt::Kind::SignalAssign && s.expr &&
+           s.expr->kind == Expr::Kind::IntLit && s.expr->int_value == 0 &&
+           topo.role_of(s.target).role == BusSignalRole::Req;
+  });
+  ASSERT_FALSE(leaf_name.empty());
+  const analysis::Report rep = analysis::analyze(spec);
+  EXPECT_TRUE(has_message(rep, "SA003", "never releases its request on bus"))
+      << dump(rep);
+}
+
+// Three of the six bundle members under one stem: a renamed or half-deleted
+// bus, reported with the members it lacks.
+TEST(AnalysisMutation, PartialBundleFiresSA004) {
+  Specification spec = refined_medical(ImplModel::Model1);
+  for (const char* name : {"pb_start", "pb_rd", "pb_addr"}) {
+    spec.signals.push_back(signal(name));
+  }
+  const analysis::Report rep = analysis::analyze(spec);
+  EXPECT_TRUE(has_message(rep, "SA004",
+                          "signals of 'pb' look like a bus bundle but lack: "
+                          "pb_done, pb_wr, pb_data"))
+      << dump(rep);
 }
 
 TEST(AnalysisMutation, BusHoldCycleFiresSA010) {

@@ -203,6 +203,55 @@ TEST(FuzzReducer, DeterministicOutput) {
   EXPECT_EQ(print(reduce_spec(spec, pred)), print(reduce_spec(spec, pred)));
 }
 
+// A hand-built spec and a syntactic failure — "a sequential `Top` with at
+// least one arc and some leaf assigning x" — whose reduction takes every
+// shrinking pass: B's deletion drops two arcs, statements go, the `if` is
+// hoisted, one arc is deleted and the other's guard erased, and `y * 2`
+// simplifies to `y` and then to 0 before the dead declarations go.
+TEST(FuzzReducer, HandBuiltSpecTakesEveryPass) {
+  using namespace build;
+  Specification spec;
+  spec.name = "R";
+  spec.vars = {var("x"), var("y"), var("z")};
+  spec.top = seq(
+      "Top",
+      behaviors(leaf("A", block(assign("y", lit(1)),
+                                if_(gt(ref("y"), lit(0)),
+                                    block(assign("x", mul(ref("y"), lit(2))))))),
+                leaf("B", block(assign("z", lit(4)))),
+                leaf("C", block(assign("z", lit(5))))),
+      arcs(on("A", eq(ref("y"), lit(1)), "B"), on("B", "C"),
+           on("A", gt(ref("z"), lit(2)), "C"),
+           on("C", eq(ref("y"), lit(3)), "A")));
+  const FailPredicate still_fails = [](const Specification& cand) {
+    if (cand.top->name != "Top" || cand.top->transitions.empty()) return false;
+    bool assigns_x = false;
+    Specification walked = cand.clone();
+    for_each_stmt(walked, [&](Stmt& s) {
+      assigns_x |= s.kind == Stmt::Kind::Assign && s.target == "x";
+    });
+    return assigns_x;
+  };
+  ReduceStats stats;
+  const Specification reduced = reduce_spec(spec, still_fails, &stats);
+  EXPECT_EQ(print(reduced), R"(spec R;
+
+var x : int32;
+
+behavior Top : seq {
+  behavior A : leaf {
+    x := 0;
+  }
+  behavior C : leaf {
+  }
+  transitions {
+    C -> A;
+  }
+}
+)");
+  EXPECT_LT(stats.final_lines, stats.initial_lines);
+}
+
 // -- driver ------------------------------------------------------------------
 
 TEST(FuzzDriver, CleanRunReportsNoFailures) {

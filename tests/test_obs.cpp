@@ -304,13 +304,14 @@ TEST(TraceExporter, BehaviorTracksOnlyWithoutTracer) {
   EXPECT_EQ(json.find("\"name\":\"buses\""), std::string::npos);
 }
 
-// A hand-built unarbitrated bus: one master handshaking two writes and a
-// read against a slave server — checks exact transaction decoding without
-// the refiner in the loop.
-TEST(BusTracer, DecodesHandBuiltHandshakes) {
+// A hand-built unarbitrated bus: one master handshaking a write and a read
+// against a slave server — exact transaction decoding without the refiner in
+// the loop. `master_guard` appends a master-side branch on `b_addr == 9`
+// that assigns `x` (never taken: the address lines read 3 by then).
+Specification hand_built_bus(bool master_guard) {
   Specification s;
   s.name = "T";
-  s.vars = {var("m", Type::u32())};
+  s.vars = {var("m", Type::u32()), var("x", Type::u32())};
   s.signals = {signal("b_start"), signal("b_done"),  signal("b_rd"),
                signal("b_wr"),    signal("b_addr", Type::u8()),
                signal("b_data", Type::u32())};
@@ -326,6 +327,10 @@ TEST(BusTracer, DecodesHandBuiltHandshakes) {
           sassign("b_start", lit(1)), wait_eq("b_done", 1),
           sassign("b_rd", lit(0)), sassign("b_start", lit(0)),
           wait_eq("b_done", 0)));
+  if (master_guard) {
+    master->body.push_back(
+        if_(eq(ref("b_addr"), lit(9)), block(assign("x", lit(1)))));
+  }
   auto slave = leaf(
       "Slave",
       block(loop(block(
@@ -338,10 +343,13 @@ TEST(BusTracer, DecodesHandBuiltHandshakes) {
                         block(assign("m", ref("b_data")))))),
           set("b_done", 1), wait_eq("b_start", 0), set("b_done", 0)))));
   s.top = conc("Top", behaviors(std::move(master), std::move(slave)));
+  return s;
+}
 
-  TracedRun run(s);
+TEST(BusTracer, DecodesHandBuiltHandshakes) {
+  TracedRun run(hand_built_bus(false));
   ASSERT_EQ(run.tracer.buses().size(), 1u);
-  EXPECT_EQ(run.tracer.find_bus("b"), 0u);
+  EXPECT_EQ(run.tracer.buses()[0].name, "b");
   EXPECT_EQ(run.tracer.var_at(3), "m");
 
   const BusTracer::Bus& b = run.tracer.buses()[0];
@@ -357,6 +365,16 @@ TEST(BusTracer, DecodesHandBuiltHandshakes) {
   EXPECT_EQ(rd.addr, 3u);
   EXPECT_LT(wr.end_time, rd.request_time);
   EXPECT_EQ(run.result.final_vars.at("m"), 7u);
+}
+
+// The address map is the slaves' serve-loop decode: a master branching on
+// its own address lines serves nothing, so address 9 maps to no variable.
+TEST(BusTracer, MasterSideAddressGuardMapsNothing) {
+  TracedRun run(hand_built_bus(true));
+  EXPECT_EQ(run.tracer.var_at(9), "");
+  EXPECT_EQ(run.tracer.var_at(3), "m");
+  EXPECT_EQ(run.tracer.transactions().size(), 2u);
+  EXPECT_EQ(run.result.final_vars.at("x"), 0u);
 }
 
 }  // namespace

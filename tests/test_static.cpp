@@ -100,6 +100,43 @@ TEST(StaticProfile, ConcurrentDurationIsMax) {
   EXPECT_LT(p.sim.end_time, 60u);
 }
 
+// SignalAssign, Loop, Wait, Call with an out-parameter and Break, against
+// counts worked out by hand from the estimator's rules (loops run
+// default_loop_iters = 4 times, a wait costs wait_latency = 2 cycles).
+TEST(StaticProfile, EveryStatementKindCountedByHand) {
+  Specification s;
+  s.name = "K";
+  s.vars = {var("x"), var("y"), var("r")};
+  s.signals = {signal("go")};
+  Procedure inc;
+  inc.name = "Inc";
+  inc.params = {{"a", Type::u32(), false}, {"d", Type::u32(), true}};
+  inc.body = block(assign("d", add(ref("a"), lit(1))));
+  s.procedures.push_back(std::move(inc));
+  s.top = leaf(
+      "T", block(sassign("go", ref("x")),
+                 loop(block(assign("y", add(ref("y"), lit(1))), break_())),
+                 wait(land(eq(ref("go"), lit(1)), gt(ref("x"), lit(0)))),
+                 call("Inc", args(ref("y"), ref("r")))));
+  DiagnosticSink diags;
+  ASSERT_TRUE(validate(s, diags)) << diags.str();
+  const ProfileResult p = static_profile(s);
+  ASSERT_EQ(p.accesses.size(), 3u);
+  // x: read by the signal drive and by the wait condition.
+  EXPECT_EQ(p.accesses.at({"T", "x"}).reads, 2u);
+  EXPECT_EQ(p.accesses.at({"T", "x"}).writes, 0u);
+  // y: read and written once per loop iteration, read once as an in-argument.
+  EXPECT_EQ(p.accesses.at({"T", "y"}).reads, 5u);
+  EXPECT_EQ(p.accesses.at({"T", "y"}).writes, 4u);
+  // r: written once as the out-argument.
+  EXPECT_EQ(p.accesses.at({"T", "r"}).reads, 0u);
+  EXPECT_EQ(p.accesses.at({"T", "r"}).writes, 1u);
+  // 1 (drive) + 4 * (1 + 1) + 4 (loop) + 2 (wait) + 1 + 1 (call and Inc's
+  // body) + 2 (enter/complete) = 19 cycles.
+  EXPECT_EQ(p.sim.end_time, 19u);
+  EXPECT_EQ(p.behaviors.at("T").last_end, 19u);
+}
+
 TEST(StaticProfile, MedicalMatchesChannelCountExactly) {
   Specification spec = make_medical_system();
   ProfileResult stat = static_profile(spec);
