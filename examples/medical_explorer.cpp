@@ -6,8 +6,9 @@
 //
 // The per-model refine/price/simulate loop is the batch sweep engine
 // (batch/sweep.h): each design fans its four models over a shared worker
-// pool, and the printed numbers are bit-identical to a serial run by the
-// engine's determinism contract.
+// pool, the recommendation is read off the same rows (batch::recommend), and
+// the printed numbers are bit-identical to a serial run by the engine's
+// determinism contract.
 //
 // Usage: ./build/examples/medical_explorer [design]   (design in 1..3;
 //        default: all three)
@@ -19,7 +20,6 @@
 #include "estimate/profile.h"
 #include "graph/access_graph.h"
 #include "printer/printer.h"
-#include "refine/selector.h"
 #include "workloads/medical.h"
 
 using namespace specsyn;
@@ -34,7 +34,7 @@ void explore(const Specification& spec, const AccessGraph& graph,
 
   // Fan the four models over the pool: refine, static rates + cost, and a
   // measured (BusTracer) simulation per model, all in one engine call.
-  batch::SweepOptions opts;  // defaults: 100 MHz clock, lowered interpreter
+  batch::SweepOptions opts;  // defaults: 100 MHz clock, bytecode tier
   const batch::SweepReport swept = batch::run_sweep(
       spec, d.partition, graph, prof, batch::model_axis(), opts, pool);
 
@@ -63,19 +63,17 @@ void explore(const Specification& spec, const AccessGraph& graph,
                 static_cast<unsigned long long>(r->contention_cycles));
   }
 
-  // Recommend via the automatic selector: feasible under a max bus-rate
-  // constraint, then cheapest (exactly the paper's closing advice).
-  SelectionConstraints constraints;
-  constraints.max_bus_mbps = 4000;  // designer's bus-technology limit
-  SelectionResult sel = select_model(d.partition, graph, prof, constraints);
-  if (const Candidate* rec = sel.recommended()) {
+  // Recommend from the same rows: within a max bus-rate constraint, then
+  // cheapest (exactly the paper's closing advice).
+  const double max_bus_mbps = 4000;  // designer's bus-technology limit
+  if (const batch::SweepRow* rec = batch::recommend(swept, max_bus_mbps)) {
     std::printf("  -> recommended under %.0f Mbit/s bus limit: %s "
                 "(peak %.0f, cost %.1f)\n",
-                constraints.max_bus_mbps, to_string(rec->config.model),
+                max_bus_mbps, to_string(rec->point.config.model),
                 rec->peak_mbps, rec->cost);
   } else {
     std::printf("  -> no model satisfies the %.0f Mbit/s bus limit\n",
-                constraints.max_bus_mbps);
+                max_bus_mbps);
   }
 }
 

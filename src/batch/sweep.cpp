@@ -232,6 +232,20 @@ SweepReport run_sweep(const Specification& spec, const Partition& part,
   return report;
 }
 
+const SweepRow* recommend(const SweepReport& report, double max_bus_mbps) {
+  const SweepRow* best = nullptr;
+  for (const SweepRow& r : report.rows) {
+    if (!r.refine_ok || (max_bus_mbps > 0.0 && r.peak_mbps > max_bus_mbps)) {
+      continue;
+    }
+    if (best == nullptr || std::tie(r.cost, r.matrix_index) <
+                               std::tie(best->cost, best->matrix_index)) {
+      best = &r;
+    }
+  }
+  return best;
+}
+
 std::string SweepReport::table() const {
   const bool sched = std::any_of(rows.begin(), rows.end(),
                                  [](const SweepRow& r) {

@@ -13,7 +13,7 @@
 // over deterministic per-row data (matrix index breaks all ties).
 //
 // `specsyn sweep` and examples/medical_explorer are thin fronts over
-// run_sweep().
+// run_sweep(); recommend() reads the Section 5 choice off a finished sweep.
 #pragma once
 
 #include <cstdint>
@@ -113,5 +113,12 @@ struct SweepReport {
                                     const ProfileResult& prof,
                                     const std::vector<SweepPoint>& matrix,
                                     const SweepOptions& opts, ThreadPool& pool);
+
+/// The paper's closing advice as a scan of `report`'s rows: among the rows
+/// that refined and whose estimated peak bus rate is within `max_bus_mbps`
+/// (0 = no ceiling), the cheapest, ties broken by the lowest matrix index.
+/// Null when no row qualifies.
+[[nodiscard]] const SweepRow* recommend(const SweepReport& report,
+                                        double max_bus_mbps);
 
 }  // namespace specsyn::batch

@@ -3,7 +3,8 @@
 namespace specsyn {
 
 CostReport estimate_cost(const RefineResult& refined,
-                         const BusRateReport& rates, const CostWeights& w) {
+                         const BusRateReport& rates) {
+  using namespace cost_weights;
   CostReport r;
   r.buses = refined.plan.buses().size();
   // Bundle wires: start/done/rd/wr + addr + data, plus req/ack per master on
@@ -30,14 +31,14 @@ CostReport estimate_cost(const RefineResult& refined,
   r.interfaces = refined.stats.interfaces;
   r.peak_bus_mbps = rates.max_rate();
 
-  r.total = w.per_bus * static_cast<double>(r.buses) +
-            w.per_bus_wire * static_cast<double>(r.bus_wires) +
-            w.per_memory * static_cast<double>(r.memories) +
-            w.per_memory_port * static_cast<double>(r.memory_ports) +
-            w.per_memory_bit * static_cast<double>(r.memory_bits) +
-            w.per_arbiter * static_cast<double>(r.arbiters) +
-            w.per_interface * static_cast<double>(r.interfaces) +
-            w.per_mbps_peak * r.peak_bus_mbps;
+  r.total = kPerBus * static_cast<double>(r.buses) +
+            kPerBusWire * static_cast<double>(r.bus_wires) +
+            kPerMemory * static_cast<double>(r.memories) +
+            kPerMemoryPort * static_cast<double>(r.memory_ports) +
+            kPerMemoryBit * static_cast<double>(r.memory_bits) +
+            kPerArbiter * static_cast<double>(r.arbiters) +
+            kPerInterface * static_cast<double>(r.interfaces) +
+            kPerMbpsPeak * r.peak_bus_mbps;
   return r;
 }
 

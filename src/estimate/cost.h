@@ -4,7 +4,7 @@
 // into account not only the number of buses, the bus transfer rate required
 // for each bus, but also the cost of bus interfaces … and the number of
 // memories and the sizes of the memories". This model scores exactly those
-// quantities with configurable weights.
+// quantities with one fixed set of weights, so every model is priced alike.
 #pragma once
 
 #include "estimate/rates.h"
@@ -12,16 +12,16 @@
 
 namespace specsyn {
 
-struct CostWeights {
-  double per_bus = 10.0;           // wiring + drivers per bus
-  double per_bus_wire = 0.2;       // per signal wire of a bus bundle
-  double per_memory = 20.0;        // module overhead
-  double per_memory_port = 15.0;   // extra port cost (multi-port rams)
-  double per_memory_bit = 0.01;
-  double per_arbiter = 25.0;
-  double per_interface = 40.0;     // Model4 bus interface logic + buffer
-  double per_mbps_peak = 0.05;     // fastest bus dominates bus technology cost
-};
+namespace cost_weights {
+inline constexpr double kPerBus = 10.0;          // wiring + drivers per bus
+inline constexpr double kPerBusWire = 0.2;       // per signal wire of a bundle
+inline constexpr double kPerMemory = 20.0;       // module overhead
+inline constexpr double kPerMemoryPort = 15.0;   // extra port (multi-port rams)
+inline constexpr double kPerMemoryBit = 0.01;
+inline constexpr double kPerArbiter = 25.0;
+inline constexpr double kPerInterface = 40.0;    // Model4 interface + buffer
+inline constexpr double kPerMbpsPeak = 0.05;     // fastest bus sets technology
+}  // namespace cost_weights
 
 struct CostReport {
   size_t buses = 0;
@@ -38,7 +38,6 @@ struct CostReport {
 /// Scores a refinement result (structure) together with its rate report
 /// (performance pressure).
 [[nodiscard]] CostReport estimate_cost(const RefineResult& refined,
-                                       const BusRateReport& rates,
-                                       const CostWeights& w = {});
+                                       const BusRateReport& rates);
 
 }  // namespace specsyn

@@ -29,8 +29,7 @@ struct Activity {
 
 class Analyzer {
  public:
-  Analyzer(const Specification& spec, const StaticProfileOptions& opts)
-      : spec_(spec), index_(spec), opts_(opts) {}
+  explicit Analyzer(const Specification& spec) : spec_(spec), index_(spec) {}
 
   ProfileResult run() {
     ProfileResult out;
@@ -82,7 +81,7 @@ class Analyzer {
         break;
       case BehaviorKind::Sequential: {
         // Back arcs (to the same or an earlier child) iterate; every child
-        // targeted by a back arc runs default_loop_iters times per
+        // targeted by a back arc runs kStaticLoopIters times per
         // activation of the composite.
         std::map<std::string, double> repeat;
         for (const auto& c : b.children) repeat[c->name] = 1.0;
@@ -95,7 +94,7 @@ class Analyzer {
             for (size_t i = to; i <= from && i < b.children.size(); ++i) {
               repeat[b.children[i]->name] = std::max(
                   repeat[b.children[i]->name],
-                  static_cast<double>(opts_.default_loop_iters));
+                  static_cast<double>(kStaticLoopIters));
             }
           }
         }
@@ -159,9 +158,9 @@ class Analyzer {
         a.cycles = 1;
         note_reads(*s.expr, behavior, a, 1.0);
         Activity then_a = analyze_block(s.then_block, behavior);
-        then_a.scale(opts_.branch_probability);
+        then_a.scale(kStaticBranchProbability);
         Activity else_a = analyze_block(s.else_block, behavior);
-        else_a.scale(1.0 - opts_.branch_probability);
+        else_a.scale(1.0 - kStaticBranchProbability);
         a.add(then_a);
         a.add(else_a);
         break;
@@ -178,7 +177,7 @@ class Analyzer {
       }
       case Stmt::Kind::Loop: {
         const double iters =
-            static_cast<double>(opts_.default_loop_iters);
+            static_cast<double>(kStaticLoopIters);
         Activity body = analyze_block(s.then_block, behavior);
         body.scale(iters);
         a.add(body);
@@ -187,7 +186,7 @@ class Analyzer {
       }
       case Stmt::Kind::Wait:
         note_reads(*s.expr, behavior, a, 1.0);
-        a.cycles = static_cast<double>(opts_.wait_latency);
+        a.cycles = static_cast<double>(kStaticWaitLatency);
         break;
       case Stmt::Kind::Delay:
         a.cycles = static_cast<double>(std::max<uint64_t>(s.delay, 1));
@@ -247,21 +246,19 @@ class Analyzer {
         }
       }
     }
-    return opts_.default_loop_iters;
+    return kStaticLoopIters;
   }
 
   const Specification& spec_;
   const SpecIndex index_;
-  const StaticProfileOptions& opts_;
   std::map<std::string, BehaviorProfile> behaviors_;
 };
 
 }  // namespace
 
-ProfileResult static_profile(const Specification& spec,
-                             const StaticProfileOptions& opts) {
+ProfileResult static_profile(const Specification& spec) {
   validate_or_throw(spec);
-  return Analyzer(spec, opts).run();
+  return Analyzer(spec).run();
 }
 
 }  // namespace specsyn

@@ -7,12 +7,12 @@
 // behavior lifetimes — derived purely from the specification's structure:
 //
 //   * statement latency = 1 cycle (matching SimConfig's default),
-//   * `if` branches weighted by `branch_probability`,
+//   * `if` branches weighted by `kStaticBranchProbability`,
 //   * `while` loops bounded by pattern analysis (condition `i < N` with a
 //     literal bound and a literal-stride increment of `i` in the body),
-//     falling back to `default_loop_iters`,
+//     falling back to `kStaticLoopIters`,
 //   * sequential-composite back arcs (transitions to an earlier or same
-//     child) treated as loops of `default_loop_iters` iterations,
+//     child) treated as loops of `kStaticLoopIters` iterations,
 //   * concurrent children overlap (duration = max of children).
 //
 // The result plugs into bus_rates() exactly like a simulated profile, so
@@ -24,14 +24,11 @@
 
 namespace specsyn {
 
-struct StaticProfileOptions {
-  double branch_probability = 0.5;   // weight of the then-branch
-  uint64_t default_loop_iters = 4;   // unbounded while/loop heuristic
-  uint64_t wait_latency = 2;         // cycles charged per wait
-};
+inline constexpr double kStaticBranchProbability = 0.5;  // then-branch weight
+inline constexpr uint64_t kStaticLoopIters = 4;  // unbounded while/loop guess
+inline constexpr uint64_t kStaticWaitLatency = 2;  // cycles charged per wait
 
 /// Estimates without simulating. `spec` must be valid.
-[[nodiscard]] ProfileResult static_profile(const Specification& spec,
-                                           const StaticProfileOptions& opts = {});
+[[nodiscard]] ProfileResult static_profile(const Specification& spec);
 
 }  // namespace specsyn

@@ -5,6 +5,7 @@
 
 #include "fuzz/rng.h"
 #include "spec/builder.h"
+#include "support/text.h"
 
 namespace specsyn::fuzz {
 
@@ -33,7 +34,7 @@ class Gen {
         std::clamp<size_t>(3 + budget_ / 12 + rng_.below(4), 4, 16);
     for (size_t i = 0; i < nvars; ++i) {
       const Type t = Type::of_width(rng_.pick(kWidths));
-      s.vars.push_back(var("v" + std::to_string(i), t, t.wrap(rng_.next()),
+      s.vars.push_back(var(numbered("v", i), t, t.wrap(rng_.next()),
                            /*observable=*/i % 3 == 0));
     }
 
@@ -54,7 +55,7 @@ class Gen {
       if (used_[i]) continue;
       for (auto& [lf, lp] : leaf_pools_) {
         if (std::find(lp.begin(), lp.end(), i) == lp.end()) continue;
-        const std::string v = "v" + std::to_string(i);
+        const std::string v = numbered("v", i);
         lf->body.push_back(
             assign(v, add(ref(v), lit(1 + rng_.below(7)))));
         break;
@@ -148,7 +149,7 @@ class Gen {
     if (pool.empty() || rng_.chance(35)) return lit(rng_.below(128));
     const size_t idx = pool[rng_.below(pool.size())];
     used_[idx] = true;
-    return ref("v" + std::to_string(idx));
+    return ref(numbered("v", idx));
   }
 
   ExprPtr cmp_expr(const std::vector<size_t>& pool) {
@@ -177,7 +178,7 @@ class Gen {
     }
     const size_t idx = pool[rng_.below(pool.size())];
     used_[idx] = true;
-    return "v" + std::to_string(idx);
+    return numbered("v", idx);
   }
 
   // -- leaf bodies ------------------------------------------------------------

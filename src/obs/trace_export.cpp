@@ -5,6 +5,7 @@
 
 #include "obs/bus_trace.h"
 #include "support/json.h"
+#include "support/text.h"
 #include "sim/program.h"
 #include "support/diagnostics.h"
 
@@ -85,7 +86,7 @@ std::string TraceExporter::to_chrome_json(const BusTracer* bus) const {
     sep();
     os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << process
        << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-       << json_escape("p" + std::to_string(process) + " " + bname(root))
+       << json_escape(numbered("p", process) + " " + bname(root))
        << "\"}}";
   }
   for (const Event& e : events_) {
@@ -116,7 +117,7 @@ std::string TraceExporter::to_chrome_json(const BusTracer* bus) const {
       if (tx.has_addr) {
         name += tx.is_read ? " R " : " W ";
         const std::string& var = bus->var_at(tx.addr);
-        name += var.empty() ? "@" + std::to_string(tx.addr) : var;
+        name += var.empty() ? numbered("@", tx.addr) : var;
       }
       std::ostringstream args;
       args << "{\"beats\":" << tx.beats

@@ -91,7 +91,7 @@ PartitionerResult make_ratio_partition(const Specification& spec,
   AssignmentScorer::Score best_score{-1e18};
   uint64_t candidates = 0;
 
-  if (p == 2 && n <= opts.exhaustive_limit) {
+  if (p == 2 && n <= kExhaustiveLeafLimit) {
     // Exhaustive over 2^n two-component assignments (both sides non-empty).
     const uint64_t limit = uint64_t{1} << n;
     std::vector<size_t> assign(n, 0);

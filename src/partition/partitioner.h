@@ -6,7 +6,7 @@
 // This partitioner searches assignments of the *leaf* behaviors to two (or
 // more) components to hit a requested ratio class while keeping component
 // loads balanced; variables are then auto-assigned to their majority
-// accessor component. For two components and up to `exhaustive_limit`
+// accessor component. For two components and up to `kExhaustiveLeafLimit`
 // leaves the search is exhaustive (exact, 2^leaves - 2 candidates); beyond
 // that it deals the leaves round-robin and then hill-climbs, taking every
 // single-leaf move to another component that raises the score until no move
@@ -43,10 +43,12 @@ enum class RatioGoal : uint8_t {
 inline constexpr std::array<const char*, 3> kRatioGoalNames = {
     "balanced", "local", "global"};
 
+/// Most leaves searched exhaustively (2^leaves - 2 two-component
+/// candidates); larger or multi-component searches hill-climb.
+inline constexpr size_t kExhaustiveLeafLimit = 18;
+
 struct PartitionerOptions {
   RatioGoal goal = RatioGoal::Balanced;
-  /// Exhaustive search bound on 2^leaves (two-component allocations only).
-  size_t exhaustive_limit = 18;
   /// Weight of the component-size imbalance penalty.
   double balance_weight = 0.5;
 };

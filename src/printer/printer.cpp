@@ -123,8 +123,6 @@ class LineSink {
 template <typename Sink>
 class Printer {
  public:
-  explicit Printer(const PrintOptions& opts) : opts_(opts) {}
-
   Sink& sink() { return out_; }
 
   void print_spec(const Specification& spec) {
@@ -141,12 +139,7 @@ class Printer {
 
   void print_behavior(const Behavior& b) {
     indent();
-    out_ << "behavior " << b.name << " : " << to_string(b.kind) << " {";
-    if (opts_.annotate) {
-      out_ << "  // " << static_cast<uint64_t>(b.children.size())
-           << " children";
-    }
-    out_ << "\n";
+    out_ << "behavior " << b.name << " : " << to_string(b.kind) << " {\n";
     ++level_;
     for (const auto& v : b.vars) print_var(v);
     for (const auto& s : b.signals) print_signal(s);
@@ -284,25 +277,24 @@ class Printer {
     out_ << ";\n";
   }
 
-  void indent() { out_.spaces(level_ * opts_.indent); }
+  void indent() { out_.spaces(level_ * 2); }
 
   static ExprText expr(const Expr& e) { return {e}; }
 
-  PrintOptions opts_;
   Sink out_;
   int level_ = 0;
 };
 
 }  // namespace
 
-std::string print(const Specification& spec, const PrintOptions& opts) {
-  Printer<TextSink> p(opts);
+std::string print(const Specification& spec) {
+  Printer<TextSink> p;
   p.print_spec(spec);
   return p.sink().take();
 }
 
-std::string print(const Behavior& b, const PrintOptions& opts) {
-  Printer<TextSink> p(opts);
+std::string print(const Behavior& b) {
+  Printer<TextSink> p;
   p.print_behavior(b);
   return p.sink().take();
 }
@@ -313,20 +305,20 @@ std::string print(const Expr& e) {
   return out;
 }
 
-std::string print(const Stmt& s, const PrintOptions& opts) {
-  Printer<TextSink> p(opts);
+std::string print(const Stmt& s) {
+  Printer<TextSink> p;
   p.print_stmt(s);
   return p.sink().take();
 }
 
-std::string print(const Procedure& proc, const PrintOptions& opts) {
-  Printer<TextSink> p(opts);
+std::string print(const Procedure& proc) {
+  Printer<TextSink> p;
   p.print_proc(proc);
   return p.sink().take();
 }
 
 size_t count_lines(const Specification& spec) {
-  Printer<LineSink> p(PrintOptions{});
+  Printer<LineSink> p;
   p.print_spec(spec);
   return p.sink().lines();
 }

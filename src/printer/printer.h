@@ -18,30 +18,20 @@
 
 namespace specsyn {
 
-struct PrintOptions {
-  /// Spaces per indentation level.
-  int indent = 2;
-  /// Emit `// kind` trailers on behavior headers (not re-parsed; off by
-  /// default so round-trip tests see canonical text).
-  bool annotate = false;
-};
-
-/// Prints the full specification.
-[[nodiscard]] std::string print(const Specification& spec,
-                                const PrintOptions& opts = {});
+/// Prints the full specification (two spaces per indentation level).
+[[nodiscard]] std::string print(const Specification& spec);
 
 /// Prints a single behavior subtree (used in error messages and examples).
-[[nodiscard]] std::string print(const Behavior& b, const PrintOptions& opts = {});
+[[nodiscard]] std::string print(const Behavior& b);
 
 /// Prints one expression (minimal parentheses).
 [[nodiscard]] std::string print(const Expr& e);
 
 /// Prints one statement subtree.
-[[nodiscard]] std::string print(const Stmt& s, const PrintOptions& opts = {});
+[[nodiscard]] std::string print(const Stmt& s);
 
 /// Prints one procedure.
-[[nodiscard]] std::string print(const Procedure& p,
-                                const PrintOptions& opts = {});
+[[nodiscard]] std::string print(const Procedure& p);
 
 /// Number of non-empty lines `print(spec)` would produce — the Figure 10
 /// size metric — without building the text.

@@ -109,9 +109,8 @@ const char* kHelpers = R"(
 
 class VhdlEmitter {
  public:
-  VhdlEmitter(const Specification& original, VhdlOptions opts)
-      : opts_(std::move(opts)) {
-    spec_ = original.clone();
+  explicit VhdlEmitter(const Specification& original)
+      : spec_(original.clone()) {
     // Procedure activations become VHDL inline code.
     inline_procedure_calls(spec_, [](const std::string&) { return true; });
   }
@@ -123,7 +122,7 @@ class VhdlEmitter {
     emit_declarations();
     os_ << "begin\n";
     for (const ProcInfo& p : procs_) emit_process(p);
-    os_ << "end architecture " << opts_.architecture << ";\n";
+    os_ << "end architecture refined;\n";
     return os_.str();
   }
 
@@ -179,10 +178,9 @@ class VhdlEmitter {
         << "library ieee;\nuse ieee.numeric_std.all;\n\n"
         << "entity " << spec_.name << " is\nend entity " << spec_.name
         << ";\n\n"
-        << "architecture " << opts_.architecture << " of " << spec_.name
-        << " is\n"
+        << "architecture refined of " << spec_.name << " is\n"
         << kHelpers << "\n"
-        << "  constant CYCLE : time := " << opts_.cycle_time << ";\n";
+        << "  constant CYCLE : time := 10 ns;\n";
   }
 
   void emit_declarations() {
@@ -447,7 +445,6 @@ class VhdlEmitter {
   }
 
   Specification spec_;
-  VhdlOptions opts_;
   std::ostringstream os_;
   int level_ = 0;
   std::vector<ProcInfo> procs_;
@@ -458,8 +455,8 @@ class VhdlEmitter {
 
 }  // namespace
 
-std::string to_vhdl(const Specification& spec, const VhdlOptions& opts) {
-  return VhdlEmitter(spec, opts).run();
+std::string to_vhdl(const Specification& spec) {
+  return VhdlEmitter(spec).run();
 }
 
 }  // namespace specsyn

@@ -35,15 +35,9 @@
 
 namespace specsyn {
 
-struct VhdlOptions {
-  /// Architecture name.
-  std::string architecture = "refined";
-  /// Clock period used to translate `delay N` into `wait for`.
-  std::string cycle_time = "10 ns";
-};
-
-/// Emits `spec` (must be valid) as a single VHDL-93 design unit.
-[[nodiscard]] std::string to_vhdl(const Specification& spec,
-                                  const VhdlOptions& opts = {});
+/// Emits `spec` (must be valid) as a single VHDL-93 design unit whose
+/// architecture is named `refined`; `delay N` becomes `wait for N * CYCLE`
+/// with a 10 ns CYCLE.
+[[nodiscard]] std::string to_vhdl(const Specification& spec);
 
 }  // namespace specsyn

@@ -19,7 +19,8 @@ BehaviorPtr generate_memory(const MemoryModule& m, const ProtocolGen& proto,
                       name + "'");
     }
     decls.push_back(*v);
-    slave_vars.push_back({name, amap.addr_of(name), v->type});
+    slave_vars.push_back(
+        {name, amap.addr_of(name), v->type, amap.beats_of(name)});
   }
 
   if (m.port_buses.size() == 1) {

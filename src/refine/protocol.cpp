@@ -289,13 +289,11 @@ StmtList ProtocolGen::slave_server_loop(const std::string& bus,
   // data bus before the owning memory drove it.
   ExprPtr match;
   for (const SlaveVar& v : vars) {
-    const uint64_t beats =
-        style_ == ProtocolStyle::ByteSerial ? (v.type.width + 7) / 8 : 1;
     ExprPtr mine =
-        beats == 1
+        v.beats == 1
             ? eq(ref(s.addr), lit(v.base_addr, addr_t_))
             : land(ge(ref(s.addr), lit(v.base_addr, addr_t_)),
-                   le(ref(s.addr), lit(v.base_addr + beats - 1, addr_t_)));
+                   le(ref(s.addr), lit(v.base_addr + v.beats - 1, addr_t_)));
     match = match ? lor(std::move(match), std::move(mine)) : std::move(mine);
   }
 
@@ -309,8 +307,7 @@ StmtList ProtocolGen::slave_server_loop(const std::string& bus,
     }
   } else {
     for (const SlaveVar& v : vars) {
-      const uint64_t beats = (v.type.width + 7) / 8;
-      for (uint64_t k = 0; k < beats; ++k) {
+      for (uint64_t k = 0; k < v.beats; ++k) {
         const uint64_t a = v.base_addr + k;
         reads.push_back(
             if_(eq(ref(s.addr), lit(a, addr_t_)),

@@ -113,11 +113,13 @@ struct BusTopology {
 [[nodiscard]] std::string ack_signal(const std::string& bus,
                                      const std::string& master);
 
-/// One variable served by a slave loop.
+/// One variable served by a slave loop, at the AddressMap's base address
+/// and beat count (byte-serial beats occupy consecutive addresses).
 struct SlaveVar {
   std::string name;
   uint64_t base_addr = 0;
   Type type = Type::u32();
+  uint64_t beats = 1;
 };
 
 class ProtocolGen {

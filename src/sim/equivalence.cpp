@@ -40,7 +40,8 @@ std::string Outcome::digest() const {
   for (const auto& [name, seq] : writes) {
     out += ' ' + name + ":[";
     for (size_t i = 0; i < seq.size(); ++i) {
-      out += (i != 0 ? "," : "") + std::to_string(seq[i]);
+      if (i != 0) out += ',';
+      out += std::to_string(seq[i]);
     }
     out += ']';
   }

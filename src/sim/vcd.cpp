@@ -22,35 +22,27 @@ std::string VcdRecorder::make_id(size_t n) {
   return id;
 }
 
-VcdRecorder::VcdRecorder(const Specification& spec, VcdOptions opts)
-    : opts_(std::move(opts)) {
+VcdRecorder::VcdRecorder(const Specification& spec) {
   header_ << "$date specsyn-refine $end\n"
           << "$version specsyn-refine VCD export $end\n"
-          << "$timescale " << opts_.timescale << " $end\n"
+          << "$timescale 1 ns $end\n"
           << "$scope module " << spec.name << " $end\n";
   size_t n = 0;
-  for (const SignalDecl* s : spec.all_signals()) {
+  const auto declare = [&](const std::string& name, Type type, uint64_t init) {
     Wire w;
     w.id = make_id(n++);
-    w.width = s->type.width;
-    w.last = s->init;
+    w.width = type.width;
+    w.last = init;
     w.has_value = true;
-    header_ << "$var wire " << w.width << " " << w.id << " " << s->name
+    header_ << "$var wire " << w.width << " " << w.id << " " << name
             << " $end\n";
-    wires_.emplace(s->name, std::move(w));
+    wires_.emplace(name, std::move(w));
+  };
+  for (const SignalDecl* s : spec.all_signals()) {
+    declare(s->name, s->type, s->init);
   }
-  if (opts_.include_observables) {
-    for (const VarDecl* v : spec.all_vars()) {
-      if (!v->is_observable) continue;
-      Wire w;
-      w.id = make_id(n++);
-      w.width = v->type.width;
-      w.last = v->init;
-      w.has_value = true;
-      header_ << "$var wire " << w.width << " " << w.id << " " << v->name
-              << " $end\n";
-      wires_.emplace(v->name, std::move(w));
-    }
+  for (const VarDecl* v : spec.all_vars()) {
+    if (v->is_observable) declare(v->name, v->type, v->init);
   }
   header_ << "$upscope $end\n$enddefinitions $end\n";
   // Initial values at t=0.

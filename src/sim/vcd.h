@@ -1,7 +1,7 @@
 // VCD (Value Change Dump) waveform recording.
 //
 // Attach a VcdRecorder to a Simulator (any execution tier) to capture every
-// signal change (and, optionally, observable-variable writes) as an
+// signal change and every observable-variable write as an
 // IEEE-1364 VCD file viewable in GTKWave & co. — the natural way to inspect
 // the generated handshake protocols of a refined specification.
 //
@@ -22,17 +22,11 @@
 
 namespace specsyn {
 
-struct VcdOptions {
-  /// Timescale string written to the header.
-  std::string timescale = "1 ns";
-  /// Also record writes to `observable` variables as VCD wires.
-  bool include_observables = true;
-};
-
 class VcdRecorder : public SlotObserver {
  public:
-  /// Registers all signals (and observable variables) of `spec`.
-  explicit VcdRecorder(const Specification& spec, VcdOptions opts = {});
+  /// Registers all signals and observable variables of `spec`; the header's
+  /// timescale is 1 ns (one simulation cycle).
+  explicit VcdRecorder(const Specification& spec);
 
   void on_bind(const Binding& b) override;
   void on_signal_commit(uint32_t slot, uint64_t time, uint64_t value) override;
@@ -56,7 +50,6 @@ class VcdRecorder : public SlotObserver {
   void emit_time(uint64_t time);
   static std::string make_id(size_t n);
 
-  VcdOptions opts_;
   std::map<std::string, Wire> wires_;
   /// Slot -> wire (null when the slot is not recorded), resolved in on_bind.
   std::vector<Wire*> signal_wires_;

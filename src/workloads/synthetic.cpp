@@ -3,6 +3,7 @@
 #include <random>
 
 #include "spec/builder.h"
+#include "support/text.h"
 
 namespace specsyn {
 
@@ -21,7 +22,7 @@ class Generator {
     const size_t nvars = std::max<size_t>(opts_.variables, 2);
     for (size_t i = 0; i < nvars; ++i) {
       const uint32_t widths[] = {8, 16, 32};
-      s.vars.push_back(var("v" + std::to_string(i),
+      s.vars.push_back(var(numbered("v", i),
                            Type::of_width(widths[i % 3]), i % 7,
                            /*observable=*/i % 4 == 0));
     }
@@ -103,7 +104,7 @@ class Generator {
 
   ExprPtr rand_operand(const std::vector<size_t>& pool) {
     if (chance(40) || pool.empty()) return lit(rand_below(64));
-    return ref("v" + std::to_string(pool[rand_below(pool.size())]));
+    return ref(numbered("v", pool[rand_below(pool.size())]));
   }
 
   ExprPtr rand_expr(const std::vector<size_t>& pool, int depth = 0) {
@@ -143,7 +144,7 @@ class Generator {
 
   std::string var_name(const std::vector<size_t>& pool) {
     if (pool.empty()) return "v0";
-    return "v" + std::to_string(pool[rand_below(pool.size())]);
+    return numbered("v", pool[rand_below(pool.size())]);
   }
 
   BehaviorPtr make_leaf_behavior(const std::vector<size_t>& pool) {

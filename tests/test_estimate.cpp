@@ -151,15 +151,23 @@ TEST(Cost, WeightsAreRespected) {
   RefineResult r = refine(part, g, cfg);
   ProfileResult prof = profile_spec(s);
   BusRateReport rates = bus_rates(prof, part, r.plan, 100e6);
-  CostWeights zero;
-  zero.per_bus = zero.per_bus_wire = zero.per_memory = zero.per_memory_port =
-      zero.per_memory_bit = zero.per_arbiter = zero.per_interface =
-          zero.per_mbps_peak = 0.0;
-  EXPECT_EQ(estimate_cost(r, rates, zero).total, 0.0);
-  CostWeights only_bus;
-  only_bus = zero;
-  only_bus.per_bus = 7.0;
-  EXPECT_NEAR(estimate_cost(r, rates, only_bus).total, 7.0, 1e-9);
+  const CostReport c = estimate_cost(r, rates);
+  // Model1 on two components: one shared bus and no bus interface.
+  EXPECT_EQ(c.buses, 1u);
+  EXPECT_EQ(c.interfaces, 0u);
+  EXPECT_GT(c.bus_wires, 0u);
+  EXPECT_GT(c.memory_bits, 0u);
+  using namespace cost_weights;
+  const double want =
+      kPerBus * static_cast<double>(c.buses) +
+      kPerBusWire * static_cast<double>(c.bus_wires) +
+      kPerMemory * static_cast<double>(c.memories) +
+      kPerMemoryPort * static_cast<double>(c.memory_ports) +
+      kPerMemoryBit * static_cast<double>(c.memory_bits) +
+      kPerArbiter * static_cast<double>(c.arbiters) +
+      kPerInterface * static_cast<double>(c.interfaces) +
+      kPerMbpsPeak * c.peak_bus_mbps;
+  EXPECT_NEAR(c.total, want, 1e-9);
 }
 
 }  // namespace

@@ -348,7 +348,7 @@ struct ScoringCase {
     const size_t n = leaves.size(), p = alloc.size();
     std::vector<size_t> best;
     double best_score = -1e18;
-    if (p == 2 && n <= opts.exhaustive_limit) {
+    if (p == 2 && n <= kExhaustiveLeafLimit) {
       std::vector<size_t> assign(n);
       for (uint64_t mask = 1; mask + 1 < (uint64_t{1} << n); ++mask) {
         for (size_t i = 0; i < n; ++i) assign[i] = (mask >> i) & 1;

@@ -92,7 +92,7 @@ TEST(ProtocolGen, SlaveLoopGatesOnOwnAddresses) {
 TEST(ProtocolGen, ByteSerialSlaveUsesRanges) {
   ProtocolGen proto(ProtocolStyle::ByteSerial, Type::u8(), Type::u8(),
                     Type::u32());
-  StmtList body = proto.slave_server_loop("b", {{"w", 4, Type::u32()}});
+  StmtList body = proto.slave_server_loop("b", {{"w", 4, Type::u32(), 4}});
   const std::string text = print(*body[0]);
   // 4 beats: addresses 4..7.
   EXPECT_NE(text.find("b_addr >= 4"), std::string::npos);
@@ -170,7 +170,7 @@ TEST(ProtocolSim, ByteSerialRoundTripsWideValues) {
       call("R", args(lit(4), lit(3), ref("got"))));
   Specification s = transfer_rig(ProtocolStyle::ByteSerial, Type::u8(),
                                  Type::of_width(24),
-                                 {{"w", 4, Type::of_width(24)}},
+                                 {{"w", 4, Type::of_width(24), 3}},
                                  std::move(body), std::move(procs));
   testing::expect_valid(s);
   SimResult r = testing::run(s);

@@ -586,7 +586,9 @@ TEST(CheckSchedules, AttachesWitnessesToSa020AndAppendsSa021) {
 
   bool saw_sa021 = false;
   for (const analysis::Finding& f : rep.findings) {
-    if (f.code == "SA020") EXPECT_FALSE(f.witness.empty());
+    if (f.code == "SA020") {
+      EXPECT_FALSE(f.witness.empty());
+    }
     if (f.code == "SA021") {
       saw_sa021 = true;
       EXPECT_EQ(f.severity, Severity::Error);

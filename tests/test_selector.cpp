@@ -1,10 +1,13 @@
-// Tests for the architecture report generator and the automatic model
-// selector.
+// Tests for the architecture report generator and the Section 5 model
+// recommendation over a sweep.
 #include <gtest/gtest.h>
 
+#include "batch/sweep.h"
+#include "estimate/profile.h"
+#include "estimate/rates.h"
 #include "estimate/static_profile.h"
 #include "printer/report.h"
-#include "refine/selector.h"
+#include "refine/refiner.h"
 #include "workloads/medical.h"
 #include "test_util.h"
 
@@ -60,81 +63,80 @@ TEST(Report, WorksWithoutRates) {
   }
 }
 
+/// The Section 5 axis (Model1-4) swept over the rig's Design1 partition.
+batch::SweepReport sweep_models(const MedicalRig& rig,
+                                const ProfileResult& prof) {
+  batch::ThreadPool pool(2);
+  return batch::run_sweep(rig.spec, rig.design.partition, rig.graph, prof,
+                          batch::model_axis(), {}, pool);
+}
+
 TEST(Selector, UnconstrainedPicksCheapest) {
   MedicalRig rig;
-  ProfileResult prof = profile_spec(rig.spec);
-  SelectionResult sel = select_model(rig.design.partition, rig.graph, prof);
-  ASSERT_EQ(sel.ranked.size(), 4u);
-  ASSERT_TRUE(sel.best.has_value());
-  // All feasible without a rate cap; ranking is by ascending cost.
-  for (const Candidate& cand : sel.ranked) {
-    EXPECT_TRUE(cand.feasible);
-  }
-  for (size_t i = 1; i < sel.ranked.size(); ++i) {
-    EXPECT_LE(sel.ranked[i - 1].cost, sel.ranked[i].cost);
+  const batch::SweepReport rep = sweep_models(rig, profile_spec(rig.spec));
+  ASSERT_EQ(rep.rows.size(), 4u);
+  const batch::SweepRow* rec = batch::recommend(rep, 0.0);
+  ASSERT_NE(rec, nullptr);
+  // Without a rate cap every refined model qualifies; the cheapest wins.
+  for (const batch::SweepRow& r : rep.rows) {
+    ASSERT_TRUE(r.refine_ok) << r.error;
+    EXPECT_LE(rec->cost, r.cost);
   }
 }
 
 TEST(Selector, RateConstraintFiltersModels) {
   MedicalRig rig;
-  ProfileResult prof = profile_spec(rig.spec);
+  const ProfileResult prof = profile_spec(rig.spec);
+  const batch::SweepReport rep = sweep_models(rig, prof);
   // Model1's single shared bus carries everything; constrain just below it.
-  SelectionConstraints c;
-  BusPlan m1 = BusPlan::build(rig.design.partition, rig.graph,
-                              ImplModel::Model1);
+  const BusPlan m1 =
+      BusPlan::build(rig.design.partition, rig.graph, ImplModel::Model1);
   const double m1_peak =
-      bus_rates(prof, rig.design.partition, m1, c.clock_hz).max_rate();
-  c.max_bus_mbps = m1_peak - 1.0;
-  SelectionResult sel =
-      select_model(rig.design.partition, rig.graph, prof, c);
-  ASSERT_TRUE(sel.best.has_value());
-  const Candidate* rec = sel.recommended();
+      bus_rates(prof, rig.design.partition, m1, 100e6).max_rate();
+  const double cap = m1_peak - 1.0;
+  const batch::SweepRow* rec = batch::recommend(rep, cap);
   ASSERT_NE(rec, nullptr);
-  EXPECT_NE(rec->config.model, ImplModel::Model1);  // excluded by the cap
-  EXPECT_LE(rec->peak_mbps, c.max_bus_mbps);
-  // Model1 ranks behind every feasible candidate.
-  bool after_feasible = false;
-  for (const Candidate& cand : sel.ranked) {
-    if (!cand.feasible) after_feasible = true;
-    if (after_feasible) {
-      EXPECT_FALSE(cand.feasible);
+  EXPECT_NE(rec->point.config.model, ImplModel::Model1);  // excluded by cap
+  EXPECT_LE(rec->peak_mbps, cap);
+  // The recommendation is the cheapest of the rows within the cap.
+  for (const batch::SweepRow& r : rep.rows) {
+    if (r.peak_mbps <= cap) {
+      EXPECT_LE(rec->cost, r.cost);
     }
   }
 }
 
 TEST(Selector, ImpossibleConstraintYieldsNoRecommendation) {
   MedicalRig rig;
-  ProfileResult prof = profile_spec(rig.spec);
-  SelectionConstraints c;
-  c.max_bus_mbps = 0.001;
-  SelectionResult sel =
-      select_model(rig.design.partition, rig.graph, prof, c);
-  EXPECT_FALSE(sel.best.has_value());
-  EXPECT_EQ(sel.recommended(), nullptr);
-  // Infeasible candidates are ranked by how close they come.
-  for (size_t i = 1; i < sel.ranked.size(); ++i) {
-    EXPECT_LE(sel.ranked[i - 1].peak_mbps, sel.ranked[i].peak_mbps);
-  }
+  const batch::SweepReport rep = sweep_models(rig, profile_spec(rig.spec));
+  EXPECT_EQ(batch::recommend(rep, 0.001), nullptr);
 }
 
-TEST(Selector, ProtocolExplorationDoublesCandidates) {
-  MedicalRig rig;
-  ProfileResult prof = profile_spec(rig.spec);
-  SelectionConstraints c;
-  c.explore_protocols = true;
-  SelectionResult sel =
-      select_model(rig.design.partition, rig.graph, prof, c);
-  EXPECT_EQ(sel.ranked.size(), 8u);
+TEST(Selector, EqualCostPrefersMatrixOrderAndSkipsFailures) {
+  // Rows arrive ranked, not in matrix order: the tie-break must read
+  // matrix_index, and a failed refinement never qualifies however cheap.
+  batch::SweepReport rep;
+  rep.rows.resize(3);
+  rep.rows[0].matrix_index = 2;
+  rep.rows[0].refine_ok = true;
+  rep.rows[0].cost = 5.0;
+  rep.rows[1].matrix_index = 1;
+  rep.rows[1].refine_ok = true;
+  rep.rows[1].cost = 5.0;
+  rep.rows[2].matrix_index = 0;
+  rep.rows[2].cost = 1.0;  // refine_ok stays false
+  EXPECT_EQ(batch::recommend(rep, 0.0), &rep.rows[1]);
+  EXPECT_EQ(batch::recommend(batch::SweepReport{}, 0.0), nullptr);
 }
 
 TEST(Selector, WorksWithStaticProfile) {
-  // The selector is estimation-agnostic: a static profile drives the same
-  // exploration without a single simulation.
+  // The recommendation is estimation-agnostic: a static profile prices the
+  // same sweep without simulating the original.
   MedicalRig rig;
-  ProfileResult stat = static_profile(rig.spec);
-  SelectionResult sel = select_model(rig.design.partition, rig.graph, stat);
-  ASSERT_TRUE(sel.best.has_value());
-  EXPECT_GT(sel.recommended()->peak_mbps, 0.0);
+  const batch::SweepReport rep = sweep_models(rig, static_profile(rig.spec));
+  const batch::SweepRow* rec = batch::recommend(rep, 0.0);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_GT(rec->peak_mbps, 0.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "sim/simulator.h"
 #include "spec/builder.h"
+#include "support/text.h"
 #include "test_util.h"
 
 namespace specsyn {
@@ -269,7 +270,7 @@ TEST(SimEdge, RecursionDepthViaSeqNesting) {
   s.vars = {var("x")};
   BehaviorPtr b = leaf("L", block(assign("x", add(ref("x"), lit(1)))));
   for (int i = 0; i < 40; ++i) {
-    b = seq("S" + std::to_string(i), behaviors(std::move(b)));
+    b = seq(numbered("S", i), behaviors(std::move(b)));
   }
   s.top = std::move(b);
   SimResult r = run(s);

@@ -50,10 +50,8 @@ TEST(StaticProfile, UnboundedLoopUsesHeuristic) {
   s.vars = {var("x"), var("cond")};
   s.top = leaf("T", block(while_(lt(ref("x"), ref("cond")),
                                  block(assign("x", add(ref("x"), lit(1)))))));
-  StaticProfileOptions opts;
-  opts.default_loop_iters = 7;
-  ProfileResult p = static_profile(s, opts);
-  EXPECT_EQ(p.accesses.at({"T", "x"}).writes, 7u);
+  ProfileResult p = static_profile(s);
+  EXPECT_EQ(p.accesses.at({"T", "x"}).writes, kStaticLoopIters);
 }
 
 TEST(StaticProfile, BranchesWeighted) {
@@ -63,9 +61,8 @@ TEST(StaticProfile, BranchesWeighted) {
   s.top = leaf("T", block(if_(gt(ref("c"), lit(0)),
                               block(assign("a", lit(1)), assign("a", lit(2))),
                               block(assign("b", lit(1))))));
-  StaticProfileOptions opts;
-  opts.branch_probability = 0.5;
-  ProfileResult p = static_profile(s, opts);
+  ASSERT_EQ(kStaticBranchProbability, 0.5);
+  ProfileResult p = static_profile(s);
   // then: 2 writes * 0.5 = 1; else: 1 * 0.5 rounds to >= 1.
   EXPECT_EQ(p.accesses.at({"T", "a"}).writes, 1u);
   EXPECT_EQ(p.accesses.at({"T", "b"}).writes, 1u);
@@ -78,13 +75,11 @@ TEST(StaticProfile, SeqBackArcsIterate) {
   auto inc = leaf("Inc", block(assign("n", add(ref("n"), lit(1)))));
   s.top = seq("Top", behaviors(std::move(inc)),
               arcs(on("Inc", lt(ref("n"), lit(4)), "Inc"), done("Inc")));
-  StaticProfileOptions opts;
-  opts.default_loop_iters = 4;
-  ProfileResult p = static_profile(s, opts);
-  EXPECT_EQ(p.accesses.at({"Inc", "n"}).writes, 4u);
-  EXPECT_EQ(p.behaviors.at("Inc").activations, 4u);
+  ProfileResult p = static_profile(s);
+  EXPECT_EQ(p.accesses.at({"Inc", "n"}).writes, kStaticLoopIters);
+  EXPECT_EQ(p.behaviors.at("Inc").activations, kStaticLoopIters);
   // Guard reads attributed to the composite.
-  EXPECT_GE(p.accesses.at({"Top", "n"}).reads, 4u);
+  EXPECT_GE(p.accesses.at({"Top", "n"}).reads, kStaticLoopIters);
 }
 
 TEST(StaticProfile, ConcurrentDurationIsMax) {
@@ -102,7 +97,7 @@ TEST(StaticProfile, ConcurrentDurationIsMax) {
 
 // SignalAssign, Loop, Wait, Call with an out-parameter and Break, against
 // counts worked out by hand from the estimator's rules (loops run
-// default_loop_iters = 4 times, a wait costs wait_latency = 2 cycles).
+// kStaticLoopIters = 4 times, a wait costs kStaticWaitLatency = 2 cycles).
 TEST(StaticProfile, EveryStatementKindCountedByHand) {
   Specification s;
   s.name = "K";
@@ -120,6 +115,8 @@ TEST(StaticProfile, EveryStatementKindCountedByHand) {
                  call("Inc", args(ref("y"), ref("r")))));
   DiagnosticSink diags;
   ASSERT_TRUE(validate(s, diags)) << diags.str();
+  ASSERT_EQ(kStaticLoopIters, 4u);
+  ASSERT_EQ(kStaticWaitLatency, 2u);
   const ProfileResult p = static_profile(s);
   ASSERT_EQ(p.accesses.size(), 3u);
   // x: read by the signal drive and by the wait condition.

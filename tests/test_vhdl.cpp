@@ -30,6 +30,7 @@ TEST(Vhdl, EntityAndArchitectureShell) {
   EXPECT_NE(v.find("architecture refined of ABCExample is"),
             std::string::npos);
   EXPECT_NE(v.find("end architecture refined;"), std::string::npos);
+  EXPECT_NE(v.find("constant CYCLE : time := 10 ns;"), std::string::npos);
 }
 
 TEST(Vhdl, SequentialSpecIsOneProcess) {
@@ -136,16 +137,6 @@ TEST(Vhdl, RefinedMedicalExports) {
 TEST(Vhdl, DeterministicOutput) {
   Specification s = testing::medical_like_spec();
   EXPECT_EQ(to_vhdl(s), to_vhdl(s));
-}
-
-TEST(Vhdl, CustomOptions) {
-  Specification s = testing::abc_spec(1);
-  VhdlOptions opts;
-  opts.architecture = "impl";
-  opts.cycle_time = "20 ns";
-  const std::string v = to_vhdl(s, opts);
-  EXPECT_NE(v.find("architecture impl of"), std::string::npos);
-  EXPECT_NE(v.find("constant CYCLE : time := 20 ns;"), std::string::npos);
 }
 
 }  // namespace

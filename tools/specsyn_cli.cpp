@@ -648,18 +648,15 @@ int cmd_refine(const Opts& o, const Specification& spec) {
                r.stats.memory_ports, r.stats.arbiters, r.stats.interfaces,
                r.stats.inlined_sites);
 
+  std::optional<BusRateReport> rates;
+  if (o.rates || o.report) {
+    rates = bus_rates(profile_spec(spec), *part, r.plan, 100e6);
+  }
   if (o.rates) {
-    ProfileResult prof = profile_spec(spec);
-    BusRateReport rates = bus_rates(prof, *part, r.plan, 100e6);
     std::fprintf(stderr, "bus transfer rates (Mbit/s):\n");
-    for (const auto& [bus, mbps] : rates.bus_mbps) {
+    for (const auto& [bus, mbps] : rates->bus_mbps) {
       std::fprintf(stderr, "  %-18s %10.1f\n", bus.c_str(), mbps);
     }
-  }
-  if (o.report) {
-    ProfileResult prof = profile_spec(spec);
-    BusRateReport rates = bus_rates(prof, *part, r.plan, 100e6);
-    return write_output(o, architecture_report(r, *part, &rates));
   }
   if (o.verify) {
     EquivalenceOptions eo;
@@ -670,6 +667,7 @@ int cmd_refine(const Opts& o, const Specification& spec) {
     std::fprintf(stderr, "equivalence: %s\n", rep.summary().c_str());
     if (!rep.equivalent) return 1;
   }
+  if (o.report) return write_output(o, architecture_report(r, *part, &*rates));
   return write_output(o, o.vhdl ? to_vhdl(r.refined) : print(r.refined));
 }
 
