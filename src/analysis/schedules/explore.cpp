@@ -11,6 +11,7 @@
 #include "sim/equivalence.h"
 #include "sim/plan.h"
 #include "sim/sched.h"
+#include "support/diagnostics.h"
 #include "telemetry/telemetry.h"
 
 namespace specsyn::analysis::schedules {
@@ -36,26 +37,20 @@ bool is_racing(const std::vector<uint64_t>& pairs, uint32_t a, uint32_t b) {
   return std::binary_search(pairs.begin(), pairs.end(), behavior_pair(a, b));
 }
 
-/// One exploration run: replay `picks` (canonical beyond the end), record
-/// every decision. Returns the full taken trace + decisions + outcome.
-struct RunResult {
+std::vector<uint32_t> taken_picks(const SimResult& run) {
   std::vector<uint32_t> taken;
-  std::vector<SchedDecision> decisions;
-  Outcome outcome;
-};
+  taken.reserve(run.sched_decisions.size());
+  for (const SchedDecision& d : run.sched_decisions) taken.push_back(d.pick);
+  return taken;
+}
 
-RunResult run_one(const std::shared_ptr<const SimPlan>& plan, SimConfig cfg,
-                  std::vector<uint32_t> picks, const Specification* original) {
+/// A run of `plan` under `cfg` that replays `picks` (canonical beyond the
+/// end) and records every decision.
+SimResult recorded_run(const std::shared_ptr<const SimPlan>& plan,
+                       SimConfig cfg, std::vector<uint32_t> picks = {}) {
   cfg.sched_picks = std::move(picks);
   cfg.record_schedule = true;
-  Simulator sim(plan, std::move(cfg));
-  SimResult r = sim.run();
-  RunResult out;
-  out.taken.reserve(r.sched_decisions.size());
-  for (const SchedDecision& d : r.sched_decisions) out.taken.push_back(d.pick);
-  out.decisions = std::move(r.sched_decisions);
-  out.outcome = outcome_of(r, original);
-  return out;
+  return Simulator(plan, std::move(cfg)).run();
 }
 
 /// explore() proper; a non-null `original` marks ctx.spec() as its
@@ -63,7 +58,15 @@ RunResult run_one(const std::shared_ptr<const SimPlan>& plan, SimConfig cfg,
 ExploreResult explore_runs(const Context& ctx,
                            const std::shared_ptr<const SimPlan>& plan,
                            const ExploreOptions& opts,
+                           const SimResult& baseline,
                            const Specification* original) {
+  // Without the decision record the baseline offers no branch, and the
+  // exploration would call one schedule complete.
+  if (!baseline.schedule_recorded) {
+    throw SpecError(
+        "explore: the baseline run was not recorded "
+        "(SimConfig::record_schedule)");
+  }
   telemetry::Span span("explore", telemetry::Stability::Stable);
   const std::vector<uint64_t> races = racing_behaviors(ctx);
 
@@ -82,10 +85,10 @@ ExploreResult explore_runs(const Context& ctx,
   };
   std::deque<Branch> frontier;
 
-  auto expand = [&](const RunResult& run, size_t from_decision) {
+  auto expand = [&](const SimResult& run, size_t from_decision) {
     const size_t parent = result.schedules.size();  // `run` is pushed next
-    for (size_t d = from_decision; d < run.decisions.size(); ++d) {
-      const SchedDecision& dec = run.decisions[d];
+    for (size_t d = from_decision; d < run.sched_decisions.size(); ++d) {
+      const SchedDecision& dec = run.sched_decisions[d];
       const size_t k = dec.ready.size();
       for (uint32_t alt = 0; alt < k; ++alt) {
         if (alt == dec.pick) continue;
@@ -113,11 +116,10 @@ ExploreResult explore_runs(const Context& ctx,
     return picks;
   };
 
-  // Baseline: canonical schedule (empty pick trace).
-  RunResult baseline = run_one(plan, opts.config, {}, original);
+  // Baseline: the caller's recorded run of the canonical schedule.
   expand(baseline, 0);
   result.schedules.push_back(
-      {std::move(baseline.taken), std::move(baseline.outcome), false});
+      {taken_picks(baseline), outcome_of(baseline, original), false});
 
   // By value: the loop below grows result.schedules, and a reallocation
   // would dangle a reference into it.
@@ -130,37 +132,35 @@ ExploreResult explore_runs(const Context& ctx,
         std::min(frontier.size(), bound - result.schedules.size());
     std::vector<Branch> branches(frontier.begin(), frontier.begin() + wave);
     frontier.erase(frontier.begin(), frontier.begin() + wave);
-    std::vector<RunResult> runs;
+    std::vector<SimResult> runs;
     if (opts.pool != nullptr && wave > 1) {
-      runs = batch::run_batch<RunResult>(
+      runs = batch::run_batch<SimResult>(
           *opts.pool, wave, [&](size_t job, batch::WorkerContext&) {
-            return run_one(plan, opts.config, picks_of(branches[job]),
-                           original);
+            return recorded_run(plan, opts.config, picks_of(branches[job]));
           });
     } else {
       runs.reserve(wave);
       for (const Branch& b : branches) {
-        runs.push_back(run_one(plan, opts.config, picks_of(b), original));
+        runs.push_back(recorded_run(plan, opts.config, picks_of(b)));
       }
     }
     for (size_t i = 0; i < runs.size(); ++i) {
-      RunResult& run = runs[i];
-      const bool divergent = !(run.outcome == base_outcome);
-      expand(run, branches[i].decision + 1);
-      if (divergent) {
+      Schedule sch{taken_picks(runs[i]), outcome_of(runs[i], original), false};
+      sch.divergent = !(sch.outcome == base_outcome);
+      expand(runs[i], branches[i].decision + 1);
+      if (sch.divergent) {
         ++result.divergent;
         if (result.witness.empty()) {
-          result.witness = format_witness(run.taken);
+          result.witness = format_witness(sch.picks);
           result.divergence =
               describe_differences(original != nullptr ? *original
                                                        : ctx.spec(),
-                                   base_outcome, run.outcome, "baseline",
+                                   base_outcome, sch.outcome, "baseline",
                                    "witness")
                   .front();
         }
       }
-      result.schedules.push_back(
-          {std::move(run.taken), std::move(run.outcome), divergent});
+      result.schedules.push_back(std::move(sch));
     }
   }
 
@@ -184,24 +184,25 @@ ExploreResult explore_runs(const Context& ctx,
 
 ExploreResult explore(const Context& ctx,
                       const std::shared_ptr<const SimPlan>& plan,
-                      const ExploreOptions& opts) {
-  return explore_runs(ctx, plan, opts, nullptr);
+                      const ExploreOptions& opts, const SimResult& baseline) {
+  return explore_runs(ctx, plan, opts, baseline, nullptr);
 }
 
 ExploreResult explore(const Specification& spec, const Context& ctx,
                       const ExploreOptions& opts) {
-  return explore(ctx, SimPlan::build(spec, opts.config.exec_tier), opts);
+  const auto plan = SimPlan::build(spec, opts.config.exec_tier);
+  return explore(ctx, plan, opts, recorded_run(plan, opts.config));
 }
 
 InclusionResult check_inclusion(
     const Specification& original, const ExploreResult& original_runs,
     const Context& refined_ctx,
     const std::shared_ptr<const SimPlan>& refined_plan,
-    const ExploreOptions& opts) {
+    const ExploreOptions& opts, const SimResult& refined_baseline) {
   // Refined outcomes come out of outcome_of already projected onto the
   // original's variables.
-  const ExploreResult refined =
-      explore_runs(refined_ctx, refined_plan, opts, &original);
+  const ExploreResult refined = explore_runs(refined_ctx, refined_plan, opts,
+                                             refined_baseline, &original);
 
   InclusionResult result;
   result.original_explored = original_runs.explored;
@@ -238,10 +239,11 @@ InclusionResult check_inclusion(
 InclusionResult check_inclusion(const Specification& original,
                                 const Specification& refined,
                                 const ExploreOptions& opts) {
-  const ExecTier tier = opts.config.exec_tier;
-  return check_inclusion(
-      original, explore(original, Context(original), opts), Context(refined),
-      SimPlan::build(refined, tier), opts);
+  const ExploreResult original_runs =
+      explore(original, Context(original), opts);
+  const auto plan = SimPlan::build(refined, opts.config.exec_tier);
+  return check_inclusion(original, original_runs, Context(refined), plan, opts,
+                         recorded_run(plan, opts.config));
 }
 
 }  // namespace specsyn::analysis::schedules

@@ -7,9 +7,10 @@
 // that survives refinement is a race. This module enumerates interleavings
 // to find (or rule out, up to a bound) exactly that:
 //
-//   * the baseline run replays the empty (canonical) trace while recording
-//     every decision point (an instant whose ready set held >= 2 processes,
-//     as behavior ids),
+//   * the baseline is a canonical run the caller already made (the sweep's
+//     measured run, the fuzz oracle's tree-tier run) with record_schedule
+//     set, so it holds every decision point (an instant whose ready set
+//     held >= 2 processes, as behavior ids); a run not recorded is refused,
 //   * the explored schedules form a tree: a frontier entry is (parent
 //     schedule, decision, alternative pick), and its run replays the
 //     parent's picks up to that decision, takes the alternative and
@@ -99,15 +100,16 @@ struct ExploreResult {
   [[nodiscard]] bool diverged() const { return divergent != 0; }
 };
 
-/// Explores up to max_schedules interleavings of ctx.spec(). `ctx` supplies
-/// the static concurrency relation driving the pruning rule; every schedule
-/// (pooled waves included) runs from `plan` (sim/plan.h), which must have
-/// been built from the same specification for opts.config.exec_tier.
+/// Explores up to max_schedules interleavings of ctx.spec() from `baseline`,
+/// its recorded canonical run under opts.config on any tier (SpecError when
+/// not recorded). `ctx` supplies the static concurrency relation driving the
+/// pruning rule; every other schedule (pooled waves included) runs from
+/// `plan` (sim/plan.h), built from the same spec for opts.config.exec_tier.
 ExploreResult explore(const Context& ctx,
                       const std::shared_ptr<const SimPlan>& plan,
-                      const ExploreOptions& opts);
-/// explore() from a plan of `spec` built here; `ctx` must have been built
-/// from `spec`.
+                      const ExploreOptions& opts, const SimResult& baseline);
+/// explore() from a plan and a baseline of `spec` made here; `ctx` must
+/// have been built from `spec`.
 ExploreResult explore(const Specification& spec, const Context& ctx,
                       const ExploreOptions& opts);
 
@@ -130,13 +132,13 @@ struct InclusionResult {
 
 /// `original_runs` is explore() of `original` under the same options, made
 /// once by a caller that checks several refinements against it (the sweep).
-/// The refined side brings its Context and a plan built from the same spec
-/// for opts.config.exec_tier; nothing is validated, walked or compiled here.
+/// The refined side brings its Context, plan and baseline as explore()
+/// takes them; nothing is validated, walked or compiled here.
 InclusionResult check_inclusion(
     const Specification& original, const ExploreResult& original_runs,
     const Context& refined_ctx,
     const std::shared_ptr<const SimPlan>& refined_plan,
-    const ExploreOptions& opts);
+    const ExploreOptions& opts, const SimResult& refined_baseline);
 /// check_inclusion() with both sides explored here.
 InclusionResult check_inclusion(const Specification& original,
                                 const Specification& refined,

@@ -40,6 +40,8 @@ SimConfig sim_config(const SweepOptions& opts) {
   sc.exec_tier = opts.exec_tier;
   if (opts.max_cycles != 0) sc.max_cycles = opts.max_cycles;
   sc.clock_hz = opts.clock_hz;
+  // Each side's one run is also its exploration baseline.
+  sc.record_schedule = opts.verify && opts.explore_schedules > 0;
   return sc;
 }
 
@@ -122,7 +124,7 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
         xo.compare_write_traces = compare_write_traces;
         const analysis::schedules::InclusionResult inc =
             analysis::schedules::check_inclusion(spec, *original.explored,
-                                                 rctx, plan, xo);
+                                                 rctx, plan, xo, res);
         row.sched_checked = true;
         row.sched_consistent = inc.holds;
         row.sched_explored = inc.refined_explored;
@@ -195,13 +197,14 @@ SweepReport run_sweep(const Specification& spec, const Partition& part,
       const SimConfig sc = sim_config(opts);
       const std::shared_ptr<const SimPlan> plan =
           SimPlan::build(spec, sc.exec_tier);
-      original.outcome = outcome_of(Simulator(plan, sc).run());
+      const SimResult run = Simulator(plan, sc).run();
+      original.outcome = outcome_of(run);
       if (opts.explore_schedules > 0) {
         analysis::schedules::ExploreOptions xo;
         xo.max_schedules = opts.explore_schedules;
         xo.config = sc;
-        original.explored =
-            analysis::schedules::explore(analysis::Context(spec), plan, xo);
+        original.explored = analysis::schedules::explore(
+            analysis::Context(spec), plan, xo, run);
       }
     } catch (const SpecError& e) {
       original.error = e.what();  // lands in every verified row

@@ -5,12 +5,11 @@
 // configuration is refined, statically verified, priced (estimate/cost),
 // simulated with a BusTracer, and optionally checked for functional
 // equivalence — each point an independent job on the pool. The original
-// spec is simulated (and, with schedule exploration, explored) once per
-// sweep and each refined spec once per point: the measured run is also the
-// refined side of the equivalence check. The
-// ranked table/JSON is bit-identical for any
-// worker count: jobs write only their own row, and ranking is a pure sort
-// over deterministic per-row data (matrix index breaks all ties).
+// spec is simulated once per sweep and each refined spec once per point:
+// each run serves its side's equivalence check and exploration baseline.
+// The ranked table/JSON is bit-identical for any worker count: jobs write
+// only their own row, and ranking is a pure sort over deterministic per-row
+// data (matrix index breaks all ties).
 //
 // `specsyn sweep` and examples/medical_explorer are thin fronts over
 // run_sweep(); recommend() reads the Section 5 choice off a finished sweep.
@@ -53,8 +52,8 @@ struct SweepOptions {
   bool verify = false;
   /// With `verify`, additionally run the partition-consistency check over up
   /// to this many explored schedules per side (analysis/schedules): every
-  /// refined outcome must be one the original permits. The original is
-  /// explored once, before the batch; an original that fails to explore
+  /// refined outcome must be one the original permits. Each side explores
+  /// from its one run, then recorded; an original that fails to explore
   /// fails every row. 0 disables.
   size_t explore_schedules = 0;
 };

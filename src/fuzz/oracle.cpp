@@ -1,5 +1,6 @@
 #include "fuzz/oracle.h"
 
+#include <array>
 #include <sstream>
 
 #include "analysis/context.h"
@@ -95,38 +96,35 @@ std::string diff_sim_results(const SimResult& a, const SimResult& b) {
 
 /// One spec's run on every execution tier, under the same SimConfig.
 struct TierResults {
-  SimResult tree;
-  SimResult lowered;
-  SimResult bytecode;
+  std::array<SimResult, kExecTierNames.size()> runs;
 
   [[nodiscard]] const SimResult& at(ExecTier tier) const {
-    switch (tier) {
-      case ExecTier::Tree: return tree;
-      case ExecTier::Lowered: return lowered;
-      case ExecTier::Bytecode: return bytecode;
-    }
-    return bytecode;
+    return runs[static_cast<size_t>(tier)];
   }
 };
 
 /// Runs the planned spec on all three tiers and reports any disagreement.
 /// The runs are returned so the equivalence oracle can compare them without
-/// simulating again.
+/// simulating again. With `record`, the tree run (which has no statement
+/// chaining for recording to turn off) records its schedule: it is the
+/// schedule-inclusion oracle's baseline.
 TierResults check_interp_diff(const std::shared_ptr<const SimPlan>& plan,
                               const std::string& oracle, OracleOutcome& out,
-                              uint64_t max_cycles) {
-  SimConfig cfg;
-  cfg.max_cycles = max_cycles;
+                              uint64_t max_cycles, bool record) {
   TierResults r;
-  cfg.exec_tier = ExecTier::Lowered;
-  r.lowered = Simulator(plan, cfg).run();
-  cfg.exec_tier = ExecTier::Tree;
-  r.tree = Simulator(plan, cfg).run();
-  cfg.exec_tier = ExecTier::Bytecode;
-  r.bytecode = Simulator(plan, cfg).run();
-  const std::string diff = diff_sim_results(r.lowered, r.tree);
+  for (ExecTier tier :
+       {ExecTier::Lowered, ExecTier::Tree, ExecTier::Bytecode}) {
+    SimConfig cfg;
+    cfg.max_cycles = max_cycles;
+    cfg.exec_tier = tier;
+    cfg.record_schedule = record && tier == ExecTier::Tree;
+    r.runs[static_cast<size_t>(tier)] = Simulator(plan, cfg).run();
+  }
+  const std::string diff =
+      diff_sim_results(r.at(ExecTier::Lowered), r.at(ExecTier::Tree));
   if (!diff.empty()) add_issue(out, oracle, "lowered vs tree: " + diff);
-  const std::string bdiff = diff_sim_results(r.bytecode, r.lowered);
+  const std::string bdiff =
+      diff_sim_results(r.at(ExecTier::Bytecode), r.at(ExecTier::Lowered));
   if (!bdiff.empty()) add_issue(out, oracle, "bytecode vs lowered: " + bdiff);
   return r;
 }
@@ -234,8 +232,9 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   check_roundtrip(spec, "roundtrip", out);
   tally("roundtrip", before);
   before = out.issues.size();
+  const bool exploring = opts.explore_schedules > 0;
   const TierResults original_runs =
-      check_interp_diff(plan, "interp-diff", out, opts.max_cycles);
+      check_interp_diff(plan, "interp-diff", out, opts.max_cycles, exploring);
   tally("interp-diff", before);
   const analysis::Context ctx(spec);
   before = out.issues.size();
@@ -280,7 +279,7 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   tally("roundtrip-refined", before);
   before = out.issues.size();
   const TierResults refined_runs = check_interp_diff(
-      refined_plan, "interp-diff-refined", out, opts.max_cycles);
+      refined_plan, "interp-diff-refined", out, opts.max_cycles, exploring);
   tally("interp-diff-refined", before);
 
   // interp-diff already ran both specs on every tier under the equivalence
@@ -300,13 +299,13 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   check_analysis(refined_ctx, "analysis-refined", out);
   tally("analysis-refined", before);
 
-  if (opts.explore_schedules > 0) {
+  if (exploring) {
     // Partition consistency (PAPERS.md): over K explored schedules per side,
     // the refined outcome set projected onto the original's variables must
     // be included in the original's. Exploration branches only at statically
-    // racing decision points, so a clean pair costs two recorded baseline
-    // runs; a race the refiner left behind shows up as an escaping outcome
-    // with a replayable witness.
+    // racing decision points from the recorded tree-tier runs, so a clean
+    // pair simulates nothing more; a race the refiner left behind shows up
+    // as an escaping outcome with a replayable witness.
     before = out.issues.size();
     try {
       analysis::schedules::ExploreOptions xo;
@@ -316,8 +315,10 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
       xo.compare_write_traces = compare_write_traces;
       const analysis::schedules::InclusionResult inc =
           analysis::schedules::check_inclusion(
-              spec, analysis::schedules::explore(ctx, plan, xo), refined_ctx,
-              refined_plan, xo);
+              spec,
+              analysis::schedules::explore(ctx, plan, xo,
+                                           original_runs.at(ExecTier::Tree)),
+              refined_ctx, refined_plan, xo, refined_runs.at(ExecTier::Tree));
       if (!inc.holds) {
         add_issue(out, "schedule-inclusion", inc.violation);
       }

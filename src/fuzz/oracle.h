@@ -4,13 +4,13 @@
 // Per spec x sampled refinement config the harness checks:
 //   roundtrip          print -> parse -> print is a fixpoint and the reparse
 //                      validates (original spec)
-//   interp-diff        lowered interpreter bit-identical to the legacy
-//                      tree-walker (final values, write events incl. times,
-//                      end time, step count, completion counts)
+//   interp-diff        the three execution tiers (tree, lowered, bytecode)
+//                      bit-identical (final values, write events incl.
+//                      times, end time, step count, completion counts)
 //   analysis-original  the static verifier is silent on a functional model
 //   refiner            refine() accepts the spec and produces a valid result
 //   roundtrip-refined  the refined spec round-trips through the printer
-//   interp-diff-refined  both interpreters agree on the refined spec
+//   interp-diff-refined  the three tiers agree on the refined spec
 //   equivalence        refined behaviorally equivalent to the original
 //                      (sim/equivalence: final values + observable write
 //                      traces, main control flow completed), compared on
@@ -100,8 +100,8 @@ struct OracleOptions {
   /// itself. Unset = the process default tier.
   std::optional<ExecTier> exec_tier;
   /// Schedules per side for the schedule-inclusion oracle (0 disables it).
-  /// Clean specs collapse to the baseline schedule (no racing pairs means
-  /// nothing to branch on), so the steady-state cost is two recorded runs.
+  /// Clean specs collapse to the baseline, the recorded tree-tier
+  /// interp-diff run, so the steady-state cost is no simulation at all.
   size_t explore_schedules = 4;
 };
 

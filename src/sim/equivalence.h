@@ -69,9 +69,8 @@ struct EquivalenceOptions {
   /// atomicity fix, after which every protocol keeps its write sequences.
   bool compare_write_traces = true;
   /// Run the two simulations concurrently (the original on a spawned thread,
-  /// the refined on the caller's). Results are merged in a fixed order, so
-  /// the report is identical to a serial run. Worth it when both specs are
-  /// expensive to simulate; `refine --verify` enables it.
+  /// the refined on the caller's); the report is identical to a serial
+  /// run. No library code sets it; it stays only because perfbench does.
   bool parallel = false;
   /// Optional compiled-program cache; both simulations consult it. Safe to
   /// share across threads (internally locked).
@@ -104,7 +103,8 @@ struct EquivalenceReport {
 
 /// The comparison half of check_equivalence, for callers that already hold
 /// both runs (the sweep reuses its measured run and builds the original's
-/// outcome once, the fuzz oracles reuse their interp-diff runs).
+/// outcome once, the fuzz oracles reuse their interp-diff runs, `refine
+/// --verify` reuses the run its profile made).
 /// `original_outcome` is outcome_of(original's run); both runs must come
 /// from the same SimConfig. Fills `equivalent` and `mismatches`; the two
 /// result fields stay empty.

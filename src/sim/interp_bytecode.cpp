@@ -98,10 +98,11 @@ void Simulator::bwrite_var(uint32_t slot, uint64_t value, Process& p) {
 
 // Transition guards are GuardEnd-terminated micro-op units evaluated inline
 // during a Seq-advance step (never entered by a Code frame's control flow).
+// They compile at specification scope (program.cpp), so no unit reads a
+// procedure local.
 template <bool Obs>
 uint64_t Simulator::beval_guard(uint32_t pc, Process& p) {
   uint64_t* const regs = regs_.data();
-  Frame* call = nullptr;
   for (;; ++pc) {
     const BInstr& i = bcode_[pc];
     switch (i.op) {
@@ -114,10 +115,6 @@ uint64_t Simulator::beval_guard(uint32_t pc, Process& p) {
         break;
       case BOp::LoadSig:
         regs[i.a] = signals_.get(i.slot);
-        break;
-      case BOp::LoadLoc:
-        if (call == nullptr) call = &bcall_frame(p);
-        regs[i.a] = call->dlocals[i.slot];
         break;
       case BOp::UnApply:
         regs[i.a] = apply_unop(static_cast<UnOp>(i.aux), regs[i.b]);

@@ -289,6 +289,7 @@ SimResult Simulator::run() {
 
   result.end_time = now_;
   result.steps = steps_;
+  result.schedule_recorded = cfg_.record_schedule;
   if (cfg_.record_schedule) result.sched_decisions = std::move(sched_trace_);
   result.root_completed =
       root_ != nullptr && root_->status == Process::Status::Done;

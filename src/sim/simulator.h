@@ -217,6 +217,8 @@ struct SimResult {
   /// Decision points recorded when SimConfig::record_schedule was set (empty
   /// otherwise). Decision i replays via SimConfig::sched_picks[i].
   std::vector<SchedDecision> sched_decisions;
+  /// SimConfig::record_schedule of the run: sched_decisions is complete.
+  bool schedule_recorded = false;
 };
 
 class Program;

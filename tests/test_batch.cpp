@@ -326,6 +326,10 @@ TEST(Sweep, VerifiedSweepCountsEveryValidation) {
   EXPECT_EQ(snap.spans.at("validate").count, 97u);
   ASSERT_EQ(snap.spans.count("explore"), 1u);
   EXPECT_EQ(snap.spans.at("explore").count, rep.rows.size() + 1);
+  // One run per point plus the original's: every exploration starts from
+  // one of them and medical has no racing pair to branch on.
+  ASSERT_EQ(snap.counters.count("sim.runs"), 1u);
+  EXPECT_EQ(snap.counters.at("sim.runs").value, rep.rows.size() + 1);
   for (const SweepRow& row : rep.rows) {
     EXPECT_TRUE(row.sched_checked && row.sched_consistent)
         << row.point.label();

@@ -247,6 +247,53 @@ TEST(BytecodeCompile, ShallowExpressionsStayInRegisters) {
   EXPECT_EQ(prog->reg_count(), 2u);
 }
 
+TEST(BytecodeGuards, SignalAndUnaryGuardsMatchTheTreeTier) {
+  // A bare `when go` compiles to a LoadSig guard unit and `when !(n == 5)`
+  // to an UnApply one; `go` is read and `!` applied nowhere else. Both arcs
+  // of each guard fire: Arm alternates go between 1 and 0, and Odd loops
+  // back to Arm until n reaches 5.
+  const Specification spec = testing::parse_or_die(R"(
+spec Guards;
+signal go : bit;
+observable var n : int8;
+observable var odds : int8;
+observable var evens : int8;
+behavior Main : seq {
+  behavior Arm : leaf {
+    n := n + 1;
+    go <= n % 2;
+  }
+  behavior Odd : leaf {
+    odds := odds + 1;
+  }
+  behavior Even : leaf {
+    evens := evens + 1;
+  }
+  transitions {
+    Arm -> Odd when go;
+    Arm -> Even;
+    Odd -> Arm when !(n == 5);
+    Odd -> complete;
+    Even -> Arm;
+  }
+}
+)");
+  auto prog = compile_spec(spec);
+  ASSERT_NE(prog, nullptr);
+  EXPECT_TRUE(has_op(*prog, BOp::LoadSig));
+  EXPECT_TRUE(has_op(*prog, BOp::UnApply));
+
+  const SimResult tree = run_tier(spec, ExecTier::Tree);
+  EXPECT_TRUE(tree.root_completed);
+  EXPECT_EQ(tree.final_vars.at("n"), 5u);
+  EXPECT_EQ(tree.final_vars.at("odds"), 3u);
+  EXPECT_EQ(tree.final_vars.at("evens"), 2u);
+  for (ExecTier tier : {ExecTier::Lowered, ExecTier::Bytecode}) {
+    SCOPED_TRACE(exec_tier_name(tier));
+    expect_same_result(run_tier(spec, tier), tree);
+  }
+}
+
 TEST(ProgramCacheTiers, TiersGetSeparateEntries) {
   const Specification spec = testing::abc_spec(2);
   ProgramCache cache;

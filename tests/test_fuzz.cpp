@@ -12,6 +12,7 @@
 #include "fuzz/reducer.h"
 #include "printer/printer.h"
 #include "spec/mutate.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
 
 namespace specsyn::fuzz {
@@ -105,6 +106,29 @@ TEST(FuzzOracle, CleanSweepOverSeeds) {
                           << out.issues.front().oracle << "] "
                           << out.issues.front().detail;
   }
+}
+
+TEST(FuzzOracle, ExplorationStartsFromTheInterpDiffRuns) {
+  // Each side's recorded tree-tier interp-diff run is its exploration
+  // baseline, so a clean pair simulates nothing beyond interp-diff's three
+  // runs per spec.
+  GenOptions g;
+  g.seed = 1;
+  const Specification spec = generate_spec(g);
+  OracleOptions opts;
+  opts.explore_schedules = 4;
+  telemetry::reset();
+  telemetry::enable(/*stats=*/true, /*trace=*/false);
+  const OracleOutcome out = run_oracles(spec, sample_config(1), opts);
+  const telemetry::Snapshot snap = telemetry::snapshot();
+  telemetry::enable(false, false);
+  telemetry::reset();
+  EXPECT_TRUE(out.ok());
+  ASSERT_EQ(snap.counters.count("fuzz.oracle.schedule-inclusion.pass"), 1u);
+  ASSERT_EQ(snap.counters.count("sched.explored"), 1u);
+  EXPECT_EQ(snap.counters.at("sched.explored").value, 2u);
+  ASSERT_EQ(snap.counters.count("sim.runs"), 1u);
+  EXPECT_EQ(snap.counters.at("sim.runs").value, 6u);
 }
 
 // -- planted bugs ------------------------------------------------------------

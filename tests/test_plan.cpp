@@ -63,17 +63,22 @@ Specification refined_medical(ImplModel model) {
   return std::move(refine(d.partition, graph, cfg).refined);
 }
 
+/// examples/specs/<name>.spec.
+Specification example(const char* name) {
+  std::ifstream in(std::string(SPECSYN_SOURCE_DIR) + "/examples/specs/" +
+                   name + ".spec");
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return testing::parse_or_die(buf.str());
+}
+
 /// examples/specs, a refined model (signal traffic, blocked servers) and 50
 /// generated specs.
 std::vector<Specification> corpus() {
   std::vector<Specification> specs;
   for (const char* name : {"medical", "producer_consumer", "race",
                            "traffic_light"}) {
-    std::ifstream in(std::string(SPECSYN_SOURCE_DIR) + "/examples/specs/" +
-                     name + ".spec");
-    std::stringstream buf;
-    buf << in.rdbuf();
-    specs.push_back(testing::parse_or_die(buf.str()));
+    specs.push_back(example(name));
   }
   specs.push_back(refined_medical(ImplModel::Model2));
   for (uint64_t seed = 1; seed <= 50; ++seed) {
@@ -170,6 +175,21 @@ TEST(SimPlan, AnalyzeContextEqualsAnalyzeSpec) {
   EXPECT_FALSE(analysis::analyze(Context(specs.back())).clean());
 }
 
+void expect_same_exploration(const ExploreResult& a, const ExploreResult& b) {
+  EXPECT_EQ(a.witness, b.witness);
+  EXPECT_EQ(a.divergence, b.divergence);
+  EXPECT_EQ(a.explored, b.explored);
+  EXPECT_EQ(a.pruned, b.pruned);
+  EXPECT_EQ(a.divergent, b.divergent);
+  EXPECT_EQ(a.complete, b.complete);
+  ASSERT_EQ(a.schedules.size(), b.schedules.size());
+  for (size_t i = 0; i < a.schedules.size(); ++i) {
+    EXPECT_EQ(a.schedules[i].picks, b.schedules[i].picks) << i;
+    EXPECT_EQ(a.schedules[i].outcome, b.schedules[i].outcome) << i;
+    EXPECT_EQ(a.schedules[i].divergent, b.schedules[i].divergent) << i;
+  }
+}
+
 TEST(SimPlan, InclusionOverloadsAgreeWitnessIncluded) {
   // The racy "refinement" escapes a single-writer original (test_sched's
   // Inclusion.RacyRefinementEscapesACleanOriginal), so the violation text
@@ -194,10 +214,16 @@ TEST(SimPlan, InclusionOverloadsAgreeWitnessIncluded) {
     const auto oplan = SimPlan::build(original);
     const auto rplan = SimPlan::build(refined, tier);
     opts.pool = &pool;  // pooled waves all read the one refined plan
-    const InclusionResult by_plan =
-        analysis::schedules::check_inclusion(
-            original, analysis::schedules::explore(octx, oplan, opts), rctx,
-            rplan, opts);
+    // The original's baseline runs on the tree tier, as the fuzz oracle's
+    // does: every tier records the same decisions.
+    SimConfig tree = opts.config;
+    tree.exec_tier = ExecTier::Tree;
+    const SimResult rbase = testing::recorded_run(rplan, opts.config);
+    const InclusionResult by_plan = analysis::schedules::check_inclusion(
+        original,
+        analysis::schedules::explore(octx, oplan, opts,
+                                     testing::recorded_run(oplan, tree)),
+        rctx, rplan, opts, rbase);
 
     EXPECT_FALSE(by_spec.holds);
     EXPECT_NE(by_spec.violation.find("picks:"), std::string::npos);
@@ -207,16 +233,29 @@ TEST(SimPlan, InclusionOverloadsAgreeWitnessIncluded) {
     EXPECT_EQ(by_plan.original_explored, by_spec.original_explored);
     EXPECT_EQ(by_plan.refined_explored, by_spec.refined_explored);
 
-    const ExploreResult a = analysis::schedules::explore(refined, rctx, opts);
-    const ExploreResult b = analysis::schedules::explore(rctx, rplan, opts);
-    EXPECT_EQ(a.witness, b.witness);
-    EXPECT_EQ(a.divergence, b.divergence);
-    EXPECT_EQ(a.explored, b.explored);
-    EXPECT_EQ(a.pruned, b.pruned);
-    ASSERT_EQ(a.schedules.size(), b.schedules.size());
-    for (size_t i = 0; i < a.schedules.size(); ++i) {
-      EXPECT_EQ(a.schedules[i].picks, b.schedules[i].picks) << i;
-      EXPECT_EQ(a.schedules[i].outcome, b.schedules[i].outcome) << i;
+    expect_same_exploration(
+        analysis::schedules::explore(refined, rctx, opts),
+        analysis::schedules::explore(rctx, rplan, opts, rbase));
+  }
+}
+
+TEST(SimPlan, ExploreFromACallersBaselineEqualsTheSpecOverload) {
+  // race.spec diverges; refined medical Model4 has no racing pair, so its
+  // exploration is the baseline alone.
+  std::vector<Specification> specs;
+  specs.push_back(example("race"));
+  specs.push_back(refined_medical(ImplModel::Model4));
+  for (const Specification& spec : specs) {
+    const Context ctx(spec);
+    for (ExecTier tier : kTiers) {
+      SCOPED_TRACE(spec.name + " " + exec_tier_name(tier));
+      ExploreOptions opts;
+      opts.config.exec_tier = tier;
+      const auto plan = SimPlan::build(spec, tier);
+      expect_same_exploration(
+          analysis::schedules::explore(spec, ctx, opts),
+          analysis::schedules::explore(
+              ctx, plan, opts, testing::recorded_run(plan, opts.config)));
     }
   }
 }
@@ -246,9 +285,10 @@ TEST(SimPlan, RunOraclesLowersAndCompilesEachSpecOnce) {
   ASSERT_EQ(snap.spans.count("bytecode_compile"), 1u);
   EXPECT_EQ(snap.spans.at("lower").count, 2u);
   EXPECT_EQ(snap.spans.at("bytecode_compile").count, 2u);
-  // interp-diff runs three tiers per spec, then the schedules on top.
+  // interp-diff runs three tiers per spec, then the schedules on top; each
+  // side's baseline schedule is its recorded tree-tier interp-diff run.
   EXPECT_EQ(snap.counters.at("sim.runs").value,
-            6u + snap.counters.at("sched.explored").value);
+            6u + snap.counters.at("sched.explored").value - 2u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "analysis/schedules/explore.h"
 #include "analysis/verifier.h"
 #include "batch/thread_pool.h"
+#include "sim/plan.h"
 #include "sim/sched.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
@@ -427,6 +428,22 @@ TEST(Explore, FindsTheRaceAndTheWitnessReplaysOnEveryTier) {
     EXPECT_EQ(replayed, divergent->outcome);
     EXPECT_FALSE(replayed == r.schedules.front().outcome);
   }
+}
+
+TEST(Explore, RefusesABaselineThatWasNotRecorded) {
+  // Without its decision record the baseline would offer no branch, and the
+  // exploration would call one schedule complete.
+  const Specification s = racy_spec();
+  const Context ctx(s);
+  const ExploreOptions opts;
+  const auto plan = SimPlan::build(s, opts.config.exec_tier);
+  const SimResult unrecorded = Simulator(plan, opts.config).run();
+  EXPECT_THROW(analysis::schedules::explore(ctx, plan, opts, unrecorded),
+               SpecError);
+  const ExploreResult original = analysis::schedules::explore(s, ctx, opts);
+  EXPECT_THROW(analysis::schedules::check_inclusion(s, original, ctx, plan,
+                                                    opts, unrecorded),
+               SpecError);
 }
 
 TEST(Explore, SequentialSpecExploresExactlyTheBaseline) {

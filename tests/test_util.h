@@ -33,6 +33,14 @@ inline SimResult run(const Specification& spec, SimConfig cfg = {}) {
   return sim.run();
 }
 
+/// The canonical run of `plan` under `cfg` with its schedule recorded: a
+/// baseline for analysis::schedules::explore and check_inclusion.
+inline SimResult recorded_run(std::shared_ptr<const SimPlan> plan,
+                              SimConfig cfg = {}) {
+  cfg.record_schedule = true;
+  return Simulator(std::move(plan), std::move(cfg)).run();
+}
+
 /// The paper's Section 2 example: behaviors A, B, C under a sequential
 /// composite with guarded arcs A->(x>1)B, A->(x<1)C; B and C read/write x.
 /// `x_seed` steers which arc fires.

@@ -390,6 +390,10 @@ int parse_options(int argc, char** argv, int first, unsigned cmd,
                  "--ratio cannot be combined with --assign or --pin-var\n");
     return 2;
   }
+  if (o.report && o.vhdl) {
+    std::fprintf(stderr, "--report cannot be combined with --vhdl\n");
+    return 2;
+  }
   return 0;
 }
 
@@ -648,10 +652,12 @@ int cmd_refine(const Opts& o, const Specification& spec) {
                r.stats.memory_ports, r.stats.arbiters, r.stats.interfaces,
                r.stats.inlined_sites);
 
+  SimConfig sc;
+  sc.exec_tier = exec_tier(o);
+  std::optional<ProfileResult> prof;
+  if (o.rates || o.report || o.verify) prof = profile_spec(spec, sc);
   std::optional<BusRateReport> rates;
-  if (o.rates || o.report) {
-    rates = bus_rates(profile_spec(spec), *part, r.plan, 100e6);
-  }
+  if (o.rates || o.report) rates = bus_rates(*prof, *part, r.plan, 100e6);
   if (o.rates) {
     std::fprintf(stderr, "bus transfer rates (Mbit/s):\n");
     for (const auto& [bus, mbps] : rates->bus_mbps) {
@@ -659,11 +665,10 @@ int cmd_refine(const Opts& o, const Specification& spec) {
     }
   }
   if (o.verify) {
-    EquivalenceOptions eo;
-    eo.config.exec_tier = exec_tier(o);
-    eo.compare_write_traces = keeps_write_sequences(cfg.protocol);
-    eo.parallel = true;  // overlap the two runs; the report is unaffected
-    EquivalenceReport rep = check_equivalence(spec, r.refined, eo);
+    const EquivalenceReport rep =
+        compare_results(spec, outcome_of(prof->sim),
+                        Simulator(r.refined, sc).run(),
+                        keeps_write_sequences(cfg.protocol));
     std::fprintf(stderr, "equivalence: %s\n", rep.summary().c_str());
     if (!rep.equivalent) return 1;
   }
