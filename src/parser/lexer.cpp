@@ -1,6 +1,6 @@
 #include "parser/lexer.h"
 
-#include <cctype>
+#include <string>
 
 namespace specsyn {
 
@@ -42,8 +42,22 @@ const char* to_string(Tok t) {
   return "?";
 }
 
+namespace {
+
+// Identifier characters of the C locale (std::isalpha/std::isalnum there):
+// ASCII letters, digits and '_'; a digit cannot start one.
+bool ident_start(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+bool ident_char(char c) { return ident_start(c) || (c >= '0' && c <= '9'); }
+bool digit(char c) { return c >= '0' && c <= '9'; }
+bool blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+}  // namespace
+
 std::vector<Token> lex(std::string_view src, DiagnosticSink& diags) {
   std::vector<Token> out;
+  out.reserve(src.size() / 6 + 1);  // printed specs run ~7 bytes per token
   uint32_t line = 1, col = 1;
   size_t i = 0;
   const size_t n = src.size();
@@ -51,60 +65,67 @@ std::vector<Token> lex(std::string_view src, DiagnosticSink& diags) {
   auto peek = [&](size_t k = 0) -> char {
     return i + k < n ? src[i + k] : '\0';
   };
-  auto advance = [&]() {
-    if (src[i] == '\n') {
-      ++line;
-      col = 1;
-    } else {
-      ++col;
-    }
-    ++i;
+  // Every multi-character run below (blanks, a comment, an identifier, a
+  // number, an operator) lies within one line: one column update per run.
+  auto skip_to = [&](size_t end) {
+    col += static_cast<uint32_t>(end - i);
+    i = end;
   };
+  auto advance = [&]() { skip_to(i + 1); };
   auto push = [&](Tok kind, SourceLoc loc) {
     Token t;
     t.kind = kind;
     t.loc = loc;
-    out.push_back(std::move(t));
+    out.push_back(t);
   };
 
   while (i < n) {
-    const char c = peek();
+    const char c = src[i];
     const SourceLoc loc{line, col};
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance();
+    if (c == '\n') {
+      ++line;
+      col = 1;
+      ++i;
+      continue;
+    }
+    if (blank(c)) {
+      size_t j = i + 1;
+      while (j < n && blank(src[j])) ++j;
+      skip_to(j);
       continue;
     }
     if (c == '/' && peek(1) == '/') {
-      while (i < n && peek() != '\n') advance();
+      const size_t nl = src.find('\n', i);
+      skip_to(nl == std::string_view::npos ? n : nl);
       continue;
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    if (ident_start(c)) {
+      size_t j = i + 1;
+      while (j < n && ident_char(src[j])) ++j;
       Token t;
       t.kind = Tok::Ident;
+      t.text = src.substr(i, j - i);
       t.loc = loc;
-      while (i < n && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                       peek() == '_')) {
-        t.text += peek();
-        advance();
-      }
-      out.push_back(std::move(t));
+      out.push_back(t);
+      skip_to(j);
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (digit(c)) {
       Token t;
       t.kind = Tok::Int;
       t.loc = loc;
       uint64_t v = 0;
       bool overflow = false;
-      while (i < n && std::isdigit(static_cast<unsigned char>(peek()))) {
-        const uint64_t d = static_cast<uint64_t>(peek() - '0');
+      size_t j = i;
+      for (; j < n && digit(src[j]); ++j) {
+        const auto d = static_cast<uint64_t>(src[j] - '0');
         if (v > (UINT64_MAX - d) / 10) overflow = true;
         v = v * 10 + d;
-        advance();
       }
+      skip_to(j);
       if (overflow) diags.error("integer literal overflows 64 bits", loc);
       t.int_value = v;
-      out.push_back(std::move(t));
+      out.push_back(t);
       continue;
     }
     switch (c) {
@@ -204,10 +225,7 @@ std::vector<Token> lex(std::string_view src, DiagnosticSink& diags) {
         continue;
     }
   }
-  Token end;
-  end.kind = Tok::End;
-  end.loc = {line, col};
-  out.push_back(std::move(end));
+  push(Tok::End, {line, col});
   return out;
 }
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -32,7 +31,7 @@ enum class Tok : uint8_t {
 
 struct Token {
   Tok kind = Tok::End;
-  std::string text;     // Ident spelling
+  std::string_view text;  // Ident spelling, a view into the lexed source
   uint64_t int_value = 0;
   SourceLoc loc;
 };
@@ -40,6 +39,8 @@ struct Token {
 /// Tokenizes `source`. Lexical errors are reported to `diags`; the returned
 /// stream is still usable (offending characters are skipped) but callers
 /// should treat has_errors() as fatal. The stream always ends with Tok::End.
+/// Identifier tokens view `source`, which must outlive them. A location's
+/// column counts bytes from 1, a tab included.
 [[nodiscard]] std::vector<Token> lex(std::string_view source,
                                      DiagnosticSink& diags);
 

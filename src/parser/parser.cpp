@@ -4,6 +4,7 @@
 #include <charconv>
 
 #include "parser/lexer.h"
+#include "telemetry/telemetry.h"
 
 namespace specsyn {
 
@@ -114,26 +115,28 @@ class Parser {
     return true;
   }
 
-  std::string expect_ident(const std::string& what) {
+  // The spelling views the source; callers copy it only where the AST
+  // stores a name.
+  std::string_view expect_ident(std::string_view what) {
     if (failed_) return {};
     if (!at(Tok::Ident)) {
-      err("expected " + what + ", found " + describe(peek()));
+      err("expected " + std::string(what) + ", found " + describe(peek()));
       return {};
     }
     return advance().text;
   }
 
-  uint64_t expect_int(const std::string& what) {
+  uint64_t expect_int(std::string_view what) {
     if (failed_) return 0;
     if (!at(Tok::Int)) {
-      err("expected " + what + ", found " + describe(peek()));
+      err("expected " + std::string(what) + ", found " + describe(peek()));
       return 0;
     }
     return advance().int_value;
   }
 
   static std::string describe(const Token& t) {
-    if (t.kind == Tok::Ident) return "'" + t.text + "'";
+    if (t.kind == Tok::Ident) return "'" + std::string(t.text) + "'";
     if (t.kind == Tok::Int) return "integer " + std::to_string(t.int_value);
     return to_string(t.kind);
   }
@@ -141,10 +144,10 @@ class Parser {
   // -- grammar ----------------------------------------------------------------
   Type parse_type() {
     const SourceLoc loc = peek().loc;
-    const std::string t = expect_ident("type");
+    const std::string_view t = expect_ident("type");
     if (failed_) return Type::u32();
     if (t == "bit") return Type::bit();
-    if (t.size() > 3 && t.compare(0, 3, "int") == 0) {
+    if (t.size() > 3 && t.substr(0, 3) == "int") {
       uint32_t w = 0;
       const char* b = t.data() + 3;
       const char* e = t.data() + t.size();
@@ -153,7 +156,7 @@ class Parser {
     }
     // Covers zero and out-of-range widths too (int0, int65): Type::valid()
     // rejects them above, so they fail here with a coded diagnostic.
-    diags_.error("[SP001] unknown type '" + t + "'", loc);
+    diags_.error("[SP001] unknown type '" + std::string(t) + "'", loc);
     failed_ = true;
     return Type::u32();
   }
@@ -227,7 +230,7 @@ class Parser {
     expect(Tok::LBrace);
     while (!failed_ && at_keyword("var")) {
       advance();
-      std::string name = expect_ident("local name");
+      std::string name(expect_ident("local name"));
       expect(Tok::Colon);
       Type t = parse_type();
       expect(Tok::Semi);
@@ -242,9 +245,9 @@ class Parser {
     const Nest nest(*this);
     expect_keyword("behavior");
     const SourceLoc loc = peek().loc;
-    std::string name = expect_ident("behavior name");
+    std::string name(expect_ident("behavior name"));
     expect(Tok::Colon);
-    const std::string kind = expect_ident("behavior kind");
+    const std::string_view kind = expect_ident("behavior kind");
     BehaviorKind k = BehaviorKind::Leaf;
     if (kind == "leaf") {
       k = BehaviorKind::Leaf;
@@ -253,7 +256,8 @@ class Parser {
     } else if (kind == "conc") {
       k = BehaviorKind::Concurrent;
     } else if (!failed_) {
-      err("behavior kind must be leaf, seq or conc; found '" + kind + "'");
+      err("behavior kind must be leaf, seq or conc; found '" +
+          std::string(kind) + "'");
     }
     expect(Tok::LBrace);
 
@@ -279,8 +283,8 @@ class Parser {
           Transition t;
           t.from = expect_ident("transition source");
           expect(Tok::Arrow);
-          const std::string to = expect_ident("transition target");
-          t.to = (to == "complete") ? "" : to;
+          const std::string_view to = expect_ident("transition target");
+          if (to != "complete") t.to = to;
           if (at_keyword("when")) {
             advance();
             t.guard = parse_expr();
@@ -341,7 +345,7 @@ class Parser {
       expect(Tok::Semi);
     } else if (at_keyword("call")) {
       advance();
-      std::string callee = expect_ident("procedure name");
+      std::string callee(expect_ident("procedure name"));
       expect(Tok::LParen);
       std::vector<ExprPtr> args;
       if (!at(Tok::RParen)) {
@@ -366,7 +370,7 @@ class Parser {
       expect(Tok::Semi);
       s = Stmt::nop();
     } else if (at(Tok::Ident)) {
-      std::string target = advance().text;
+      std::string target(advance().text);
       if (at(Tok::Assign)) {
         advance();
         s = Stmt::assign(std::move(target), parse_expr());
@@ -462,7 +466,7 @@ class Parser {
     } else if (at(Tok::Int)) {
       e = Expr::lit(advance().int_value, Type::u64());
     } else if (at(Tok::Ident)) {
-      e = Expr::ref(advance().text);
+      e = Expr::ref(std::string(advance().text));
     } else if (at(Tok::LParen)) {
       advance();
       e = parse_expr_prec(0, height);
@@ -486,6 +490,7 @@ class Parser {
 
 std::optional<Specification> parse_spec(std::string_view source,
                                         DiagnosticSink& diags) {
+  telemetry::Span span("parse", telemetry::Stability::Stable);
   std::vector<Token> toks = lex(source, diags);
   if (diags.has_errors()) return std::nullopt;
   Parser p(std::move(toks), diags);

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "telemetry/telemetry.h"
+
 namespace specsyn {
 
 namespace {
@@ -288,6 +290,7 @@ class Printer {
 }  // namespace
 
 std::string print(const Specification& spec) {
+  telemetry::Span span("print", telemetry::Stability::Stable);
   Printer<TextSink> p;
   p.print_spec(spec);
   return p.sink().take();

@@ -3,20 +3,21 @@
 // three statement interpreters; not part of the public API.
 #pragma once
 
-#include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/bytecode.h"
 #include "sim/program.h"
 #include "sim/simulator.h"
+#include "sim/tree_resolution.h"
 
 namespace specsyn {
 
 /// One activation record of a process's control stack. All three interpreter
 /// tiers drive the same frame machine; a frame belongs to one of the worlds
-/// and uses the source-IR fields (stmts/behavior/locals), their lowered
-/// counterparts (lstmts/lbehavior/dlocals), or the bytecode fields
+/// and uses the source-IR fields (stmts/behavior/tcall), their lowered
+/// counterparts (lstmts/lbehavior/lproc), or the bytecode fields
 /// (bbehavior/bproc/bsite; a Code frame's `idx` is its program counter).
+/// Every tier keeps a Call frame's params and locals in `dlocals`.
 struct Simulator::Frame {
   enum class Kind : uint8_t {
     Block,     // executing a statement list (leaf body, branch, loop body…)
@@ -28,6 +29,8 @@ struct Simulator::Frame {
   };
 
   Kind kind;
+  /// Behavior and Seq: the interned behavior id (pre-order, every tier).
+  uint32_t id = 0;
 
   // Block
   const StmtList* stmts = nullptr;
@@ -46,15 +49,8 @@ struct Simulator::Frame {
   size_t child = 0;     // Seq: index of the currently running child
   int remaining = 0;    // Conc: children still running
 
-  // Call (legacy): name-keyed activation state, heap-allocated so that the
-  // common non-call frames stay small and cheap to construct/destroy.
-  struct LegacyCall {
-    std::unordered_map<std::string, uint64_t> locals;     // params + locals
-    std::unordered_map<std::string, Type> local_types;
-    std::vector<std::pair<std::string, std::string>> out_binds;
-  };
-  const Procedure* proc = nullptr;
-  std::unique_ptr<LegacyCall> call_state;
+  // Call (tree): the resolved call site (callee layout and out-binds).
+  const TreeResolution::CallSite* tcall = nullptr;
   // Call (lowered): dense activation record.
   const LProc* lproc = nullptr;
   const LStmt* lcall_site = nullptr;  // lowered out-binds live at the site
@@ -79,6 +75,15 @@ struct Simulator::Process {
   uint64_t wait_epoch = 0;          // invalidates stale waiter-list entries
   Process* parent = nullptr;        // forking process (Conc), or null
 };
+
+// The innermost procedure activation, whose dense locals every local
+// reference of the tree and lowered tiers reads.
+inline Simulator::Frame& Simulator::innermost_call(Process& p) {
+  for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
+    if (it->kind == Frame::Kind::Call) return *it;
+  }
+  throw SpecError("internal: local reference outside a procedure activation");
+}
 
 // A statement costs one cycle: the process's next step lands in the next
 // instant's bucket.

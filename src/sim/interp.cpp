@@ -1,52 +1,26 @@
-// Statement interpreter: executes one scheduling step of one process.
-// Kernel and event bookkeeping live in simulator.cpp.
+// Tree statement interpreter: executes one scheduling step of one process by
+// walking the spec's Stmt/Expr trees. Every name is read through the slot the
+// plan's TreeResolution (sim/tree_resolution.h) resolved for its node; the
+// tier never reads the lowered Program or the bytecode, so it stays an
+// independent reference for the other two. Kernel and event bookkeeping live
+// in simulator.cpp.
 #include "sim/frames.h"
 #include "sim/value.h"
 
 namespace specsyn {
 
-uint64_t Simulator::read_name(const std::string& name, Process& p) {
-  // Innermost procedure activation (if any) shadows the global tables.
-  for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
-    if (it->kind == Frame::Kind::Call) {
-      auto hit = it->call_state->locals.find(name);
-      if (hit != it->call_state->locals.end()) return hit->second;
-      break;  // only the innermost call scope is visible
-    }
+// Writes `dest`, a variable or a local of the innermost procedure activation.
+void Simulator::store(TreeResolution::Ref dest, uint64_t value, Process& p) {
+  if (dest.scope == TreeResolution::Ref::Scope::Local) {
+    Frame& call = innermost_call(p);
+    call.dlocals[dest.slot] =
+        call.tcall->proc->local_types[dest.slot].wrap(value);
+    return;
   }
-  const size_t vi = vars_.find(name);
-  if (vi != SIZE_MAX) {
-    if (!slot_observers_.empty()) {
-      notify_var_read(static_cast<uint32_t>(vi), p);
-    }
-    return vars_.get(vi);
-  }
-  const size_t si = signals_.find(name);
-  if (si != SIZE_MAX) return signals_.get(si);
-  throw SpecError("simulator: unresolved name '" + name + "'");
-}
-
-void Simulator::write_var(const std::string& name, uint64_t value, Process& p) {
-  for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
-    if (it->kind == Frame::Kind::Call) {
-      auto hit = it->call_state->locals.find(name);
-      if (hit != it->call_state->locals.end()) {
-        hit->second = it->call_state->local_types.at(name).wrap(value);
-        return;
-      }
-      break;
-    }
-  }
-  const size_t vi = vars_.find(name);
-  if (vi == SIZE_MAX) {
-    throw SpecError("simulator: assignment to unresolved name '" + name + "'");
-  }
-  vars_.set(vi, value);
-  if (!slot_observers_.empty()) {
-    notify_var_write(static_cast<uint32_t>(vi), p);
-  }
-  if (observable_[vi] != 0) {
-    raw_writes_.push_back({static_cast<uint32_t>(vi), vars_.get(vi), now_});
+  vars_.set(dest.slot, value);
+  if (!slot_observers_.empty()) notify_var_write(dest.slot, p);
+  if (observable_[dest.slot] != 0) {
+    raw_writes_.push_back({dest.slot, vars_.get(dest.slot), now_});
   }
 }
 
@@ -54,8 +28,19 @@ uint64_t Simulator::eval(const Expr& e, Process& p) {
   switch (e.kind) {
     case Expr::Kind::IntLit:
       return e.int_value;
-    case Expr::Kind::NameRef:
-      return read_name(e.name, p);
+    case Expr::Kind::NameRef: {
+      const TreeResolution::Ref r = tree_->name(e);
+      switch (r.scope) {
+        case TreeResolution::Ref::Scope::Var:
+          if (!slot_observers_.empty()) notify_var_read(r.slot, p);
+          return vars_.get(r.slot);
+        case TreeResolution::Ref::Scope::Signal:
+          return signals_.get(r.slot);
+        case TreeResolution::Ref::Scope::Local:
+          return innermost_call(p).dlocals[r.slot];
+      }
+      break;
+    }
     case Expr::Kind::Unary:
       return apply_unop(e.un_op, eval(*e.args[0], p));
     case Expr::Kind::Binary: {
@@ -71,26 +56,22 @@ uint64_t Simulator::eval(const Expr& e, Process& p) {
   throw SpecError("simulator: unhandled expression kind");
 }
 
-void Simulator::block_on(Process& p, const Expr& cond) {
+void Simulator::block_on(Process& p, const Stmt& wait) {
   p.status = Process::Status::Blocked;
-  p.wait_cond = &cond;
+  p.wait_cond = wait.expr.get();
   ++p.wait_epoch;
-  std::vector<std::string> names;
-  cond.collect_names(names);
-  for (const auto& n : names) {
-    const size_t si = signals_.find(n);
-    if (si != SIZE_MAX) {
-      // A name may occur twice in one condition; one waiter entry suffices
-      // (wakeups null wait_cond, so duplicate entries were always no-ops).
-      auto& list = waiters_[si];
-      if (list.empty() || list.back() != &p) list.push_back(&p);
-    }
+  for (uint32_t si : tree_->wait_signals(wait)) {
+    // An entry left over from an earlier wait makes another one redundant
+    // (wakeups null wait_cond, so duplicate entries are no-ops).
+    auto& list = waiters_[si];
+    if (list.empty() || list.back() != &p) list.push_back(&p);
   }
 }
 
-void Simulator::enter_behavior(const Behavior& b, Process& p) {
+void Simulator::enter_behavior(const Behavior& b, uint32_t id, Process& p) {
   Frame f;
   f.kind = Frame::Kind::Behavior;
+  f.id = id;
   f.behavior = &b;
   p.stack.push_back(std::move(f));
 }
@@ -130,7 +111,7 @@ void Simulator::seq_advance(Process& p) {
     leave_frame(p);  // Seq done; Behavior frame below completes next step
   } else {
     f.child = next;
-    enter_behavior(*b.children[next], p);
+    enter_behavior(*b.children[next], tree_->child(f.id, next), p);
   }
   rearm_step(p);
 }
@@ -145,11 +126,8 @@ void Simulator::step(Process& p) {
       const Behavior& b = *f.behavior;
       if (!f.started) {
         f.started = true;
-        if (!slot_observers_.empty()) {
-          const uint32_t id = tree_index_->id_of(&b);
-          for (SlotObserver* o : slot_observers_) {
-            o->on_behavior_start(id, p.id, now_);
-          }
+        for (SlotObserver* o : slot_observers_) {
+          o->on_behavior_start(f.id, p.id, now_);
         }
         switch (b.kind) {
           case BehaviorKind::Leaf: {
@@ -163,20 +141,23 @@ void Simulator::step(Process& p) {
           case BehaviorKind::Sequential: {
             Frame seq;
             seq.kind = Frame::Kind::Seq;
+            seq.id = f.id;
             seq.behavior = &b;
             p.stack.push_back(std::move(seq));
             rearm_step(p);
             break;
           }
           case BehaviorKind::Concurrent: {
+            const uint32_t id = f.id;
             Frame join;
             join.kind = Frame::Kind::Conc;
             join.behavior = &b;
             join.remaining = static_cast<int>(b.children.size());
             p.stack.push_back(std::move(join));
             p.status = Process::Status::Blocked;  // until children join
-            for (const auto& c : b.children) {
-              Process& cp = spawn(c.get(), nullptr, nullptr, &p);
+            for (size_t i = 0; i < b.children.size(); ++i) {
+              Process& cp = spawn(b.children[i].get(), nullptr, nullptr,
+                                  tree_->child(id, i), &p);
               rearm_step(cp);
             }
             break;
@@ -184,7 +165,7 @@ void Simulator::step(Process& p) {
         }
       } else {
         // Body / children finished: this behavior completes.
-        const uint32_t id = tree_index_->id_of(&b);
+        const uint32_t id = f.id;
         for (SlotObserver* o : slot_observers_) {
           o->on_behavior_end(id, p.id, now_);
         }
@@ -207,7 +188,7 @@ void Simulator::step(Process& p) {
       if (!f.started) {
         f.started = true;
         f.child = 0;
-        enter_behavior(*f.behavior->children[0], p);
+        enter_behavior(*f.behavior->children[0], tree_->child(f.id, 0), p);
         rearm_step(p);
       } else {
         // Reached only if a child completed without the Behavior frame
@@ -251,8 +232,8 @@ void Simulator::step(Process& p) {
       // Procedure body finished: copy out-params into the caller's scope.
       Frame call = std::move(f);
       leave_frame(p);
-      for (const auto& [param, dest] : call.call_state->out_binds) {
-        write_var(dest, call.call_state->locals.at(param), p);
+      for (const auto& [param, dest] : call.tcall->out_binds) {
+        store(dest, call.dlocals[param], p);
       }
       rearm_step(p);
       break;
@@ -267,20 +248,15 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
   switch (s.kind) {
     case Stmt::Kind::Assign: {
       const uint64_t v = eval(*s.expr, p);
-      write_var(s.target, v, p);
+      store(tree_->target(s), v, p);
       ++f.idx;
       rearm_step(p);
       break;
     }
     case Stmt::Kind::SignalAssign: {
       const uint64_t v = eval(*s.expr, p);
-      const size_t si = signals_.find(s.target);
-      if (si == SIZE_MAX) {
-        throw SpecError("simulator: '<=' to unknown signal '" + s.target + "'");
-      }
-      if (!slot_observers_.empty()) {
-        notify_signal_schedule(static_cast<uint32_t>(si), v, p);
-      }
+      const uint32_t si = tree_->signal(s);
+      if (!slot_observers_.empty()) notify_signal_schedule(si, v, p);
       schedule_signal(si, v);
       ++f.idx;
       rearm_step(p);
@@ -326,7 +302,7 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
         ++f.idx;
         rearm_step(p);
       } else {
-        block_on(p, *s.expr);
+        block_on(p, s);
       }
       break;
     }
@@ -336,35 +312,23 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
       break;
     }
     case Stmt::Kind::Call: {
-      const Procedure* proc = spec_.find_procedure(s.callee);
-      if (proc == nullptr) {
-        throw SpecError("simulator: call to unknown procedure '" + s.callee +
-                        "'");
-      }
+      const TreeResolution::CallSite& site = tree_->call(s);
+      const TreeResolution::Proc& proc = *site.proc;
       ++f.idx;
+      // In-args evaluate in the caller's scope, before the activation exists.
       Frame call;
       call.kind = Frame::Kind::Call;
-      call.proc = proc;
-      call.call_state = std::make_unique<Frame::LegacyCall>();
-      Frame::LegacyCall& st = *call.call_state;
-      for (size_t i = 0; i < proc->params.size(); ++i) {
-        const Param& prm = proc->params[i];
-        st.local_types.emplace(prm.name, prm.type);
-        if (prm.is_out) {
-          st.locals.emplace(prm.name, 0);
-          st.out_binds.emplace_back(prm.name, s.args[i]->name);
-        } else {
-          st.locals.emplace(prm.name, prm.type.wrap(eval(*s.args[i], p)));
+      call.tcall = &site;
+      call.dlocals.assign(proc.local_types.size(), 0);
+      for (size_t i = 0; i < proc.src->params.size(); ++i) {
+        if (!proc.src->params[i].is_out) {
+          call.dlocals[i] = proc.local_types[i].wrap(eval(*s.args[i], p));
         }
-      }
-      for (const auto& [name, type] : proc->locals) {
-        st.locals.emplace(name, 0);
-        st.local_types.emplace(name, type);
       }
       p.stack.push_back(std::move(call));
       Frame body;
       body.kind = Frame::Kind::Block;
-      body.stmts = &proc->body;
+      body.stmts = &proc.src->body;
       p.stack.push_back(std::move(body));
       rearm_step(p);
       break;

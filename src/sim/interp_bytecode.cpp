@@ -30,6 +30,7 @@ inline Simulator::Frame& Simulator::bcall_frame(Process& p) {
 void Simulator::benter_behavior(const BBehavior& b, Process& p) {
   Frame f;
   f.kind = Frame::Kind::Behavior;
+  f.id = b.id;
   f.bbehavior = &b;
   p.stack.push_back(std::move(f));
 }
@@ -68,7 +69,7 @@ inline bool Simulator::chain_advance() {
   if (sched_active_ || fb_run_next_ != fb_cur_->runs.size() ||
       !fb_next_->runs.empty() ||
       (!run_q_.empty() && run_q_.top().time <= now_ + 1) ||
-      steps_ >= cfg_.max_cycles || now_ >= cfg_.max_cycles) {
+      now_ >= cfg_.max_cycles) {
     return false;
   }
   ++now_;
@@ -530,7 +531,7 @@ void Simulator::bstep(Process& p) {
               p.status = Process::Status::Blocked;  // until children join
               for (uint32_t cid : b.children) {
                 const BBehavior& c = bprog_->behaviors()[cid];
-                Process& cp = spawn(c.src, nullptr, &c, &p);
+                Process& cp = spawn(c.src, nullptr, &c, c.id, &p);
                 rearm_step(cp);
               }
               return;
@@ -645,13 +646,16 @@ void Simulator::run_loop(SimResult& result) {
     }
     if (!run_q_.empty()) t = std::min(t, run_q_.top().time);
     if (t == UINT64_MAX) break;  // quiescent
-    if (t == now_ + 1) std::swap(fb_cur_, fb_next_);
-    // t >= now_ + 2 implies both buckets are empty: no roll needed.
-    now_ = t;
-    if (now_ > cfg_.max_cycles) {
+    if (t > cfg_.max_cycles) {
+      // Simulated time is the only bound: every instant up to max_cycles
+      // ran, and the run ends at the boundary itself.
+      now_ = cfg_.max_cycles;
       result.status = SimResult::Status::MaxCycles;
       break;
     }
+    if (t == now_ + 1) std::swap(fb_cur_, fb_next_);
+    // t >= now_ + 2 implies both buckets are empty: no roll needed.
+    now_ = t;
 
     // Index loop: commits only ever append *runs* (wakes) to the current
     // bucket, but stay defensive about the sigs vector reallocating.
@@ -668,7 +672,7 @@ void Simulator::run_loop(SimResult& result) {
     }
 
     fb_run_next_ = 0;
-    while (fb_run_next_ < fb_cur_->runs.size() && steps_ <= cfg_.max_cycles) {
+    while (fb_run_next_ < fb_cur_->runs.size()) {
       if (sched_active_ && fb_cur_->runs.size() - fb_run_next_ > 1) {
         const uint32_t pick = sched_pick(fb_cur_->runs.size() - fb_run_next_);
         const auto first = fb_cur_->runs.begin() + fb_run_next_;
@@ -683,10 +687,6 @@ void Simulator::run_loop(SimResult& result) {
     }
     fb_cur_->runs.clear();
     fb_run_next_ = 0;
-    if (steps_ > cfg_.max_cycles) {
-      result.status = SimResult::Status::MaxCycles;
-      break;
-    }
   }
 }
 

@@ -1,20 +1,14 @@
 // Lowered statement interpreter: executes one scheduling step of one process
 // against the compiled Program (sim/program.h). Mirrors interp.cpp's frame
 // machine exactly — same frames, same enqueue points, same costs — so both
-// paths produce bit-identical SimResults and observer streams; only name
-// resolution (pre-lowered slots vs. hash lookups) and observer selection
-// (compile-time `Obs` variant vs. a per-access emptiness test) differ.
+// paths produce bit-identical SimResults and observer streams; only how a
+// name's slot is found (pre-lowered ops vs. the plan's node-address table)
+// and observer selection (compile-time `Obs` variant vs. a per-access
+// emptiness test) differ.
 #include "sim/frames.h"
 #include "sim/value.h"
 
 namespace specsyn {
-
-Simulator::Frame& Simulator::innermost_call(Process& p) {
-  for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
-    if (it->kind == Frame::Kind::Call) return *it;
-  }
-  throw SpecError("internal: local reference outside a procedure activation");
-}
 
 template <bool Obs>
 uint64_t Simulator::leval(const LExpr& e, Process& p) {
@@ -75,6 +69,7 @@ void Simulator::lblock_on(Process& p, const LStmt& s) {
 void Simulator::lenter_behavior(const LBehavior& b, Process& p) {
   Frame f;
   f.kind = Frame::Kind::Behavior;
+  f.id = b.id;
   f.lbehavior = &b;
   p.stack.push_back(std::move(f));
 }
@@ -150,7 +145,7 @@ void Simulator::lstep(Process& p) {
             p.stack.push_back(std::move(join));
             p.status = Process::Status::Blocked;  // until children join
             for (const LBehavior* c : b.children) {
-              Process& cp = spawn(c->src, c, nullptr, &p);
+              Process& cp = spawn(c->src, c, nullptr, c->id, &p);
               rearm_step(cp);
             }
             break;

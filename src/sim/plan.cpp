@@ -4,6 +4,7 @@
 
 #include "sim/bytecode.h"
 #include "sim/program.h"
+#include "sim/tree_resolution.h"
 #include "telemetry/telemetry.h"
 
 namespace specsyn {
@@ -11,6 +12,7 @@ namespace specsyn {
 SimPlan::~SimPlan() = default;
 
 std::shared_ptr<const SimPlan> SimPlan::make(const Specification& spec,
+                                             bool want_tree,
                                              bool keep_program,
                                              bool want_bytecode) {
   validate_or_throw(spec);
@@ -23,6 +25,10 @@ std::shared_ptr<const SimPlan> SimPlan::make(const Specification& spec,
   }
   for (const SignalDecl* s : spec.all_signals()) {
     plan->signals_.add(s->name, s->type, s->init);
+  }
+  if (want_tree) {
+    plan->tree_ = std::make_unique<const TreeResolution>(spec, plan->vars_,
+                                                         plan->signals_);
   }
   if (keep_program || want_bytecode) {
     std::unique_ptr<const Program> program;
@@ -40,18 +46,19 @@ std::shared_ptr<const SimPlan> SimPlan::make(const Specification& spec,
 }
 
 std::shared_ptr<const SimPlan> SimPlan::build(const Specification& spec) {
-  return make(spec, true, true);
+  return make(spec, true, true, true);
 }
 
 std::shared_ptr<const SimPlan> SimPlan::build(const Specification& spec,
                                               ExecTier tier) {
-  return make(spec, tier == ExecTier::Lowered, tier == ExecTier::Bytecode);
+  return make(spec, tier == ExecTier::Tree, tier == ExecTier::Lowered,
+              tier == ExecTier::Bytecode);
 }
 
 bool SimPlan::has_tier(ExecTier tier) const {
   switch (tier) {
     case ExecTier::Tree:
-      return true;
+      return tree_ != nullptr;
     case ExecTier::Lowered:
       return program_ != nullptr;
     case ExecTier::Bytecode:

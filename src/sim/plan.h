@@ -1,12 +1,14 @@
 // One specification's simulation plan: everything a Simulator needs that
 // does not change from run to run, built once and shared read-only.
 //
-// Building a plan validates the spec (validate_or_throw), lays out its
-// variable/signal slot tables in declaration order, lowers it once to a
-// Program (sim/program.h) and compiles the bytecode (sim/bytecode.h) from
-// that Program. A Simulator constructed from a plan copies the tables (they
-// carry the run's mutable values) and runs any tier the plan holds; it
-// neither validates nor compiles.
+// Building a plan validates the spec (validate_or_throw) and lays out its
+// variable/signal slot tables in declaration order. Then, per tier it serves,
+// it resolves the spec's names once for the tree tier (sim/tree_resolution.h,
+// which also holds the spec's SpecIndex), lowers the spec once to a Program
+// (sim/program.h) and compiles the bytecode (sim/bytecode.h) from that
+// Program. A Simulator constructed from a plan copies the tables (they carry
+// the run's mutable values) and runs any tier the plan holds; it neither
+// validates, resolves nor compiles.
 //
 // Who builds plans:
 //   * callers that simulate one spec many times — the fuzz oracles (every
@@ -35,15 +37,18 @@ namespace specsyn {
 
 class Program;
 class BytecodeProgram;
+class TreeResolution;
 
 class SimPlan {
  public:
-  /// Plan for every tier: the lowered Program and its bytecode both stay.
-  /// Throws SpecError when `spec` is invalid.
+  /// Plan for every tier: the tree tier's resolution table, the lowered
+  /// Program and its bytecode all stay. Throws SpecError when `spec` is
+  /// invalid.
   [[nodiscard]] static std::shared_ptr<const SimPlan> build(
       const Specification& spec);
-  /// Plan for `tier` alone: Tree compiles nothing, Lowered keeps the
-  /// Program, Bytecode compiles the bytecode and drops the Program.
+  /// Plan for `tier` alone: Tree resolves names and compiles nothing,
+  /// Lowered keeps the Program, Bytecode compiles the bytecode and drops the
+  /// Program.
   [[nodiscard]] static std::shared_ptr<const SimPlan> build(
       const Specification& spec, ExecTier tier);
 
@@ -59,6 +64,8 @@ class SimPlan {
   [[nodiscard]] const std::vector<uint8_t>& observable() const {
     return observable_;
   }
+  /// Null unless the plan was built for the tree tier (or every tier).
+  [[nodiscard]] const TreeResolution* tree() const { return tree_.get(); }
   /// Null unless the plan was built for the lowered tier (or every tier).
   [[nodiscard]] const Program* program() const { return program_.get(); }
   /// Null unless the plan was built for the bytecode tier (or every tier).
@@ -71,6 +78,7 @@ class SimPlan {
  private:
   SimPlan() = default;
   static std::shared_ptr<const SimPlan> make(const Specification& spec,
+                                             bool want_tree,
                                              bool keep_program,
                                              bool want_bytecode);
 
@@ -78,6 +86,7 @@ class SimPlan {
   VarTable vars_;
   SignalTable signals_;
   std::vector<uint8_t> observable_;
+  std::unique_ptr<const TreeResolution> tree_;
   std::unique_ptr<const Program> program_;
   std::shared_ptr<const BytecodeProgram> bytecode_;
 };

@@ -1,9 +1,9 @@
 // Compiled execution plan for the discrete-event simulator.
 //
-// The interpreter in interp.cpp resolves every name (variable, signal,
-// procedure local) through string-keyed hash lookups on every access, and
-// re-derives control decisions (transition-arc matching, child indices) from
-// the source Specification on every step. `Program` removes all of that from
+// The tree interpreter in interp.cpp walks the source Specification: it
+// looks each name's slot up by node address (sim/tree_resolution.h) on every
+// access and re-derives control decisions (transition-arc matching, child
+// indices) from the spec on every step. `Program` removes all of that from
 // the steady state: it is built once per SimPlan (sim/plan.h) from a
 // *validated* Specification and pre-resolves
 //
@@ -11,8 +11,8 @@
 //     into the global VarTable, the SignalTable, or the enclosing procedure's
 //     call-frame local array (name resolution is static: scoping is lexical
 //     and spec names are globally unique, so each use site has exactly one
-//     possible runtime meaning, mirroring interp.cpp's local→var→signal
-//     precedence),
+//     possible runtime meaning, the same local→var→signal precedence
+//     TreeResolution applies for interp.cpp),
 //   * every expression tree into a flat postfix op vector evaluated with a
 //     value stack (operand order matches the recursive evaluator, so observer
 //     read events fire in the identical order),
@@ -23,7 +23,7 @@
 //     counting without string-keyed maps).
 //
 // The lowered interpreter (interp_lowered.cpp) drives the *same* frame
-// machine as the legacy one — one activation record per block / composite /
+// machine as the tree one — one activation record per block / composite /
 // call, one scheduling step per statement — so `SimResult` (end_time, steps,
 // final_vars, observable_writes, behavior_completions, blocked) is
 // bit-identical between the two paths; only the per-access cost changes.

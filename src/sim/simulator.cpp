@@ -87,8 +87,8 @@ Simulator::Simulator(std::shared_ptr<const SimPlan> plan, SimConfig cfg)
     staging_.assign(std::max<uint32_t>(1, bprog_->max_proc_locals()), 0);
     completions_.assign(bprog_->behavior_count(), 0);
   } else {
-    tree_index_.emplace(spec_);
-    completions_.assign(tree_index_->size(), 0);
+    tree_ = plan_->tree();
+    completions_.assign(tree_->index().size(), 0);
   }
   for (Bucket& b : buckets_) {
     b.runs.reserve(64);
@@ -116,10 +116,7 @@ void Simulator::add_slot_observer(SlotObserver* obs) {
 // stack.
 uint32_t Simulator::innermost_behavior_id(const Process& p) const {
   for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
-    if (it->kind != Frame::Kind::Behavior || !it->started) continue;
-    if (it->lbehavior != nullptr) return it->lbehavior->id;
-    if (it->bbehavior != nullptr) return it->bbehavior->id;
-    return tree_index_->id_of(it->behavior);
+    if (it->kind == Frame::Kind::Behavior && it->started) return it->id;
   }
   return SpecIndex::kNone;
 }
@@ -127,7 +124,7 @@ uint32_t Simulator::innermost_behavior_id(const Process& p) const {
 const std::string& Simulator::behavior_name(uint32_t id) const {
   if (prog_ != nullptr) return prog_->behavior_name(id);
   if (bprog_ != nullptr) return bprog_->behavior_name(id);
-  return tree_index_->behavior(id).name;
+  return tree_->index().behavior(id).name;
 }
 
 void Simulator::notify_var_read(uint32_t slot, const Process& p) {
@@ -152,13 +149,15 @@ void Simulator::notify_signal_schedule(uint32_t slot, uint64_t value,
 }
 
 Simulator::Process& Simulator::spawn(const Behavior* b, const LBehavior* lb,
-                                     const BBehavior* bb, Process* parent) {
+                                     const BBehavior* bb, uint32_t id,
+                                     Process* parent) {
   auto p = std::make_unique<Process>();
   p->id = processes_.size();
   p->parent = parent;
   p->stack.reserve(16);  // deep enough for typical nesting; avoids regrowth
   Frame f;
   f.kind = Frame::Kind::Behavior;
+  f.id = id;
   f.behavior = b;
   f.lbehavior = lb;
   f.bbehavior = bb;
@@ -267,8 +266,9 @@ SimResult Simulator::run() {
     for (SlotObserver* o : slot_observers_) o->on_bind(binding);
   }
   if (spec_.top) {
+    // The top behavior is id 0 in every tier's pre-order numbering.
     root_ = &spawn(spec_.top.get(), prog_ ? prog_->root() : nullptr,
-                   bprog_ ? bprog_->root() : nullptr, nullptr);
+                   bprog_ ? bprog_->root() : nullptr, 0, nullptr);
     enqueue(*root_, 0);
   }
 

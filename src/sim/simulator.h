@@ -27,21 +27,19 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/signal_table.h"
-#include "spec/index.h"
+#include "sim/tree_resolution.h"
 
 namespace specsyn {
 
 /// Which interpreter executes the specification. All tiers are bit-identical
 /// in SimResult and observer streams; they differ only in per-step cost.
 enum class ExecTier : uint8_t {
-  Tree,      // legacy tree-walking interpreter (semantic reference)
+  Tree,      // tree-walking interpreter (semantic reference)
   Lowered,   // slot-indexed Program + frame machine (sim/program.h)
   Bytecode,  // flat threaded-code bytecode (sim/bytecode.h)
 };
@@ -65,7 +63,10 @@ const char* exec_tier_name(ExecTier tier);
 ExecTier default_exec_tier();
 
 struct SimConfig {
-  /// Hard stop; a run reaching it reports Status::MaxCycles.
+  /// Hard stop on simulated time, the same on every tier: every instant up
+  /// to max_cycles runs, and a run with work left beyond it stops there with
+  /// end_time == max_cycles and reports Status::MaxCycles. It bounds cycles
+  /// only, not scheduler steps: one instant may step many processes.
   uint64_t max_cycles = 50'000'000;
   /// Clock frequency used when converting cycles to seconds in reports.
   double clock_hz = 100e6;
@@ -273,8 +274,9 @@ class Simulator {
   struct Frame;
 
   // kernel (simulator.cpp)
+  /// `id` is b's interned behavior id.
   Process& spawn(const Behavior* b, const LBehavior* lb, const BBehavior* bb,
-                 Process* parent);
+                 uint32_t id, Process* parent);
   void enqueue(Process& p, uint64_t time);
   /// Re-arms p for its next step one cycle from now (frames.h).
   void rearm_step(Process& p);
@@ -291,16 +293,16 @@ class Simulator {
   template <bool Obs, void (Simulator::*Step)(Process&)>
   void run_loop(SimResult& result);
 
-  // legacy interpreter (interp.cpp): resolves names at execution time
+  // tree interpreter (interp.cpp): walks the spec's Stmt/Expr trees and reads
+  // every name through the slot the plan's TreeResolution resolved for it
   void step(Process& p);
   uint64_t eval(const Expr& e, Process& p);
-  uint64_t read_name(const std::string& name, Process& p);
-  void write_var(const std::string& name, uint64_t value, Process& p);
+  void store(TreeResolution::Ref dest, uint64_t value, Process& p);
   void exec_stmt(const Stmt& s, Process& p);
-  void enter_behavior(const Behavior& b, Process& p);
+  void enter_behavior(const Behavior& b, uint32_t id, Process& p);
   void leave_frame(Process& p);
   void seq_advance(Process& p);
-  void block_on(Process& p, const Expr& cond);
+  void block_on(Process& p, const Stmt& wait);
 
   // lowered interpreter (interp_lowered.cpp): runs the compiled Program.
   // `Obs` selects the observer-notifying variant once per run; the steady
@@ -372,9 +374,9 @@ class Simulator {
   /// Behavior names indexed by interned id, materialized once per observed
   /// run for the SlotObserver binding.
   std::vector<std::string> bound_names_;
-  /// Tree tier's behavior ids: the index's pre-order numbering, which the
-  /// compiled tiers intern too.
-  std::optional<SpecIndex> tree_index_;
+  /// The plan's tree-tier resolution (null unless exec_tier == Tree); its
+  /// SpecIndex numbers behaviors in the pre-order the compiled tiers intern.
+  const TreeResolution* tree_ = nullptr;
 
   std::vector<std::unique_ptr<Process>> processes_;
 

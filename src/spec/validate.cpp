@@ -27,8 +27,8 @@ enum class SymKind { Var, Signal };
 // open and popped (via the journal) as they close; each name keeps a stack of
 // kinds so an inner declaration shadows an outer one exactly like the old
 // innermost-wins linear scan did. Refined specifications declare thousands of
-// names, so lookup cost matters here — validation runs in every Simulator
-// constructor.
+// names, so lookup cost matters here — validation runs once per SimPlan, and
+// a Simulator built from a spec builds one.
 class Scope {
  public:
   void push(const std::string& n, SymKind k) {

@@ -197,6 +197,111 @@ TEST(LoweringDifferential, ProfilesIdentical) {
   }
 }
 
+// Name resolution edge cases. The tree tier reads every name through the
+// slot its plan resolved; the compiled tiers through the slots lowering
+// resolved. Each spec must give one SimResult and one observer stream on all
+// three tiers; the returned tree run pins what the spec computes.
+SimResult expect_all_tiers_agree(const char* text) {
+  const Specification spec = testing::parse_or_die(text);
+  expect_identical_results(spec);
+  expect_identical_streams(spec);
+  const SimResult tree = simulate(spec, ExecTier::Tree);
+  EXPECT_TRUE(tree.root_completed);
+  return tree;
+}
+
+TEST(TreeResolution, ParamAndLocalShadowAGlobal) {
+  const SimResult r = expect_all_tiers_agree(R"(
+spec Shadow;
+observable var x : int8 := 3;
+observable var r1 : int8;
+observable var r2 : int16;
+proc by_param(x : int8, out r : int8) {
+  x := x + 10;
+  r := x;
+}
+proc by_local(out r : int16) {
+  var x : int16;
+  x := 300;
+  r := x + 1;
+}
+behavior Main : leaf {
+  call by_param(x, r1);
+  call by_local(r2);
+  x := x + 1;
+}
+)");
+  EXPECT_EQ(r.final_vars.at("r1"), 13u);
+  EXPECT_EQ(r.final_vars.at("r2"), 301u);
+  EXPECT_EQ(r.final_vars.at("x"), 4u);  // the procedures wrote their own x
+}
+
+TEST(TreeResolution, NestedOutParamWritesTheCallersLocal) {
+  const SimResult r = expect_all_tiers_agree(R"(
+spec Nested;
+observable var t : int8 := 99;
+observable var res : int8;
+proc inner(a : int8, out b : int8) {
+  b := a * 2;
+}
+proc outer(a : int8, out c : int8) {
+  var t : int8;
+  call inner(a + 1, t);
+  c := t + 1;
+}
+behavior Main : leaf {
+  call outer(5, res);
+}
+)");
+  EXPECT_EQ(r.final_vars.at("res"), 13u);
+  EXPECT_EQ(r.final_vars.at("t"), 99u);  // inner's copy-back hit outer's t
+}
+
+TEST(TreeResolution, SignalAssignInsideAProcedure) {
+  const SimResult r = expect_all_tiers_agree(R"(
+spec Pulse;
+signal s : int8;
+observable var seen : int8;
+proc pulse(v : int8) {
+  s <= v + 1;
+}
+behavior Main : conc {
+  behavior Writer : leaf {
+    call pulse(6);
+  }
+  behavior Reader : leaf {
+    wait s == 7;
+    seen := s;
+  }
+}
+)");
+  EXPECT_EQ(r.final_vars.at("seen"), 7u);
+}
+
+TEST(TreeResolution, WaitNamingASignalTwiceAndAVariable) {
+  // Reader blocks on go (named twice) and reads gate on every evaluation;
+  // gate's write wakes nobody, go's second commit does.
+  const SimResult r = expect_all_tiers_agree(R"(
+spec Twice;
+signal go : int8;
+observable var gate : int8;
+observable var got : int8;
+behavior Main : conc {
+  behavior Writer : leaf {
+    go <= 1;
+    gate := 1;
+    delay 3;
+    go <= 2;
+  }
+  behavior Reader : leaf {
+    wait go == 2 && go != 0 && gate == 1;
+    got := go;
+  }
+}
+)");
+  EXPECT_EQ(r.final_vars.at("got"), 2u);
+}
+
 // Satellite check: a break outside any loop must be rejected by validation
 // (the interpreters would otherwise hit defensive throws at compile or run
 // time).

@@ -37,6 +37,58 @@ TEST(Lexer, CommentsAndLocations) {
   EXPECT_EQ(toks[0].loc.column, 3u);
 }
 
+// Columns count bytes from 1, a tab included; runs of blanks, comments and
+// identifiers longer than the small-string buffer all advance the column by
+// their byte length, and a newline inside none of them resets it.
+TEST(Lexer, LocationsAfterTabsIndentationCommentsAndLongNames) {
+  DiagnosticSink diags;
+  const std::string src =
+      "\tspec\t\tTop;\n" +
+      std::string(32, ' ') + "x_very_long_identifier_name := 1; // note\n" +
+      "\t  y<=2;//c\n"
+      "//only\n"
+      "z";
+  const auto toks = lex(src, diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.str();
+  struct Expect {
+    Tok kind;
+    const char* text;
+    uint32_t line;
+    uint32_t column;
+  };
+  const std::vector<Expect> expect = {
+      {Tok::Ident, "spec", 1, 2},
+      {Tok::Ident, "Top", 1, 8},
+      {Tok::Semi, "", 1, 11},
+      {Tok::Ident, "x_very_long_identifier_name", 2, 33},
+      {Tok::Assign, "", 2, 61},
+      {Tok::Int, "", 2, 64},
+      {Tok::Semi, "", 2, 65},
+      {Tok::Ident, "y", 3, 4},
+      {Tok::Le, "", 3, 5},
+      {Tok::Int, "", 3, 7},
+      {Tok::Semi, "", 3, 8},
+      {Tok::Ident, "z", 5, 1},
+      {Tok::End, "", 5, 2},
+  };
+  ASSERT_EQ(toks.size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(toks[i].kind, expect[i].kind);
+    EXPECT_EQ(toks[i].text, expect[i].text);
+    EXPECT_EQ(toks[i].loc.line, expect[i].line);
+    EXPECT_EQ(toks[i].loc.column, expect[i].column);
+  }
+
+  // A diagnostic past a tab and a long identifier carries the same column.
+  DiagnosticSink bad;
+  (void)lex("\n\tabcdefghijklmnopq @", bad);
+  ASSERT_EQ(bad.all().size(), 1u);
+  EXPECT_EQ(bad.all()[0].loc.line, 2u);
+  EXPECT_EQ(bad.all()[0].loc.column, 20u);
+  EXPECT_EQ(bad.all()[0].message, "unexpected character '@'");
+}
+
 TEST(Lexer, RejectsBareEquals) {
   DiagnosticSink diags;
   (void)lex("a = b", diags);

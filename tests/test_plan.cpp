@@ -121,20 +121,63 @@ TEST(SimPlan, RunsAreBitIdenticalToFreshSimulatorsOnEveryTier) {
   }
 }
 
+TEST(SimPlan, TreeTierSharedAcrossThreads) {
+  // Tree-tier Simulators on 4 pool workers read one plan's resolution table
+  // at once. Every run, recorded or not, equals a serial run of that plan.
+  std::vector<Specification> specs;
+  specs.push_back(example("race"));
+  specs.push_back(refined_medical(ImplModel::Model2));
+  specs.push_back(refined_medical(ImplModel::Model4));
+  batch::ThreadPool pool(4);
+  struct Run {
+    SimResult result;
+    std::vector<std::string> events;
+  };
+  for (const Specification& spec : specs) {
+    const std::shared_ptr<const SimPlan> plan = SimPlan::build(spec);
+    for (bool record : {false, true}) {
+      SCOPED_TRACE(spec.name + (record ? " recorded" : " unrecorded"));
+      SimConfig cfg;
+      cfg.exec_tier = ExecTier::Tree;
+      cfg.record_schedule = record;
+      Simulator serial_sim(plan, cfg);
+      RecordingObserver serial_obs;
+      const SimResult serial = run_observed(serial_sim, serial_obs);
+      EXPECT_EQ(serial.schedule_recorded, record);
+      const std::vector<Run> runs = batch::run_batch<Run>(
+          pool, 16, [&](size_t, batch::WorkerContext&) {
+            Simulator sim(plan, cfg);
+            RecordingObserver obs;
+            Run run{run_observed(sim, obs), {}};
+            run.events = std::move(obs.events);
+            return run;
+          });
+      for (const Run& run : runs) {
+        expect_same_run(run.result, serial);
+        EXPECT_EQ(run.events, serial_obs.events);
+      }
+    }
+  }
+}
+
 TEST(SimPlan, OneTierPlansHoldOnlyTheirTier) {
   const Specification spec = refined_medical(ImplModel::Model1);
   const auto all = SimPlan::build(spec);
+  EXPECT_NE(all->tree(), nullptr);
   EXPECT_NE(all->program(), nullptr);
   EXPECT_NE(all->bytecode(), nullptr);
 
   // The single-Simulator rule: a bytecode plan keeps no lowered Program.
   const auto bytecode = SimPlan::build(spec, ExecTier::Bytecode);
+  EXPECT_EQ(bytecode->tree(), nullptr);
   EXPECT_EQ(bytecode->program(), nullptr);
   EXPECT_NE(bytecode->bytecode(), nullptr);
   const auto lowered = SimPlan::build(spec, ExecTier::Lowered);
+  EXPECT_EQ(lowered->tree(), nullptr);
   EXPECT_NE(lowered->program(), nullptr);
   EXPECT_EQ(lowered->bytecode(), nullptr);
   const auto tree = SimPlan::build(spec, ExecTier::Tree);
+  EXPECT_NE(tree->tree(), nullptr);
   EXPECT_EQ(tree->program(), nullptr);
   EXPECT_EQ(tree->bytecode(), nullptr);
 
@@ -143,8 +186,11 @@ TEST(SimPlan, OneTierPlansHoldOnlyTheirTier) {
   EXPECT_THROW(Simulator(bytecode, cfg), SpecError);
   cfg.exec_tier = ExecTier::Bytecode;
   EXPECT_THROW(Simulator(tree, cfg), SpecError);
+  // The tree tier runs off the plan's resolution table, which only a plan
+  // built for it holds.
   cfg.exec_tier = ExecTier::Tree;
-  expect_same_run(Simulator(bytecode, cfg).run(), Simulator(spec, cfg).run());
+  EXPECT_THROW(Simulator(bytecode, cfg), SpecError);
+  expect_same_run(Simulator(tree, cfg).run(), Simulator(all, cfg).run());
 }
 
 TEST(SimPlan, InvalidSpecThrowsSpecError) {

@@ -680,10 +680,17 @@ int cmd_sweep(const Opts& o, const Specification& spec) {
   AccessGraph graph = build_access_graph(spec);
   const std::optional<Partition> part = build_partition(o, spec, graph, true);
   if (!part) return 2;
-  ProfileResult prof = profile_spec(spec);
+  // One SimConfig for the profile run and every point.
+  SimConfig sc;
+  sc.exec_tier = exec_tier(o);
+  if (o.max_cycles) sc.max_cycles = *o.max_cycles;
+  if (o.clock_hz) sc.clock_hz = *o.clock_hz;
+  const ProfileResult prof = profile_spec(spec, sc);
 
   batch::SweepOptions so;
-  so.exec_tier = exec_tier(o);
+  so.exec_tier = sc.exec_tier;
+  so.max_cycles = sc.max_cycles;
+  so.clock_hz = sc.clock_hz;
   so.verify = o.verify;
   so.explore_schedules = o.explore.value_or(0);
   if (so.explore_schedules > 0 && !so.verify) {
@@ -691,8 +698,6 @@ int cmd_sweep(const Opts& o, const Specification& spec) {
                  "note: --explore-schedules implies --verify for sweep\n");
     so.verify = true;
   }
-  if (o.max_cycles) so.max_cycles = *o.max_cycles;
-  if (o.clock_hz) so.clock_hz = *o.clock_hz;
 
   batch::ThreadPool pool(workers(o));
   const batch::SweepReport rep = batch::run_sweep(
@@ -734,11 +739,7 @@ int run_on_file(const char* path, const Opts& o,
     return 1;
   }
   DiagnosticSink diags;
-  std::optional<Specification> parsed;
-  {
-    telemetry::Span span("parse", telemetry::Stability::Stable);
-    parsed = parse_spec(text, diags);
-  }
+  const std::optional<Specification> parsed = parse_spec(text, diags);
   if (!parsed || !validate(*parsed, diags)) {
     std::fprintf(stderr, "%s", diags.str().c_str());
     return 1;
