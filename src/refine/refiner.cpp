@@ -1,6 +1,7 @@
 #include "refine/refiner.h"
 
 #include <set>
+#include <utility>
 
 #include "refine/arbiter_gen.h"
 #include "refine/bus_interface_gen.h"
@@ -60,8 +61,15 @@ RefineResult refine(const Partition& part, const AccessGraph& graph,
   validate_or_throw(orig);
   check_procedures(part.index());
 
-  AddressMap amap(part, cfg.protocol);
-  BusPlan plan = BusPlan::build(part, graph, cfg.model, cfg.max_memory_ports);
+  // -- 0. address layout and bus plan ----------------------------------------
+  auto layout = [&] {
+    telemetry::Span span("refine.plan", telemetry::Stability::Stable);
+    return std::pair{
+        AddressMap(part, cfg.protocol),
+        BusPlan::build(part, graph, cfg.model, cfg.max_memory_ports)};
+  }();
+  AddressMap& amap = layout.first;
+  BusPlan& plan = layout.second;
   const Type word_t = Type::of_width(max_var_width(orig));
   ProtocolGen proto(cfg.protocol, amap.addr_type(), amap.data_type(), word_t);
 
@@ -176,6 +184,7 @@ RefineResult refine(const Partition& part, const AccessGraph& graph,
   out.top = Behavior::make_conc("SYS", std::move(sys_children));
 
   if (cfg.inline_protocols) {
+    telemetry::Span span("refine.inline", telemetry::Stability::Stable);
     std::set<std::string> generated;
     for (const auto& [bus, masters] : use.bus_masters) {
       for (const std::string& m : masters) {

@@ -1,11 +1,11 @@
-// Bytecode compiler (Program -> linear threaded code).
+// Bytecode compiler (validated Specification -> linear threaded code).
 #include "sim/bytecode.h"
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <utility>
 
+#include "sim/slot_resolver.h"
 #include "support/diagnostics.h"
 
 namespace specsyn {
@@ -36,22 +36,22 @@ BinOp mirror_cmp(BinOp op) {
   }
 }
 
-/// Matches a postfix range that is an And/Or tree whose leaves all compare
+/// Matches a postfix expression that is an And/Or tree whose leaves all compare
 /// one signal against a literal; fills `out` with the equivalent BWaitOp
 /// postfix program. A bare signal condition (`wait sig`) is the one leaf
 /// `sig != 0`. Sound to fuse because this IR has no short-circuit (operands
 /// evaluate eagerly), compares yield 0/1, and signal reads fire no observer
 /// callbacks.
-bool collect_wait_expr(const LOp* pool, const LExpr& e,
+bool collect_wait_expr(const std::vector<LOp>& pool,
                        std::vector<BWaitOp>& out) {
-  if (e.count == 1 && pool[e.first].kind == LOp::Kind::PushSignal) {
+  if (pool.size() == 1 && pool[0].kind == LOp::Kind::PushSignal) {
     out.push_back({BWaitOp::Kind::Cmp, static_cast<uint8_t>(BinOp::Ne),
-                   pool[e.first].slot, 0});
+                   pool[0].slot, 0});
     return true;
   }
-  const uint32_t end = e.first + e.count;
+  const size_t end = pool.size();
   uint32_t results = 0;  // values notionally on the eval stack
-  for (uint32_t i = e.first; i < end;) {
+  for (size_t i = 0; i < end;) {
     if (i + 2 < end) {
       const LOp& x = pool[i];
       const LOp& y = pool[i + 1];
@@ -88,28 +88,6 @@ bool collect_wait_expr(const LOp* pool, const LExpr& e,
   return results == 1 && !out.empty() && out.size() <= 255;
 }
 
-/// Postfix evaluation depth of an LExpr (net is always 1 on a valid pool).
-uint32_t expr_depth(const LOp* ops, const LExpr& e) {
-  uint32_t depth = 0;
-  uint32_t max_depth = 0;
-  for (uint32_t i = 0; i < e.count; ++i) {
-    switch (ops[e.first + i].kind) {
-      case LOp::Kind::PushLit:
-      case LOp::Kind::PushVar:
-      case LOp::Kind::PushSignal:
-      case LOp::Kind::PushLocal:
-        max_depth = std::max(max_depth, ++depth);
-        break;
-      case LOp::Kind::Unary:
-        break;
-      case LOp::Kind::Binary:
-        --depth;
-        break;
-    }
-  }
-  return max_depth;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -117,20 +95,24 @@ uint32_t expr_depth(const LOp* ops, const LExpr& e) {
 
 class BytecodeCompiler {
  public:
-  explicit BytecodeCompiler(const Program& prog) : prog_(prog) {}
+  BytecodeCompiler(const Specification& spec, const VarTable& vars,
+                   const SignalTable& signals)
+      : spec_(spec),
+        slots_(spec, vars, signals),
+        bproc_of_(spec.procedures.size(), UINT32_MAX) {}
 
   std::shared_ptr<const BytecodeProgram> run() {
     auto out = std::shared_ptr<BytecodeProgram>(new BytecodeProgram());
     bc_ = out.get();
-    bc_->behaviors_.resize(prog_.behavior_count());
-    compile_behavior(*prog_.root());
+    compile_behavior(*spec_.top);
     // Procedures discovered at call sites compile after the unit that
     // referenced them (code is one flat array; units never nest). A pending
-    // proc's body may discover further procs, extending the worklist.
+    // proc's body may discover further procs, extending the worklist;
+    // pending_procs_[i] is the spec procedure behind bc_->procs_[i].
     for (size_t i = 0; i < pending_procs_.size(); ++i) {
-      const LProc* lp = pending_procs_[i];
-      bc_->procs_[proc_index_.at(lp)].code_begin = pc();
-      compile_block(*lp->body);
+      scope_ = &slots_.frame(pending_procs_[i]);
+      bc_->procs_[i].code_begin = pc();
+      compile_block(scope_->src->body);
       emit(BOp::EndUnit);
     }
     bc_->reg_count_ = std::max<uint32_t>(1, bc_->reg_count_);
@@ -148,22 +130,25 @@ class BytecodeCompiler {
 
   void patch(uint32_t at, uint32_t target) { bc_->code_[at].aux = target; }
 
-  const LOp* ops() const { return prog_.ops().data(); }
+  /// Lowers `e`, in the current scope, into the postfix scratch pool.
+  void lower(const Expr& e) {
+    ops_.clear();
+    depth_ = slots_.emit(e, scope_, ops_);
+  }
 
-  /// Emits micro-ops evaluating `e` into register 0. Expressions always
-  /// start from an empty register window, so statement compilation needs no
-  /// live-range tracking: a value's postfix stack position *is* its register.
-  void emit_expr(const LExpr& e) {
-    const uint32_t depth = expr_depth(ops(), e);
-    if (depth > UINT16_MAX) {
+  /// Emits micro-ops evaluating the scratch pool into register 0.
+  /// Expressions always start from an empty register window, so statement
+  /// compilation needs no live-range tracking: a value's postfix stack
+  /// position *is* its register.
+  void emit_expr() {
+    if (depth_ > UINT16_MAX) {
       throw SpecError("bytecode: expression deeper than " +
                       std::to_string(UINT16_MAX) + " registers");
     }
-    bc_->reg_count_ = std::max(bc_->reg_count_, depth);
+    bc_->reg_count_ = std::max(bc_->reg_count_, depth_);
     const size_t expr_start = bc_->code_.size();
     uint16_t sp = 0;
-    for (uint32_t i = 0; i < e.count; ++i) {
-      const LOp& op = ops()[e.first + i];
+    for (const LOp& op : ops_) {
       switch (op.kind) {
         case LOp::Kind::PushLit:
           emit(BOp::LoadLit, sp++, 0, 0, 0, 0, op.lit);
@@ -223,9 +208,10 @@ class BytecodeCompiler {
   /// shape), the compare folds into a fused compare-and-branch terminal.
   /// Returns the branch's pc for target patching (target lives in aux for
   /// fused and unfused forms alike).
-  uint32_t emit_branch(bool br_true, const LExpr& e, uint32_t target = 0) {
+  uint32_t emit_branch(bool br_true, const Expr& e, uint32_t target = 0) {
     const uint32_t start = pc();
-    emit_expr(e);
+    lower(e);
+    emit_expr();
     std::vector<BInstr>& code = bc_->code_;
     if (pc() - start == 1 && code.back().op == BOp::SigBinImm) {
       const BInstr prev = code.back();
@@ -236,114 +222,123 @@ class BytecodeCompiler {
     return emit(br_true ? BOp::BrTrue : BOp::BrFalse, 0, 0, 0, 0, target);
   }
 
-  /// Single-op expression, or count == 0 sentinel when not fusible.
-  const LOp* single_op(const LExpr& e) const {
-    return e.count == 1 ? ops() + e.first : nullptr;
+  /// The scratch pool's op when the expression is a single push, else null.
+  const LOp* single_op() const {
+    return ops_.size() == 1 ? ops_.data() : nullptr;
   }
 
-  uint32_t add_wait_site(const LStmt& s) {
+  /// AssignLoad/SigLoad source kind of a single-push op, or UINT8_MAX.
+  static uint8_t load_kind(const LOp& op) {
+    switch (op.kind) {
+      case LOp::Kind::PushVar: return kSrcVar;
+      case LOp::Kind::PushSignal: return kSrcSig;
+      case LOp::Kind::PushLocal: return kSrcLoc;
+      default: return UINT8_MAX;
+    }
+  }
+
+  uint32_t add_wait_site(const Expr& cond) {
     BWaitSite site;
-    site.signals = s.wait_signals;
-    site.cond = s.src->expr.get();
+    slots_.wait_signals(cond, site.signals);
+    site.cond = &cond;
     bc_->wait_sites_.push_back(std::move(site));
     return static_cast<uint32_t>(bc_->wait_sites_.size() - 1);
   }
 
-  uint32_t proc_index(const LProc* lp) {
-    auto it = proc_index_.find(lp);
-    if (it != proc_index_.end()) return it->second;
-    const uint32_t idx = static_cast<uint32_t>(bc_->procs_.size());
+  /// Dense BProc index of spec procedure `idx`, queueing its body for
+  /// compilation the first time it is called.
+  uint32_t bproc_of(uint32_t idx) {
+    if (bproc_of_[idx] != UINT32_MAX) return bproc_of_[idx];
+    const auto bidx = static_cast<uint32_t>(bc_->procs_.size());
     BProc bp;
-    bp.local_types = lp->local_types;
-    bc_->procs_.push_back(std::move(bp));
+    bp.local_types = slots_.frame(idx).local_types;
     bc_->max_proc_locals_ = std::max(
-        bc_->max_proc_locals_, static_cast<uint32_t>(lp->local_types.size()));
-    proc_index_.emplace(lp, idx);
-    pending_procs_.push_back(lp);
-    return idx;
+        bc_->max_proc_locals_, static_cast<uint32_t>(bp.local_types.size()));
+    bc_->procs_.push_back(std::move(bp));
+    bproc_of_[idx] = bidx;
+    pending_procs_.push_back(idx);
+    return bidx;
   }
 
-  void compile_stmt(const LStmt& s) {
+  void compile_stmt(const Stmt& s) {
     switch (s.kind) {
       case Stmt::Kind::Assign: {
-        const bool local = s.target.scope == LTarget::Scope::Local;
-        if (const LOp* op = single_op(s.expr)) {
+        const LTarget target = slots_.target(s.target, scope_);
+        const bool local = target.scope == LTarget::Scope::Local;
+        lower(*s.expr);
+        if (const LOp* op = single_op()) {
           if (op->kind == LOp::Kind::PushLit) {
             emit(local ? BOp::AssignImmLoc : BOp::AssignImmVar, 0, 0, 0,
-                 s.target.slot, 0, op->lit);
+                 target.slot, 0, op->lit);
             return;
           }
-          uint8_t kind = UINT8_MAX;
-          if (op->kind == LOp::Kind::PushVar) kind = kSrcVar;
-          if (op->kind == LOp::Kind::PushSignal) kind = kSrcSig;
-          if (op->kind == LOp::Kind::PushLocal) kind = kSrcLoc;
-          if (kind != UINT8_MAX) {
+          if (const uint8_t kind = load_kind(*op); kind != UINT8_MAX) {
             emit(BOp::AssignLoad,
                  static_cast<uint8_t>(kind | (local ? kTargetLocalBit : 0)), 0,
-                 0, s.target.slot, op->slot);
+                 0, target.slot, op->slot);
             return;
           }
         }
-        emit_expr(s.expr);
-        emit(local ? BOp::StLoc : BOp::StVar, 0, 0, 0, s.target.slot);
+        emit_expr();
+        emit(local ? BOp::StLoc : BOp::StVar, 0, 0, 0, target.slot);
         return;
       }
       case Stmt::Kind::SignalAssign: {
-        if (const LOp* op = single_op(s.expr)) {
+        const uint32_t signal = slots_.signal(s.target);
+        lower(*s.expr);
+        if (const LOp* op = single_op()) {
           if (op->kind == LOp::Kind::PushLit) {
-            emit(BOp::SigImm, 0, 0, 0, s.signal, 0, op->lit);
+            emit(BOp::SigImm, 0, 0, 0, signal, 0, op->lit);
             return;
           }
-          uint8_t kind = UINT8_MAX;
-          if (op->kind == LOp::Kind::PushVar) kind = kSrcVar;
-          if (op->kind == LOp::Kind::PushSignal) kind = kSrcSig;
-          if (op->kind == LOp::Kind::PushLocal) kind = kSrcLoc;
-          if (kind != UINT8_MAX) {
-            emit(BOp::SigLoad, kind, 0, 0, s.signal, op->slot);
+          if (const uint8_t kind = load_kind(*op); kind != UINT8_MAX) {
+            emit(BOp::SigLoad, kind, 0, 0, signal, op->slot);
             return;
           }
         }
-        emit_expr(s.expr);
-        emit(BOp::StSig, 0, 0);
-        bc_->code_.back().slot = s.signal;
+        emit_expr();
+        emit(BOp::StSig, 0, 0, 0, signal);
         return;
       }
       case Stmt::Kind::If: {
-        if (s.then_block != nullptr) {
-          const uint32_t brf = emit_branch(false, s.expr);
-          compile_block(*s.then_block);
+        // Like the other tiers, which push a block frame only for a
+        // non-empty branch, an empty branch compiles to nothing.
+        if (!s.then_block.empty()) {
+          const uint32_t brf = emit_branch(false, *s.expr);
+          compile_block(s.then_block);
           const uint32_t jend = emit(BOp::Jump);
-          if (s.else_block != nullptr) {
+          if (!s.else_block.empty()) {
             patch(brf, pc());
-            compile_block(*s.else_block);
+            compile_block(s.else_block);
             const uint32_t jend2 = emit(BOp::Jump);
             patch(jend2, pc());
           } else {
             patch(brf, pc());
           }
           patch(jend, pc());
-        } else if (s.else_block != nullptr) {
-          const uint32_t brt = emit_branch(true, s.expr);
-          compile_block(*s.else_block);
+        } else if (!s.else_block.empty()) {
+          const uint32_t brt = emit_branch(true, *s.expr);
+          compile_block(s.else_block);
           const uint32_t jend = emit(BOp::Jump);
           patch(brt, pc());
           patch(jend, pc());
         } else {
           // Both branches empty: the condition still evaluates (observer
           // reads) and the statement still costs its one step.
-          const uint32_t brf = emit_branch(false, s.expr);
+          const uint32_t brf = emit_branch(false, *s.expr);
           patch(brf, pc());
         }
         return;
       }
       case Stmt::Kind::While: {
-        const uint32_t brf = emit_branch(false, s.expr);
+        const uint32_t brf = emit_branch(false, *s.expr);
         const uint32_t body = pc();
         loops_.push_back({});
-        compile_block(*s.then_block);
+        compile_block(s.then_block);
         // Latch: re-evaluate the condition (one step, like the lowered
-        // tier's block-end re-check) and restart the body while true.
-        emit_branch(true, s.expr, body);
+        // tier's block-end re-check) and restart the body while true. The
+        // body reused the scratch pool, so the condition lowers again.
+        emit_branch(true, *s.expr, body);
         patch(brf, pc());
         for (uint32_t fix : loops_.back().end_fixups) patch(fix, pc());
         loops_.pop_back();
@@ -356,30 +351,30 @@ class BytecodeCompiler {
         patch(enter, pc());
         const uint32_t body = pc();
         loops_.push_back({});
-        compile_block(*s.then_block);
+        compile_block(s.then_block);
         emit(BOp::Jump, 0, 0, 0, 0, body);
         for (uint32_t fix : loops_.back().end_fixups) patch(fix, pc());
         loops_.pop_back();
         return;
       }
       case Stmt::Kind::Wait: {
-        const uint32_t site = add_wait_site(s);
+        const uint32_t site = add_wait_site(*s.expr);
+        lower(*s.expr);
         // Signal-only conditions — `wait sig == k`, `wait sig`, handshakes
         // (`ack == 1 && busy == 0`) and slave address decodes (`start == 1 &&
         // (addr == 0 || ...)`) — fuse into WaitSigExpr: every blocked
         // re-check, the hot path of bus-protocol waits, evaluates the whole
         // condition in one dispatch.
-        if (std::vector<BWaitOp> wops;
-            collect_wait_expr(ops(), s.expr, wops)) {
-          const uint32_t first =
-              static_cast<uint32_t>(bc_->wait_ops_.size());
-          bc_->wait_ops_.insert(bc_->wait_ops_.end(), wops.begin(),
-                                wops.end());
-          emit(BOp::WaitSigExpr, 0, static_cast<uint16_t>(wops.size()), 0,
-               first, site);
+        wait_scratch_.clear();
+        if (collect_wait_expr(ops_, wait_scratch_)) {
+          const auto first = static_cast<uint32_t>(bc_->wait_ops_.size());
+          bc_->wait_ops_.insert(bc_->wait_ops_.end(), wait_scratch_.begin(),
+                                wait_scratch_.end());
+          emit(BOp::WaitSigExpr, 0,
+               static_cast<uint16_t>(wait_scratch_.size()), 0, first, site);
           return;
         }
-        emit_expr(s.expr);
+        emit_expr();
         emit(BOp::WaitTrue, 0, 0, 0, site);
         return;
       }
@@ -388,18 +383,27 @@ class BytecodeCompiler {
         return;
       case Stmt::Kind::Call: {
         BCallSite site;
-        site.proc = proc_index(s.proc);
-        for (const LCallArg& a : s.in_args) {
-          emit_expr(a.in);
-          emit(BOp::ArgStage, 0, 0, 0, a.param);
-          site.in_params.push_back(a.param);
-        }
-        for (const auto& [param, dest] : s.out_binds) {
-          site.out_binds.emplace_back(
-              param, BTarget{dest.scope == LTarget::Scope::Local
-                                 ? uint8_t{1}
-                                 : uint8_t{0},
-                             dest.slot});
+        const uint32_t callee = slots_.proc_index(s.callee);
+        site.proc = bproc_of(callee);
+        const Procedure& proc = spec_.procedures[callee];
+        for (size_t i = 0; i < proc.params.size(); ++i) {
+          const auto param = static_cast<uint32_t>(i);
+          if (proc.params[i].is_out) {
+            // Validated call sites pass a plain variable name for
+            // out-params; it resolves in the *caller's* scope (where the
+            // copy-back runs).
+            const LTarget dest = slots_.target(s.args[i]->name, scope_);
+            site.out_binds.emplace_back(
+                param,
+                BTarget{dest.scope == LTarget::Scope::Local ? uint8_t{1}
+                                                            : uint8_t{0},
+                        dest.slot});
+          } else {
+            lower(*s.args[i]);
+            emit_expr();
+            emit(BOp::ArgStage, 0, 0, 0, param);
+            site.in_params.push_back(param);
+          }
         }
         const uint32_t idx = static_cast<uint32_t>(bc_->call_sites_.size());
         bc_->call_sites_.push_back(std::move(site));
@@ -419,53 +423,72 @@ class BytecodeCompiler {
     }
   }
 
-  void compile_block(const LBlock& blk) {
-    for (const LStmt& s : blk.stmts) compile_stmt(s);
+  void compile_block(const StmtList& stmts) {
+    for (const StmtPtr& s : stmts) compile_stmt(*s);
   }
 
-  void compile_behavior(const LBehavior& lb) {
-    BBehavior& b = bc_->behaviors_[lb.id];
-    b.src = lb.src;
-    b.id = lb.id;
-    b.kind = lb.kind;
-    if (lb.kind == BehaviorKind::Leaf) {
-      b.body = pc();
-      compile_block(*lb.body);
+  /// Compiles `b` and its subtree; ids are dense pre-order indices, the
+  /// numbering SpecIndex and the lowered Program use too. Returns b's id.
+  uint32_t compile_behavior(const Behavior& b) {
+    const auto id = static_cast<uint32_t>(bc_->behaviors_.size());
+    bc_->behaviors_.emplace_back();
+    bc_->behaviors_[id].src = &b;
+    bc_->behaviors_[id].id = id;
+    bc_->behaviors_[id].kind = b.kind;
+    scope_ = nullptr;
+    if (b.kind == BehaviorKind::Leaf) {
+      bc_->behaviors_[id].body = pc();
+      compile_block(b.body);
       emit(BOp::EndUnit);
-      return;
+      return id;
     }
-    for (const LBehavior* c : lb.children) b.children.push_back(c->id);
-    b.child_trans.resize(lb.child_trans.size());
-    for (size_t i = 0; i < lb.child_trans.size(); ++i) {
-      for (const LBehavior::LTrans& t : lb.child_trans[i]) {
+    if (b.kind == BehaviorKind::Sequential) {
+      std::vector<std::vector<BBehavior::BTrans>> arcs(b.children.size());
+      for (const Transition& t : b.transitions) {
         BBehavior::BTrans bt;
-        bt.has_guard = t.has_guard;
-        bt.next = t.next;
-        if (t.has_guard) {
+        bt.next = t.completes() ? BBehavior::kComplete
+                                : static_cast<uint32_t>(b.child_index(t.to));
+        if (t.guard) {
+          bt.has_guard = true;
           bt.guard = pc();
-          emit_expr(t.guard);
+          lower(*t.guard);
+          emit_expr();
           emit(BOp::GuardEnd);
         }
-        b.child_trans[i].push_back(bt);
+        arcs[b.child_index(t.from)].push_back(bt);
       }
+      bc_->behaviors_[id].child_trans = std::move(arcs);
     }
-    for (const LBehavior* c : lb.children) compile_behavior(*c);
+    for (const BehaviorPtr& c : b.children) {
+      const uint32_t child = compile_behavior(*c);
+      bc_->behaviors_[id].children.push_back(child);
+    }
+    return id;
   }
 
   struct LoopCtx {
     std::vector<uint32_t> end_fixups;
   };
 
-  const Program& prog_;
+  const Specification& spec_;
+  SlotResolver slots_;
   BytecodeProgram* bc_ = nullptr;
+  /// Procedure whose body is compiling (null in behavior bodies and guards).
+  const SlotResolver::Frame* scope_ = nullptr;
+  /// Postfix scratch pool of the expression being compiled, and its depth.
+  std::vector<LOp> ops_;
+  uint32_t depth_ = 0;
+  std::vector<BWaitOp> wait_scratch_;
   std::vector<LoopCtx> loops_;
-  std::map<const LProc*, uint32_t> proc_index_;
-  std::vector<const LProc*> pending_procs_;
+  std::vector<uint32_t> bproc_of_;       // by spec procedure: BProc or MAX
+  std::vector<uint32_t> pending_procs_;  // by BProc: spec procedure
 };
 
 std::shared_ptr<const BytecodeProgram> BytecodeProgram::compile(
-    const Program& prog) {
-  return BytecodeCompiler(prog).run();
+    const Specification& spec, const VarTable& vars,
+    const SignalTable& signals) {
+  if (!spec.top) throw SpecError("compile: specification has no top behavior");
+  return BytecodeCompiler(spec, vars, signals).run();
 }
 
 }  // namespace specsyn

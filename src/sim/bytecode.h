@@ -1,17 +1,21 @@
 // Third execution tier: linear threaded-code bytecode.
 //
-// The lowered interpreter (sim/program.h + interp_lowered.cpp) already
-// resolves names to slots, but it still walks a block/frame tree per step and
-// evaluates pooled postfix expressions against a value stack. This tier
-// flattens each leaf-behavior body and procedure body into one contiguous
-// instruction array:
+// BytecodeProgram::compile builds this tier straight from the validated
+// spec: one walk over its Behavior/Stmt trees, resolving names against the
+// plan's slot tables (sim/plan.h) by the rules the lowered tier's Program is
+// built by too (sim/slot_resolver.h). The lowered interpreter
+// (interp_lowered.cpp) walks a block/frame tree per step and evaluates pooled
+// postfix expressions against a value stack; this tier flattens each
+// leaf-behavior body and procedure body into one contiguous instruction
+// array instead:
 //
 //   * control flow (if/while/loop/break) becomes pc jumps — no Block frames
 //     are pushed or popped in the steady state, only Call frames remain,
-//   * postfix expression ops become register micro-ops: the stack-depth
-//     position of every intermediate value is known at compile time, so it is
-//     assigned a fixed register index in the simulator's register file, which
-//     is sized to the deepest expression (reg_count()),
+//   * each expression lowers to postfix ops in a reused scratch pool and
+//     then to register micro-ops: the stack-depth position of every
+//     intermediate value is known at compile time, so it is assigned a fixed
+//     register index in the simulator's register file, which is sized to the
+//     deepest expression (reg_count()),
 //   * hot single-statement shapes are fused into superinstructions
 //     (WaitSigExpr for signal-only waits, SigImm for `sig <= k`,
 //     AssignImm/AssignLoad for constant and copy assignments) — fusion never
@@ -32,7 +36,8 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/program.h"
+#include "sim/signal_table.h"
+#include "spec/specification.h"
 
 namespace specsyn {
 
@@ -142,8 +147,9 @@ struct BWaitOp {
   uint64_t imm = 0;   // Cmp only: literal rhs
 };
 
-/// Behavior-tree node; ids are the same dense pre-order indices the lowered
-/// Program assigns, so completion counts and observer attributions agree.
+/// Behavior-tree node; ids are the same dense pre-order indices SpecIndex
+/// and the lowered Program assign, so completion counts and observer
+/// attributions agree across tiers.
 struct BBehavior {
   static constexpr uint32_t kComplete = UINT32_MAX;
 
@@ -162,11 +168,14 @@ struct BBehavior {
 
 class BytecodeProgram {
  public:
-  /// Flattens a lowered Program (Program::compile). The result keeps no
-  /// pointer into `prog`, only `src` back-pointers into the spec, so the
-  /// Program may be dropped afterwards; SimPlan (sim/plan.h) compiles both
-  /// compiled tiers from one lowering this way.
-  static std::shared_ptr<const BytecodeProgram> compile(const Program& prog);
+  /// Compiles a validated spec in one walk over its Behavior/Stmt trees,
+  /// against the plan's slot tables (sim/plan.h). Names, postfix
+  /// expressions and wait sensitivity come from SlotResolver, the rules the
+  /// lowered Program is built by; the result keeps only `src`/`cond`
+  /// back-pointers into the spec, which must outlive it.
+  static std::shared_ptr<const BytecodeProgram> compile(
+      const Specification& spec, const VarTable& vars,
+      const SignalTable& signals);
 
   [[nodiscard]] const std::vector<BInstr>& code() const { return code_; }
   [[nodiscard]] const std::vector<BProc>& procs() const { return procs_; }

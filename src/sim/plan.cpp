@@ -13,7 +13,7 @@ SimPlan::~SimPlan() = default;
 
 std::shared_ptr<const SimPlan> SimPlan::make(const Specification& spec,
                                              bool want_tree,
-                                             bool keep_program,
+                                             bool want_program,
                                              bool want_bytecode) {
   validate_or_throw(spec);
   std::shared_ptr<SimPlan> plan(new SimPlan());
@@ -30,17 +30,14 @@ std::shared_ptr<const SimPlan> SimPlan::make(const Specification& spec,
     plan->tree_ = std::make_unique<const TreeResolution>(spec, plan->vars_,
                                                          plan->signals_);
   }
-  if (keep_program || want_bytecode) {
-    std::unique_ptr<const Program> program;
-    {
-      telemetry::Span span("lower", telemetry::Stability::Sched);
-      program = Program::compile(spec, plan->vars_, plan->signals_);
-    }
-    if (want_bytecode) {
-      telemetry::Span span("bytecode_compile", telemetry::Stability::Sched);
-      plan->bytecode_ = BytecodeProgram::compile(*program);
-    }
-    if (keep_program) plan->program_ = std::move(program);
+  if (want_program) {
+    telemetry::Span span("lower", telemetry::Stability::Sched);
+    plan->program_ = Program::compile(spec, plan->vars_, plan->signals_);
+  }
+  if (want_bytecode) {
+    telemetry::Span span("bytecode_compile", telemetry::Stability::Sched);
+    plan->bytecode_ =
+        BytecodeProgram::compile(spec, plan->vars_, plan->signals_);
   }
   return plan;
 }

@@ -3,12 +3,18 @@
 //
 // Building a plan validates the spec (validate_or_throw) and lays out its
 // variable/signal slot tables in declaration order. Then, per tier it serves,
-// it resolves the spec's names once for the tree tier (sim/tree_resolution.h,
-// which also holds the spec's SpecIndex), lowers the spec once to a Program
-// (sim/program.h) and compiles the bytecode (sim/bytecode.h) from that
-// Program. A Simulator constructed from a plan copies the tables (they carry
-// the run's mutable values) and runs any tier the plan holds; it neither
-// validates, resolves nor compiles.
+// it builds that tier's form of the spec straight from the spec itself:
+//   * Tree: the name resolution table (sim/tree_resolution.h, which also
+//     holds the spec's SpecIndex);
+//   * Lowered: the lowered Program (sim/program.h);
+//   * Bytecode: the bytecode (sim/bytecode.h), compiled in one walk; a
+//     bytecode plan never builds a Program.
+// The two compiled tiers take their name resolution, postfix emission and
+// wait-sensitivity rules from one helper (sim/slot_resolver.h); the tree
+// tier's table is an independent second resolver. A Simulator constructed
+// from a plan copies the slot tables (they carry the run's mutable values)
+// and runs any tier the plan holds; it neither validates, resolves nor
+// compiles.
 //
 // Who builds plans:
 //   * callers that simulate one spec many times — the fuzz oracles (every
@@ -16,9 +22,8 @@
 //     the sweep's refined points and its original, and schedule exploration
 //     (`check --explore-schedules`), whose pooled waves all read one plan;
 //   * Simulator(spec, cfg), which builds a plan for cfg.exec_tier alone and
-//     holds it privately. A one-tier bytecode plan drops its Program once the
-//     bytecode is compiled, so a single Simulator never holds a lowered
-//     Program it does not run;
+//     holds it privately, so a single Simulator never builds a form of the
+//     spec it does not run;
 //   * ProgramCache, whose entries are one-tier plans over a spec clone.
 //
 // Thread-safety: a plan is immutable once built; any number of Simulators on
@@ -42,13 +47,11 @@ class TreeResolution;
 class SimPlan {
  public:
   /// Plan for every tier: the tree tier's resolution table, the lowered
-  /// Program and its bytecode all stay. Throws SpecError when `spec` is
-  /// invalid.
+  /// Program and the bytecode. Throws SpecError when `spec` is invalid.
   [[nodiscard]] static std::shared_ptr<const SimPlan> build(
       const Specification& spec);
-  /// Plan for `tier` alone: Tree resolves names and compiles nothing,
-  /// Lowered keeps the Program, Bytecode compiles the bytecode and drops the
-  /// Program.
+  /// Plan for `tier` alone: Tree resolves names, Lowered lowers the
+  /// Program, Bytecode compiles the bytecode; each builds nothing else.
   [[nodiscard]] static std::shared_ptr<const SimPlan> build(
       const Specification& spec, ExecTier tier);
 
@@ -79,7 +82,7 @@ class SimPlan {
   SimPlan() = default;
   static std::shared_ptr<const SimPlan> make(const Specification& spec,
                                              bool want_tree,
-                                             bool keep_program,
+                                             bool want_program,
                                              bool want_bytecode);
 
   const Specification* spec_ = nullptr;

@@ -1,21 +1,20 @@
-// Compiled execution plan for the discrete-event simulator.
+// The lowered tier's compiled execution plan. Only a SimPlan that serves the
+// lowered tier builds one (sim/plan.h); the bytecode tier compiles from the
+// spec itself (sim/bytecode.h), so this file goes when the lowered tier does.
 //
 // The tree interpreter in interp.cpp walks the source Specification: it
 // looks each name's slot up by node address (sim/tree_resolution.h) on every
 // access and re-derives control decisions (transition-arc matching, child
 // indices) from the spec on every step. `Program` removes all of that from
-// the steady state: it is built once per SimPlan (sim/plan.h) from a
-// *validated* Specification and pre-resolves
+// the steady state: it is built once per SimPlan from a *validated*
+// Specification and, by SlotResolver's rules (sim/slot_resolver.h), which the
+// bytecode compiler shares, pre-resolves
 //
 //   * every `Expr::NameRef` into a `{scope, slot}` reference — a dense index
 //     into the global VarTable, the SignalTable, or the enclosing procedure's
-//     call-frame local array (name resolution is static: scoping is lexical
-//     and spec names are globally unique, so each use site has exactly one
-//     possible runtime meaning, the same local→var→signal precedence
-//     TreeResolution applies for interp.cpp),
+//     call-frame local array,
 //   * every expression tree into a flat postfix op vector evaluated with a
-//     value stack (operand order matches the recursive evaluator, so observer
-//     read events fire in the identical order),
+//     value stack,
 //   * every procedure's params + locals into a dense frame layout,
 //   * every statement list into an `LBlock` of slot-indexed `LStmt`s,
 //   * every behavior into an `LBehavior` with per-child pre-filtered
@@ -37,27 +36,10 @@
 #include <vector>
 
 #include "sim/signal_table.h"
+#include "sim/slot_resolver.h"
 #include "spec/specification.h"
 
 namespace specsyn {
-
-/// One postfix expression op. All ops of a Program live in a single pooled
-/// vector (one allocation, contiguous during evaluation); an LExpr names its
-/// range within the pool.
-struct LOp {
-  enum class Kind : uint8_t {
-    PushLit,     // push `lit`
-    PushVar,     // push vars[slot]      (fires on_var_read when observed)
-    PushSignal,  // push signals[slot]
-    PushLocal,   // push innermost call frame's locals[slot]
-    Unary,       // apply UnOp(op) to the top of stack
-    Binary,      // pop rhs, apply BinOp(op) to (new top, rhs)
-  };
-  Kind kind = Kind::PushLit;
-  uint8_t op = 0;     // UnOp / BinOp, for Unary / Binary
-  uint32_t slot = 0;  // Push{Var,Signal,Local}
-  uint64_t lit = 0;   // PushLit
-};
 
 /// Flattened expression: a contiguous postfix op range in the Program's op
 /// pool, evaluated with an external value stack (the Simulator owns one
@@ -65,14 +47,6 @@ struct LOp {
 struct LExpr {
   uint32_t first = 0;  // index of the first op in the pool
   uint32_t count = 0;
-};
-
-/// Pre-resolved destination of a variable assignment (`:=` target or an
-/// out-parameter copy-back destination).
-struct LTarget {
-  enum class Scope : uint8_t { Var, Local };
-  Scope scope = Scope::Var;
-  uint32_t slot = 0;
 };
 
 struct LBlock;

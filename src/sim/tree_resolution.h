@@ -14,7 +14,8 @@
 //     then locals, in declaration order) and its out-param copy-backs,
 //   * each `Wait` to the signal slots its condition is sensitive to.
 //
-// Resolution is static, the same rule the lowering pass applies: scoping is
+// Resolution is static, the same rule SlotResolver (sim/slot_resolver.h)
+// applies for the compiled tiers, written here a second time: scoping is
 // lexical and spec names are globally unique, so inside a procedure body the
 // procedure's params and locals shadow the global tables, and everywhere
 // else a name is a variable if the VarTable knows it, otherwise a signal.

@@ -3,6 +3,8 @@
 // per-tier entries of the in-memory program cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/bytecode.h"
 #include "sim/plan.h"
 #include "sim/program_cache.h"
@@ -292,6 +294,202 @@ behavior Main : seq {
     SCOPED_TRACE(exec_tier_name(tier));
     expect_same_result(run_tier(spec, tier), tree);
   }
+}
+
+// The bytecode compiler resolves names, lowers expressions and derives wait
+// sensitivity from the spec itself (sim/slot_resolver.h); the tree tier
+// resolves independently (sim/tree_resolution.h). Each spec below isolates
+// one shape the compiler's own walk handles, and the two tiers must agree on
+// every SimResult field, the recorded schedule included.
+SimResult expect_bytecode_matches_tree(const char* text) {
+  const Specification spec = testing::parse_or_die(text);
+  SimConfig cfg;
+  cfg.record_schedule = true;
+  cfg.exec_tier = ExecTier::Tree;
+  const SimResult tree = Simulator(spec, cfg).run();
+  cfg.exec_tier = ExecTier::Bytecode;
+  const SimResult bc = Simulator(spec, cfg).run();
+  EXPECT_EQ(bc.status, tree.status);
+  EXPECT_EQ(bc.end_time, tree.end_time);
+  EXPECT_EQ(bc.steps, tree.steps);
+  EXPECT_EQ(bc.root_completed, tree.root_completed);
+  EXPECT_EQ(bc.blocked.size(), tree.blocked.size());
+  for (size_t i = 0; i < std::min(bc.blocked.size(), tree.blocked.size());
+       ++i) {
+    EXPECT_EQ(bc.blocked[i].process_id, tree.blocked[i].process_id);
+    EXPECT_EQ(bc.blocked[i].behavior, tree.blocked[i].behavior);
+    EXPECT_EQ(bc.blocked[i].waiting_on, tree.blocked[i].waiting_on);
+  }
+  EXPECT_EQ(bc.final_vars, tree.final_vars);
+  EXPECT_EQ(bc.observable_writes, tree.observable_writes);
+  EXPECT_EQ(bc.behavior_completions, tree.behavior_completions);
+  EXPECT_EQ(bc.sched_decisions, tree.sched_decisions);
+  EXPECT_EQ(bc.schedule_recorded, tree.schedule_recorded);
+  return tree;
+}
+
+TEST(BytecodeFrontEnd, IfWithAnEmptyBranch) {
+  const SimResult r = expect_bytecode_matches_tree(R"(
+spec EmptyBranches;
+observable var x : int8 := 2;
+observable var y : int8;
+behavior Main : leaf {
+  if x == 2 {
+  } else {
+    y := 1;
+  }
+  if x == 3 {
+    y := y + 5;
+  } else {
+  }
+  if x == 2 {
+  } else {
+  }
+  if x != 2 {
+    y := 9;
+  }
+  y := y + 10;
+}
+)");
+  EXPECT_TRUE(r.root_completed);
+  EXPECT_EQ(r.final_vars.at("y"), 10u);
+}
+
+TEST(BytecodeFrontEnd, OutParamsBindInTheCallersScope) {
+  // outer passes its own out-param c, and its local t, as inner's out
+  // argument; Main binds the globals.
+  const SimResult r = expect_bytecode_matches_tree(R"(
+spec OutBinds;
+observable var res : int8;
+observable var g : int8;
+observable var c : int8 := 50;
+proc inner(a : int8, out b : int8) {
+  b := a + 1;
+}
+proc outer(out c : int8) {
+  var t : int8;
+  call inner(4, t);
+  call inner(t, c);
+}
+behavior Main : leaf {
+  call outer(res);
+  call inner(res, g);
+}
+)");
+  EXPECT_EQ(r.final_vars.at("res"), 6u);
+  EXPECT_EQ(r.final_vars.at("g"), 7u);
+  EXPECT_EQ(r.final_vars.at("c"), 50u);
+}
+
+TEST(BytecodeFrontEnd, ProcedureLocalsShadowGlobals) {
+  const SimResult r = expect_bytecode_matches_tree(R"(
+spec Shadowing;
+observable var x : int8 := 3;
+observable var y : int16 := 7;
+observable var out1 : int16;
+proc p(y : int8, out r : int16) {
+  var x : int16;
+  x := 200 + y;
+  y := y + 1;
+  r := x + y;
+}
+behavior Main : leaf {
+  call p(x, out1);
+  x := x + y;
+}
+)");
+  EXPECT_EQ(r.final_vars.at("out1"), 207u);
+  EXPECT_EQ(r.final_vars.at("x"), 10u);
+  EXPECT_EQ(r.final_vars.at("y"), 7u);
+}
+
+TEST(BytecodeFrontEnd, WaitNamingAProcedureLocalAndASignal) {
+  // Waiter's condition names its local k and the signal go: only go wakes
+  // it. A second wait on a local that never changes blocks for good.
+  const SimResult r = expect_bytecode_matches_tree(R"(
+spec LocalWait;
+signal go : int8;
+observable var got : int8;
+proc waiter(out r : int8) {
+  var k : int8;
+  k := 1;
+  wait go == 2 && k == 1;
+  r := go + k;
+  wait k == 5;
+}
+behavior Main : conc {
+  behavior Writer : leaf {
+    go <= 1;
+    delay 2;
+    go <= 2;
+  }
+  behavior Reader : leaf {
+    call waiter(got);
+  }
+}
+)");
+  EXPECT_FALSE(r.root_completed);
+  EXPECT_EQ(r.final_vars.at("got"), 0u);  // the copy-back never ran
+  ASSERT_FALSE(r.blocked.empty());
+  EXPECT_TRUE(std::any_of(
+      r.blocked.begin(), r.blocked.end(),
+      [](const BlockedProcess& b) { return b.behavior == "Reader"; }));
+}
+
+TEST(BytecodeFrontEnd, GuardedTransitions) {
+  const SimResult r = expect_bytecode_matches_tree(R"(
+spec Guarded;
+signal phase : int8;
+observable var n : int8;
+observable var a_runs : int8;
+observable var b_runs : int8;
+behavior Main : seq {
+  behavior A : leaf {
+    n := n + 1;
+    a_runs := a_runs + 1;
+    phase <= n % 3;
+  }
+  behavior B : leaf {
+    b_runs := b_runs + 1;
+  }
+  transitions {
+    A -> B when phase == 0 && n > 2;
+    A -> A when n < 10;
+    A -> complete;
+    B -> A when n + b_runs < 9;
+    B -> complete;
+  }
+}
+)");
+  EXPECT_TRUE(r.root_completed);
+  EXPECT_GT(r.final_vars.at("b_runs"), 0u);
+  EXPECT_GT(r.final_vars.at("a_runs"), r.final_vars.at("b_runs"));
+}
+
+TEST(BytecodeFrontEnd, BreakFromAWhileNestedInALoop) {
+  const SimResult r = expect_bytecode_matches_tree(R"(
+spec NestedBreak;
+observable var i : int8;
+observable var n : int8;
+behavior Main : leaf {
+  loop {
+    while i < 10 {
+      i := i + 1;
+      if i % 4 == 3 {
+        break;
+      }
+    }
+    n := n + 1;
+    if n == 3 {
+      break;
+    }
+  }
+  i := i + 100;
+}
+)");
+  EXPECT_TRUE(r.root_completed);
+  EXPECT_EQ(r.final_vars.at("n"), 3u);
+  EXPECT_EQ(r.final_vars.at("i"), 110u);
 }
 
 TEST(ProgramCacheTiers, TiersGetSeparateEntries) {

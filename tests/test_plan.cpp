@@ -54,12 +54,14 @@ void expect_same_run(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.sched_decisions, b.sched_decisions);
 }
 
-Specification refined_medical(ImplModel model) {
+Specification refined_medical(
+    ImplModel model, ProtocolStyle protocol = ProtocolStyle::FullHandshake) {
   const Specification spec = make_medical_system();
   AccessGraph graph = build_access_graph(spec);
   auto d = make_medical_design(spec, graph, 1);
   RefineConfig cfg;
   cfg.model = model;
+  cfg.protocol = protocol;
   return std::move(refine(d.partition, graph, cfg).refined);
 }
 
@@ -191,6 +193,30 @@ TEST(SimPlan, OneTierPlansHoldOnlyTheirTier) {
   cfg.exec_tier = ExecTier::Tree;
   EXPECT_THROW(Simulator(bytecode, cfg), SpecError);
   expect_same_run(Simulator(tree, cfg).run(), Simulator(all, cfg).run());
+}
+
+TEST(SimPlan, BytecodePlanNeverLowers) {
+  // The bytecode compiles straight from the spec: a bytecode plan records
+  // its compile and no lowering; only a plan for the lowered tier lowers.
+  const Specification spec =
+      refined_medical(ImplModel::Model4, ProtocolStyle::ByteSerial);
+  const auto spans_of = [&](ExecTier tier) {
+    telemetry::reset();
+    telemetry::enable(/*stats=*/true, /*trace=*/false);
+    const auto plan = SimPlan::build(spec, tier);
+    telemetry::Snapshot snap = telemetry::snapshot();
+    telemetry::enable(false, false);
+    EXPECT_TRUE(plan->has_tier(tier));
+    return snap.spans;
+  };
+  const auto bytecode = spans_of(ExecTier::Bytecode);
+  EXPECT_EQ(bytecode.count("lower"), 0u);
+  ASSERT_EQ(bytecode.count("bytecode_compile"), 1u);
+  EXPECT_EQ(bytecode.at("bytecode_compile").count, 1u);
+  const auto lowered = spans_of(ExecTier::Lowered);
+  EXPECT_EQ(lowered.count("bytecode_compile"), 0u);
+  ASSERT_EQ(lowered.count("lower"), 1u);
+  EXPECT_EQ(lowered.at("lower").count, 1u);
 }
 
 TEST(SimPlan, InvalidSpecThrowsSpecError) {
